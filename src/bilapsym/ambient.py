@@ -39,6 +39,7 @@ from .tensorcalc import (
     ambient_indices,
     ambient_lower,
     base_indices,
+    pair_orbit,
 )
 from .weylop import DiffOp, apply, compose, euler_op, operator_from_action
 
@@ -250,15 +251,8 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     pp = PhiPsi(n)
     space = base_space(n)
     raw: dict[MultiIndex, Polynomial] = {}
-    flips = list(itertools.product((0, 1), repeat=k))
     for ckey, val in x.components.items():
-        for flip in flips:
-            sign = 1
-            full = list(ckey)
-            for i, f in enumerate(flip):
-                if f:
-                    full[2 * i], full[2 * i + 1] = full[2 * i + 1], full[2 * i]
-                    sign = -sign
+        for full, sign in pair_orbit(ckey, k):
             prefix = Polynomial.constant(space, sign * val)
             for i in range(k):
                 prefix = prefix * pp.phi(full[2 * i])
@@ -318,15 +312,8 @@ def ambient_op_V(x: PairSkewTensor) -> DiffOp:
     if k == 0:
         raise ValueError("need at least one pair")
     terms: dict = {}
-    flips = list(itertools.product((0, 1), repeat=k))
     for ckey, val in x.components.items():
-        for flip in flips:
-            sign = 1
-            full = list(ckey)
-            for i, f in enumerate(flip):
-                if f:
-                    full[2 * i], full[2 * i + 1] = full[2 * i + 1], full[2 * i]
-                    sign = -sign
+        for full, sign in pair_orbit(ckey, k):
             mono = Monomial(
                 [(ambient_lower(n, full[2 * i]), 1) for i in range(k)]
             )
@@ -390,17 +377,10 @@ def ambient_op_W(w: PairSkewTensor) -> DiffOp:
         elif not coeff.is_zero:
             terms[alpha] = coeff
 
-    flips = list(itertools.product((0, 1), repeat=k))
     for ckey, val in w.components.items():
         d0, e0 = ckey[2 * k], ckey[2 * k + 1]
         tail_orders = [(d0, e0)] if d0 == e0 else [(d0, e0), (e0, d0)]
-        for flip in flips:
-            sign = 1
-            full = list(ckey)
-            for i, f in enumerate(flip):
-                if f:
-                    full[2 * i], full[2 * i + 1] = full[2 * i + 1], full[2 * i]
-                    sign = -sign
+        for full, sign in pair_orbit(ckey, k):
             prefix_mono = Monomial(
                 [(ambient_lower(n, full[2 * i]), 1) for i in range(k)]
             )

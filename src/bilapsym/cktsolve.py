@@ -12,12 +12,17 @@ probed for emptiness, which is reported as stabilization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import Monomial, Polynomial, base_space
-from .linsolve import nullspace
+from .exactpoly import (
+    Polynomial,
+    base_space,
+    exponent_tuples,
+    monomial_from_exponents,
+    parity_class,
+)
+from .linsolve import block_nullspace
 from .tensorcalc import (
     MultiIndex,
     SymTensorField,
@@ -96,81 +101,11 @@ def gckt_residual(w: SymTensorField) -> SymTensorField:
 # degree/parity-blocked exact solving
 
 
-def _exponent_tuples(n: int, degree: int):
-    """All exponent vectors of total degree ``degree`` over n variables."""
-    if n == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _exponent_tuples(n - 1, degree - first):
-            yield (first,) + rest
-
-
-def _index_parity(n: int, key: MultiIndex) -> tuple[int, ...]:
-    counts = [0] * n
-    for v in key:
-        counts[v - 1] ^= 1
-    return tuple(counts)
-
-
-def _monomial_from_exps(n: int, exps: tuple[int, ...]) -> Monomial:
-    return Monomial(tuple((v + 1, e) for v, e in enumerate(exps) if e))
-
-
-def _block_unknowns(n: int, valency: int, degree: int, parity: tuple[int, ...]):
-    """Unknown coordinates (J, exps) in one (degree, parity) block."""
-    out = []
-    for key in nondecreasing_tuples(base_indices(n), valency):
-        kp = _index_parity(n, key)
-        for exps in _exponent_tuples(n, degree):
-            if tuple((e + c) % 2 for e, c in zip(exps, kp)) == parity:
-                out.append((key, exps))
-    return out
-
-
 def _tensor_rows(t: SymTensorField, tag: str, col: dict) -> None:
     for key, poly in t.components.items():
         for mono, coeff in poly.terms.items():
             rk = (tag, key, mono)
             col[rk] = col.get(rk, Fraction(0)) + coeff
-
-
-def _solve_blocks(
-    n: int,
-    valency: int,
-    degree: int,
-    residual_fn,
-    enforce_tracefree: bool,
-) -> list[SymTensorField]:
-    """Exact nullspace of one polynomial degree, all parity classes."""
-    solutions: list[SymTensorField] = []
-    space = base_space(n)
-    for parity in itertools.product((0, 1), repeat=n):
-        unknowns = _block_unknowns(n, valency, degree, parity)
-        if not unknowns:
-            continue
-        columns = []
-        for key, exps in unknowns:
-            mono = _monomial_from_exps(n, exps)
-            unit = SymTensorField(
-                n, valency, {key: Polynomial(space, {mono: Fraction(1)})}
-            )
-            col: dict = {}
-            _tensor_rows(residual_fn(unit), "r", col)
-            if enforce_tracefree and valency >= 2:
-                _tensor_rows(metric_trace(unit), "t", col)
-            columns.append(col)
-        for vec in nullspace(columns):
-            comps: dict[MultiIndex, dict] = {}
-            for pos, coeff in vec.items():
-                key, exps = unknowns[pos]
-                mono = _monomial_from_exps(n, exps)
-                comps.setdefault(key, {})[mono] = coeff
-            fields = {
-                key: Polynomial(space, terms) for key, terms in comps.items()
-            }
-            solutions.append(SymTensorField(n, valency, fields))
-    return solutions
 
 
 @dataclass(frozen=True)
@@ -195,25 +130,46 @@ class SolutionBasis:
         return out
 
 
-CKTBasis = SolutionBasis
-GCKTBasis = SolutionBasis
-
-
 def _solve_graded(
     n: int, valency: int, degree_bound: int, residual_fn, enforce_tracefree: bool
 ) -> SolutionBasis:
+    """Solve block by block; unknowns are (multi-index, exponent vector)
+    coordinates, blocked by (degree, parity class)."""
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
+    space = base_space(n)
+
+    def column(unknown) -> dict:
+        key, exps = unknown
+        mono = monomial_from_exponents(exps)
+        unit = SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
+        col: dict = {}
+        _tensor_rows(residual_fn(unit), "r", col)
+        if enforce_tracefree and valency >= 2:
+            _tensor_rows(metric_trace(unit), "t", col)
+        return col
+
+    def solve(degrees):
+        unknowns = [
+            (key, exps)
+            for d in degrees
+            for key in nondecreasing_tuples(base_indices(n), valency)
+            for exps in exponent_tuples(n, d)
+        ]
+        return block_nullspace(
+            unknowns, lambda u: (sum(u[1]), parity_class(u[1], u[0])), column
+        )
+
     elements: list[SymTensorField] = []
     degrees: list[int] = []
-    for d in range(degree_bound + 1):
-        sols = _solve_blocks(n, valency, d, residual_fn, enforce_tracefree)
-        elements.extend(sols)
-        degrees.extend([d] * len(sols))
-    stabilized = all(
-        not _solve_blocks(n, valency, d, residual_fn, enforce_tracefree)
-        for d in (degree_bound + 1, degree_bound + 2)
-    )
+    for (d, _), vec in solve(range(degree_bound + 1)):
+        comps: dict[MultiIndex, dict] = {}
+        for (key, exps), coeff in vec.items():
+            comps.setdefault(key, {})[monomial_from_exponents(exps)] = coeff
+        fields = {key: Polynomial(space, terms) for key, terms in comps.items()}
+        elements.append(SymTensorField(n, valency, fields))
+        degrees.append(d)
+    stabilized = all(not solve([d]) for d in (degree_bound + 1, degree_bound + 2))
     return SolutionBasis(
         n=n,
         valency=valency,

@@ -3,7 +3,8 @@
 Subcommands: ``dims`` prints solution-space dimensions, ``basis`` emits the
 solved bases, ``build-op`` constructs operators from symbol files, and
 ``verify`` runs the exact identity suites.  Exit codes: 0 all checks pass,
-1 an identity fails, 2 bad arguments, 3 I/O error, 4 precondition failure.
+1 an identity fails, 2 bad arguments, 3 I/O error, 4 precondition failure
+(including a malformed symbol file).
 """
 
 from __future__ import annotations
@@ -166,21 +167,22 @@ def cmd_build_op(args: argparse.Namespace) -> int:
         if args.symbol is None:
             raise ValueError(f"kind {args.kind!r} requires a symbol file")
         with open(args.symbol, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if args.kind in ("dv", "dw"):
-            tensor = SymTensorField.from_json_obj(data)
-            weight = parse_rational(args.w)
-            op = (
-                canonical_DV(tensor, weight)
-                if args.kind == "dv"
-                else canonical_DW(tensor, weight)
-            )
+            text = handle.read()
+        cls = SymTensorField if args.kind in ("dv", "dw") else PairSkewTensor
+        try:
+            symbol = cls.from_json_obj(json.loads(text))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed symbol file {args.symbol}: {exc!r}") from None
+        if args.kind == "dv":
+            op = canonical_DV(symbol, args.w)
+        elif args.kind == "dw":
+            op = canonical_DW(symbol, args.w)
         elif args.kind == "ambient-one-pair":
-            op = ambient_op_V(PairSkewTensor.from_json_obj(data))
+            op = ambient_op_V(symbol)
         elif args.kind == "ambient-two-pair":
-            op = ambient_op_gg(PairSkewTensor.from_json_obj(data))
+            op = ambient_op_gg(symbol)
         else:
-            op = ambient_op_W(PairSkewTensor.from_json_obj(data))
+            op = ambient_op_W(symbol)
     payload = {"kind": args.kind, "operator": op.to_json_obj()}
     _config(args).emit(payload, [op.text()])
     return EXIT_OK
@@ -326,11 +328,10 @@ SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    weight = parse_rational(args.w) if args.w is not None else None
     results = []
     all_ok = True
     for name in names:
-        for check, ok in SUITES[name](args.n, args.seed, weight).items():
+        for check, ok in SUITES[name](args.n, args.seed, args.w).items():
             results.append({"suite": name, "check": check, "ok": ok})
             all_ok = all_ok and ok
     payload = {"n": args.n, "ok": all_ok, "checks": results}
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         required=True,
     )
-    p.add_argument("--w", default="0", help="weight as a rational p/q")
+    p.add_argument("--w", type=parse_rational, default="0", help="weight as a rational p/q")
     p.add_argument("symbol", nargs="?", default=None, help="symbol JSON file")
     p.set_defaults(fn=cmd_build_op)
 
@@ -398,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", default=None, help="restrict to one weight p/q")
+    p.add_argument(
+        "--w", type=parse_rational, default=None, help="restrict to one weight p/q"
+    )
     p.set_defaults(fn=cmd_verify)
     return parser
 

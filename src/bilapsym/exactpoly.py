@@ -30,8 +30,11 @@ def rat(value: Scalar) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text)
+    """Parse "p/q" or "p" into an exact rational; ValueError if malformed."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Scalar) -> str:
@@ -50,6 +53,8 @@ class VarSpace:
     def __post_init__(self) -> None:
         if self.kind not in ("base", "ambient"):
             raise ValueError(f"unknown space kind {self.kind!r}")
+        if not isinstance(self.n, int):
+            raise TypeError(f"dimension n must be an int, got {self.n!r}")
         if self.n < 3:
             raise ValueError("dimension n must be at least 3")
 
@@ -137,9 +142,6 @@ class Monomial:
             if w == v:
                 return e
         return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.exps + other.exps)
@@ -250,12 +252,6 @@ class Polynomial:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self.terms.get(_ONE, Fraction(0))
-
-    def total_degree(self) -> Exponent | None:
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(m.degree for m in self.terms)
 
     # -- arithmetic --------------------------------------------------------
     def _require_same_space(self, other: "Polynomial") -> None:
@@ -483,32 +479,38 @@ class Polynomial:
         return cls(space, terms)
 
 
-# -- module-level operation names -------------------------------------------
+# -- exponent vectors of base-space monomials ---------------------------------
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact sum of two polynomials over the same space."""
-    return a + b
+def exponent_tuples(n: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of total degree ``degree`` over n variables.
 
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product of two polynomials over the same space."""
-    return a * b
-
-
-def partial(p: Polynomial, v: int) -> Polynomial:
-    """Exact partial derivative of p with respect to variable v."""
-    return p.partial(v)
-
-
-def substitute(p: Polynomial, bindings: Mapping[int, Polynomial | Scalar]) -> Polynomial:
-    """Exact simultaneous substitution; see Polynomial.substitute."""
-    return p.substitute(bindings)
+    Ordered lexicographically, smallest first exponent first.
+    """
+    if n == 0:
+        return [()] if degree == 0 else []
+    out = []
+    for first in range(degree + 1):
+        for rest in exponent_tuples(n - 1, degree - first):
+            out.append((first,) + rest)
+    return out
 
 
-def homogeneous_degree(p: Polynomial):
-    """Common total degree of p, or the string "inhomogeneous"."""
-    w = p.homogeneous_degree()
-    return "inhomogeneous" if w is None else w
+def monomial_from_exponents(exps: tuple[int, ...]) -> Monomial:
+    """The base-space monomial x1^exps[0] * ... * xn^exps[n-1]."""
+    return Monomial(tuple((v + 1, e) for v, e in enumerate(exps) if e))
+
+
+def parity_class(exps: tuple[int, ...], indices: Iterable[int]) -> tuple[int, ...]:
+    """Per-variable parity of the monomial with exponents ``exps`` times one
+    factor x_v for each v in ``indices`` (a derivative or tensor multi-index).
+
+    Constant-coefficient equations that are even in each reflection
+    x_v -> -x_v never mix two parity classes.
+    """
+    counts = list(exps)
+    for v in indices:
+        counts[v - 1] += 1
+    return tuple(c % 2 for c in counts)
 
 
 # -- space conversions --------------------------------------------------------
@@ -519,13 +521,6 @@ def base_space(n: int) -> VarSpace:
 
 def ambient_space(n: int) -> VarSpace:
     return VarSpace("ambient", n)
-
-
-def to_ambient(p: Polynomial) -> Polynomial:
-    """Reinterpret a base-space polynomial in the ambient space (same n)."""
-    if p.space.kind == "ambient":
-        return p
-    return Polynomial(ambient_space(p.space.n), dict(p.terms))
 
 
 def to_base(p: Polynomial) -> Polynomial:

@@ -2,7 +2,8 @@
 
 Implements fraction-free Gauss-Jordan elimination on sparse integer rows
 (cross-multiplication plus gcd reduction), exposing exact nullspace bases,
-ranks, and small dense inverses.  Nullspace bases are normalized
+block-by-block nullspaces of graded systems, ranks, and small dense
+inverses.  Nullspace bases are normalized
 reduced-row-echelon style: each basis vector carries coefficient 1 at its
 free column and zeros at all other free columns, so output is deterministic
 for a fixed column order.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 
 def _to_integer_rows(
@@ -148,6 +149,30 @@ def nullspace(
     if ncols is None:
         ncols = len(columns)
     return _Eliminator(columns, ncols).nullspace_basis()
+
+
+def block_nullspace(
+    unknowns: Iterable[Hashable],
+    block_of: Callable[[Hashable], Hashable],
+    column_of: Callable[[Hashable], Mapping[Hashable, Fraction]],
+) -> list[tuple[Hashable, dict[Hashable, Fraction]]]:
+    """Exact nullspace of a linear system that splits into independent blocks.
+
+    ``block_of(u)`` keys the block of unknown u; unknowns of different
+    blocks must never share a row.  Unknowns are grouped in first-seen order
+    and the blocks solved in sorted key order, each by one ``nullspace``
+    call on the columns ``column_of(u)`` of its members.  Returns one
+    ``(block key, {unknown: coefficient})`` pair per basis vector.
+    """
+    blocks: dict[Hashable, list[Hashable]] = {}
+    for u in unknowns:
+        blocks.setdefault(block_of(u), []).append(u)
+    out = []
+    for key in sorted(blocks):
+        members = blocks[key]
+        for vec in nullspace([column_of(u) for u in members]):
+            out.append((key, {members[pos]: coeff for pos, coeff in vec.items()}))
+    return out
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = None) -> int:

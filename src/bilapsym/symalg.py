@@ -28,14 +28,18 @@ from .ambient import (
     realize_gckt,
     PhiPsi,
 )
+from .cktsolve import divergence, solve_ckt, solve_gckt
 from .exactpoly import (
     Monomial,
     Polynomial,
     Rational,
     base_space,
+    exponent_tuples,
+    monomial_from_exponents,
+    parity_class,
     rat,
 )
-from .linsolve import nullspace, rank
+from .linsolve import block_nullspace, rank
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
@@ -51,6 +55,7 @@ from .tensorcalc import (
     counterexample_tail_trace,
     counterexample_tensor,
     decompose_gg,
+    distinct_orderings,
     nondecreasing_tuples,
     scalar_embed,
     sym_outer,
@@ -303,16 +308,8 @@ def canonical_DV(v: SymTensorField, weight: Rational) -> DiffOp:
     if v.valency == 0:
         return DiffOp.multiplication(v.get(()))
     if v.valency == 1:
-        terms: dict = {}
-        div = Polynomial.zero(space)
-        for a in base_indices(n):
-            comp = v.get((a,))
-            if not comp.is_zero:
-                terms[(a,)] = comp
-            div = div + comp.partial(a)
-        scalar = div * Fraction(-w.numerator, w.denominator * n)
-        if not scalar.is_zero:
-            terms[()] = scalar
+        terms: dict = {(a,): v.get((a,)) for a in base_indices(n)}
+        terms[()] = divergence(v).get(()) * Fraction(-w.numerator, w.denominator * n)
         return DiffOp(space, terms)
     if v.valency == 2:
         if not v.is_tracefree():
@@ -325,24 +322,12 @@ def canonical_DV(v: SymTensorField, weight: Rational) -> DiffOp:
                     continue
                 alpha = tuple(sorted((a, b)))
                 terms[alpha] = terms[alpha] + comp if alpha in terms else comp
-        div: dict[int, Polynomial] = {}
-        for b in base_indices(n):
-            total = Polynomial.zero(space)
-            for a in base_indices(n):
-                total = total + v.get((a, b)).partial(a)
-            div[b] = total
+        div = divergence(v)
         c1 = Fraction(-2) * (w - 1) / (n + 2)
         for b in base_indices(n):
-            coeff = div[b] * c1
-            if not coeff.is_zero:
-                terms[(b,)] = terms[(b,)] + coeff if (b,) in terms else coeff
-        divdiv = Polynomial.zero(space)
-        for b in base_indices(n):
-            divdiv = divdiv + div[b].partial(b)
+            terms[(b,)] = div.get((b,)) * c1
         c0 = w * (w - 1) / ((n + 1) * (n + 2))
-        scalar = divdiv * c0
-        if not scalar.is_zero:
-            terms[()] = terms[()] + scalar if () in terms else scalar
+        terms[()] = divergence(div).get(()) * c0
         return DiffOp(space, terms)
     raise NotImplementedError("closed forms are provided for valency <= 2")
 
@@ -574,16 +559,6 @@ def _scalar_operator_shape(n: int) -> bool:
 # brute-force enumeration of low-order symmetries
 
 
-def _exact_degree_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for first in range(degree + 1):
-        for rest in _exact_degree_exponents(n - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
 def _symbol_rows(
     n: int,
     m_exps: tuple[int, ...],
@@ -601,58 +576,42 @@ def _symbol_rows(
     if key in cache:
         return cache[key]
     space = base_space(n)
-    mono = Monomial(tuple((v + 1, e) for v, e in enumerate(m_exps) if e))
+    mono = monomial_from_exponents(m_exps)
     gen = DiffOp(space, {alpha: Polynomial(space, {mono: Fraction(1)})})
     bilap = bilaplacian(n)
     _, remainder = symbol_division(compose(bilap, gen), bilap)
-    rows = {}
-    for ralpha, poly in remainder.terms.items():
-        for rmono, coeff in poly.terms.items():
-            rows[(ralpha, rmono)] = coeff
+    rows = _operator_column(remainder)
     cache[key] = rows
     return rows
-
-
-def _generator_block_key(
-    m_exps: tuple[int, ...], alpha: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    counts = [0] * len(m_exps)
-    for v in alpha:
-        counts[v - 1] += 1
-    parity = tuple((m + c) % 2 for m, c in zip(m_exps, counts))
-    return (sum(m_exps) - len(alpha), parity)
 
 
 def _solve_symmetry_blocks(
     n: int, order: int, degree_bound: int, cache: dict
 ) -> list[DiffOp]:
+    """Solve block by block; unknowns are generators (m_exps, alpha) of
+    x^m d^alpha, blocked by (homogeneity shift, parity class)."""
     space = base_space(n)
     alphas: list[tuple[int, ...]] = []
     for length in range(order + 1):
         alphas.extend(nondecreasing_tuples(base_indices(n), length))
-    monomial_exps: list[tuple[int, ...]] = []
-    for degree in range(degree_bound + 1):
-        monomial_exps.extend(_exact_degree_exponents(n, degree))
-
-    blocks: dict = {}
-    for m_exps in monomial_exps:
-        for alpha in alphas:
-            blocks.setdefault(_generator_block_key(m_exps, alpha), []).append(
-                (m_exps, alpha)
-            )
-
+    gens = [
+        (m_exps, alpha)
+        for degree in range(degree_bound + 1)
+        for m_exps in exponent_tuples(n, degree)
+        for alpha in alphas
+    ]
+    solutions = block_nullspace(
+        gens,
+        lambda g: (sum(g[0]) - len(g[1]), parity_class(*g)),
+        lambda g: _symbol_rows(n, *g, cache),
+    )
     elements: list[DiffOp] = []
-    for bkey in sorted(blocks):
-        gens = blocks[bkey]
-        columns = [_symbol_rows(n, m_exps, alpha, cache) for m_exps, alpha in gens]
-        for vec in nullspace(columns):
-            terms: dict = {}
-            for col, coeff in vec.items():
-                m_exps, alpha = gens[col]
-                mono = Monomial(tuple((v + 1, e) for v, e in enumerate(m_exps) if e))
-                add = Polynomial(space, {mono: coeff})
-                terms[alpha] = terms[alpha] + add if alpha in terms else add
-            elements.append(DiffOp(space, terms))
+    for _, vec in solutions:
+        terms: dict = {}
+        for (m_exps, alpha), coeff in vec.items():
+            add = Polynomial(space, {monomial_from_exponents(m_exps): coeff})
+            terms[alpha] = terms[alpha] + add if alpha in terms else add
+        elements.append(DiffOp(space, terms))
     return elements
 
 
@@ -727,8 +686,6 @@ def canonical_second_order_family(n: int) -> list[DiffOp]:
     operators of all conformal Killing fields and trace-free conformal
     Killing 2-tensors, and the scalar-symbol operators of the quadratic
     solution space, all at the distinguished weight."""
-    from .cktsolve import solve_ckt, solve_gckt
-
     w0 = bilaplacian_weight(n)
     ops: list[DiffOp] = [DiffOp.identity(base_space(n))]
     for v in solve_ckt(n, 1, 2).elements:
@@ -781,17 +738,13 @@ def _random_tracefree_four_tensor(n: int, seed: int) -> SymAmbientTensor:
     return SymAmbientTensor(n, 4, raw).tracefree_part()
 
 
-def _orderings(key: MultiIndex) -> int:
-    return len(set(itertools.permutations(key)))
-
-
 def quartic_boundary_polynomial(z: SymAmbientTensor) -> Polynomial:
     """The degree-4 polynomial Z^{BCDE} Phi_B Phi_C Phi_D Phi_E."""
     n = z.n
     phi = PhiPsi(n)
     total = Polynomial.zero(base_space(n))
     for key, val in z.components.items():
-        prod = Polynomial.constant(base_space(n), val * _orderings(key))
+        prod = Polynomial.constant(base_space(n), val * distinct_orderings(key))
         for idx in key:
             prod = prod * phi.phi(idx)
         total = total + prod

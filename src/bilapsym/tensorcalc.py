@@ -15,11 +15,12 @@ tensor into its six invariant summands.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactpoly import (
     Polynomial,
@@ -58,6 +59,28 @@ def nondecreasing_tuples(indices: Iterable[int], length: int) -> list[MultiIndex
     return list(itertools.combinations_with_replacement(tuple(indices), length))
 
 
+def distinct_orderings(key: MultiIndex) -> int:
+    """Number of distinct slot orders of a multi-index (a multinomial)."""
+    count = factorial(len(key))
+    for c in Counter(key).values():
+        count //= factorial(c)
+    return count
+
+
+def pair_orbit(key: MultiIndex, pair_count: int) -> Iterator[tuple[MultiIndex, int]]:
+    """The key with every subset of its first ``pair_count`` index pairs
+    transposed, as (arranged key, sign) with one sign flip per transposed
+    pair.  Later indices, such as a trailing pair, are left in place."""
+    for flip in itertools.product((0, 1), repeat=pair_count):
+        sign = 1
+        arranged = list(key)
+        for i, f in enumerate(flip):
+            if f:
+                arranged[2 * i], arranged[2 * i + 1] = arranged[2 * i + 1], arranged[2 * i]
+                sign = -sign
+        yield tuple(arranged), sign
+
+
 # ---------------------------------------------------------------------------
 # generic symmetric-component helpers (values: Polynomial or Fraction)
 
@@ -80,12 +103,7 @@ def _symmetrize_components(
             raise ValueError(f"index {key} has wrong length for valency {valency}")
         buckets.setdefault(tuple(sorted(key)), []).append((key, val))
     for skey, entries in buckets.items():
-        counts: dict[int, int] = {}
-        for v in skey:
-            counts[v] = counts.get(v, 0) + 1
-        orderings = factorial(valency)
-        for c in counts.values():
-            orderings //= factorial(c)
+        orderings = distinct_orderings(skey)
         total = None
         for _, val in entries:
             total = _comp_add(total, val)
@@ -192,6 +210,24 @@ def _tracefree_solver(n: int, kind: str, valency: int):
     return basis, pos, tuple(tuple(row) for row in invert(matrix))
 
 
+def _trace_preimage(
+    trace: Mapping[MultiIndex, object], valency: int, n: int, kind: str
+) -> dict[MultiIndex, object]:
+    """The symmetric (valency-2)-tensor A with trace(g (.) A) = trace."""
+    basis, pos, inv = _tracefree_solver(n, kind, valency)
+    out: dict[MultiIndex, object] = {}
+    for j, key_j in enumerate(basis):
+        total = None
+        for key_k, val in trace.items():
+            coef = inv[j][pos[key_k]]
+            if coef == 0:
+                continue
+            total = _comp_add(total, val * coef)
+        if total is not None and not _is_zero_value(total):
+            out[key_j] = total
+    return out
+
+
 def _tracefree_components(
     comps: Mapping[MultiIndex, object],
     valency: int,
@@ -205,17 +241,7 @@ def _tracefree_components(
     tr = _trace_components(comps, valency, indices, lower)
     if not tr:
         return {k: v for k, v in comps.items() if not _is_zero_value(v)}
-    basis, pos, inv = _tracefree_solver(n, kind, valency)
-    correction: dict[MultiIndex, object] = {}
-    for j, key_j in enumerate(basis):
-        total = None
-        for key_k, val in tr.items():
-            coef = inv[j][pos[key_k]]
-            if coef == 0:
-                continue
-            total = _comp_add(total, val * coef)
-        if total is not None and not _is_zero_value(total):
-            correction[key_j] = total
+    correction = _trace_preimage(tr, valency, n, kind)
     g = _metric_components(n, kind)
     g_corr = _sym_outer_components(g, 2, correction, valency - 2, indices)
     out = dict(comps)
@@ -278,9 +304,6 @@ class SymTensorField:
     @property
     def is_zero(self) -> bool:
         return not self.components
-
-    def keys(self) -> list[MultiIndex]:
-        return nondecreasing_tuples(base_indices(self.n), self.valency)
 
     def map_components(self, fn: Callable[[Polynomial], Polynomial]) -> "SymTensorField":
         return SymTensorField(
@@ -423,20 +446,8 @@ def split_symbol(t: SymTensorField):
 
 def _solve_g_multiple(trace: SymTensorField) -> SymTensorField:
     """Solve trace(g (.) A) = given trace for symmetric A (one g layer)."""
-    n = trace.n
-    valency = trace.valency + 2
-    basis, pos, inv = _tracefree_solver(n, "base", valency)
-    comps: dict[MultiIndex, Polynomial] = {}
-    for j, key_j in enumerate(basis):
-        total = None
-        for key_k, val in trace.components.items():
-            coef = inv[j][pos[key_k]]
-            if coef == 0:
-                continue
-            total = _comp_add(total, val * coef)
-        if total is not None and not _is_zero_value(total):
-            comps[key_j] = total
-    return SymTensorField(n, trace.valency, comps)
+    comps = _trace_preimage(trace.components, trace.valency + 2, trace.n, "base")
+    return SymTensorField(trace.n, trace.valency, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +575,8 @@ class PairSkewTensor:
             raise ValueError("tail_valency must be 0 or 2")
         if pair_count < 0:
             raise ValueError("pair_count must be >= 0")
+        if not isinstance(n, int):
+            raise TypeError(f"dimension n must be an int, got {n!r}")
         clean: dict[MultiIndex, Fraction] = {}
         if components:
             for key, val in components.items():
@@ -647,26 +660,14 @@ class PairSkewTensor:
         """Project raw components onto the paired-skew symmetry type."""
         proto = cls(n, pair_count, tail_valency)
         comps: dict[MultiIndex, Fraction] = {}
-        flips = list(itertools.product((0, 1), repeat=pair_count))
         tail_group = (0, 1) if tail_valency == 2 else (0,)
         norm = Fraction(1, (2 ** pair_count) * len(tail_group))
         for key in proto.canonical_keys():
             total = Fraction(0)
-            for flip in flips:
-                sign = 1
-                arranged = list(key)
-                for i, f in enumerate(flip):
-                    if f:
-                        arranged[2 * i], arranged[2 * i + 1] = (
-                            arranged[2 * i + 1],
-                            arranged[2 * i],
-                        )
-                        sign = -sign
+            for arranged, sign in pair_orbit(key, pair_count):
                 for tf in tail_group:
-                    tkey = list(arranged)
-                    if tf:
-                        tkey[-2], tkey[-1] = tkey[-1], tkey[-2]
-                    total += sign * rat(fn(tuple(tkey)))
+                    tkey = arranged[:-2] + (arranged[-1], arranged[-2]) if tf else arranged
+                    total += sign * rat(fn(tkey))
             val = total * norm
             if val != 0:
                 comps[key] = val
@@ -739,21 +740,6 @@ class PairSkewTensor:
             for key, val in data["components"].items()
         }
         return cls(data["n"], data["pair_count"], data["tail_valency"], comps)
-
-
-def pairskew_canonicalize(
-    n: int,
-    pair_count: int,
-    tail_valency: int,
-    raw: Mapping[MultiIndex, Rational] | Callable[[MultiIndex], Rational],
-) -> PairSkewTensor:
-    """Project raw components onto the paired-skew (+ trailing-sym) type."""
-    if callable(raw):
-        fn = raw
-    else:
-        table = {tuple(k): rat(v) for k, v in raw.items()}
-        fn = lambda key: table.get(key, Fraction(0))  # noqa: E731
-    return PairSkewTensor.from_function(n, pair_count, tail_valency, fn)
 
 
 def contract_positions(

@@ -282,13 +282,6 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp(a.space, out)
 
 
-def compose_all(*ops: DiffOp) -> DiffOp:
-    result = ops[0]
-    for op in ops[1:]:
-        result = compose(result, op)
-    return result
-
-
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return compose(a, b) - compose(b, a)
 

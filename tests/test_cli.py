@@ -146,3 +146,38 @@ class TestExitCodes:
 
     def test_symbolless_tensor_kind_exit_four(self, capsys):
         assert cli.main(["build-op", "--kind", "dv"]) == 4
+
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("dv", "{}"),
+            ("ambient-one-pair", "{}"),
+            ("dv", '{"n": "3", "valency": 1, "components": {}}'),
+            ("ambient-one-pair", '{"n": "3", "pair_count": 1, "tail_valency": 0, "components": {}}'),
+            ("dw", "[1, 2]"),
+            ("dv", '{"n": 3, "valency": 1, "components": []}'),
+            ("dv", "not json"),
+        ],
+    )
+    def test_malformed_symbol_file_exit_four(self, tmp_path, capsys, kind, content):
+        symbol = tmp_path / "symbol.json"
+        symbol.write_text(content)
+        code = cli.main(["build-op", "--kind", kind, "--w", "1/2", str(symbol)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed symbol file")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("weight", ["abc", "1/0"])
+    @pytest.mark.parametrize("command", ["build-op", "verify"])
+    def test_bad_weight_exit_two(self, tmp_path, capsys, command, weight):
+        # the weight is rejected before any symbol file is read
+        argv = [command, "--w", weight]
+        if command == "build-op":
+            argv += ["--kind", "dv", str(tmp_path / "missing.json")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--w" in err
+        assert "Traceback" not in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.linsolve import invert, nullspace, rank
+from bilapsym.linsolve import block_nullspace, invert, nullspace, rank
 
 
 def test_rank_of_identity_columns():
@@ -60,6 +60,40 @@ def test_nullspace_vectors_annihilate(seed):
         combo: dict[int, Fraction] = {}
         for col, coeff in vec.items():
             for row, val in cols[col].items():
+                combo[row] = combo.get(row, Fraction(0)) + coeff * val
+        assert all(v == 0 for v in combo.values())
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=25, deadline=None)
+def test_block_nullspace_matches_per_block_nullspace(seed):
+    rng = random.Random(seed)
+    nblocks = rng.randint(1, 4)
+    unknowns = [f"u{i}" for i in range(rng.randint(1, 14))]
+    block = {u: rng.randrange(nblocks) for u in unknowns}
+    # rows carry their block, so unknowns of different blocks share none
+    columns = {
+        u: {
+            (block[u], r): Fraction(rng.randint(-3, 3))
+            for r in range(rng.randint(1, 4))
+            if rng.random() < 0.5
+        }
+        for u in unknowns
+    }
+    got = block_nullspace(unknowns, block.__getitem__, columns.__getitem__)
+
+    expected = []
+    for key in sorted(set(block.values())):
+        members = [u for u in unknowns if block[u] == key]
+        for vec in nullspace([columns[u] for u in members]):
+            expected.append((key, {members[pos]: c for pos, c in vec.items()}))
+    assert got == expected
+
+    for key, vec in got:
+        assert all(block[u] == key for u in vec)
+        combo: dict = {}
+        for u, coeff in vec.items():
+            for row, val in columns[u].items():
                 combo[row] = combo.get(row, Fraction(0)) + coeff * val
         assert all(v == 0 for v in combo.values())
 
