@@ -11,16 +11,15 @@ Constant skew ambient tensors realize as polynomial vector/tensor fields on
 the section through the lowered position vector and the tangent projectors
 (``realize_ckt``/``realize_gckt``); conversely, homogeneous ambient
 operators that preserve the ideal of the cone descend to exact operators on
-weight-w functions (``induce``).
+weight-w functions (``induce``): both the ideal test and the descent are
+symbolic operator computations.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .exactpoly import (
     Monomial,
@@ -41,7 +40,7 @@ from .tensorcalc import (
     base_indices,
     pair_orbit,
 )
-from .weylop import DiffOp, apply, compose, euler_op, operator_from_action
+from .weylop import DiffOp, compose, euler_op, multiplier_commutator
 
 # ---------------------------------------------------------------------------
 # metric, cone, section
@@ -185,14 +184,9 @@ class PhiPsi:
         return self._phi[b]
 
     def psi(self, b: int, q: int) -> Polynomial:
-        space = base_space(self.n)
         if not 1 <= b <= self.n:
             raise ValueError(f"base index {b} out of range")
-        if q == 0:
-            return -Polynomial.variable(space, b)
-        if q == self.n + 1:
-            return Polynomial.zero(space)
-        return Polynomial.one(space) if q == b else Polynomial.zero(space)
+        return dict(self.psi_options(q)).get(b, Polynomial.zero(base_space(self.n)))
 
     def psi_options(self, q: int) -> list[tuple[int, Polynomial]]:
         """Nonzero psi(., q) entries as (base index, factor) pairs."""
@@ -419,90 +413,64 @@ def _operator_grade(op: DiffOp) -> Fraction:
     return grade
 
 
-def _random_homogeneous(
-    n: int, weight: Fraction, rng: random.Random, inf_max: int = 2, base_max: int = 3
-) -> Polynomial:
-    """A seeded random ambient polynomial of homogeneity ``weight``."""
-    space = ambient_space(n)
-    terms: dict[Monomial, Fraction] = {}
-    for _ in range(6):
-        e_inf = rng.randint(0, inf_max)
-        exps = [rng.randint(0, base_max) for _ in range(n)]
-        while sum(exps) + e_inf > base_max + inf_max:
-            exps[rng.randrange(n)] = 0
-        d = sum(exps) + e_inf
-        pairs = [(a + 1, e) for a, e in enumerate(exps) if e]
-        if e_inf:
-            pairs.append((space.inf, e_inf))
-        pairs.append((0, rat(weight) - d))
-        coeff = Fraction(rng.randint(-9, 9))
-        if coeff == 0:
-            coeff = Fraction(1)
-        m = Monomial(pairs)
-        terms[m] = terms.get(m, Fraction(0)) + coeff
-    return Polynomial(space, terms)
+def _descend(op: DiffOp, weight: Fraction) -> DiffOp:
+    """The base operator by which op acts on the extensions x0^w g(x/x0).
 
-
-def preserves_cone_ideal(
-    op: DiffOp, weight: Rational, samples: int = 4, seed: int = 0
-) -> bool:
-    """Sampled exact check that op maps r*(weight-2) into the ideal of r.
-
-    For each seeded homogeneous h of weight ``weight - 2`` the image
-    op(r h) is tested for divisibility by r via the substitution
-    xinf -> -(x.x)/(2 x0), which kills exactly the multiples of r.
+    There d_inf acts by 0, d_a by x0^-1 d_a, and d_0 at homogeneity v by
+    x0^-1 (v - E), with E the base Euler operator; each coefficient is
+    restricted to the section.
     """
-    n = op.space.n
+    space = base_space(op.space.n)
+    euler, ident = euler_op(space), DiffOp.identity(space)
+    total = DiffOp.zero(space)
+    for alpha, coeff in op.terms.items():
+        if op.space.inf not in alpha:
+            k = alpha.count(0)
+            part = DiffOp(space, {alpha[k:]: 1})
+            for i in range(k):
+                part = compose(ident * (weight - len(alpha) + k - i) - euler, part)
+            total = total + part * section_substitution(coeff)
+    return total
+
+
+def preserves_cone_ideal(op: DiffOp, weight: Rational) -> bool:
+    """Whether op maps r*(weight-2) into the ideal of r, decided exactly.
+
+    With C_0 = op and C_j = [C_(j-1), r]: op(r h) = r op(h) + C_1 h, and
+    h = g + r h' with g free of xinf, so the test holds iff every C_j
+    (j >= 1) descends to zero at weight ``weight - 2j``.  Each bracket
+    lowers the order by one.  op must have a single homogeneity shift.
+    """
     if op.space.kind != "ambient":
         raise ValueError("expected an ambient operator")
-    w = rat(weight)
-    rpoly = r_polynomial(n)
-    space = op.space
-    cone_binding = (
-        base_square(n, space)
-        * Polynomial.variable(space, 0, -1)
-        * Fraction(-1, 2)
-    )
-    rng = random.Random(seed)
-    for _ in range(samples):
-        h = _random_homogeneous(n, w - 2, rng)
-        image = apply(op, rpoly * h)
-        if not image.substitute({space.inf: cone_binding}).is_zero:
+    if not op.is_zero:
+        _operator_grade(op)
+    bracket, rpoly = op, r_polynomial(op.space.n)
+    for j in range(1, op.order + 1):
+        bracket = multiplier_commutator(bracket, rpoly)
+        if bracket.is_zero:
+            return True
+        if not _descend(bracket, rat(weight) - 2 * j).is_zero:
             return False
     return True
 
 
-def induce(
-    op: DiffOp,
-    weight: Rational,
-    order: int | None = None,
-    samples: int = 4,
-    seed: int = 0,
-) -> DiffOp:
+def induce(op: DiffOp, weight: Rational, order: int | None = None) -> DiffOp:
     """The exact operator induced on weight-w functions of the section.
 
-    The ambient operator must have a single homogeneity shift and preserve
-    the ideal of the cone at this weight (checked on seeded homogeneous
-    samples; a failure raises ValueError).  The induced action is read off
-    through the canonical extension and the section substitution, and the
-    operator is reconstructed exactly from its action on monomials with a
-    two-degree consistency margin.
+    op must have a single homogeneity shift and preserve the ideal of the
+    cone at this weight (decided exactly); the induced operator is then
+    computed symbolically by ``_descend``.  A failed precondition raises
+    ValueError, as does an induced order above ``order`` when it is given.
     """
     _operator_grade(op)
     w = rat(weight)
-    if not preserves_cone_ideal(op, w, samples=samples, seed=seed):
-        raise ValueError(
-            "operator does not preserve the cone ideal at this weight"
-        )
-    n = op.space.n
-    bspace = base_space(n)
-
-    def action(f: Polynomial) -> Polynomial:
-        big = extend_polynomial(f, w)
-        return section_substitution(apply(op, big))
-
-    k = op.order if order is None else order
-    return operator_from_action(bspace, action, k)
+    if not preserves_cone_ideal(op, w):
+        raise ValueError("operator does not preserve the cone ideal at this weight")
+    induced = _descend(op, w)
+    if order is not None and induced.order > order:
+        raise ValueError(f"induced operator has order {induced.order}, above {order}")
+    return induced
 
 
 # ---------------------------------------------------------------------------

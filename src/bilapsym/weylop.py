@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping
 
-from .exactpoly import Polynomial, Rational, VarSpace, base_space, rat
+from .exactpoly import Monomial, Polynomial, Rational, VarSpace, base_space, rat
 
 Alpha = tuple[int, ...]
 
@@ -286,6 +286,21 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return compose(a, b) - compose(b, a)
 
 
+def multiplier_commutator(op: DiffOp, p: Polynomial) -> DiffOp:
+    """The commutator [op, p] with multiplication by p: the Leibniz terms of
+    op o p that differentiate p, computed without building op o p."""
+    out: dict[Alpha, Polynomial] = {}
+    for alpha, coeff in op.terms.items():
+        counts = _alpha_counts(alpha)
+        for gamma, weight in _sub_counts(counts):
+            dp = _differentiate(p, gamma)
+            if gamma and not dp.is_zero:
+                key = _counts_to_alpha({v: c - gamma.get(v, 0) for v, c in counts.items()})
+                term = coeff * dp * weight
+                out[key] = out[key] + term if key in out else term
+    return DiffOp(op.space, out)
+
+
 # ---------------------------------------------------------------------------
 # canonical constant-coefficient operators
 
@@ -421,21 +436,25 @@ def operator_from_action(
     order: int,
     check_margin: int = 2,
 ) -> DiffOp:
-    """Recover the unique order-<=``order`` operator with the given action.
+    """Read off the order-<=``order`` operator from an action on monomials.
 
     Coefficients are read off triangularly from the action on monomials of
-    degree <= order; the result is then cross-checked against the action on
-    all monomials of the next ``check_margin`` degrees.
+    degree <= order.  The result is exact only when the action really is an
+    operator of order <= ``order``.  The check against all monomials of the
+    next ``check_margin`` degrees is a consistency test, not a proof.  The
+    library does not rely on this; the tests use it as a reference for the
+    symbolic descent in ``ambient.induce``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    variables = space.variables
+
+    def monomials(deg: int):
+        for alpha in itertools.combinations_with_replacement(space.variables, deg):
+            yield alpha, Polynomial(space, {Monomial([(v, 1) for v in alpha]): 1})
+
     coeffs: dict[Alpha, Polynomial] = {}
     for deg in range(order + 1):
-        for alpha in itertools.combinations_with_replacement(variables, deg):
-            mono = Polynomial.constant(space, 1)
-            for v in alpha:
-                mono = mono * Polynomial.variable(space, v)
+        for alpha, mono in monomials(deg):
             value = action(mono)
             for gamma, cg in coeffs.items():
                 dmono = _differentiate(mono, _alpha_counts(gamma))
@@ -447,10 +466,7 @@ def operator_from_action(
                 coeffs[alpha] = coeff
     op = DiffOp(space, coeffs)
     for deg in range(order + 1, order + 1 + check_margin):
-        for alpha in itertools.combinations_with_replacement(variables, deg):
-            mono = Polynomial.constant(space, 1)
-            for v in alpha:
-                mono = mono * Polynomial.variable(space, v)
+        for _, mono in monomials(deg):
             if apply(op, mono) != action(mono):
                 raise ValueError(
                     "action is not realized by an operator of the stated order"

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bilapsym.ambient import (
     AmbientMetric,
@@ -42,7 +44,14 @@ from bilapsym.symalg import (
     translation_element,
 )
 from bilapsym.tensorcalc import bullet_extract
-from bilapsym.weylop import DiffOp, apply, bilaplacian, compose, laplacian
+from bilapsym.weylop import (
+    DiffOp,
+    apply,
+    bilaplacian,
+    compose,
+    laplacian,
+    operator_from_action,
+)
 
 
 class TestMetricAndCone:
@@ -242,3 +251,36 @@ class TestInduction:
     def test_induce_rejects_zero_operator(self):
         with pytest.raises(ValueError):
             induce(DiffOp.zero(ambient_space(3)), Fraction(1, 2))
+
+    def test_ideal_test_looks_past_the_first_bracket(self):
+        # [d_inf^2, r] = 4 x0 d_inf descends to zero, but the second
+        # bracket 8 x0^2 does not: d_inf^2 (r h) is not in (r)
+        space = ambient_space(3)
+        op = DiffOp(space, {(space.inf, space.inf): 1})
+        assert not preserves_cone_ideal(op, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            induce(op, Fraction(1, 2))
+
+    def test_order_guard_rejects_higher_induced_order(self):
+        with pytest.raises(ValueError):
+            induce(ambient_laplacian(3), laplacian_weight(3), order=1)
+
+    @given(
+        st.lists(st.integers(0, 9), min_size=1, max_size=3),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    )
+    @example([0, 1, 2], Fraction(-5, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_action_read_off(self, word, weight):
+        # words in the one-pair operators commute with r, so they descend
+        # at every weight; the reference reads the operator off its action
+        basis = so_basis(3)
+        op = ambient_op_V(basis[word[0]])
+        for i in word[1:]:
+            op = compose(op, ambient_op_V(basis[i]))
+
+        def action(f):
+            return section_substitution(apply(op, extend_polynomial(f, weight)))
+
+        expected = operator_from_action(base_space(3), action, op.order)
+        assert induce(op, weight) == expected

@@ -122,6 +122,48 @@ class TestVerify:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("summand-behavior", "--w", "1/7"),
+            ("quartic-obstruction", "--w", "1/7"),
+            ("ambient-identities", "--seed", "3"),
+            ("composition-identity", "--seed", "0"),
+        ],
+    )
+    def test_flag_the_suite_ignores_exit_two(self, capsys, suite, flag, value):
+        code = cli.main(["verify", "--suite", suite, flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} has no effect on suite {suite}")
+        assert captured.out == ""
+
+    def test_flags_reach_all_suites(self, capsys, monkeypatch):
+        seen = {}
+
+        def record(name):
+            def suite(n, seed, weight):
+                seen[name] = (seed, weight)
+                return {"recorded": True}
+
+            return suite
+
+        for name in list(cli.SUITES):
+            monkeypatch.setitem(cli.SUITES, name, record(name))
+        code = cli.main(["verify", "--suite", "all", "--w", "1/7", "--seed", "3"])
+        assert code == 0
+        assert seen == {name: (3, Fraction(1, 7)) for name in cli.SUITES}
+
+    def test_seed_defaults_to_zero(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli.SUITES,
+            "quartic-obstruction",
+            lambda n, seed, weight: seen.append(seed) or {"recorded": True},
+        )
+        assert cli.main(["verify", "--suite", "quartic-obstruction"]) == 0
+        assert seen == [0]
+
     def test_failing_check_yields_exit_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
             cli.SUITES, "ambient-identities", lambda n, seed, weight: {"forced": False}

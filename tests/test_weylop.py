@@ -20,6 +20,7 @@ from bilapsym.weylop import (
     euler_op,
     is_symmetry,
     laplacian,
+    multiplier_commutator,
     operator_from_action,
     right_factor,
     right_factor_through_bilaplacian,
@@ -89,6 +90,15 @@ class TestApplyCompose:
     def test_euler_commutator_grades(self):
         e = euler_op(SPACE)
         assert commutator(e, laplacian(N)) == laplacian(N) * Fraction(-2)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=20, deadline=None)
+    def test_multiplier_commutator_matches_commutator(self, seed):
+        rng = random.Random(seed)
+        op, p = random_op(rng, order=2), random_poly(rng)
+        assert multiplier_commutator(op, p) == commutator(
+            op, DiffOp.multiplication(p)
+        )
 
     def test_product_with_operator_raises(self):
         with pytest.raises(TypeError):
