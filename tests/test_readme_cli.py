@@ -1,0 +1,72 @@
+"""Golden digests of the README's command-line examples.
+
+Each digest is the SHA-256 of the ``--format json`` output of one example
+from the README's "Command line" section, so a refactor of the library
+must reproduce the CLI JSON byte for byte.  The ``build-op --kind dv``
+example runs on symbol files written from the ``basis`` example: one file
+per basis element, and the digest covers the outputs in basis order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+import bilapsym.cli as cli
+
+BASIS_ARGS = ["basis", "--kind", "ckt", "--s", "1", "--n", "3"]
+
+GOLDEN = [
+    (
+        ["dims", "--kind", "ckt", "--s", "2", "--n", "3"],
+        "9b934e6bcb4f9af40813997217bf6bc6d05d0db8f53f1b1c865b69726254242b",
+    ),
+    (
+        ["dims", "--kind", "gckt", "--t", "0", "--n", "3"],
+        "361d0c619eb718f6cac733ad0deb4fe79c6c3b3340d811d23fa288b575f5fe68",
+    ),
+    (
+        ["dims", "--kind", "symmetries", "--s", "2", "--n", "3", "--degree-bound", "6"],
+        "dd6b6cdea08a87ed72db7d889c6f68c7120947203f0f6585cf9c60c50f542974",
+    ),
+    (
+        BASIS_ARGS,
+        "26019f3c116772c57c89ffa5812d0781d747edad2c8c02e2b5162bab7bfe7827",
+    ),
+    (
+        ["build-op", "--kind", "bilaplacian", "--n", "4"],
+        "abbdd332b4ce0907cce111728948fde85a6b2b522ba0ea62f306e87329f5f416",
+    ),
+]
+
+DV_FROM_BASIS = "64ec3674785bf2491f89047ccb442f619ae1f773d2fa4d7b81757c70000e5a2a"
+
+
+def _json_output(args: list[str], path) -> bytes:
+    assert cli.main(args + ["--format", "json", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, expected", GOLDEN, ids=[" ".join(args[:3]) for args, _ in GOLDEN]
+)
+def test_readme_example_digest(args, expected, tmp_path):
+    assert _digest(_json_output(args, tmp_path / "out.json")) == expected
+
+
+def test_build_op_dv_on_basis_symbols(tmp_path):
+    basis = json.loads(_json_output(BASIS_ARGS, tmp_path / "basis.json"))
+    outputs = b""
+    for i, element in enumerate(basis["elements"]):
+        symbol = tmp_path / f"symbol{i}.json"
+        symbol.write_text(json.dumps(element))
+        args = ["build-op", "--kind", "dv", "--w", "1/2", str(symbol)]
+        outputs += _json_output(args, tmp_path / f"op{i}.json")
+    assert len(basis["elements"]) == 10
+    assert _digest(outputs) == DV_FROM_BASIS
