@@ -28,17 +28,19 @@ from .exactpoly import (
     VarSpace,
     ambient_space,
     base_space,
+    collect,
     rat,
     to_base,
 )
 from .tensorcalc import (
-    MultiIndex,
     PairSkewTensor,
     SymTensorField,
     ambient_indices,
     ambient_lower,
     base_indices,
+    distinct_orderings,
     pair_orbit,
+    symmetrize,
 )
 from .weylop import DiffOp, compose, euler_op, multiplier_commutator
 
@@ -244,25 +246,21 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     n, k = x.n, x.pair_count
     pp = PhiPsi(n)
     space = base_space(n)
-    raw: dict[MultiIndex, Polynomial] = {}
-    for ckey, val in x.components.items():
-        for full, sign in pair_orbit(ckey, k):
-            prefix = Polynomial.constant(space, sign * val)
-            for i in range(k):
-                prefix = prefix * pp.phi(full[2 * i])
-            option_lists = [pp.psi_options(full[2 * i + 1]) for i in range(k)]
-            for choice in itertools.product(*option_lists):
-                btuple = tuple(b for b, _ in choice)
-                term = prefix
-                for _, factor in choice:
-                    term = term * factor
-                if btuple in raw:
-                    raw[btuple] = raw[btuple] + term
-                else:
-                    raw[btuple] = term
-    from .tensorcalc import symmetrize
 
-    return symmetrize(n, k, raw)
+    def terms():
+        for ckey, val in x.components.items():
+            for full, sign in pair_orbit(ckey, k):
+                prefix = Polynomial.constant(space, sign * val)
+                for i in range(k):
+                    prefix = prefix * pp.phi(full[2 * i])
+                option_lists = [pp.psi_options(full[2 * i + 1]) for i in range(k)]
+                for choice in itertools.product(*option_lists):
+                    term = prefix
+                    for _, factor in choice:
+                        term = term * factor
+                    yield tuple(b for b, _ in choice), term
+
+    return symmetrize(n, k, collect(terms()))
 
 
 def lie_to_ckv(v: PairSkewTensor) -> SymTensorField:
@@ -278,13 +276,14 @@ def realize_gckt(w: PairSkewTensor) -> SymTensorField:
         raise ValueError("expected a trailing-pair tensor")
     n = w.n
     pp = PhiPsi(n)
-    space = base_space(n)
-    total = Polynomial.zero(space)
-    for d in ambient_indices(n):
-        for e in ambient_indices(n):
-            val = w.get((d, e))
-            if val != 0:
-                total = total + pp.phi(d) * pp.phi(e) * val
+    # each stored key (d, e) stands for both orders of the symmetric pair
+    total = Polynomial._sum(
+        base_space(n),
+        (
+            pp.phi(key[0]) * pp.phi(key[1]) * (val * distinct_orderings(key))
+            for key, val in w.components.items()
+        ),
+    )
     return SymTensorField(n, 0, {(): total})
 
 
@@ -305,16 +304,15 @@ def ambient_op_V(x: PairSkewTensor) -> DiffOp:
     space = ambient_space(n)
     if k == 0:
         raise ValueError("need at least one pair")
-    terms: dict = {}
-    for ckey, val in x.components.items():
-        for full, sign in pair_orbit(ckey, k):
-            mono = Monomial(
-                [(ambient_lower(n, full[2 * i]), 1) for i in range(k)]
-            )
-            alpha = tuple(sorted(full[2 * i + 1] for i in range(k)))
-            coeff = Polynomial(space, {mono: sign * val})
-            terms[alpha] = terms[alpha] + coeff if alpha in terms else coeff
-    return DiffOp(space, terms)
+
+    def terms():
+        for ckey, val in x.components.items():
+            for full, sign in pair_orbit(ckey, k):
+                mono = Monomial([(ambient_lower(n, full[2 * i]), 1) for i in range(k)])
+                alpha = tuple(sorted(full[2 * i + 1] for i in range(k)))
+                yield alpha, Polynomial(space, {mono: sign * val})
+
+    return DiffOp._collect(space, terms())
 
 
 def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
@@ -328,20 +326,16 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
         raise ValueError("expected a two-pair tensor")
     n = x.n
     space = ambient_space(n)
-    op = ambient_op_V(x)
-    terms = dict(op.terms)
-    for b in ambient_indices(n):
-        for r in ambient_indices(n):
-            total = Fraction(0)
-            for q in ambient_indices(n):
-                total += x.get((b, q, ambient_lower(n, q), r))
-            if total == 0:
-                continue
+
+    def corrections():
+        for b in ambient_indices(n):
             mono = Monomial([(ambient_lower(n, b), 1)])
-            coeff = Polynomial(space, {mono: total})
-            alpha = (r,)
-            terms[alpha] = terms[alpha] + coeff if alpha in terms else coeff
-    return DiffOp(space, terms)
+            for r in ambient_indices(n):
+                total = sum(x.get((b, q, ambient_lower(n, q), r)) for q in ambient_indices(n))
+                if total:
+                    yield (r,), Polynomial(space, {mono: total})
+
+    return DiffOp._collect(space, itertools.chain(ambient_op_V(x).terms.items(), corrections()))
 
 
 def ambient_op_W(w: PairSkewTensor) -> DiffOp:
@@ -358,38 +352,24 @@ def ambient_op_W(w: PairSkewTensor) -> DiffOp:
     n, k = w.n, w.pair_count
     space = ambient_space(n)
     lap = ambient_laplacian(n)
-    terms: dict = {}
 
-    def add_term(alpha: tuple, coeff: Polynomial) -> None:
-        alpha = tuple(sorted(alpha))
-        if alpha in terms:
-            merged = terms[alpha] + coeff
-            if merged.is_zero:
-                del terms[alpha]
-            else:
-                terms[alpha] = merged
-        elif not coeff.is_zero:
-            terms[alpha] = coeff
+    def terms():
+        for ckey, val in w.components.items():
+            d0, e0 = ckey[2 * k], ckey[2 * k + 1]
+            tail_orders = [(d0, e0)] if d0 == e0 else [(d0, e0), (e0, d0)]
+            for full, sign in pair_orbit(ckey, k):
+                prefix_mono = Monomial([(ambient_lower(n, full[2 * i]), 1) for i in range(k)])
+                prefix_alpha = tuple(full[2 * i + 1] for i in range(k))
+                for d, e in tail_orders:
+                    cval = sign * val
+                    xd = prefix_mono * Monomial([(ambient_lower(n, d), 1)])
+                    xde = xd * Monomial([(ambient_lower(n, e), 1)])
+                    for lalpha, lcoeff in lap.terms.items():
+                        coeff = cval * lcoeff.constant_value()
+                        yield tuple(sorted(prefix_alpha + lalpha)), Polynomial(space, {xde: coeff})
+                    yield tuple(sorted(prefix_alpha + (e,))), Polynomial(space, {xd: -2 * cval})
 
-    for ckey, val in w.components.items():
-        d0, e0 = ckey[2 * k], ckey[2 * k + 1]
-        tail_orders = [(d0, e0)] if d0 == e0 else [(d0, e0), (e0, d0)]
-        for full, sign in pair_orbit(ckey, k):
-            prefix_mono = Monomial(
-                [(ambient_lower(n, full[2 * i]), 1) for i in range(k)]
-            )
-            prefix_alpha = tuple(full[2 * i + 1] for i in range(k))
-            for d, e in tail_orders:
-                cval = sign * val
-                xd = prefix_mono * Monomial([(ambient_lower(n, d), 1)])
-                xde = xd * Monomial([(ambient_lower(n, e), 1)])
-                for lalpha, lcoeff in lap.terms.items():
-                    add_term(
-                        prefix_alpha + lalpha,
-                        Polynomial(space, {xde: cval * lcoeff.constant_value()}),
-                    )
-                add_term(prefix_alpha + (e,), Polynomial(space, {xd: -2 * cval}))
-    return DiffOp(space, terms)
+    return DiffOp._collect(space, terms())
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +402,17 @@ def _descend(op: DiffOp, weight: Fraction) -> DiffOp:
     """
     space = base_space(op.space.n)
     euler, ident = euler_op(space), DiffOp.identity(space)
-    total = DiffOp.zero(space)
-    for alpha, coeff in op.terms.items():
-        if op.space.inf not in alpha:
-            k = alpha.count(0)
-            part = DiffOp(space, {alpha[k:]: 1})
-            for i in range(k):
-                part = compose(ident * (weight - len(alpha) + k - i) - euler, part)
-            total = total + part * section_substitution(coeff)
-    return total
+
+    def parts():
+        for alpha, coeff in op.terms.items():
+            if op.space.inf not in alpha:
+                k = alpha.count(0)
+                part = DiffOp(space, {alpha[k:]: 1})
+                for i in range(k):
+                    part = compose(ident * (weight - len(alpha) + k - i) - euler, part)
+                yield part * section_substitution(coeff)
+
+    return DiffOp._sum(space, parts())
 
 
 def preserves_cone_ideal(op: DiffOp, weight: Rational) -> bool:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .exactpoly import (
     Polynomial,
     base_space,
+    collect,
     exponent_tuples,
     monomial_from_exponents,
     parity_class,
@@ -41,19 +42,13 @@ from .tensorcalc import (
 def sym_gradient(v: SymTensorField) -> SymTensorField:
     """Symmetrized gradient: average of d_{i_p} V[rest] over positions."""
     n, s = v.n, v.valency
-    comps = {}
     share = Fraction(1, s + 1)
-    for key in nondecreasing_tuples(base_indices(n), s + 1):
-        total = None
-        for p in range(s + 1):
-            rest = key[:p] + key[p + 1 :]
-            dv = v.get(rest).partial(key[p])
-            if dv.is_zero:
-                continue
-            total = dv if total is None else total + dv
-        if total is not None and not total.is_zero:
-            comps[key] = total * share
-    return SymTensorField(n, s + 1, comps)
+    sums = collect(
+        (key, v.get(key[:p] + key[p + 1 :]).partial(key[p]))
+        for key in nondecreasing_tuples(base_indices(n), s + 1)
+        for p in range(s + 1)
+    )
+    return SymTensorField._make((n, s + 1), {key: val * share for key, val in sums.items()})
 
 
 def divergence(v: SymTensorField) -> SymTensorField:
@@ -61,27 +56,21 @@ def divergence(v: SymTensorField) -> SymTensorField:
     n, s = v.n, v.valency
     if s < 1:
         raise ValueError("divergence needs valency >= 1")
-    comps = {}
-    for key in nondecreasing_tuples(base_indices(n), s - 1):
-        total = None
-        for a in base_indices(n):
-            dv = v.get(key + (a,)).partial(a)
-            if dv.is_zero:
-                continue
-            total = dv if total is None else total + dv
-        if total is not None and not total.is_zero:
-            comps[key] = total
-    return SymTensorField(n, s - 1, comps)
+    return SymTensorField._collect(
+        (n, s - 1),
+        (
+            (key, v.get(key + (a,)).partial(a))
+            for key in nondecreasing_tuples(base_indices(n), s - 1)
+            for a in base_indices(n)
+        ),
+    )
 
 
 def component_laplacian(v: SymTensorField) -> SymTensorField:
     """Componentwise flat Laplacian."""
 
     def lap(p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p.space)
-        for a in base_indices(v.n):
-            out = out + p.partial(a).partial(a)
-        return out
+        return Polynomial._sum(p.space, (p.partial(a).partial(a) for a in base_indices(v.n)))
 
     return v.map_components(lap)
 
@@ -101,11 +90,17 @@ def gckt_residual(w: SymTensorField) -> SymTensorField:
 # degree/parity-blocked exact solving
 
 
-def _tensor_rows(t: SymTensorField, tag: str, col: dict) -> None:
-    for key, poly in t.components.items():
-        for mono, coeff in poly.terms.items():
-            rk = (tag, key, mono)
-            col[rk] = col.get(rk, Fraction(0)) + coeff
+# Both solvers require a vanishing metric trace of unknowns of this valency
+# and above, the first valency that has a trace.
+TRACEFREE_FROM_VALENCY = 2
+
+
+def _tensor_rows(t: SymTensorField, tag: str) -> dict:
+    return {
+        (tag, key, mono): coeff
+        for key, poly in t.components.items()
+        for mono, coeff in poly.terms.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -130,9 +125,7 @@ class SolutionBasis:
         return out
 
 
-def _solve_graded(
-    n: int, valency: int, degree_bound: int, residual_fn, enforce_tracefree: bool
-) -> SolutionBasis:
+def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> SolutionBasis:
     """Solve block by block; unknowns are (multi-index, exponent vector)
     coordinates, blocked by (degree, parity class)."""
     if degree_bound < 0:
@@ -143,10 +136,9 @@ def _solve_graded(
         key, exps = unknown
         mono = monomial_from_exponents(exps)
         unit = SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
-        col: dict = {}
-        _tensor_rows(residual_fn(unit), "r", col)
-        if enforce_tracefree and valency >= 2:
-            _tensor_rows(metric_trace(unit), "t", col)
+        col = _tensor_rows(residual_fn(unit), "r")
+        if valency >= TRACEFREE_FROM_VALENCY:
+            col.update(_tensor_rows(metric_trace(unit), "t"))
         return col
 
     def solve(degrees):
@@ -188,14 +180,14 @@ def solve_ckt(n: int, s: int, degree_bound: int) -> SolutionBasis:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _solve_graded(n, s, degree_bound, ckt_residual, enforce_tracefree=True)
+    return _solve_graded(n, s, degree_bound, ckt_residual)
 
 
 def solve_gckt(n: int, t: int, degree_bound: int) -> SolutionBasis:
     """Exact basis of valency-t tensors killed by gckt_residual."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _solve_graded(n, t, degree_bound, gckt_residual, enforce_tracefree=t >= 2)
+    return _solve_graded(n, t, degree_bound, gckt_residual)
 
 
 def second_order_symmetry_dimension(n: int) -> int:

@@ -8,6 +8,11 @@ homogeneity weights like 2 - n/2 are representable at odd n.  Coefficients
 are exact ``fractions.Fraction`` values; terms are kept in a canonical
 graded-lexicographic order.  All values are immutable and all operations are
 pure functions.
+
+``LinearCombination`` is the shared core of every finite linear combination
+in the package: polynomials here, differential operators in ``weylop`` and
+the tensor types in ``tensorcalc`` keep only their own key validation and
+products on top of it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 # The coefficient field: exact rationals in lowest terms, positive denominator.
 Rational = Fraction
@@ -41,6 +46,129 @@ def format_rational(value: Scalar) -> str:
     """Render an exact rational as "p/q" (or "p" when integral)."""
     f = rat(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+# -- sparse linear combinations ------------------------------------------------
+
+def collect(pairs: Iterable[tuple[Hashable, object]]) -> dict:
+    """Sum the values of repeated keys in one pass and drop the zero sums.
+
+    Values are scalars or ``LinearCombination``s of one type and shape;
+    combinations under one key are merged term by term, not pairwise.
+    """
+    groups: dict = {}
+    for key, value in pairs:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [value]
+        else:
+            group.append(value)
+    out = {}
+    for key, values in groups.items():
+        total = values[0]
+        if len(values) > 1:
+            if isinstance(total, LinearCombination):
+                total = total._sum(total.shape, values)
+            else:
+                total = sum(values[1:], total)
+        if total:
+            out[key] = total
+    return out
+
+
+class LinearCombination:
+    """An immutable finite linear combination: a map key -> nonzero value.
+
+    ``shape`` is what two combinations must share to be added (a variable
+    space, a tensor type).  Values are Fractions, or combinations themselves
+    (the polynomial coefficients of an operator); a value is zero iff it is
+    falsy.  Public constructors of subclasses validate their keys and build
+    through ``_fill``; results of arithmetic on valid instances are built by
+    ``_make`` and ``_collect`` without re-validation.
+    """
+
+    __slots__ = ("shape", "terms")
+
+    def _fill(self, shape: Hashable, pairs: Iterable[tuple[Hashable, object]]) -> None:
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "terms", collect(pairs))
+
+    @classmethod
+    def _make(cls, shape: Hashable, terms: dict):
+        """An instance from terms that are already merged and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "shape", shape)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
+    def _collect(cls, shape: Hashable, pairs: Iterable[tuple[Hashable, object]]):
+        """An instance from valid (key, value) pairs, repeated keys summed."""
+        return cls._make(shape, collect(pairs))
+
+    @classmethod
+    def _sum(cls, shape: Hashable, combinations: Iterable["LinearCombination"]):
+        """The sum of valid instances, merged term by term in one pass."""
+        return cls._collect(shape, (kv for c in combinations for kv in c.terms.items()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check_like(self, other: object) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other.shape != self.shape:
+            raise ValueError(
+                f"{type(self).__name__} shape mismatch: {self.shape} vs {other.shape}"
+            )
+
+    def _merge(self, other: object, negate: bool):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_like(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            cur = out.get(key)
+            if cur is None:
+                out[key] = -value if negate else value
+            else:
+                total = cur - value if negate else cur + value
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return self._make(self.shape, out)
+
+    def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def __neg__(self):
+        return self._make(self.shape, {k: -v for k, v in self.terms.items()})
+
+    def __mul__(self, scalar):
+        """Scale every value; a nonzero scalar keeps every value nonzero."""
+        if not scalar:
+            return self._make(self.shape, {})
+        return self._make(self.shape, {k: v * scalar for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -200,27 +328,24 @@ class Monomial:
 _ONE = Monomial()
 
 
-class Polynomial:
+class Polynomial(LinearCombination):
     """Sparse polynomial: map Monomial -> Fraction over a fixed VarSpace."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
 
     def __init__(self, space: VarSpace, terms: Mapping[Monomial, Scalar] | None = None) -> None:
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
+        def valid():
+            for m, c in (terms or {}).items():
                 c = rat(c)
-                if c == 0:
-                    continue
-                for v, _ in m.exps:
-                    if not space.contains(v):
-                        raise ValueError(f"variable {v} not in {space}")
-                clean[m] = c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
+                if c:
+                    for v, _ in m.exps:
+                        if not space.contains(v):
+                            raise ValueError(f"variable {v} not in {space}")
+                    yield m, c
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
+        self._fill(space, valid())
+
+    space = property(lambda self: self.shape)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -241,10 +366,6 @@ class Polynomial:
 
     # -- predicates --------------------------------------------------------
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
 
@@ -253,58 +374,38 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms.get(_ONE, Fraction(0))
 
-    # -- arithmetic --------------------------------------------------------
-    def _require_same_space(self, other: "Polynomial") -> None:
-        if self.space != other.space:
-            raise ValueError(f"space mismatch: {self.space} vs {other.space}")
+    # -- arithmetic: scalars are lifted to constant polynomials -------------
+    def _lift(self, other: "Polynomial | Scalar") -> object:
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(self.space, other)
+        return other
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.space, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_space(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.space, out)
+        return super().__add__(self._lift(other))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.space, {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.space, other)
-        return self + (-other)
+        return super().__sub__(self._lift(other))
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return (-self) + other
 
+    def __eq__(self, other: object) -> bool:
+        return super().__eq__(self._lift(other))
+
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
-                return Polynomial.zero(self.space)
-            return Polynomial(self.space, {m: co * c for m, co in self.terms.items()})
+            return super().__mul__(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_space(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.space, out)
+        self._check_like(other)
+        products = (
+            (m1 * m2, c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
+        return self._collect(self.space, products)
 
     __rmul__ = __mul__
 
@@ -322,32 +423,19 @@ class Polynomial:
             k = base_needed
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.space, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
     # -- calculus ----------------------------------------------------------
     def partial(self, v: int) -> "Polynomial":
         """Exact partial derivative with respect to variable v."""
         if not self.space.contains(v):
             raise ValueError(f"variable {v} not in {self.space}")
+        # distinct monomials have distinct derivatives, so no terms merge
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m.exponent(v)
-            if e == 0:
-                continue
-            nm = Monomial(tuple((w, ee) for w, ee in m.exps if w != v) + ((v, e - 1),))
-            s = out.get(nm, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(nm, None)
-            else:
-                out[nm] = s
-        return Polynomial(self.space, out)
+            if e != 0:
+                nm = Monomial(tuple((w, ee) for w, ee in m.exps if w != v) + ((v, e - 1),))
+                out[nm] = c * e
+        return self._make(self.space, out)
 
     def substitute(self, bindings: Mapping[int, "Polynomial | Scalar"]) -> "Polynomial":
         """Exact simultaneous substitution of polynomials for variables.
@@ -391,16 +479,16 @@ class Polynomial:
             power_cache[key] = value
             return value
 
-        total = Polynomial.zero(self.space)
-        for m, c in self.terms.items():
+        def substituted(m: Monomial, c: Fraction) -> Polynomial:
             acc = Polynomial.constant(self.space, c)
             for v, e in m.exps:
                 if v in coerced:
                     acc = acc * factor(v, e)
                 else:
                     acc = acc * Polynomial.variable(self.space, v, e)
-            total = total + acc
-        return total
+            return acc
+
+        return self._sum(self.space, (substituted(m, c) for m, c in self.terms.items()))
 
     def homogeneous_degree(self) -> Fraction | None:
         """The common total degree of all terms, or None if inhomogeneous.
@@ -417,9 +505,7 @@ class Polynomial:
 
     def homogeneous_component(self, degree: Scalar) -> "Polynomial":
         d = rat(degree)
-        return Polynomial(
-            self.space, {m: c for m, c in self.terms.items() if rat(m.degree) == d}
-        )
+        return self._make(self.space, {m: c for m, c in self.terms.items() if m.degree == d})
 
     # -- canonical order / rendering ----------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -468,15 +554,14 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, space: VarSpace, data: list[dict]) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
-        for item in data:
-            pairs = []
-            for name, e in item["exps"].items():
-                v = space.var_index(name)
-                pairs.append((v, e if isinstance(e, int) else parse_rational(e)))
-            m = Monomial(pairs)
-            terms[m] = terms.get(m, Fraction(0)) + parse_rational(item["coeff"])
-        return cls(space, terms)
+        def term(item: dict) -> tuple[Monomial, Fraction]:
+            pairs = [
+                (space.var_index(name), e if isinstance(e, int) else parse_rational(e))
+                for name, e in item["exps"].items()
+            ]
+            return Monomial(pairs), parse_rational(item["coeff"])
+
+        return cls._collect(space, (term(item) for item in data))
 
 
 # -- exponent vectors of base-space monomials ---------------------------------
@@ -532,4 +617,4 @@ def to_base(p: Polynomial) -> Polynomial:
         for v, _ in m.exps:
             if not space.contains(v):
                 raise ValueError(f"term uses ambient-only variable {p.space.var_name(v)}")
-    return Polynomial(space, dict(p.terms))
+    return Polynomial._make(space, dict(p.terms))

@@ -285,9 +285,7 @@ def bullet_product(u: LieElement, v: LieElement) -> SymTensorField:
     """The scalar (1/n) X^a Y_a of the realized vector fields."""
     x, y = lie_to_ckv(u), lie_to_ckv(v)
     n = u.n
-    total = Polynomial.zero(x.space)
-    for a in base_indices(n):
-        total = total + x.get((a,)) * y.get((a,))
+    total = Polynomial._sum(x.space, (x.get((a,)) * y.get((a,)) for a in base_indices(n)))
     return SymTensorField(n, 0, {(): total * Fraction(1, n)})
 
 
@@ -314,14 +312,8 @@ def canonical_DV(v: SymTensorField, weight: Rational) -> DiffOp:
     if v.valency == 2:
         if not v.is_tracefree():
             raise ValueError("valency-2 symbol must be trace-free")
-        terms = {}
-        for a in base_indices(n):
-            for b in base_indices(n):
-                comp = v.get((a, b))
-                if comp.is_zero:
-                    continue
-                alpha = tuple(sorted((a, b)))
-                terms[alpha] = terms[alpha] + comp if alpha in terms else comp
+        # V^{ab} d_a d_b: each off-diagonal component twice
+        terms = {key: comp * distinct_orderings(key) for key, comp in v.components.items()}
         div = divergence(v)
         c1 = Fraction(-2) * (w - 1) / (n + 2)
         for b in base_indices(n):
@@ -347,22 +339,13 @@ def canonical_DW(w_field: SymTensorField | Polynomial, weight: Rational) -> Diff
         n = w_field.space.n
     w = rat(weight)
     space = base_space(n)
-    terms: dict = {}
-    for a in base_indices(n):
-        if not wpoly.is_zero:
-            terms[(a, a)] = wpoly
     c1 = -(n + 2 * w - 2) / 2
-    lap_w = Polynomial.zero(space)
-    for a in base_indices(n):
-        da = wpoly.partial(a)
-        lap_w = lap_w + da.partial(a)
-        coeff = da * c1
-        if not coeff.is_zero:
-            terms[(a,)] = terms[(a,)] + coeff if (a,) in terms else coeff
     c0 = w * (n + 2 * w - 2) / (2 * (n + 2))
-    scalar = lap_w * c0
-    if not scalar.is_zero:
-        terms[()] = terms[()] + scalar if () in terms else scalar
+    grad = {a: wpoly.partial(a) for a in base_indices(n)}
+    lap_w = Polynomial._sum(space, (da.partial(a) for a, da in grad.items()))
+    terms = {(a, a): wpoly for a in grad}
+    terms.update({(a,): da * c1 for a, da in grad.items()})
+    terms[()] = lap_w * c0
     return DiffOp(space, terms)
 
 
@@ -534,14 +517,14 @@ def _scalar_operator_shape(n: int) -> bool:
 
     space = ambient_space(n)
     nn = Fraction(1, n * (n + 1) * (n + 2))
-    terms: dict = {}
-    for q in ambient_indices(n):
-        for r_i in ambient_indices(n):
-            alpha = tuple(sorted((q, r_i)))
-            mono = Monomial([(q, 1), (r_i, 1)])
-            coeff = Polynomial(space, {mono: nn})
-            terms[alpha] = terms[alpha] + coeff if alpha in terms else coeff
-    expected = DiffOp(space, terms)
+    expected = DiffOp._collect(
+        space,
+        (
+            (tuple(sorted((q, r_i))), Polynomial(space, {Monomial([(q, 1), (r_i, 1)]): nn}))
+            for q in ambient_indices(n)
+            for r_i in ambient_indices(n)
+        ),
+    )
     # subtract r times the ambient Laplacian
     rp = r_polynomial(n) * nn
     lap = ambient_laplacian(n)
@@ -586,10 +569,11 @@ def _symbol_rows(
 
 
 def _solve_symmetry_blocks(
-    n: int, order: int, degree_bound: int, cache: dict
-) -> list[DiffOp]:
+    n: int, order: int, degree_bound: int, min_shift: int, cache: dict
+) -> list[tuple[int, DiffOp]]:
     """Solve block by block; unknowns are generators (m_exps, alpha) of
-    x^m d^alpha, blocked by (homogeneity shift, parity class)."""
+    x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
+    of shift >= min_shift are solved; returns (shift, solution) pairs."""
     space = base_space(n)
     alphas: list[tuple[int, ...]] = []
     for length in range(order + 1):
@@ -599,20 +583,24 @@ def _solve_symmetry_blocks(
         for degree in range(degree_bound + 1)
         for m_exps in exponent_tuples(n, degree)
         for alpha in alphas
+        if degree - len(alpha) >= min_shift
     ]
     solutions = block_nullspace(
         gens,
         lambda g: (sum(g[0]) - len(g[1]), parity_class(*g)),
         lambda g: _symbol_rows(n, *g, cache),
     )
-    elements: list[DiffOp] = []
-    for _, vec in solutions:
-        terms: dict = {}
-        for (m_exps, alpha), coeff in vec.items():
-            add = Polynomial(space, {monomial_from_exponents(m_exps): coeff})
-            terms[alpha] = terms[alpha] + add if alpha in terms else add
-        elements.append(DiffOp(space, terms))
-    return elements
+
+    def element(vec: dict) -> DiffOp:
+        return DiffOp._collect(
+            space,
+            (
+                (alpha, Polynomial(space, {monomial_from_exponents(m_exps): coeff}))
+                for (m_exps, alpha), coeff in vec.items()
+            ),
+        )
+
+    return [(key[0], element(vec)) for key, vec in solutions]
 
 
 @dataclass(frozen=True)
@@ -636,24 +624,25 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     """All symmetries of the squared Laplacian with derivative order <= order
     and coefficient degree <= degree_bound, by exact block-wise elimination.
 
-    The basis is re-solved with the coefficient degree raised by two; the
-    result is flagged stabilized when the dimension is unchanged, so raising
-    the bound further cannot add solutions of the stated order below that
-    degree.
+    The result is flagged stabilized when raising the coefficient degree
+    bound by two adds no solution.  A block of shift s <= degree_bound - order
+    already holds every generator of that shift, so only the higher shifts
+    are solved again at the raised bound.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if order < 0 or degree_bound < 0:
         raise ValueError("order and degree_bound must be nonnegative")
     cache: dict = {}
-    elements = _solve_symmetry_blocks(n, order, degree_bound, cache)
-    enlarged = _solve_symmetry_blocks(n, order, degree_bound + 2, cache)
+    solved = _solve_symmetry_blocks(n, order, degree_bound, -order, cache)
+    first_open = degree_bound - order + 1
+    raised = _solve_symmetry_blocks(n, order, degree_bound + 2, first_open, cache)
     return SymmetryBasis(
         n=n,
         order=order,
         degree_bound=degree_bound,
-        elements=tuple(elements),
-        stabilized=(len(enlarged) == len(elements)),
+        elements=tuple(op for _, op in solved),
+        stabilized=len(raised) == sum(1 for shift, _ in solved if shift >= first_open),
     )
 
 
@@ -742,13 +731,14 @@ def quartic_boundary_polynomial(z: SymAmbientTensor) -> Polynomial:
     """The degree-4 polynomial Z^{BCDE} Phi_B Phi_C Phi_D Phi_E."""
     n = z.n
     phi = PhiPsi(n)
-    total = Polynomial.zero(base_space(n))
-    for key, val in z.components.items():
+
+    def term(key: MultiIndex, val: Fraction) -> Polynomial:
         prod = Polynomial.constant(base_space(n), val * distinct_orderings(key))
         for idx in key:
             prod = prod * phi.phi(idx)
-        total = total + prod
-    return total
+        return prod
+
+    return Polynomial._sum(base_space(n), (term(key, val) for key, val in z.components.items()))
 
 
 def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport:
@@ -795,17 +785,24 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
     second = {
         (p, q): compose(ops[p], ops[q]) for p in pairs for q in pairs
     }
-    total = DiffOp.zero(ops[pairs[0]].space)
-    for p1 in pairs:
-        for p2 in pairs:
-            right_sum = DiffOp.zero(total.space)
-            for p3 in pairs:
-                for p4 in pairs:
-                    coeff = x.get(p1 + p2 + p3 + p4)
-                    if coeff:
-                        right_sum = right_sum + second[(p3, p4)] * coeff
-            if not right_sum.is_zero:
-                total = total + compose(second[(p1, p2)], right_sum)
+    space = ops[pairs[0]].space
+
+    def products():
+        for p1 in pairs:
+            for p2 in pairs:
+                right_sum = DiffOp._sum(
+                    space,
+                    (
+                        second[(p3, p4)] * coeff
+                        for p3 in pairs
+                        for p4 in pairs
+                        if (coeff := x.get(p1 + p2 + p3 + p4))
+                    ),
+                )
+                if not right_sum.is_zero:
+                    yield compose(second[(p1, p2)], right_sum)
+
+    total = DiffOp._sum(space, products())
 
     w0 = bilaplacian_weight(n)
     induced = induce(total, w0)

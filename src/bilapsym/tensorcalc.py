@@ -23,9 +23,11 @@ from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactpoly import (
+    LinearCombination,
     Polynomial,
     Rational,
     base_space,
+    collect,
     format_rational,
     parse_rational,
     rat,
@@ -84,38 +86,16 @@ def pair_orbit(key: MultiIndex, pair_count: int) -> Iterator[tuple[MultiIndex, i
 # ---------------------------------------------------------------------------
 # generic symmetric-component helpers (values: Polynomial or Fraction)
 
-def _comp_get(comps: Mapping[MultiIndex, object], key: MultiIndex):
-    return comps.get(tuple(sorted(key)))
-
-
-def _comp_add(acc, val):
-    return val if acc is None else acc + val
-
 
 def _symmetrize_components(
     raw: Mapping[MultiIndex, object], valency: int
 ) -> dict[MultiIndex, object]:
     """Project arbitrary-slot components onto full symmetry (average)."""
-    out: dict[MultiIndex, object] = {}
-    buckets: dict[MultiIndex, list] = {}
-    for key, val in raw.items():
+    for key in raw:
         if len(key) != valency:
             raise ValueError(f"index {key} has wrong length for valency {valency}")
-        buckets.setdefault(tuple(sorted(key)), []).append((key, val))
-    for skey, entries in buckets.items():
-        orderings = distinct_orderings(skey)
-        total = None
-        for _, val in entries:
-            total = _comp_add(total, val)
-        if total is not None:
-            out[skey] = total * Fraction(1, orderings) if orderings != 1 else total
-    return {k: v for k, v in out.items() if not _is_zero_value(v)}
-
-
-def _is_zero_value(v) -> bool:
-    if isinstance(v, Polynomial):
-        return v.is_zero
-    return v == 0
+    sums = collect((tuple(sorted(key)), val) for key, val in raw.items())
+    return {key: val * Fraction(1, distinct_orderings(key)) for key, val in sums.items()}
 
 
 def _sym_outer_components(
@@ -127,34 +107,22 @@ def _sym_outer_components(
 ) -> dict[MultiIndex, object]:
     """Components of the symmetrized product of two symmetric tensors."""
     if p == 0 or q == 0:
-        scalar_comp, tensor_comp, v = (a, b, q) if p == 0 else (b, a, p)
+        scalar_comp, tensor_comp = (a, b) if p == 0 else (b, a)
         s = scalar_comp.get(())
-        if s is None:
-            return {}
-        return {
-            key: val * s for key, val in tensor_comp.items() if not _is_zero_value(val * s)
-        }
+        return {} if s is None else collect((key, val * s) for key, val in tensor_comp.items())
     prefactor = Fraction(factorial(p) * factorial(q), factorial(p + q))
-    out: dict[MultiIndex, object] = {}
     positions = tuple(range(p + q))
-    for key in nondecreasing_tuples(indices, p + q):
-        total = None
-        for first in itertools.combinations(positions, p):
-            fs = frozenset(first)
-            s_key = tuple(sorted(key[i] for i in first))
-            t_key = tuple(sorted(key[i] for i in positions if i not in fs))
-            av = a.get(s_key)
-            if av is None or _is_zero_value(av):
-                continue
-            bv = b.get(t_key)
-            if bv is None or _is_zero_value(bv):
-                continue
-            total = _comp_add(total, av * bv)
-        if total is not None:
-            val = total * prefactor
-            if not _is_zero_value(val):
-                out[key] = val
-    return out
+
+    def products():
+        for key in nondecreasing_tuples(indices, p + q):
+            for first in itertools.combinations(positions, p):
+                av = a.get(tuple(key[i] for i in first))
+                rest = tuple(key[i] for i in positions if i not in first)
+                bv = None if av is None else b.get(rest)
+                if bv is not None:
+                    yield key, av * bv
+
+    return {key: val * prefactor for key, val in collect(products()).items()}
 
 
 def _trace_components(
@@ -166,17 +134,12 @@ def _trace_components(
     """Metric trace over the first two slots (all slots are equivalent)."""
     if valency < 2:
         raise ValueError("trace needs valency >= 2")
-    out: dict[MultiIndex, object] = {}
-    for key in nondecreasing_tuples(indices, valency - 2):
-        total = None
-        for aidx in indices:
-            val = _comp_get(comps, key + (aidx, lower(aidx)))
-            if val is None or _is_zero_value(val):
-                continue
-            total = _comp_add(total, val)
-        if total is not None and not _is_zero_value(total):
-            out[key] = total
-    return out
+    return collect(
+        (key, val)
+        for key in nondecreasing_tuples(indices, valency - 2)
+        for aidx in indices
+        if (val := comps.get(tuple(sorted(key + (aidx, lower(aidx)))))) is not None
+    )
 
 
 def _metric_components(n: int, kind: str) -> dict[MultiIndex, Fraction]:
@@ -215,17 +178,12 @@ def _trace_preimage(
 ) -> dict[MultiIndex, object]:
     """The symmetric (valency-2)-tensor A with trace(g (.) A) = trace."""
     basis, pos, inv = _tracefree_solver(n, kind, valency)
-    out: dict[MultiIndex, object] = {}
-    for j, key_j in enumerate(basis):
-        total = None
-        for key_k, val in trace.items():
-            coef = inv[j][pos[key_k]]
-            if coef == 0:
-                continue
-            total = _comp_add(total, val * coef)
-        if total is not None and not _is_zero_value(total):
-            out[key_j] = total
-    return out
+    return collect(
+        (key_j, val * coef)
+        for j, key_j in enumerate(basis)
+        for key_k, val in trace.items()
+        if (coef := inv[j][pos[key_k]])
+    )
 
 
 def _tracefree_components(
@@ -235,44 +193,39 @@ def _tracefree_components(
     kind: str,
 ) -> dict[MultiIndex, object]:
     if valency < 2:
-        return {k: v for k, v in comps.items() if not _is_zero_value(v)}
+        return dict(comps)
     indices = base_indices(n) if kind == "base" else ambient_indices(n)
     lower = (lambda a: a) if kind == "base" else (lambda a: ambient_lower(n, a))
     tr = _trace_components(comps, valency, indices, lower)
     if not tr:
-        return {k: v for k, v in comps.items() if not _is_zero_value(v)}
+        return dict(comps)
     correction = _trace_preimage(tr, valency, n, kind)
     g = _metric_components(n, kind)
     g_corr = _sym_outer_components(g, 2, correction, valency - 2, indices)
-    out = dict(comps)
-    for key, val in g_corr.items():
-        cur = out.get(key)
-        out[key] = -val if cur is None else cur - val
-    return {k: v for k, v in out.items() if not _is_zero_value(v)}
+    return collect(itertools.chain(comps.items(), ((k, -v) for k, v in g_corr.items())))
 
 
 # ---------------------------------------------------------------------------
 # base-space symmetric tensor fields (polynomial components)
 
 
-class SymTensorField:
+class SymTensorField(LinearCombination):
     """Symmetric tensor of valency s on R^n with polynomial components."""
 
-    __slots__ = ("n", "valency", "components")
+    __slots__ = ()
 
     def __init__(
         self,
         n: int,
         valency: int,
         components: Mapping[MultiIndex, Polynomial] | None = None,
-        tracefree: bool = False,
     ) -> None:
         if valency < 0:
             raise ValueError("valency must be >= 0")
         space = base_space(n)
-        clean: dict[MultiIndex, Polynomial] = {}
-        if components:
-            for key, val in components.items():
+
+        def valid():
+            for key, val in (components or {}).items():
                 key = tuple(key)
                 if len(key) != valency or any(not 1 <= i <= n for i in key):
                     raise ValueError(f"bad multi-index {key} for valency {valency}, n={n}")
@@ -282,16 +235,13 @@ class SymTensorField:
                     val = Polynomial.constant(space, val)
                 if val.space != space:
                     raise ValueError("component in wrong variable space")
-                if not val.is_zero:
-                    clean[key] = val
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "valency", valency)
-        object.__setattr__(self, "components", clean)
-        if tracefree and valency >= 2 and not self.is_tracefree():
-            raise ValueError("tensor marked trace-free has a nonzero metric trace")
+                yield key, val
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymTensorField is immutable")
+        self._fill((n, valency), valid())
+
+    n = property(lambda self: self.shape[0])
+    valency = property(lambda self: self.shape[1])
+    components = property(lambda self: self.terms)
 
     @property
     def space(self):
@@ -301,47 +251,10 @@ class SymTensorField:
         val = self.components.get(tuple(sorted(key)))
         return Polynomial.zero(self.space) if val is None else val
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
     def map_components(self, fn: Callable[[Polynomial], Polynomial]) -> "SymTensorField":
         return SymTensorField(
             self.n, self.valency, {k: fn(v) for k, v in self.components.items()}
         )
-
-    def __add__(self, other: "SymTensorField") -> "SymTensorField":
-        self._check_like(other)
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out[k] + v if k in out else v
-        return SymTensorField(self.n, self.valency, out)
-
-    def __sub__(self, other: "SymTensorField") -> "SymTensorField":
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar) -> "SymTensorField":
-        return SymTensorField(
-            self.n, self.valency, {k: v * scalar for k, v in self.components.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymTensorField)
-            and self.n == other.n
-            and self.valency == other.valency
-            and self.components == other.components
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def _check_like(self, other: "SymTensorField") -> None:
-        if not isinstance(other, SymTensorField):
-            raise TypeError("expected a SymTensorField")
-        if self.n != other.n or self.valency != other.valency:
-            raise ValueError("tensor shape mismatch")
 
     def is_tracefree(self) -> bool:
         if self.valency < 2:
@@ -398,12 +311,9 @@ def symmetrize(
     return SymTensorField(n, valency, comps)
 
 
-def metric_trace(t: SymTensorField, slot_a: int = 0, slot_b: int = 1) -> SymTensorField:
-    """Exact contraction of two slots with the flat metric."""
-    if t.valency < 2:
-        raise ValueError("trace needs valency >= 2")
-    if not (0 <= slot_a < t.valency and 0 <= slot_b < t.valency and slot_a != slot_b):
-        raise ValueError("invalid slots")
+def metric_trace(t: SymTensorField) -> SymTensorField:
+    """Exact contraction of two slots with the flat metric (all slot pairs
+    give the same trace of a symmetric tensor)."""
     comps = _trace_components(t.components, t.valency, base_indices(t.n), lambda a: a)
     return SymTensorField(t.n, t.valency - 2, comps)
 
@@ -454,65 +364,31 @@ def _solve_g_multiple(trace: SymTensorField) -> SymTensorField:
 # constant ambient symmetric tensors
 
 
-class SymAmbientTensor:
+class SymAmbientTensor(LinearCombination):
     """Constant symmetric tensor on the ambient space (indices 0..n+1)."""
 
-    __slots__ = ("n", "valency", "components")
+    __slots__ = ()
 
     def __init__(
         self, n: int, valency: int, components: Mapping[MultiIndex, Rational] | None = None
     ) -> None:
-        clean: dict[MultiIndex, Fraction] = {}
-        if components:
-            for key, val in components.items():
+        def valid():
+            for key, val in (components or {}).items():
                 key = tuple(key)
                 if len(key) != valency or any(not 0 <= i <= n + 1 for i in key):
                     raise ValueError(f"bad ambient multi-index {key}")
                 if tuple(sorted(key)) != key:
                     raise ValueError(f"multi-index {key} is not nondecreasing")
-                val = rat(val)
-                if val != 0:
-                    clean[key] = val
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "valency", valency)
-        object.__setattr__(self, "components", clean)
+                yield key, rat(val)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymAmbientTensor is immutable")
+        self._fill((n, valency), valid())
+
+    n = property(lambda self: self.shape[0])
+    valency = property(lambda self: self.shape[1])
+    components = property(lambda self: self.terms)
 
     def get(self, key: MultiIndex) -> Fraction:
         return self.components.get(tuple(sorted(key)), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other: "SymAmbientTensor") -> "SymAmbientTensor":
-        if self.n != other.n or self.valency != other.valency:
-            raise ValueError("shape mismatch")
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymAmbientTensor(self.n, self.valency, out)
-
-    def __sub__(self, other: "SymAmbientTensor") -> "SymAmbientTensor":
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar) -> "SymAmbientTensor":
-        return SymAmbientTensor(
-            self.n, self.valency, {k: v * rat(scalar) for k, v in self.components.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymAmbientTensor)
-            and (self.n, self.valency) == (other.n, other.valency)
-            and self.components == other.components
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def trace(self) -> "SymAmbientTensor":
         comps = _trace_components(
@@ -553,7 +429,7 @@ def ambient_metric_sym(n: int) -> SymAmbientTensor:
 # paired-skew constant ambient tensors
 
 
-class PairSkewTensor:
+class PairSkewTensor(LinearCombination):
     """Constant ambient tensor, skew within each of k index pairs.
 
     With ``tail_valency`` 2 a trailing symmetric index pair is appended.
@@ -562,7 +438,7 @@ class PairSkewTensor:
     bookkeeping; a pair with equal indices is identically zero.
     """
 
-    __slots__ = ("n", "pair_count", "tail_valency", "components")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -577,22 +453,20 @@ class PairSkewTensor:
             raise ValueError("pair_count must be >= 0")
         if not isinstance(n, int):
             raise TypeError(f"dimension n must be an int, got {n!r}")
-        clean: dict[MultiIndex, Fraction] = {}
-        if components:
-            for key, val in components.items():
+
+        def valid():
+            for key, val in (components or {}).items():
                 key = tuple(key)
                 if key != self._canonical_or_fail(n, pair_count, tail_valency, key):
                     raise ValueError(f"non-canonical key {key}")
-                val = rat(val)
-                if val != 0:
-                    clean[key] = val
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pair_count", pair_count)
-        object.__setattr__(self, "tail_valency", tail_valency)
-        object.__setattr__(self, "components", clean)
+                yield key, rat(val)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PairSkewTensor is immutable")
+        self._fill((n, pair_count, tail_valency), valid())
+
+    n = property(lambda self: self.shape[0])
+    pair_count = property(lambda self: self.shape[1])
+    tail_valency = property(lambda self: self.shape[2])
+    components = property(lambda self: self.terms)
 
     @staticmethod
     def _canonical_or_fail(n: int, k: int, t: int, key: MultiIndex) -> MultiIndex:
@@ -672,49 +546,6 @@ class PairSkewTensor:
             if val != 0:
                 comps[key] = val
         return cls(n, pair_count, tail_valency, comps)
-
-    def _check_like(self, other: "PairSkewTensor") -> None:
-        if (
-            not isinstance(other, PairSkewTensor)
-            or self.n != other.n
-            or self.pair_count != other.pair_count
-            or self.tail_valency != other.tail_valency
-        ):
-            raise ValueError("pair-skew tensor shape mismatch")
-
-    def __add__(self, other: "PairSkewTensor") -> "PairSkewTensor":
-        self._check_like(other)
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return PairSkewTensor(self.n, self.pair_count, self.tail_valency, out)
-
-    def __sub__(self, other: "PairSkewTensor") -> "PairSkewTensor":
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar) -> "PairSkewTensor":
-        return PairSkewTensor(
-            self.n,
-            self.pair_count,
-            self.tail_valency,
-            {k: v * rat(scalar) for k, v in self.components.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PairSkewTensor)
-            and (self.n, self.pair_count, self.tail_valency)
-            == (other.n, other.pair_count, other.tail_valency)
-            and self.components == other.components
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
 
     def __repr__(self) -> str:
         return (
@@ -938,11 +769,7 @@ class GGDecomposition:
         }
 
     def recombined(self) -> PairSkewTensor:
-        parts = list(self.embedded().values())
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
+        return PairSkewTensor._sum(self.cartan.shape, self.embedded().values())
 
 
 def decompose_gg(x: PairSkewTensor) -> GGDecomposition:

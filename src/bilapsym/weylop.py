@@ -20,7 +20,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping
 
-from .exactpoly import Monomial, Polynomial, Rational, VarSpace, base_space, rat
+from .exactpoly import (
+    LinearCombination,
+    Monomial,
+    Polynomial,
+    Rational,
+    VarSpace,
+    base_space,
+)
 
 Alpha = tuple[int, ...]
 
@@ -90,17 +97,16 @@ def _alpha_key(alpha: Alpha, variables: tuple[int, ...]) -> tuple:
 # the operator class
 
 
-class DiffOp:
+class DiffOp(LinearCombination):
     """Normal-ordered differential operator with polynomial coefficients."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
 
     def __init__(
         self, space: VarSpace, terms: Mapping[Alpha, Polynomial | Rational] | None = None
     ) -> None:
-        clean: dict[Alpha, Polynomial] = {}
-        if terms:
-            for alpha, coeff in terms.items():
+        def valid():
+            for alpha, coeff in (terms or {}).items():
                 alpha = _normalize_alpha(tuple(alpha))
                 for v in alpha:
                     if not space.contains(v):
@@ -109,21 +115,11 @@ class DiffOp:
                     coeff = Polynomial.constant(space, coeff)
                 if coeff.space != space:
                     raise ValueError("coefficient in wrong variable space")
-                if coeff.is_zero:
-                    continue
-                if alpha in clean:
-                    merged = clean[alpha] + coeff
-                    if merged.is_zero:
-                        del clean[alpha]
-                    else:
-                        clean[alpha] = merged
-                else:
-                    clean[alpha] = coeff
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
+                yield alpha, coeff
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
+        self._fill(space, valid())
+
+    space = property(lambda self: self.shape)
 
     # -- constructors ------------------------------------------------------
 
@@ -146,10 +142,6 @@ class DiffOp:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def order(self) -> int:
         return max((len(a) for a in self.terms), default=-1)
 
@@ -157,45 +149,14 @@ class DiffOp:
         val = self.terms.get(_normalize_alpha(tuple(alpha)))
         return Polynomial.zero(self.space) if val is None else val
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check_like(other)
-        out = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            out[alpha] = out[alpha] + coeff if alpha in out else coeff
-        return DiffOp(self.space, out)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (other * Fraction(-1))
-
-    def __neg__(self) -> "DiffOp":
-        return self * Fraction(-1)
-
     def __mul__(self, scalar) -> "DiffOp":
+        """Scale by a rational or a polynomial; products of operators are
+        ``compose``."""
         if isinstance(scalar, DiffOp):
             raise TypeError("use compose() for operator products")
-        if isinstance(scalar, Polynomial):
-            return DiffOp(
-                self.space, {a: c * scalar for a, c in self.terms.items()}
-            )
-        s = rat(scalar)
-        return DiffOp(self.space, {a: c * s for a, c in self.terms.items()})
+        return super().__mul__(scalar)
 
     __rmul__ = __mul__
-
-    def _check_like(self, other: "DiffOp") -> None:
-        if not isinstance(other, DiffOp):
-            raise TypeError("expected a DiffOp")
-        if self.space != other.space:
-            raise ValueError("operator space mismatch")
 
     def __repr__(self) -> str:
         return f"<DiffOp space={self.space.kind} n={self.space.n} terms={len(self.terms)}>"
@@ -244,42 +205,30 @@ def apply(op: DiffOp, p: Polynomial) -> Polynomial:
     """Apply the operator to a polynomial, exactly."""
     if p.space != op.space:
         raise ValueError("polynomial in wrong variable space")
-    result = Polynomial.zero(op.space)
-    for alpha, coeff in op.terms.items():
-        dp = _differentiate(p, _alpha_counts(alpha))
-        if not dp.is_zero:
-            result = result + coeff * dp
-    return result
+    return Polynomial._sum(
+        op.space,
+        (coeff * _differentiate(p, _alpha_counts(alpha)) for alpha, coeff in op.terms.items()),
+    )
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """The operator product a o b, normal-ordered via the Leibniz rule."""
     a._check_like(b)
-    out: dict[Alpha, Polynomial] = {}
-    for alpha, ca in a.terms.items():
-        counts_a = _alpha_counts(alpha)
-        for beta, cb in b.terms.items():
-            for gamma, weight in _sub_counts(counts_a):
-                dcb = _differentiate(cb, gamma)
-                if dcb.is_zero:
-                    continue
-                coeff = ca * dcb * weight
-                rest = dict(counts_a)
-                for v, g in gamma.items():
-                    rest[v] -= g
-                new_counts = {v: c for v, c in rest.items() if c}
-                for v in beta:
-                    new_counts[v] = new_counts.get(v, 0) + 1
-                key = _counts_to_alpha(new_counts)
-                if key in out:
-                    merged = out[key] + coeff
-                    if merged.is_zero:
-                        del out[key]
-                    else:
-                        out[key] = merged
-                else:
-                    out[key] = coeff
-    return DiffOp(a.space, out)
+
+    def terms():
+        for alpha, ca in a.terms.items():
+            counts_a = _alpha_counts(alpha)
+            for beta, cb in b.terms.items():
+                for gamma, weight in _sub_counts(counts_a):
+                    dcb = _differentiate(cb, gamma)
+                    if dcb.is_zero:
+                        continue
+                    rest = {v: c - gamma.get(v, 0) for v, c in counts_a.items()}
+                    for v in beta:
+                        rest[v] = rest.get(v, 0) + 1
+                    yield _counts_to_alpha(rest), ca * dcb * weight
+
+    return DiffOp._collect(a.space, terms())
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -289,16 +238,17 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 def multiplier_commutator(op: DiffOp, p: Polynomial) -> DiffOp:
     """The commutator [op, p] with multiplication by p: the Leibniz terms of
     op o p that differentiate p, computed without building op o p."""
-    out: dict[Alpha, Polynomial] = {}
-    for alpha, coeff in op.terms.items():
-        counts = _alpha_counts(alpha)
-        for gamma, weight in _sub_counts(counts):
-            dp = _differentiate(p, gamma)
-            if gamma and not dp.is_zero:
-                key = _counts_to_alpha({v: c - gamma.get(v, 0) for v, c in counts.items()})
-                term = coeff * dp * weight
-                out[key] = out[key] + term if key in out else term
-    return DiffOp(op.space, out)
+
+    def terms():
+        for alpha, coeff in op.terms.items():
+            counts = _alpha_counts(alpha)
+            for gamma, weight in _sub_counts(counts):
+                dp = _differentiate(p, gamma)
+                if gamma and not dp.is_zero:
+                    rest = {v: c - gamma.get(v, 0) for v, c in counts.items()}
+                    yield _counts_to_alpha(rest), coeff * dp * weight
+
+    return DiffOp._collect(op.space, terms())
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +316,8 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
             for v, c in lead_counts.items():
                 shift[v] -= c
             shift = {v: c for v, c in shift.items() if c}
-            shift_alpha = _counts_to_alpha(shift)
-            quotient[shift_alpha] = (
-                quotient[shift_alpha] + coeff if shift_alpha in quotient else coeff
-            )
+            # work only gains keys below alpha, so each key is divided once
+            quotient[_counts_to_alpha(shift)] = coeff
             for beta, k in divisor.items():
                 if beta == lead:
                     continue
@@ -385,7 +333,7 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
                     work[key] = nv
         else:
             remainder[alpha] = work.pop(alpha)
-    return DiffOp(d.space, quotient), DiffOp(d.space, remainder)
+    return DiffOp._make(d.space, quotient), DiffOp._make(d.space, remainder)
 
 
 def right_factor(d: DiffOp, r: DiffOp) -> DiffOp:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bilapsym import linsolve
 from bilapsym.ambient import lie_to_ckv, realize_ckt, realize_gckt
 from bilapsym.exactpoly import Polynomial, base_space
 from bilapsym.symalg import (
@@ -216,6 +217,26 @@ class TestEnumerator:
             delta = is_symmetry(op)
             assert delta is not None
             assert compose(bilap, op) == compose(delta, bilap)
+
+    def test_stabilization_solves_each_block_once(self, monkeypatch):
+        # Columns are cached per generator, so the ids of a block's columns
+        # identify its member list; keeping the lists keeps the ids unique.
+        solved = []
+        original = linsolve.nullspace
+
+        def recording(columns, *args, **kwargs):
+            solved.append(list(columns))
+            return original(columns, *args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "nullspace", recording)
+        basis = enumerate_symmetries(3, 2, 4)
+        member_lists = [tuple(map(id, columns)) for columns in solved]
+        assert len(set(member_lists)) == len(member_lists)
+        assert basis.dimension == 60 and basis.stabilized
+
+    def test_unstabilized_bound_is_flagged(self):
+        # second-order symmetries need coefficients of degree up to 4
+        assert not enumerate_symmetries(3, 2, 2).stabilized
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
