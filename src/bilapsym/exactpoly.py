@@ -56,23 +56,44 @@ def collect(pairs: Iterable[tuple[Hashable, object]]) -> dict:
     Values are scalars or ``LinearCombination``s of one type and shape;
     combinations under one key are merged term by term, not pairwise.
     """
-    groups: dict = {}
+    terms: dict = {}
+    _add_pairs(terms, pairs)
+    return _closed(terms)
+
+
+class _OpenSum:
+    """A sum of combinations under construction.  It starts from a copy of
+    the terms of ``like``, the first combination under its key; later ones
+    are merged into it in place, so none of them is kept alive."""
+
+    __slots__ = ("like", "terms")
+
+    def __init__(self, like: "LinearCombination") -> None:
+        self.like = like
+        self.terms = dict(like.terms)
+
+
+def _add_pairs(terms: dict, pairs: Iterable[tuple[Hashable, object]]) -> None:
     for key, value in pairs:
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [value]
+        cur = terms.get(key)
+        if cur is None:
+            terms[key] = value
+        elif type(cur) is _OpenSum:
+            _add_pairs(cur.terms, value.terms.items())
+        elif isinstance(value, LinearCombination):
+            terms[key] = _OpenSum(cur)
+            _add_pairs(terms[key].terms, value.terms.items())
         else:
-            group.append(value)
+            terms[key] = cur + value
+
+
+def _closed(terms: dict) -> dict:
     out = {}
-    for key, values in groups.items():
-        total = values[0]
-        if len(values) > 1:
-            if isinstance(total, LinearCombination):
-                total = total._sum(total.shape, values)
-            else:
-                total = sum(values[1:], total)
-        if total:
-            out[key] = total
+    for key, value in terms.items():
+        if type(value) is _OpenSum:
+            value = value.like._make(value.like.shape, _closed(value.terms))
+        if value:
+            out[key] = value
     return out
 
 
