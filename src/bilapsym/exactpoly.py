@@ -72,29 +72,34 @@ class _OpenSum:
         self.like = like
         self.terms = dict(like.terms)
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
 
 def _add_pairs(terms: dict, pairs: Iterable[tuple[Hashable, object]]) -> None:
+    """Add the pairs into a private term dict; a zero sum leaves at once."""
     for key, value in pairs:
-        cur = terms.get(key)
-        if cur is None:
-            terms[key] = value
-        elif type(cur) is _OpenSum:
-            _add_pairs(cur.terms, value.terms.items())
+        total = terms.get(key)
+        if total is None:
+            total = value
         elif isinstance(value, LinearCombination):
-            terms[key] = _OpenSum(cur)
-            _add_pairs(terms[key].terms, value.terms.items())
+            if type(total) is not _OpenSum:
+                total = _OpenSum(total)
+            _add_pairs(total.terms, value.terms.items())
         else:
-            terms[key] = cur + value
+            total = total + value
+        if total:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
 
 
 def _closed(terms: dict) -> dict:
-    out = {}
+    """Finish a private term dict in place by closing its open sums."""
     for key, value in terms.items():
         if type(value) is _OpenSum:
-            value = value.like._make(value.like.shape, _closed(value.terms))
-        if value:
-            out[key] = value
-    return out
+            terms[key] = value.like._make(value.like.shape, _closed(value.terms))
+    return terms
 
 
 class LinearCombination:
