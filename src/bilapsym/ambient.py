@@ -38,7 +38,6 @@ from .tensorcalc import (
     ambient_indices,
     ambient_lower,
     base_indices,
-    distinct_orderings,
     pair_orbit,
     symmetrize,
 )
@@ -276,14 +275,13 @@ def realize_gckt(w: PairSkewTensor) -> SymTensorField:
         raise ValueError("expected a trailing-pair tensor")
     n = w.n
     pp = PhiPsi(n)
-    # each stored key (d, e) stands for both orders of the symmetric pair
-    total = Polynomial._sum(
-        base_space(n),
-        (
-            pp.phi(key[0]) * pp.phi(key[1]) * (val * distinct_orderings(key))
-            for key, val in w.components.items()
-        ),
-    )
+    space = base_space(n)
+    total = Polynomial.zero(space)
+    for d in ambient_indices(n):
+        for e in ambient_indices(n):
+            val = w.get((d, e))
+            if val != 0:
+                total = total + pp.phi(d) * pp.phi(e) * val
     return SymTensorField(n, 0, {(): total})
 
 

@@ -731,14 +731,13 @@ def quartic_boundary_polynomial(z: SymAmbientTensor) -> Polynomial:
     """The degree-4 polynomial Z^{BCDE} Phi_B Phi_C Phi_D Phi_E."""
     n = z.n
     phi = PhiPsi(n)
-
-    def term(key: MultiIndex, val: Fraction) -> Polynomial:
+    total = Polynomial.zero(base_space(n))
+    for key, val in z.components.items():
         prod = Polynomial.constant(base_space(n), val * distinct_orderings(key))
         for idx in key:
             prod = prod * phi.phi(idx)
-        return prod
-
-    return Polynomial._sum(base_space(n), (term(key, val) for key, val in z.components.items()))
+        total = total + prod
+    return total
 
 
 def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport:
