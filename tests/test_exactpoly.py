@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilapsym.exactpoly import (
@@ -85,6 +85,91 @@ class TestMonomial:
         m = Monomial(((1, 1),)) * Monomial(((1, 2), (2, 1)))
         assert m.exponent(1) == 3
         assert m.exponent(2) == 1
+
+
+
+# -- Monomial against a plain {variable: exponent} reference -----------------
+
+AMB_VARS = AMB.variables
+cone_exponents = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def exponent_dicts(draw):
+    """A {variable: exponent} dict over the ambient variables; only x0 may
+    carry a negative or fractional exponent."""
+    exps = {0: draw(cone_exponents)}
+    for v in AMB_VARS[1:]:
+        exps[v] = draw(st.integers(0, 3))
+    return {v: e for v, e in exps.items() if e != 0}
+
+
+def reference_key(exps: dict) -> tuple:
+    """Graded-lex key: total degree, then exponents by ascending variable."""
+    return (sum(exps.values()), tuple(exps.get(v, 0) for v in AMB_VARS))
+
+
+def as_dict(m: Monomial) -> dict:
+    return {v: m.exponent(v) for v in AMB_VARS if m.exponent(v) != 0}
+
+
+def add_exponents(a: dict, b: dict) -> dict:
+    out = {v: a.get(v, 0) + b.get(v, 0) for v in AMB_VARS}
+    return {v: e for v, e in out.items() if e != 0}
+
+
+class TestMonomialReference:
+    @given(exponent_dicts(), exponent_dicts())
+    @example({}, {0: -1, 1: 1})
+    @example({0: -1, 1: 1}, {})
+    @example({0: 1}, {1: 1})
+    @settings(max_examples=200, deadline=None)
+    def test_order_matches_reference(self, a, b):
+        ma, mb = Monomial(a.items()), Monomial(b.items())
+        ka, kb = reference_key(a), reference_key(b)
+        assert (ma < mb) == (ka < kb)
+        assert (ma > mb) == (ka > kb)
+        assert (ma == mb) == (ka == kb)
+        assert ma.degree == ka[0]
+
+    @given(exponent_dicts(), exponent_dicts())
+    @example({0: Fraction(1, 2)}, {0: Fraction(1, 2)})
+    @settings(max_examples=200, deadline=None)
+    def test_product_adds_exponents(self, a, b):
+        product = Monomial(a.items()) * Monomial(b.items())
+        expected = add_exponents(a, b)
+        assert as_dict(product) == expected
+        assert product == Monomial(expected.items())
+        for v in AMB_VARS:
+            e = product.exponent(v)
+            assert type(e) is int or Fraction(e).denominator != 1
+
+    def test_integral_cone_exponent_prints_as_int(self):
+        half = Monomial([(0, Fraction(1, 2))])
+        assert type((half * half).exponent(0)) is int
+        p = Polynomial(AMB, {half * half: 1})
+        assert p.to_json_obj() == [{"coeff": "1", "exps": {"x0": 1}}]
+
+    @given(st.lists(st.tuples(exponent_dicts(), rationals), max_size=5),
+           st.sampled_from(AMB_VARS))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_matches_reference(self, entries, v):
+        reference: dict = {}
+        for exps, c in entries:
+            key = frozenset(exps.items())
+            reference[key] = reference.get(key, 0) + c
+        p = Polynomial(AMB, {Monomial(key): c for key, c in reference.items()})
+        expected = {}
+        for key, c in reference.items():
+            exps = dict(key)
+            e = exps.get(v, 0)
+            if c and e:
+                exps[v] = e - 1
+                expected[frozenset((u, f) for u, f in exps.items() if f)] = c * e
+        got = {frozenset(as_dict(m).items()): c for m, c in p.partial(v).terms.items()}
+        assert got == expected
 
 
 class TestRingLaws:

@@ -70,3 +70,34 @@ def test_build_op_dv_on_basis_symbols(tmp_path):
         outputs += _json_output(args, tmp_path / f"op{i}.json")
     assert len(basis["elements"]) == 10
     assert _digest(outputs) == DV_FROM_BASIS
+
+
+# ``--format text`` renders operator terms in (order, index tuple) order; a
+# JSON digest cannot see that order, since JSON keys are sorted.  The
+# order-2 basis is needed: first-order operators have a single term per
+# derivative order, so no reordering of terms can show in them.
+TEXT_BASIS_ARGS = ["basis", "--kind", "ckt", "--s", "2", "--n", "3"]
+BILAPLACIAN_TEXT = "4d27c238a21860f45dbb4751c90773a59fd53d87b2444a5ec2c811862785604b"
+DV_TEXT_FROM_BASIS = "3bcb2c36f4ac90b6ff223fbf9ca00ba56f72f9069bbd42c6f3d4847242ab77f0"
+
+
+def _text_output(args: list[str], path) -> bytes:
+    assert cli.main(args + ["--format", "text", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_build_op_bilaplacian_text_digest(tmp_path):
+    args = ["build-op", "--kind", "bilaplacian", "--n", "4"]
+    assert _digest(_text_output(args, tmp_path / "op.txt")) == BILAPLACIAN_TEXT
+
+
+def test_build_op_dv_text_on_order_two_basis(tmp_path):
+    basis = json.loads(_json_output(TEXT_BASIS_ARGS, tmp_path / "basis.json"))
+    outputs = b""
+    for i, element in enumerate(basis["elements"]):
+        symbol = tmp_path / f"symbol{i}.json"
+        symbol.write_text(json.dumps(element))
+        args = ["build-op", "--kind", "dv", "--w", "1/2", str(symbol)]
+        outputs += _text_output(args, tmp_path / f"op{i}.txt")
+    assert len(basis["elements"]) == 35
+    assert _digest(outputs) == DV_TEXT_FROM_BASIS
