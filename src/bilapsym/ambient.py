@@ -121,8 +121,7 @@ def extend_polynomial(f: Polynomial, weight: Rational) -> Polynomial:
     terms: dict[Monomial, Fraction] = {}
     for m, c in f.terms.items():
         d = rat(m.degree)
-        pairs = tuple(m.exps) + ((0, w - d),)
-        terms[Monomial(pairs)] = c
+        terms[Monomial(itertools.chain(m.items(), [(0, w - d)]))] = c
     return Polynomial(space, terms)
 
 
@@ -306,8 +305,8 @@ def ambient_op_V(x: PairSkewTensor) -> DiffOp:
     def terms():
         for ckey, val in x.components.items():
             for full, sign in pair_orbit(ckey, k):
-                mono = Monomial([(ambient_lower(n, full[2 * i]), 1) for i in range(k)])
-                alpha = tuple(sorted(full[2 * i + 1] for i in range(k)))
+                mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
+                alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
                 yield alpha, Polynomial(space, {mono: sign * val})
 
     return DiffOp._collect(space, terms())
@@ -327,11 +326,11 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
 
     def corrections():
         for b in ambient_indices(n):
-            mono = Monomial([(ambient_lower(n, b), 1)])
+            mono = Monomial.of_indices([ambient_lower(n, b)])
             for r in ambient_indices(n):
                 total = sum(x.get((b, q, ambient_lower(n, q), r)) for q in ambient_indices(n))
                 if total:
-                    yield (r,), Polynomial(space, {mono: total})
+                    yield Monomial.of_indices([r]), Polynomial(space, {mono: total})
 
     return DiffOp._collect(space, itertools.chain(ambient_op_V(x).terms.items(), corrections()))
 
@@ -356,16 +355,17 @@ def ambient_op_W(w: PairSkewTensor) -> DiffOp:
             d0, e0 = ckey[2 * k], ckey[2 * k + 1]
             tail_orders = [(d0, e0)] if d0 == e0 else [(d0, e0), (e0, d0)]
             for full, sign in pair_orbit(ckey, k):
-                prefix_mono = Monomial([(ambient_lower(n, full[2 * i]), 1) for i in range(k)])
-                prefix_alpha = tuple(full[2 * i + 1] for i in range(k))
+                prefix_mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
+                prefix_alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
                 for d, e in tail_orders:
                     cval = sign * val
-                    xd = prefix_mono * Monomial([(ambient_lower(n, d), 1)])
-                    xde = xd * Monomial([(ambient_lower(n, e), 1)])
+                    xd = prefix_mono * Monomial.of_indices([ambient_lower(n, d)])
+                    xde = xd * Monomial.of_indices([ambient_lower(n, e)])
                     for lalpha, lcoeff in lap.terms.items():
                         coeff = cval * lcoeff.constant_value()
-                        yield tuple(sorted(prefix_alpha + lalpha)), Polynomial(space, {xde: coeff})
-                    yield tuple(sorted(prefix_alpha + (e,))), Polynomial(space, {xd: -2 * cval})
+                        yield prefix_alpha * lalpha, Polynomial(space, {xde: coeff})
+                    d_e = prefix_alpha * Monomial.of_indices([e])
+                    yield d_e, Polynomial(space, {xd: -2 * cval})
 
     return DiffOp._collect(space, terms())
 
@@ -381,7 +381,7 @@ def _operator_grade(op: DiffOp) -> Fraction:
         d = coeff.homogeneous_degree()
         if d is None:
             raise ValueError("operator has an inhomogeneous coefficient")
-        shift = rat(d) - len(alpha)
+        shift = rat(d) - alpha.degree
         if grade is None:
             grade = shift
         elif grade != shift:
@@ -403,11 +403,11 @@ def _descend(op: DiffOp, weight: Fraction) -> DiffOp:
 
     def parts():
         for alpha, coeff in op.terms.items():
-            if op.space.inf not in alpha:
-                k = alpha.count(0)
-                part = DiffOp(space, {alpha[k:]: 1})
+            if not alpha.exponent(op.space.inf):
+                k = alpha.exponent(0)
+                part = DiffOp(space, {alpha.indices()[k:]: 1})
                 for i in range(k):
-                    part = compose(ident * (weight - len(alpha) + k - i) - euler, part)
+                    part = compose(ident * (weight - alpha.degree + k - i) - euler, part)
                 yield part * section_substitution(coeff)
 
     return DiffOp._sum(space, parts())

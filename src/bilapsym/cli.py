@@ -53,7 +53,7 @@ from .symalg import (
     verify_generalstory,
 )
 from .tensorcalc import PairSkewTensor, SymTensorField, decompose_gg
-from .weylop import DiffOp, bilaplacian, is_symmetry, laplacian
+from .weylop import bilaplacian, is_symmetry, laplacian
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1

@@ -17,9 +17,12 @@ products on top of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import comb, prod
+from operator import add as _add, sub as _sub
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 # The coefficient field: exact rationals in lowest terms, positive denominator.
@@ -40,6 +43,15 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def rational_from_json(value: object) -> Fraction:
+    """A JSON integer or "p/q" string as a rational; ValueError otherwise."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(f"expected an integer or a 'p/q' string, got {value!r}")
 
 
 def format_rational(value: Scalar) -> str:
@@ -258,52 +270,102 @@ def _normalize_exp(v: int, e: Exponent) -> Exponent:
     return e
 
 
+def _trimmed(exps: tuple) -> tuple:
+    """Drop trailing zero exponents, always keeping slot 0."""
+    while len(exps) > 1 and not exps[-1]:
+        exps = exps[:-1]
+    return exps
+
+
 @total_ordering
 class Monomial:
-    """A sparse monomial: sorted tuple of (variable, exponent), zeros dropped.
+    """A monomial as a dense exponent vector: ``exps[v]`` is the exponent of
+    x_v for v = 0, 1, ...; trailing zeros are dropped but slot 0 is kept.
 
     Ordered graded-lexicographically: higher total degree first, ties broken
     by the first variable (ascending index) whose exponents differ, larger
-    exponent winning.
+    exponent winning.  Only x0 may be negative and slot 0 is always present,
+    so this is the tuple order of ``(degree, exps)``.  The same type keys the
+    derivatives d^alpha of a ``DiffOp``: ``exps[v]`` counts v in alpha.
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "degree")
 
     def __init__(self, pairs: Iterable[tuple[int, Exponent]] = ()) -> None:
-        merged: dict[int, Exponent] = {}
+        exps: list = [0]
         for v, e in pairs:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"bad variable index {v!r}")
-            cur = merged.get(v, 0)
-            cur = cur + e
-            merged[v] = cur
-        items = []
-        for v in sorted(merged):
-            e = _normalize_exp(v, merged[v])
-            if e != 0:
-                items.append((v, e))
-        object.__setattr__(self, "exps", tuple(items))
+            exps.extend([0] * (v + 1 - len(exps)))
+            exps[v] += e
+        exps = [_normalize_exp(v, e) for v, e in enumerate(exps)]
+        object.__setattr__(self, "exps", _trimmed(tuple(exps)))
+        object.__setattr__(self, "degree", sum(exps))
+
+    @classmethod
+    def _of(cls, exps: tuple, degree: Exponent) -> "Monomial":
+        """A monomial from a trimmed, normalized vector, without validation."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "exps", exps)
+        object.__setattr__(out, "degree", degree)
+        return out
+
+    @classmethod
+    def of_indices(cls, indices: Iterable[int]) -> "Monomial":
+        """The product of x_v over the indices (the key of d^alpha)."""
+        return cls((v, 1) for v in indices)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
 
-    @property
-    def degree(self) -> Exponent:
-        return sum((e for _, e in self.exps), 0)
-
     def exponent(self, v: int) -> Exponent:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
+        return self.exps[v] if v < len(self.exps) else 0
+
+    def items(self) -> Iterator[tuple[int, Exponent]]:
+        """The (variable, exponent) pairs with nonzero exponent, ascending."""
+        return ((v, e) for v, e in enumerate(self.exps) if e)
+
+    def indices(self) -> tuple[int, ...]:
+        """The nondecreasing indices, each repeated by its exponent (alpha)."""
+        return tuple(v for v, e in enumerate(self.exps) for _ in range(e))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
+        a, b = self.exps, other.exps
+        if len(a) < len(b):
+            a, b = b, a
+        # equal lengths end in two positive exponents, so nothing to trim
+        exps = tuple(map(_add, a, b)) + a[len(b):]
+        if type(exps[0]) is Fraction and exps[0].denominator == 1:
+            exps = (int(exps[0]),) + exps[1:]
+        return Monomial._of(exps, self.degree + other.degree)
 
-    def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("negative monomial power")
-        return Monomial(tuple((v, e * k) for v, e in self.exps))
+    def divide(self, other: "Monomial") -> "Monomial | None":
+        """The quotient self / other, or None if an exponent would be negative."""
+        a, b = self.exps, other.exps
+        exps = tuple(map(_sub, a, b)) + a[len(b):]
+        if len(b) > len(a) or min(exps) < 0:
+            return None
+        return Monomial._of(_trimmed(exps), self.degree - other.degree)
+
+    def divisors(self) -> list[tuple["Monomial", "Monomial", int]]:
+        """Each divisor gamma with the cofactor self / gamma and the Leibniz
+        weight prod_v binomial(exps[v], gamma[v]), for integer exponents."""
+        out = []
+        for gamma in itertools.product(*(range(e + 1) for e in self.exps)):
+            d = sum(gamma)
+            rest = tuple(map(_sub, self.exps, gamma))
+            weight = prod(map(comb, self.exps, gamma))
+            out.append((
+                Monomial._of(_trimmed(gamma), d),
+                Monomial._of(_trimmed(rest), self.degree - d),
+                weight,
+            ))
+        return out
+
+    def _lowered(self, v: int) -> "Monomial":
+        """The monomial with the exponent of x_v lowered by one."""
+        exps = self.exps[:v] + (self.exps[v] - 1,) + self.exps[v + 1:]
+        return Monomial._of(_trimmed(exps), self.degree - 1)
 
     def __hash__(self) -> int:
         return hash(self.exps)
@@ -312,43 +374,20 @@ class Monomial:
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __lt__(self, other: "Monomial") -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        da, db = self.degree, other.degree
-        if da != db:
-            return da < db
-        # Lexicographic walk over ascending variable index; absent vars have
-        # exponent 0.  Larger exponent at the first difference wins.
-        i = j = 0
-        a, b = self.exps, other.exps
-        while i < len(a) or j < len(b):
-            va = a[i][0] if i < len(a) else None
-            vb = b[j][0] if j < len(b) else None
-            if vb is None or (va is not None and va < vb):
-                v, ea, eb = va, a[i][1], 0
-            elif va is None or vb < va:
-                v, ea, eb = vb, 0, b[j][1]
-            else:
-                v, ea, eb = va, a[i][1], b[j][1]
-            if ea != eb:
-                return ea < eb
-            if va == v:
-                i += 1
-            if vb == v:
-                j += 1
-        return False
+        return (self.degree, self.exps) < (other.degree, other.exps)
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return (self.degree, self.exps) > (other.degree, other.exps)
 
     def text(self, space: VarSpace) -> str:
-        if not self.exps:
-            return "1"
         parts = []
-        for v, e in self.exps:
+        for v, e in self.items():
             name = space.var_name(v)
             parts.append(name if e == 1 else f"{name}^{format_rational(e)}")
-        return "*".join(parts)
+        return "*".join(parts) or "1"
 
     def __repr__(self) -> str:
-        return f"Monomial({list(self.exps)!r})"
+        return f"Monomial({list(self.items())!r})"
 
 
 _ONE = Monomial()
@@ -364,7 +403,7 @@ class Polynomial(LinearCombination):
             for m, c in (terms or {}).items():
                 c = rat(c)
                 if c:
-                    for v, _ in m.exps:
+                    for v, _ in m.items():
                         if not space.contains(v):
                             raise ValueError(f"variable {v} not in {space}")
                     yield m, c
@@ -443,10 +482,9 @@ class Polynomial(LinearCombination):
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return result
 
     # -- calculus ----------------------------------------------------------
@@ -459,8 +497,7 @@ class Polynomial(LinearCombination):
         for m, c in self.terms.items():
             e = m.exponent(v)
             if e != 0:
-                nm = Monomial(tuple((w, ee) for w, ee in m.exps if w != v) + ((v, e - 1),))
-                out[nm] = c * e
+                out[m._lowered(v)] = c * e
         return self._make(self.space, out)
 
     def substitute(self, bindings: Mapping[int, "Polynomial | Scalar"]) -> "Polynomial":
@@ -507,7 +544,7 @@ class Polynomial(LinearCombination):
 
         def substituted(m: Monomial, c: Fraction) -> Polynomial:
             acc = Polynomial.constant(self.space, c)
-            for v, e in m.exps:
+            for v, e in m.items():
                 if v in coerced:
                     acc = acc * factor(v, e)
                 else:
@@ -573,7 +610,7 @@ class Polynomial(LinearCombination):
         for m, c in self.sorted_terms():
             exps = {
                 self.space.var_name(v): (e if isinstance(e, int) else format_rational(e))
-                for v, e in m.exps
+                for v, e in m.items()
             }
             out.append({"coeff": format_rational(c), "exps": exps})
         return out
@@ -581,11 +618,9 @@ class Polynomial(LinearCombination):
     @classmethod
     def from_json_obj(cls, space: VarSpace, data: list[dict]) -> "Polynomial":
         def term(item: dict) -> tuple[Monomial, Fraction]:
-            pairs = [
-                (space.var_index(name), e if isinstance(e, int) else parse_rational(e))
-                for name, e in item["exps"].items()
-            ]
-            return Monomial(pairs), parse_rational(item["coeff"])
+            exps = item["exps"].items()
+            pairs = [(space.var_index(name), rational_from_json(e)) for name, e in exps]
+            return Monomial(pairs), rational_from_json(item["coeff"])
 
         return cls._collect(space, (term(item) for item in data))
 
@@ -608,7 +643,7 @@ def exponent_tuples(n: int, degree: int) -> list[tuple[int, ...]]:
 
 def monomial_from_exponents(exps: tuple[int, ...]) -> Monomial:
     """The base-space monomial x1^exps[0] * ... * xn^exps[n-1]."""
-    return Monomial(tuple((v + 1, e) for v, e in enumerate(exps) if e))
+    return Monomial._of(_trimmed((0,) + tuple(exps)), sum(exps))
 
 
 def parity_class(exps: tuple[int, ...], indices: Iterable[int]) -> tuple[int, ...]:
@@ -640,7 +675,7 @@ def to_base(p: Polynomial) -> Polynomial:
         return p
     space = base_space(p.space.n)
     for m in p.terms:
-        for v, _ in m.exps:
+        for v, _ in m.items():
             if not space.contains(v):
                 raise ValueError(f"term uses ambient-only variable {p.space.var_name(v)}")
     return Polynomial._make(space, dict(p.terms))

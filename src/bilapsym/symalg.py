@@ -66,6 +66,7 @@ from .weylop import (
     NotDivisibleError,
     bilaplacian,
     compose,
+    euler_op,
     right_factor_through_bilaplacian,
     right_factor_through_laplacian,
     symbol_division,
@@ -517,24 +518,13 @@ def _scalar_operator_shape(n: int) -> bool:
 
     space = ambient_space(n)
     nn = Fraction(1, n * (n + 1) * (n + 2))
-    expected = DiffOp._collect(
-        space,
-        (
-            (tuple(sorted((q, r_i))), Polynomial(space, {Monomial([(q, 1), (r_i, 1)]): nn}))
-            for q in ambient_indices(n)
-            for r_i in ambient_indices(n)
-        ),
-    )
+    # x^Q x^R d_Q d_R: each coefficient monomial has its derivative's exponents
+    keys = (Monomial.of_indices(qr) for qr in itertools.product(ambient_indices(n), repeat=2))
+    expected = DiffOp._collect(space, ((qr, Polynomial(space, {qr: nn})) for qr in keys))
     # subtract r times the ambient Laplacian
-    rp = r_polynomial(n) * nn
-    lap = ambient_laplacian(n)
-    expected = expected - DiffOp(space, {alpha: rp * c for alpha, c in lap.terms.items()})
+    expected = expected - ambient_laplacian(n) * (r_polynomial(n) * nn)
     # add (n+1) times the ambient Euler operator
-    euler_terms = {
-        (v,): Polynomial(space, {Monomial([(v, 1)]): nn * (n + 1)})
-        for v in space.variables
-    }
-    expected = expected + DiffOp(space, euler_terms)
+    expected = expected + euler_op(space) * (nn * (n + 1))
     return ambient_op_gg(scalar_embed(Fraction(1), n)) == expected
 
 
@@ -595,8 +585,8 @@ def _solve_symmetry_blocks(
         return DiffOp._collect(
             space,
             (
-                (alpha, Polynomial(space, {monomial_from_exponents(m_exps): coeff}))
-                for (m_exps, alpha), coeff in vec.items()
+                (Monomial.of_indices(alpha), Polynomial(space, {monomial_from_exponents(m): c}))
+                for (m, alpha), c in vec.items()
             ),
         )
 

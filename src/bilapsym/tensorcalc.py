@@ -29,8 +29,8 @@ from .exactpoly import (
     base_space,
     collect,
     format_rational,
-    parse_rational,
     rat,
+    rational_from_json,
 )
 from .linsolve import invert
 
@@ -567,7 +567,7 @@ class PairSkewTensor(LinearCombination):
     @classmethod
     def from_json_obj(cls, data: dict) -> "PairSkewTensor":
         comps = {
-            tuple(int(i) for i in key.split(",")): parse_rational(val)
+            tuple(int(i) for i in key.split(",")): rational_from_json(val)
             for key, val in data["components"].items()
         }
         return cls(data["n"], data["pair_count"], data["tail_valency"], comps)
@@ -839,6 +839,15 @@ def is_totally_skew(x: PairSkewTensor) -> bool:
 # the quartic counterexample tensor
 
 
+def _ordered_entries(t: SymAmbientTensor) -> list[tuple[MultiIndex, Fraction]]:
+    """Every ordered index tuple with a nonzero component, with its value."""
+    return [
+        (key, val)
+        for ckey, val in t.components.items()
+        for key in dict.fromkeys(itertools.permutations(ckey))
+    ]
+
+
 def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
     """Skew a symmetric trace-free 4-tensor against the squared metric.
 
@@ -853,15 +862,19 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
         raise ValueError("tensor must be trace-free")
     n = z.n
     gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
+    proto = PairSkewTensor(n, 4, 0)
+    gg_entries = _ordered_entries(gg)
 
-    def fn(key: MultiIndex) -> Fraction:
-        zval = z.get((key[0], key[2], key[4], key[6]))
-        if zval == 0:
-            return Fraction(0)
-        gval = gg.get((key[1], key[3], key[5], key[7]))
-        return zval * gval
+    # Z on the first slots of the pairs and GG on the second, projected: each
+    # ordered key adds its value, signed, to its representative, over 2^4 flips
+    def terms():
+        for zkey, zval in _ordered_entries(z):
+            for gkey, gval in gg_entries:
+                canon = proto.canonicalize(tuple(i for pair in zip(zkey, gkey) for i in pair))
+                if canon is not None:
+                    yield canon[0], canon[1] * zval * gval * Fraction(1, 16)
 
-    return PairSkewTensor.from_function(n, 4, 0, fn)
+    return PairSkewTensor._collect(proto.shape, terms())
 
 
 def counterexample_first_trace(x: PairSkewTensor) -> dict[MultiIndex, Fraction]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, prod
 from typing import Callable, Mapping
 
 from .exactpoly import (
@@ -40,57 +40,13 @@ class NotDivisibleError(ValueError):
 # derivative multi-index helpers
 
 
-def _normalize_alpha(alpha: Alpha) -> Alpha:
-    return tuple(sorted(alpha))
-
-
-def _alpha_counts(alpha: Alpha) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for v in alpha:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def _counts_to_alpha(counts: Mapping[int, int]) -> Alpha:
-    out: list[int] = []
-    for v in sorted(counts):
-        out.extend([v] * counts[v])
-    return tuple(out)
-
-
-def _alpha_factorial(alpha: Alpha) -> int:
-    result = 1
-    for c in _alpha_counts(alpha).values():
-        result *= factorial(c)
-    return result
-
-
-def _sub_counts(counts: Mapping[int, int]):
-    """All gamma <= alpha, as count dicts, with their binomial weights."""
-    items = sorted(counts.items())
-    ranges = [range(c + 1) for _, c in items]
-    for choice in itertools.product(*ranges):
-        weight = 1
-        gamma: dict[int, int] = {}
-        for (v, c), g in zip(items, choice):
-            weight *= comb(c, g)
-            if g:
-                gamma[v] = g
-        yield gamma, weight
-
-
-def _differentiate(p: Polynomial, gamma: Mapping[int, int]) -> Polynomial:
-    for v, times in gamma.items():
-        for _ in range(times):
-            if p.is_zero:
-                return p
-            p = p.partial(v)
+def _differentiate(p: Polynomial, gamma: Monomial) -> Polynomial:
+    """d^gamma p, for gamma the key of a derivative."""
+    for v in gamma.indices():
+        if p.is_zero:
+            return p
+        p = p.partial(v)
     return p
-
-
-def _alpha_key(alpha: Alpha, variables: tuple[int, ...]) -> tuple:
-    counts = _alpha_counts(alpha)
-    return (len(alpha), tuple(counts.get(v, 0) for v in variables))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +54,12 @@ def _alpha_key(alpha: Alpha, variables: tuple[int, ...]) -> tuple:
 
 
 class DiffOp(LinearCombination):
-    """Normal-ordered differential operator with polynomial coefficients."""
+    """Normal-ordered differential operator with polynomial coefficients.
+
+    Terms are keyed by the ``Monomial`` whose exponent vector is that of
+    d^alpha; the public constructor, ``coefficient``, JSON and ``text`` take
+    and show nondecreasing index tuples alpha.
+    """
 
     __slots__ = ()
 
@@ -107,7 +68,6 @@ class DiffOp(LinearCombination):
     ) -> None:
         def valid():
             for alpha, coeff in (terms or {}).items():
-                alpha = _normalize_alpha(tuple(alpha))
                 for v in alpha:
                     if not space.contains(v):
                         raise ValueError(f"derivative variable {v} not in space")
@@ -115,7 +75,7 @@ class DiffOp(LinearCombination):
                     coeff = Polynomial.constant(space, coeff)
                 if coeff.space != space:
                     raise ValueError("coefficient in wrong variable space")
-                yield alpha, coeff
+                yield Monomial.of_indices(alpha), coeff
 
         self._fill(space, valid())
 
@@ -143,10 +103,10 @@ class DiffOp(LinearCombination):
 
     @property
     def order(self) -> int:
-        return max((len(a) for a in self.terms), default=-1)
+        return max((a.degree for a in self.terms), default=-1)
 
     def coefficient(self, alpha: Alpha) -> Polynomial:
-        val = self.terms.get(_normalize_alpha(tuple(alpha)))
+        val = self.terms.get(Monomial.of_indices(alpha))
         return Polynomial.zero(self.space) if val is None else val
 
     def __mul__(self, scalar) -> "DiffOp":
@@ -165,8 +125,8 @@ class DiffOp(LinearCombination):
         if self.is_zero:
             return "0"
         parts = []
-        for alpha in sorted(self.terms, key=lambda a: (len(a), a)):
-            coeff = self.terms[alpha]
+        for key in sorted(self.terms, key=lambda a: (a.degree, a.indices())):
+            coeff, alpha = self.terms[key], key.indices()
             dpart = "".join(f"d{self.space.var_name(v)[1:]}" for v in alpha)
             cpart = coeff.text()
             if alpha:
@@ -183,7 +143,7 @@ class DiffOp(LinearCombination):
             "n": self.space.n,
             "terms": {
                 ",".join(map(str, alpha)): coeff.to_json_obj()
-                for alpha, coeff in sorted(self.terms.items())
+                for alpha, coeff in sorted((a.indices(), c) for a, c in self.terms.items())
             },
         }
 
@@ -207,7 +167,7 @@ def apply(op: DiffOp, p: Polynomial) -> Polynomial:
         raise ValueError("polynomial in wrong variable space")
     return Polynomial._sum(
         op.space,
-        (coeff * _differentiate(p, _alpha_counts(alpha)) for alpha, coeff in op.terms.items()),
+        (coeff * _differentiate(p, alpha) for alpha, coeff in op.terms.items()),
     )
 
 
@@ -217,16 +177,12 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
     def terms():
         for alpha, ca in a.terms.items():
-            counts_a = _alpha_counts(alpha)
+            leibniz = alpha.divisors()
             for beta, cb in b.terms.items():
-                for gamma, weight in _sub_counts(counts_a):
+                for gamma, rest, weight in leibniz:
                     dcb = _differentiate(cb, gamma)
-                    if dcb.is_zero:
-                        continue
-                    rest = {v: c - gamma.get(v, 0) for v, c in counts_a.items()}
-                    for v in beta:
-                        rest[v] = rest.get(v, 0) + 1
-                    yield _counts_to_alpha(rest), ca * dcb * weight
+                    if not dcb.is_zero:
+                        yield rest * beta, ca * dcb * weight
 
     return DiffOp._collect(a.space, terms())
 
@@ -241,12 +197,10 @@ def multiplier_commutator(op: DiffOp, p: Polynomial) -> DiffOp:
 
     def terms():
         for alpha, coeff in op.terms.items():
-            counts = _alpha_counts(alpha)
-            for gamma, weight in _sub_counts(counts):
+            for gamma, rest, weight in alpha.divisors():
                 dp = _differentiate(p, gamma)
-                if gamma and not dp.is_zero:
-                    rest = {v: c - gamma.get(v, 0) for v, c in counts.items()}
-                    yield _counts_to_alpha(rest), coeff * dp * weight
+                if gamma.degree and not dp.is_zero:
+                    yield rest, coeff * dp * weight
 
     return DiffOp._collect(op.space, terms())
 
@@ -279,17 +233,6 @@ def euler_op(space: VarSpace) -> DiffOp:
 # right factorization through constant-coefficient operators
 
 
-def _require_constant_coefficients(r: DiffOp) -> dict[Alpha, Fraction]:
-    symbol: dict[Alpha, Fraction] = {}
-    for alpha, coeff in r.terms.items():
-        if not coeff.is_constant:
-            raise ValueError("right factor must have constant coefficients")
-        symbol[alpha] = coeff.constant_value()
-    if not symbol:
-        raise ValueError("right factor must be nonzero")
-    return symbol
-
-
 def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Divide the full symbol of d by a constant-coefficient operator r.
 
@@ -298,33 +241,30 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     divisor is a Groebner basis of the ideal it generates, so the remainder
     is unique and depends linearly on d.
     """
-    divisor = _require_constant_coefficients(r)
-    variables = d.space.variables
-    lead = max(divisor, key=lambda a: _alpha_key(a, variables))
-    lead_counts = _alpha_counts(lead)
+    divisor: dict[Monomial, Fraction] = {}
+    for alpha, coeff in r.terms.items():
+        if not coeff.is_constant:
+            raise ValueError("right factor must have constant coefficients")
+        divisor[alpha] = coeff.constant_value()
+    if not divisor:
+        raise ValueError("right factor must be nonzero")
+    lead = max(divisor)
     lead_coeff = divisor[lead]
 
     work = dict(d.terms)
-    quotient: dict[Alpha, Polynomial] = {}
-    remainder: dict[Alpha, Polynomial] = {}
+    quotient: dict[Monomial, Polynomial] = {}
+    remainder: dict[Monomial, Polynomial] = {}
     while work:
-        alpha = max(work, key=lambda a: _alpha_key(a, variables))
-        counts = _alpha_counts(alpha)
-        if all(counts.get(v, 0) >= c for v, c in lead_counts.items()):
+        alpha = max(work)
+        shift = alpha.divide(lead)
+        if shift is not None:
             coeff = work.pop(alpha) * (1 / lead_coeff)
-            shift = dict(counts)
-            for v, c in lead_counts.items():
-                shift[v] -= c
-            shift = {v: c for v, c in shift.items() if c}
             # work only gains keys below alpha, so each key is divided once
-            quotient[_counts_to_alpha(shift)] = coeff
+            quotient[shift] = coeff
             for beta, k in divisor.items():
                 if beta == lead:
                     continue
-                combined = dict(shift)
-                for v in beta:
-                    combined[v] = combined.get(v, 0) + 1
-                key = _counts_to_alpha(combined)
+                key = shift * beta
                 cur = work.get(key)
                 nv = -(coeff * k) if cur is None else cur - coeff * k
                 if nv.is_zero:
@@ -398,21 +338,23 @@ def operator_from_action(
 
     def monomials(deg: int):
         for alpha in itertools.combinations_with_replacement(space.variables, deg):
-            yield alpha, Polynomial(space, {Monomial([(v, 1) for v in alpha]): 1})
+            key = Monomial.of_indices(alpha)
+            yield key, Polynomial(space, {key: 1})
 
-    coeffs: dict[Alpha, Polynomial] = {}
+    # the coefficient of d^alpha is keyed by the exponent vector of x^alpha
+    coeffs: dict[Monomial, Polynomial] = {}
     for deg in range(order + 1):
         for alpha, mono in monomials(deg):
             value = action(mono)
             for gamma, cg in coeffs.items():
-                dmono = _differentiate(mono, _alpha_counts(gamma))
+                dmono = _differentiate(mono, gamma)
                 if not dmono.is_zero:
                     value = value - cg * dmono
-            fact = _alpha_factorial(alpha)
+            fact = prod(factorial(e) for _, e in alpha.items())
             coeff = value * Fraction(1, fact)
             if not coeff.is_zero:
                 coeffs[alpha] = coeff
-    op = DiffOp(space, coeffs)
+    op = DiffOp(space, {alpha.indices(): c for alpha, c in coeffs.items()})
     for deg in range(order + 1, order + 1 + check_margin):
         for _, mono in monomials(deg):
             if apply(op, mono) != action(mono):

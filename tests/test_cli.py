@@ -13,6 +13,16 @@ from bilapsym.symalg import canonical_DV, dilation_element
 from bilapsym.weylop import DiffOp
 
 
+def _dv_symbol(term: str) -> str:
+    """A one-component vector symbol file whose single term is ``term``."""
+    return '{"n": 3, "valency": 1, "components": {"1": [%s]}}' % term
+
+
+def _pair_symbol(value: str) -> str:
+    """A one-pair tensor symbol file with one component ``value``."""
+    return '{"n": 3, "pair_count": 1, "tail_valency": 0, "components": {"0,1": %s}}' % value
+
+
 class TestDims:
     def test_ckt_json_payload(self, tmp_path):
         out = tmp_path / "dims.json"
@@ -199,6 +209,12 @@ class TestExitCodes:
             ("dw", "[1, 2]"),
             ("dv", '{"n": 3, "valency": 1, "components": []}'),
             ("dv", "not json"),
+            ("dv", _dv_symbol('{"coeff": 0.1, "exps": {}}')),
+            ("dv", _dv_symbol('{"coeff": true, "exps": {}}')),
+            ("dv", _dv_symbol('{"coeff": "1", "exps": {"x1": true}}')),
+            ("dv", _dv_symbol('{"coeff": "1", "exps": {"x1": 2.0}}')),
+            ("ambient-one-pair", _pair_symbol("0.5")),
+            ("ambient-one-pair", _pair_symbol("false")),
         ],
     )
     def test_malformed_symbol_file_exit_four(self, tmp_path, capsys, kind, content):

@@ -269,6 +269,20 @@ class TestCounterexampleTensor:
         assert all(v == 0 for v in counterexample_first_trace(x).values())
         assert all(v == 0 for v in counterexample_tail_trace(x).values())
 
+    def test_matches_projection_of_raw_tensor(self):
+        # the reference projects Z(first slots) GG(second slots) by evaluating
+        # it on every orbit arrangement of every canonical key
+        z = self.build_z()
+        gg = ambient_metric_sym(N).sym_outer(ambient_metric_sym(N))
+
+        def fn(key):
+            zval = z.get((key[0], key[2], key[4], key[6]))
+            if zval == 0:
+                return Fraction(0)
+            return zval * gg.get((key[1], key[3], key[5], key[7]))
+
+        assert counterexample_tensor(z) == PairSkewTensor.from_function(N, 4, 0, fn)
+
     def test_mixed_trace_is_nonzero_multiple(self):
         z = self.build_z()
         x = counterexample_tensor(z)
