@@ -1,9 +1,13 @@
-"""Golden digests of solved bases.
+"""Golden digests of solved bases and of pair-skew tensor constructions.
 
-Each digest is the SHA-256 of the canonical JSON of a basis: every dataclass
-field, with elements through ``to_json_obj`` and keys sorted.  It pins the
-elements, their order and the ``stabilized`` flag, so a refactor of the
-solvers must reproduce each basis element for element.
+Each digest is the SHA-256 of the canonical JSON of a value: every dataclass
+field, tensors and operators through ``to_json_obj``, rationals as strings
+and keys sorted.  For a basis it pins the elements, their order and the
+``stabilized`` flag, so a refactor of the solvers must reproduce each basis
+element for element.  The six-summand decomposition and the bracket of every
+ordered pair of basis elements of so(4, 1), and the quartic counterexample
+tensor, are pinned the same way, so a refactor of how pair-skew tensors are
+built must reproduce every component.
 """
 
 from __future__ import annotations
@@ -11,27 +15,37 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from bilapsym.cktsolve import solve_ckt, solve_gckt
-from bilapsym.symalg import enumerate_symmetries
+from bilapsym.symalg import (
+    _random_tracefree_four_tensor,
+    bracket,
+    enumerate_symmetries,
+    pair_tensor,
+    so_basis,
+)
+from bilapsym.tensorcalc import counterexample_tensor, decompose_gg
 
 
 def _canonical(value):
     if hasattr(value, "to_json_obj"):
         return value.to_json_obj()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
     return value
 
 
-def basis_digest(basis) -> str:
-    obj = {
-        f.name: _canonical(getattr(basis, f.name)) for f in dataclasses.fields(basis)
-    }
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def digest(value) -> str:
+    text = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
 
 
 GOLDEN = [
@@ -50,4 +64,25 @@ GOLDEN = [
 def test_basis_digest(solver, args, expected):
     basis = solver(*args)
     assert basis.stabilized
-    assert basis_digest(basis) == expected
+    assert digest(basis) == expected
+
+
+def test_decomposition_and_bracket_digests():
+    basis = so_basis(3)
+    pairs = [(u, v) for u in basis for v in basis]
+    assert len(pairs) == 100
+    assert (
+        digest([decompose_gg(pair_tensor(u, v)) for u, v in pairs])
+        == "6a5b10a111d9592eeb1ed75806b4ef6cf0ae0f11ba27e92bb9b648ec5532a0e9"
+    )
+    assert (
+        digest([bracket(u, v) for u, v in pairs])
+        == "8a1ba1444fa0e0860a516a1e1fc66b197ec20eb1b5d44a0a876455816cc4ce60"
+    )
+
+
+def test_counterexample_tensor_digest():
+    assert (
+        digest(counterexample_tensor(_random_tracefree_four_tensor(3, 0)))
+        == "83c328338667b30f3f6d9ce963587298313fd48f2f34ce135bba959f2596fb07"
+    )
