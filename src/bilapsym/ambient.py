@@ -38,7 +38,6 @@ from .tensorcalc import (
     ambient_indices,
     ambient_lower,
     base_indices,
-    pair_orbit,
     symmetrize,
 )
 from .weylop import DiffOp, compose, euler_op, multiplier_commutator
@@ -246,17 +245,16 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     space = base_space(n)
 
     def terms():
-        for ckey, val in x.components.items():
-            for full, sign in pair_orbit(ckey, k):
-                prefix = Polynomial.constant(space, sign * val)
-                for i in range(k):
-                    prefix = prefix * pp.phi(full[2 * i])
-                option_lists = [pp.psi_options(full[2 * i + 1]) for i in range(k)]
-                for choice in itertools.product(*option_lists):
-                    term = prefix
-                    for _, factor in choice:
-                        term = term * factor
-                    yield tuple(b for b, _ in choice), term
+        for full, val in x.ordered_entries():
+            prefix = Polynomial.constant(space, val)
+            for i in range(k):
+                prefix = prefix * pp.phi(full[2 * i])
+            option_lists = [pp.psi_options(full[2 * i + 1]) for i in range(k)]
+            for choice in itertools.product(*option_lists):
+                term = prefix
+                for _, factor in choice:
+                    term = term * factor
+                yield tuple(b for b, _ in choice), term
 
     return symmetrize(n, k, collect(terms()))
 
@@ -303,11 +301,10 @@ def ambient_op_V(x: PairSkewTensor) -> DiffOp:
         raise ValueError("need at least one pair")
 
     def terms():
-        for ckey, val in x.components.items():
-            for full, sign in pair_orbit(ckey, k):
-                mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
-                alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
-                yield alpha, Polynomial(space, {mono: sign * val})
+        for full, val in x.ordered_entries():
+            mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
+            alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
+            yield alpha, Polynomial(space, {mono: val})
 
     return DiffOp._collect(space, terms())
 
@@ -351,21 +348,17 @@ def ambient_op_W(w: PairSkewTensor) -> DiffOp:
     lap = ambient_laplacian(n)
 
     def terms():
-        for ckey, val in w.components.items():
-            d0, e0 = ckey[2 * k], ckey[2 * k + 1]
-            tail_orders = [(d0, e0)] if d0 == e0 else [(d0, e0), (e0, d0)]
-            for full, sign in pair_orbit(ckey, k):
-                prefix_mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
-                prefix_alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
-                for d, e in tail_orders:
-                    cval = sign * val
-                    xd = prefix_mono * Monomial.of_indices([ambient_lower(n, d)])
-                    xde = xd * Monomial.of_indices([ambient_lower(n, e)])
-                    for lalpha, lcoeff in lap.terms.items():
-                        coeff = cval * lcoeff.constant_value()
-                        yield prefix_alpha * lalpha, Polynomial(space, {xde: coeff})
-                    d_e = prefix_alpha * Monomial.of_indices([e])
-                    yield d_e, Polynomial(space, {xd: -2 * cval})
+        for full, val in w.ordered_entries():
+            d, e = full[2 * k :]
+            prefix_mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
+            prefix_alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
+            xd = prefix_mono * Monomial.of_indices([ambient_lower(n, d)])
+            xde = xd * Monomial.of_indices([ambient_lower(n, e)])
+            for lalpha, lcoeff in lap.terms.items():
+                coeff = val * lcoeff.constant_value()
+                yield prefix_alpha * lalpha, Polynomial(space, {xde: coeff})
+            d_e = prefix_alpha * Monomial.of_indices([e])
+            yield d_e, Polynomial(space, {xd: -2 * val})
 
     return DiffOp._collect(space, terms())
 

@@ -46,6 +46,7 @@ from .tensorcalc import (
     SymAmbientTensor,
     SymTensorField,
     adjoint_embed,
+    adjoint_extract,
     ambient_indices,
     ambient_lower,
     base_indices,
@@ -188,20 +189,12 @@ def special_conformal_element(n: int, a: int) -> LieElement:
 
 
 def bracket(u: LieElement, v: LieElement) -> LieElement:
-    """The matrix commutator of one-pair tensors (indices paired by metric)."""
+    """The matrix commutator of one-pair tensors (indices paired by metric):
+    the contraction U^{BQ} V_Q^R - V^{BQ} U_Q^R, which is the adjoint
+    extraction of their two-pair product."""
     if u.pair_count != 1 or v.pair_count != 1 or u.n != v.n:
         raise ValueError("expected one-pair tensors of the same dimension")
-    n = u.n
-
-    def fn(key: MultiIndex) -> Fraction:
-        b, r = key
-        total = Fraction(0)
-        for q in ambient_indices(n):
-            sq = ambient_lower(n, q)
-            total += u.get((b, q)) * v.get((sq, r)) - v.get((b, q)) * u.get((sq, r))
-        return total
-
-    return PairSkewTensor.from_function(n, 1, 0, fn)
+    return adjoint_extract(pair_tensor(u, v))
 
 
 def killing_form(u: LieElement, v: LieElement) -> Fraction:
@@ -269,11 +262,12 @@ def pair_tensor(u: LieElement, v: LieElement) -> PairSkewTensor:
     """The two-pair tensor product of two one-pair tensors."""
     if u.pair_count != 1 or v.pair_count != 1 or u.n != v.n:
         raise ValueError("expected one-pair tensors of the same dimension")
-
-    def fn(key: MultiIndex) -> Fraction:
-        return u.get(key[:2]) * v.get(key[2:])
-
-    return PairSkewTensor.from_function(u.n, 2, 0, fn)
+    return PairSkewTensor(
+        u.n,
+        2,
+        0,
+        {ku + kv: a * b for ku, a in u.components.items() for kv, b in v.components.items()},
+    )
 
 
 def cartan_product(u: LieElement, v: LieElement) -> SymTensorField:
@@ -533,25 +527,24 @@ def _scalar_operator_shape(n: int) -> bool:
 
 
 def _symbol_rows(
-    n: int,
+    bilap: DiffOp,
     m_exps: tuple[int, ...],
     alpha: tuple[int, ...],
     cache: dict,
 ) -> dict:
     """Rows of the linear symmetry condition for one generator x^m d^alpha.
 
-    The condition is that the full symbol of (squared Laplacian) o gen is
-    divisible by the symbol of the squared Laplacian; rows are the remainder
-    entries keyed by (derivative multi-index, coefficient monomial), and the
+    The condition is that the full symbol of bilap o gen is divisible by the
+    symbol of bilap, the squared Laplacian; rows are the remainder entries
+    keyed by (derivative multi-index, coefficient monomial), and the
     remainder map is linear in the generator.
     """
     key = (m_exps, alpha)
     if key in cache:
         return cache[key]
-    space = base_space(n)
+    space = bilap.space
     mono = monomial_from_exponents(m_exps)
     gen = DiffOp(space, {alpha: Polynomial(space, {mono: Fraction(1)})})
-    bilap = bilaplacian(n)
     _, remainder = symbol_division(compose(bilap, gen), bilap)
     rows = _operator_column(remainder)
     cache[key] = rows
@@ -559,12 +552,13 @@ def _symbol_rows(
 
 
 def _solve_symmetry_blocks(
-    n: int, order: int, degree_bound: int, min_shift: int, cache: dict
+    bilap: DiffOp, order: int, degree_bound: int, min_shift: int, cache: dict
 ) -> list[tuple[int, DiffOp]]:
     """Solve block by block; unknowns are generators (m_exps, alpha) of
     x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
     of shift >= min_shift are solved; returns (shift, solution) pairs."""
-    space = base_space(n)
+    space = bilap.space
+    n = space.n
     alphas: list[tuple[int, ...]] = []
     for length in range(order + 1):
         alphas.extend(nondecreasing_tuples(base_indices(n), length))
@@ -578,7 +572,7 @@ def _solve_symmetry_blocks(
     solutions = block_nullspace(
         gens,
         lambda g: (sum(g[0]) - len(g[1]), parity_class(*g)),
-        lambda g: _symbol_rows(n, *g, cache),
+        lambda g: _symbol_rows(bilap, *g, cache),
     )
 
     def element(vec: dict) -> DiffOp:
@@ -623,10 +617,11 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
         raise ValueError("need n >= 3")
     if order < 0 or degree_bound < 0:
         raise ValueError("order and degree_bound must be nonnegative")
+    bilap = bilaplacian(n)
     cache: dict = {}
-    solved = _solve_symmetry_blocks(n, order, degree_bound, -order, cache)
+    solved = _solve_symmetry_blocks(bilap, order, degree_bound, -order, cache)
     first_open = degree_bound - order + 1
-    raised = _solve_symmetry_blocks(n, order, degree_bound + 2, first_open, cache)
+    raised = _solve_symmetry_blocks(bilap, order, degree_bound + 2, first_open, cache)
     return SymmetryBasis(
         n=n,
         order=order,

@@ -8,8 +8,9 @@ and lowering is the index involution 0 <-> n+1.  Trace-free projections are
 computed by solving a small exact linear system, one implementation for both
 metrics.  ``PairSkewTensor`` stores constant ambient tensors that are skew
 in each of k index pairs (optionally with a trailing symmetric pair), one
-canonical representative per sign orbit.  ``decompose_gg`` splits a two-pair
-tensor into its six invariant summands.
+canonical representative per sign orbit; ``PairSkewTensor.project`` builds
+one from the nonzero entries of an unsymmetrized tensor.  ``decompose_gg``
+splits a two-pair tensor into its six invariant summands.
 """
 
 from __future__ import annotations
@@ -508,44 +509,38 @@ class PairSkewTensor(LinearCombination):
         val = self.components.get(ckey)
         return Fraction(0) if val is None else sign * val
 
-    def canonical_keys(self) -> list[MultiIndex]:
-        idx = ambient_indices(self.n)
-        pair_choices = list(itertools.combinations(idx, 2))
-        tails = (
-            nondecreasing_tuples(idx, self.tail_valency)
-            if self.tail_valency
-            else [()]
-        )
-        keys = []
-        for pairs in itertools.product(pair_choices, repeat=self.pair_count):
-            flat = tuple(i for pair in pairs for i in pair)
-            for tail in tails:
-                keys.append(flat + tail)
-        return keys
+    def ordered_entries(self) -> Iterator[tuple[MultiIndex, Fraction]]:
+        """Every ordered key with a nonzero component, with its value."""
+        k = self.pair_count
+        for key, val in self.components.items():
+            head, tail = key[: 2 * k], key[2 * k :]
+            for arranged, sign in pair_orbit(head, k):
+                for t in dict.fromkeys((tail, tail[::-1])):
+                    yield arranged + t, sign * val
 
     @classmethod
-    def from_function(
-        cls,
-        n: int,
-        pair_count: int,
-        tail_valency: int,
-        fn: Callable[[MultiIndex], Rational],
+    def project(
+        cls, n: int, pair_count: int, entries: Iterable[tuple[MultiIndex, Rational]]
     ) -> "PairSkewTensor":
-        """Project raw components onto the paired-skew symmetry type."""
-        proto = cls(n, pair_count, tail_valency)
-        comps: dict[MultiIndex, Fraction] = {}
-        tail_group = (0, 1) if tail_valency == 2 else (0,)
-        norm = Fraction(1, (2 ** pair_count) * len(tail_group))
-        for key in proto.canonical_keys():
-            total = Fraction(0)
-            for arranged, sign in pair_orbit(key, pair_count):
-                for tf in tail_group:
-                    tkey = arranged[:-2] + (arranged[-1], arranged[-2]) if tf else arranged
-                    total += sign * rat(fn(tkey))
-            val = total * norm
-            if val != 0:
-                comps[key] = val
-        return cls(n, pair_count, tail_valency, comps)
+        """The pair-skew projection of a tensor given by its nonzero ordered
+        (key, value) entries, each key 2 * pair_count ambient indices; keys
+        with a repeated pair drop out.
+
+        Each entry adds its value, with the sign of ``canonicalize``, to its
+        representative, and the sums are scaled once by 1/2^pair_count.  No
+        pair flip fixes a key whose pairs have distinct indices, so this is
+        the average over the flip orbit.  There is no trailing pair: its
+        swap fixes a key with equal trailing indices.
+        """
+        proto = cls(n, pair_count)
+
+        def signed():
+            for key, val in entries:
+                canon = proto.canonicalize(key)
+                if canon is not None:
+                    yield canon[0], canon[1] * val
+
+        return cls._collect(proto.shape, signed()) * Fraction(1, 2**pair_count)
 
     def __repr__(self) -> str:
         return (
@@ -606,26 +601,27 @@ def pair_swap(x: PairSkewTensor) -> PairSkewTensor:
     """Exchange the two pairs of a two-pair tensor."""
     if x.pair_count != 2 or x.tail_valency != 0:
         raise ValueError("pair_swap needs exactly two pairs")
-    return PairSkewTensor.from_function(
-        x.n, 2, 0, lambda key: x.get((key[2], key[3], key[0], key[1]))
-    )
+    return PairSkewTensor._make(x.shape, {k[2:] + k[:2]: v for k, v in x.components.items()})
 
 
 def fully_skew_part(x: PairSkewTensor) -> PairSkewTensor:
     """Total antisymmetrization of a two-pair tensor over all four slots."""
     if x.pair_count != 2 or x.tail_valency != 0:
         raise ValueError("fully_skew_part needs exactly two pairs")
-    perms = [
-        (p, _perm_sign(p)) for p in itertools.permutations(range(4))
-    ]
-
-    def alt(key: MultiIndex) -> Fraction:
-        total = Fraction(0)
-        for p, sign in perms:
-            total += sign * x.get(tuple(key[i] for i in p))
-        return total / 24
-
-    return PairSkewTensor.from_function(x.n, 2, 0, alt)
+    # the average over the 24 signed slot orders meets each stored key in
+    # its 4 flip arrangements, so each stored key scatters its signed slot
+    # orders with 1/6 of its value; keys with a repeated index cancel
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(4))]
+    return PairSkewTensor.project(
+        x.n,
+        2,
+        (
+            (tuple(key[i] for i in p), sign * val * Fraction(1, 6))
+            for key, val in x.components.items()
+            if len(set(key)) == 4
+            for p, sign in perms
+        ),
+    )
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -641,20 +637,27 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 # the six summands of a two-pair tensor
 
 
+def _metric_insertions(
+    n: int, entries: Iterable[tuple[MultiIndex, Fraction]], scale: Fraction
+) -> Iterator[tuple[MultiIndex, Fraction]]:
+    """Ordered entries of scale * (T^BR g^QC - T^QR g^BC - T^BC g^QR + T^QC g^BR)
+    for the ordered entries of a two-index tensor T."""
+    for (i, j), val in entries:
+        v = val * scale
+        for a in ambient_indices(n):
+            la = ambient_lower(n, a)
+            yield (i, a, la, j), v
+            yield (a, i, la, j), -v
+            yield (i, a, j, la), -v
+            yield (a, i, j, la), v
+
+
 def scalar_embed(value: Rational, n: int) -> PairSkewTensor:
-    """Embed a scalar as the invariant-pairing summand (trace-normalized)."""
-    value = rat(value)
-    norm = Fraction(1, n * (n + 1) * (n + 2))
-
-    def fn(key: MultiIndex) -> Fraction:
-        b, q, c, r = key
-        term1 = 1 if q == ambient_lower(n, c) else 0
-        term1 *= 1 if b == ambient_lower(n, r) else 0
-        term2 = 1 if b == ambient_lower(n, c) else 0
-        term2 *= 1 if q == ambient_lower(n, r) else 0
-        return value * norm * (term1 - term2)
-
-    return PairSkewTensor.from_function(n, 2, 0, fn)
+    """Embed a scalar as the invariant-pairing summand (trace-normalized):
+    value/(n(n+1)(n+2)) * (g^QC g^BR - g^BC g^QR), half the insertion of g."""
+    metric = [((a, ambient_lower(n, a)), Fraction(1)) for a in ambient_indices(n)]
+    scale = rat(value) * Fraction(1, 2 * n * (n + 1) * (n + 2))
+    return PairSkewTensor.project(n, 2, _metric_insertions(n, metric, scale))
 
 
 def scalar_extract(x: PairSkewTensor) -> Fraction:
@@ -672,57 +675,35 @@ def adjoint_embed(v: PairSkewTensor) -> PairSkewTensor:
     if v.pair_count != 1 or v.tail_valency != 0:
         raise ValueError("adjoint_embed expects a one-pair tensor")
     n = v.n
-    half_inv_n = Fraction(1, 2 * n)
-
-    def g(a: int, b: int) -> int:
-        return 1 if a == ambient_lower(n, b) else 0
-
-    def fn(key: MultiIndex) -> Fraction:
-        b, q, c, r = key
-        return half_inv_n * (
-            v.get((b, r)) * g(q, c)
-            - v.get((q, r)) * g(b, c)
-            - v.get((b, c)) * g(q, r)
-            + v.get((q, c)) * g(b, r)
-        )
-
-    return PairSkewTensor.from_function(n, 2, 0, fn)
+    return PairSkewTensor.project(
+        n, 2, _metric_insertions(n, v.ordered_entries(), Fraction(1, 2 * n))
+    )
 
 
 def adjoint_extract(x: PairSkewTensor) -> PairSkewTensor:
-    """Bracket-type contraction; inverts adjoint_embed, kills other summands."""
+    """Bracket-type contraction; inverts adjoint_embed, kills other summands.
+
+    The component at (B, R) is X^{BQ}_Q^R - X^{RQ}_Q^B.
+    """
     n = x.n
 
-    def fn(key: MultiIndex) -> Fraction:
-        b, r = key
-        total = Fraction(0)
-        for q in ambient_indices(n):
-            sq = ambient_lower(n, q)
-            total += x.get((b, q, sq, r)) - x.get((r, q, sq, b))
-        return total
+    def traced():
+        for (b, q, c, r), val in x.ordered_entries():
+            if c == ambient_lower(n, q):
+                yield (b, r), val
+                yield (r, b), -val
 
-    return PairSkewTensor.from_function(n, 1, 0, fn)
+    return PairSkewTensor.project(n, 1, traced())
 
 
 def bullet_embed(w: PairSkewTensor) -> PairSkewTensor:
-    """Embed a symmetric trace-free 2-tensor as the two-row-symmetric summand."""
+    """Embed a symmetric trace-free 2-tensor as the two-row-symmetric summand:
+    W^BC g^QR - W^QC g^BR - W^BR g^QC + W^QR g^BC."""
     if w.pair_count != 0 or w.tail_valency != 2:
         raise ValueError("bullet_embed expects a trailing-pair tensor")
-    n = w.n
-
-    def g(a: int, b: int) -> int:
-        return 1 if a == ambient_lower(n, b) else 0
-
-    def fn(key: MultiIndex) -> Fraction:
-        b, q, c, r = key
-        return (
-            w.get((b, c)) * g(q, r)
-            - w.get((q, c)) * g(b, r)
-            - w.get((b, r)) * g(q, c)
-            + w.get((q, r)) * g(b, c)
-        )
-
-    return PairSkewTensor.from_function(n, 2, 0, fn)
+    return PairSkewTensor.project(
+        w.n, 2, _metric_insertions(w.n, w.ordered_entries(), Fraction(-1))
+    )
 
 
 def bullet_extract(x: PairSkewTensor) -> PairSkewTensor:
@@ -862,19 +843,17 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
         raise ValueError("tensor must be trace-free")
     n = z.n
     gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
-    proto = PairSkewTensor(n, 4, 0)
     gg_entries = _ordered_entries(gg)
-
-    # Z on the first slots of the pairs and GG on the second, projected: each
-    # ordered key adds its value, signed, to its representative, over 2^4 flips
-    def terms():
-        for zkey, zval in _ordered_entries(z):
-            for gkey, gval in gg_entries:
-                canon = proto.canonicalize(tuple(i for pair in zip(zkey, gkey) for i in pair))
-                if canon is not None:
-                    yield canon[0], canon[1] * zval * gval * Fraction(1, 16)
-
-    return PairSkewTensor._collect(proto.shape, terms())
+    # Z on the first slots of the pairs and GG on the second, projected
+    return PairSkewTensor.project(
+        n,
+        4,
+        (
+            (tuple(i for pair in zip(zkey, gkey) for i in pair), zval * gval)
+            for zkey, zval in _ordered_entries(z)
+            for gkey, gval in gg_entries
+        ),
+    )
 
 
 def counterexample_first_trace(x: PairSkewTensor) -> dict[MultiIndex, Fraction]:

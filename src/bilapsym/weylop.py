@@ -106,6 +106,10 @@ class DiffOp(LinearCombination):
         return max((a.degree for a in self.terms), default=-1)
 
     def coefficient(self, alpha: Alpha) -> Polynomial:
+        # no term has a derivative past the last variable: answer before
+        # building a key as long as the index
+        if any(isinstance(v, int) and v > self.space.n + 1 for v in alpha):
+            return Polynomial.zero(self.space)
         val = self.terms.get(Monomial.of_indices(alpha))
         return Polynomial.zero(self.space) if val is None else val
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +243,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--w" in err
         assert "Traceback" not in err
+
+
+def test_runtime_imports_only_the_standard_library():
+    # modules loaded at start-up (site hooks and the like) are not counted
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bilapsym.cli\n"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "bilapsym" in loaded
+    assert loaded - {"bilapsym"} <= set(sys.stdlib_module_names)

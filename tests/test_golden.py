@@ -47,7 +47,6 @@ def digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-
 GOLDEN = [
     (solve_ckt, (3, 1, 2), "5c2b01bcc9e4c7788b8b04f248f3d81aa1a8fb2a12f976ef65d862f4e4c45931"),
     (solve_ckt, (3, 2, 4), "4b1a619752dcbdfc5598a73b7b25c16e093bceacd48f35b4f4342c9c16c9ccc2"),

@@ -7,6 +7,7 @@ hold for each, and combining two of different shapes must raise ValueError.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ def sparse(keys: list, values) -> st.SearchStrategy[dict]:
 
 
 polynomials = sparse(MONOMIALS, rationals).map(lambda terms: Polynomial(SPACE, terms))
-pair_keys = list(PairSkewTensor(N, 1).canonical_keys())
+pair_keys = list(itertools.combinations(range(N + 2), 2))
 
 # type name -> (strategy for instances of one shape, an instance of another shape)
 TYPES = {

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bilapsym import linsolve
+from bilapsym import linsolve, symalg
 from bilapsym.ambient import lie_to_ckv, realize_ckt, realize_gckt
 from bilapsym.exactpoly import Polynomial, base_space
 from bilapsym.symalg import (
@@ -233,6 +233,17 @@ class TestEnumerator:
         member_lists = [tuple(map(id, columns)) for columns in solved]
         assert len(set(member_lists)) == len(member_lists)
         assert basis.dimension == 60 and basis.stabilized
+
+    def test_bilaplacian_built_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return bilaplacian(n)
+
+        monkeypatch.setattr(symalg, "bilaplacian", counting)
+        enumerate_symmetries(3, 2, 2)
+        assert calls == [3]
 
     def test_unstabilized_bound_is_flagged(self):
         # second-order symmetries need coefficients of degree up to 4

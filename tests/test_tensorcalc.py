@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilapsym.exactpoly import Monomial, Polynomial, base_space, rat
 from bilapsym.linsolve import rank
@@ -18,6 +20,7 @@ from bilapsym.tensorcalc import (
     adjoint_embed,
     adjoint_extract,
     ambient_indices,
+    ambient_lower,
     ambient_metric_sym,
     bullet_embed,
     bullet_extract,
@@ -33,6 +36,7 @@ from bilapsym.tensorcalc import (
     metric_tensor,
     metric_trace,
     nondecreasing_tuples,
+    pair_orbit,
     pair_swap,
     satisfies_cyclic_identity,
     scalar_embed,
@@ -43,6 +47,7 @@ from bilapsym.tensorcalc import (
     tracefree_part,
 )
 from bilapsym.symalg import (
+    bracket,
     dilation_element,
     pair_tensor,
     rotation_element,
@@ -61,6 +66,27 @@ def const_field(n, valency, entries):
         valency,
         {k: Polynomial.constant(base_space(n), rat(c)) for k, c in entries.items()},
     )
+
+
+def reference_projection(n, pair_count, tail_valency, fn):
+    """The paired-skew projection of the function ``fn`` on ordered keys: at
+    every canonical key, the signed average of ``fn`` over the pair flips and
+    the trailing swap.  The dense reference for ``PairSkewTensor.project``."""
+    idx = ambient_indices(n)
+    tails = nondecreasing_tuples(idx, tail_valency) if tail_valency else [()]
+    tail_group = (0, 1) if tail_valency == 2 else (0,)
+    norm = Fraction(1, (2**pair_count) * len(tail_group))
+    comps = {}
+    for pairs in itertools.product(itertools.combinations(idx, 2), repeat=pair_count):
+        for tail in tails:
+            key = tuple(i for pair in pairs for i in pair) + tail
+            total = Fraction(0)
+            for arranged, sign in pair_orbit(key, pair_count):
+                for tf in tail_group:
+                    tkey = arranged[:-2] + (arranged[-1], arranged[-2]) if tf else arranged
+                    total += sign * rat(fn(tkey))
+            comps[key] = total * norm
+    return PairSkewTensor(n, pair_count, tail_valency, comps)
 
 
 def random_sym_field(n, valency, seed, degree=1):
@@ -161,14 +187,26 @@ class TestPairSkewTensor:
         assert x.get(key_uv) == u.get((0, 4)) * v.get((1, 4))
         assert x.get((1, 4, 0, 4)) == u.get((1, 4)) * v.get((0, 4))
 
-    def test_from_function_projects(self):
-        # a function with no symmetry projects onto the paired-skew type
+    def test_project_of_unsymmetric_entries(self):
+        # entries with no symmetry, repeated pairs and repeated keys among them
         def fn(key):
-            return Fraction(key[0] + 2 * key[1])
+            return Fraction(key[0] + 2 * key[1] - 3 * key[2] + key[0] * key[3], 1 + key[1])
 
-        t = PairSkewTensor.from_function(N, 1, 0, fn)
-        for i, j in itertools.combinations(ambient_indices(N), 2):
-            assert t.get((i, j)) == -t.get((j, i))
+        ordered = list(itertools.product(ambient_indices(N), repeat=4))
+        t = PairSkewTensor.project(N, 2, [(key, fn(key)) for key in ordered])
+        assert t == reference_projection(N, 2, 0, fn)
+        # each pair flip negates; a repeated pair is zero
+        assert t.get((1, 0, 2, 3)) == t.get((0, 1, 3, 2)) == -t.get((0, 1, 2, 3)) != 0
+        assert t.get((1, 1, 2, 3)) == 0
+        assert t.get((0, 1, 2, 3)) == (fn((0, 1, 2, 3)) - fn((1, 0, 2, 3))
+                                       - fn((0, 1, 3, 2)) + fn((1, 0, 3, 2))) / 4
+        # a key given twice adds its values
+        u = PairSkewTensor.project(N, 1, [((2, 0), Fraction(1)), ((2, 0), Fraction(3))])
+        assert u == PairSkewTensor(N, 1, 0, {(0, 2): Fraction(-2)})
+
+    def test_project_zero_entries(self):
+        assert PairSkewTensor.project(N, 2, []).is_zero
+        assert PairSkewTensor.project(N, 1, [((1, 2), 1), ((2, 1), 1)]).is_zero
 
     def test_json_round_trip(self):
         x = pair_tensor(dilation_element(N), rotation_element(N, 1, 2))
@@ -281,7 +319,7 @@ class TestCounterexampleTensor:
                 return Fraction(0)
             return zval * gg.get((key[1], key[3], key[5], key[7]))
 
-        assert counterexample_tensor(z) == PairSkewTensor.from_function(N, 4, 0, fn)
+        assert counterexample_tensor(z) == reference_projection(N, 4, 0, fn)
 
     def test_mixed_trace_is_nonzero_multiple(self):
         z = self.build_z()
@@ -292,3 +330,120 @@ class TestCounterexampleTensor:
         assert c != 0
         for key in itertools.product(ambient_indices(N), repeat=4):
             assert mixed.get(key, Fraction(0)) == c * z.get(key)
+
+
+# ---------------------------------------------------------------------------
+# the sparse constructions against the dense reference projection of the formulas
+# they implement, on random rational inputs at n = 3 and n = 4
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def pair_skew_tensors(n, pair_count, tail_valency=0):
+    pairs = list(itertools.combinations(ambient_indices(n), 2))
+    tails = nondecreasing_tuples(ambient_indices(n), tail_valency) if tail_valency else [()]
+    keys = [
+        tuple(i for pair in ps for i in pair) + tail
+        for ps in itertools.product(pairs, repeat=pair_count)
+        for tail in tails
+    ]
+    return st.dictionaries(st.sampled_from(keys), rationals, max_size=6).map(
+        lambda comps: PairSkewTensor(n, pair_count, tail_valency, comps)
+    )
+
+
+def metric(n):
+    """The ambient metric g(a, b) as a 0/1 function."""
+    return lambda a, b: 1 if a == ambient_lower(n, b) else 0
+
+
+def all_ordered_keys(n, length):
+    return itertools.product(ambient_indices(n), repeat=length)
+
+
+def permutation_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+    return (-1) ** inversions
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_two_pair_maps_match_reference(n, data):
+    x = data.draw(pair_skew_tensors(n, 2))
+    perms = [(p, permutation_sign(p)) for p in itertools.permutations(range(4))]
+
+    def alt(key):
+        return sum(sign * x.get(tuple(key[i] for i in p)) for p, sign in perms) / 24
+
+    def traced(key):
+        b, r = key
+        return sum(
+            x.get((b, q, ambient_lower(n, q), r)) - x.get((r, q, ambient_lower(n, q), b))
+            for q in ambient_indices(n)
+        )
+
+    assert pair_swap(x) == reference_projection(
+        n, 2, 0, lambda k: x.get((k[2], k[3], k[0], k[1]))
+    )
+    assert fully_skew_part(x) == reference_projection(n, 2, 0, alt)
+    assert adjoint_extract(x) == reference_projection(n, 1, 0, traced)
+    assert dict(x.ordered_entries()) == {
+        key: x.get(key) for key in all_ordered_keys(n, 4) if x.get(key)
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_pair_maps_match_reference(n, data):
+    u = data.draw(pair_skew_tensors(n, 1))
+    v = data.draw(pair_skew_tensors(n, 1))
+    g = metric(n)
+
+    def commutator(key):
+        b, r = key
+        return sum(
+            u.get((b, q)) * v.get((ambient_lower(n, q), r))
+            - v.get((b, q)) * u.get((ambient_lower(n, q), r))
+            for q in ambient_indices(n)
+        )
+
+    def embedded(key):
+        b, q, c, r = key
+        return Fraction(1, 2 * n) * (
+            u.get((b, r)) * g(q, c) - u.get((q, r)) * g(b, c)
+            - u.get((b, c)) * g(q, r) + u.get((q, c)) * g(b, r)
+        )
+
+    assert pair_tensor(u, v) == reference_projection(
+        n, 2, 0, lambda k: u.get(k[:2]) * v.get(k[2:])
+    )
+    assert bracket(u, v) == reference_projection(n, 1, 0, commutator)
+    assert adjoint_embed(u) == reference_projection(n, 2, 0, embedded)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_scalar_and_bullet_embeds_match_reference(n, data):
+    value = data.draw(rationals)
+    w = data.draw(pair_skew_tensors(n, 0, 2))
+    g = metric(n)
+
+    def scalar(key):
+        b, q, c, r = key
+        return value * Fraction(1, n * (n + 1) * (n + 2)) * (g(q, c) * g(b, r) - g(b, c) * g(q, r))
+
+    def bullet(key):
+        b, q, c, r = key
+        return (
+            w.get((b, c)) * g(q, r) - w.get((q, c)) * g(b, r)
+            - w.get((b, r)) * g(q, c) + w.get((q, r)) * g(b, c)
+        )
+
+    assert scalar_embed(value, n) == reference_projection(n, 2, 0, scalar)
+    assert bullet_embed(w) == reference_projection(n, 2, 0, bullet)
+    assert dict(w.ordered_entries()) == {
+        key: w.get(key) for key in all_ordered_keys(n, 2) if w.get(key)
+    }

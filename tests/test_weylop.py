@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,26 @@ class TestFactorization:
     def test_is_symmetry_accepts_identity_and_rejects_coordinate(self):
         assert is_symmetry(DiffOp.identity(SPACE)) == DiffOp.identity(SPACE)
         assert is_symmetry(DiffOp.multiplication(var(1))) is None
+
+
+class TestCoefficient:
+    def test_indices_outside_the_space_are_zero(self):
+        op = laplacian(N) + DiffOp.identity(SPACE)
+        assert op.coefficient((1, 1)) == Polynomial.one(SPACE)
+        for alpha in [(0,), (N + 1,), (1, N + 1), (10**5,)]:
+            assert op.coefficient(alpha).is_zero
+        with pytest.raises(ValueError):
+            op.coefficient((-1,))
+
+    def test_large_index_allocates_little(self):
+        op = laplacian(N)
+        tracemalloc.start()
+        try:
+            op.coefficient((10**5,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestOperatorFromAction:
