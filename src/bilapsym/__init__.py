@@ -34,7 +34,6 @@ from .tensorcalc import (
     metric_trace,
     scalar_embed,
     scalar_extract,
-    split_symbol,
     sym_outer,
     symmetrize,
     tracefree_part,
@@ -65,7 +64,6 @@ from .cktsolve import (
     verify_lemma_hilf,
 )
 from .ambient import (
-    HomogeneousFunction,
     PhiPsi,
     ambient_bilaplacian,
     ambient_laplacian,
@@ -78,15 +76,12 @@ from .ambient import (
     r_polynomial,
     realize_ckt,
     realize_gckt,
-    verify_cone_identities,
-    verify_phipsi_identities,
 )
 from .symalg import (
     CompositionReport,
     CounterexampleReport,
     LieElement,
     SymmetryBasis,
-    WeightedOperator,
     bilaplacian_weight,
     bracket,
     bullet_product,
@@ -98,10 +93,8 @@ from .symalg import (
     dilation_element,
     enumerate_symmetries,
     killing_form,
-    killing_form_flat,
     laplacian_weight,
     lie_element,
-    operator_in_span,
     operator_span_dimension,
     pair_tensor,
     quartic_boundary_polynomial,

@@ -18,7 +18,6 @@ symbolic operator computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import (
@@ -37,37 +36,12 @@ from .tensorcalc import (
     SymTensorField,
     ambient_indices,
     ambient_lower,
-    base_indices,
     symmetrize,
 )
 from .weylop import DiffOp, compose, euler_op, multiplier_commutator
 
 # ---------------------------------------------------------------------------
-# metric, cone, section
-
-
-class AmbientMetric:
-    """The flat ambient metric with two null directions adjoined."""
-
-    __slots__ = ("n", "space")
-
-    def __init__(self, n: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "space", ambient_space(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientMetric is immutable")
-
-    def lower(self, a: int) -> int:
-        """Index lowering (equals raising): the involution 0 <-> n+1."""
-        return ambient_lower(self.n, a)
-
-    def pairing(self, a: int, b: int) -> int:
-        """Component g_ab (equals the inverse metric's g^ab)."""
-        return 1 if a == self.lower(b) else 0
-
-    def __repr__(self) -> str:
-        return f"AmbientMetric(n={self.n})"
+# cone and section
 
 
 def r_polynomial(n: int) -> Polynomial:
@@ -124,31 +98,6 @@ def extend_polynomial(f: Polynomial, weight: Rational) -> Polynomial:
     return Polynomial(space, terms)
 
 
-@dataclass(frozen=True)
-class HomogeneousFunction:
-    """An ambient polynomial of a single homogeneity degree."""
-
-    poly: Polynomial
-    weight: Fraction
-
-    def __post_init__(self) -> None:
-        if self.poly.space.kind != "ambient":
-            raise ValueError("expected an ambient polynomial")
-        w = self.poly.homogeneous_degree()
-        if w is None:
-            raise ValueError("polynomial is not homogeneous")
-        if not self.poly.is_zero and w != rat(self.weight):
-            raise ValueError(f"declared weight {self.weight} but degree {w}")
-        object.__setattr__(self, "weight", rat(self.weight))
-
-    @classmethod
-    def extend(cls, f: Polynomial, weight: Rational) -> "HomogeneousFunction":
-        return cls(extend_polynomial(f, weight), rat(weight))
-
-    def section(self) -> Polynomial:
-        return section_substitution(self.poly)
-
-
 # ---------------------------------------------------------------------------
 # the section embedding coefficients
 
@@ -197,35 +146,6 @@ class PhiPsi:
         if q == self.n + 1:
             return []
         return [(q, Polynomial.one(space))]
-
-
-def verify_phipsi_identities(n: int) -> dict[str, bool]:
-    """The three contraction identities of the section coefficients."""
-    pp = PhiPsi(n)
-    space = base_space(n)
-    lower = lambda a: ambient_lower(n, a)  # noqa: E731
-    results = {}
-    null = Polynomial.zero(space)
-    for b in ambient_indices(n):
-        null = null + pp.phi(b) * pp.phi(lower(b))
-    results["position_null"] = null.is_zero
-    ok = True
-    for c in base_indices(n):
-        total = Polynomial.zero(space)
-        for b in ambient_indices(n):
-            total = total + pp.phi(b) * pp.psi(c, lower(b))
-        ok = ok and total.is_zero
-    results["position_tangent_orthogonal"] = ok
-    ok = True
-    for b in base_indices(n):
-        for c in base_indices(n):
-            total = Polynomial.zero(space)
-            for q in ambient_indices(n):
-                total = total + pp.psi(b, q) * pp.psi(c, lower(q))
-            expected = Polynomial.one(space) if b == c else Polynomial.zero(space)
-            ok = ok and total == expected
-    results["tangent_metric"] = ok
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +364,3 @@ def induce(op: DiffOp, weight: Rational, order: int | None = None) -> DiffOp:
     if order is not None and induced.order > order:
         raise ValueError(f"induced operator has order {induced.order}, above {order}")
     return induced
-
-
-# ---------------------------------------------------------------------------
-# structural operator identities on the cone
-
-
-def verify_cone_identities(n: int) -> dict[str, bool]:
-    """Exact operator identities linking the Laplacian, cone, and grading."""
-    lap = ambient_laplacian(n)
-    bilap = ambient_bilaplacian(n)
-    space = ambient_space(n)
-    mult_r = DiffOp.multiplication(r_polynomial(n))
-    euler = euler_op(space)
-    ident = DiffOp.identity(space)
-    lhs = compose(lap, mult_r) - compose(mult_r, lap)
-    rhs = ident * Fraction(2 * n + 4) + euler * Fraction(4)
-    results = {"laplacian_cone_commutator": lhs == rhs}
-    lhs2 = compose(bilap, mult_r) - compose(mult_r, bilap)
-    rhs2 = compose(rhs, lap) + compose(lap, rhs)
-    results["bilaplacian_cone_commutator"] = lhs2 == rhs2
-    return results

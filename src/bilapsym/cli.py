@@ -2,9 +2,9 @@
 
 Subcommands: ``dims`` prints solution-space dimensions, ``basis`` emits the
 solved bases, ``build-op`` constructs operators from symbol files, and
-``verify`` runs the exact identity suites.  Exit codes: 0 all checks pass,
-1 an identity fails, 2 bad arguments, 3 I/O error, 4 precondition failure
-(including a malformed symbol file).
+``verify`` runs the acceptance suites of ``bilapsym.checks``.  Exit codes:
+0 all checks pass, 1 an identity fails, 2 bad arguments, 3 I/O error,
+4 precondition failure (including a malformed symbol file).
 """
 
 from __future__ import annotations
@@ -13,47 +13,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ambient import (
-    ambient_bilaplacian,
-    ambient_laplacian,
-    ambient_op_gg,
-    ambient_op_V,
-    ambient_op_W,
-    induce,
-    lie_to_ckv,
-    realize_ckt,
-    realize_gckt,
-    verify_cone_identities,
-    verify_phipsi_identities,
-)
-from .cktsolve import (
-    second_order_symmetry_dimension,
-    solve_ckt,
-    solve_gckt,
-    verify_lemma_hilf,
-)
+from .ambient import ambient_op_gg, ambient_op_V, ambient_op_W
+from .checks import SUITES
+from .cktsolve import second_order_symmetry_dimension, solve_ckt, solve_gckt
 from .exactpoly import parse_rational
-from .symalg import (
-    bilaplacian_weight,
-    canonical_DV,
-    canonical_DW,
-    canonical_second_order_family,
-    counterexample_operator_check,
-    enumerate_symmetries,
-    laplacian_weight,
-    operator_in_span,
-    operator_span_dimension,
-    pair_tensor,
-    so_basis,
-    special_conformal_element,
-    summand_operator_checks,
-    translation_element,
-    verify_generalstory,
-)
-from .tensorcalc import PairSkewTensor, SymTensorField, decompose_gg
-from .weylop import bilaplacian, is_symmetry, laplacian
+from .symalg import canonical_DV, canonical_DW, enumerate_symmetries
+from .tensorcalc import PairSkewTensor, SymTensorField
+from .weylop import bilaplacian, laplacian
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -189,141 +156,7 @@ def cmd_build_op(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _checks_ambient_identities(n: int, seed: int, weight) -> dict[str, bool]:
-    out = dict(verify_phipsi_identities(n))
-    out.update(verify_cone_identities(n))
-    return out
-
-
-def _checks_induced_operators(n: int, seed: int, weight) -> dict[str, bool]:
-    w0 = bilaplacian_weight(n)
-    checks: dict[str, bool] = {}
-    checks["second_order_inducts_to_laplacian"] = (
-        induce(ambient_laplacian(n), laplacian_weight(n), order=2) == laplacian(n)
-    )
-    checks["fourth_order_inducts_to_squared_laplacian"] = (
-        induce(ambient_bilaplacian(n), w0, order=4) == bilaplacian(n)
-    )
-    ok = True
-    for u in so_basis(n):
-        ind = induce(ambient_op_V(u), w0, order=1)
-        ok = ok and ind == canonical_DV(lie_to_ckv(u), w0)
-    checks["one_pair_operators_induce_canonical_form"] = ok
-
-    ok = True
-    for u, v in [
-        (so_basis(n)[0], so_basis(n)[0]),
-        (translation_element(n, 1), special_conformal_element(n, 1)),
-    ]:
-        dec = decompose_gg(pair_tensor(u, v))
-        if not dec.cartan.is_zero:
-            ind = induce(ambient_op_gg(dec.cartan), w0, order=2)
-            ok = ok and ind == canonical_DV(realize_ckt(dec.cartan), w0)
-        if not dec.bullet_W.is_zero:
-            tail_op = ambient_op_W(dec.bullet_W)
-            ind = induce(tail_op, w0, order=2)
-            ok = ok and ind == canonical_DW(realize_gckt(dec.bullet_W), w0)
-    checks["two_pair_summands_induce_canonical_forms"] = ok
-    return checks
-
-
-def _checks_composition_identity(n: int, seed: int, weight) -> dict[str, bool]:
-    basis = so_basis(n)
-    weights = [weight] if weight is not None else [
-        bilaplacian_weight(n),
-        laplacian_weight(n),
-        Fraction(1, 7),
-    ]
-    ok = True
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            for w in weights:
-                ok = ok and verify_generalstory(u, v, w).holds
-    return {"composition_identity_on_basis_pairs": ok}
-
-
-def _checks_summand_behavior(n: int, seed: int, weight) -> dict[str, bool]:
-    return summand_operator_checks(n)
-
-
-def _checks_dimension_counts(n: int, seed: int, weight) -> dict[str, bool]:
-    checks: dict[str, bool] = {}
-    one = solve_ckt(n, 1, 2)
-    checks["first_order_solution_count"] = (
-        one.dimension == (n + 1) * (n + 2) // 2 and one.stabilized
-    )
-    two = solve_ckt(n, 2, 4)
-    scalars = solve_gckt(n, 0, 4)
-    total = 1 + one.dimension + two.dimension + scalars.dimension
-    checks["second_order_total_matches_closed_form"] = (
-        two.stabilized
-        and scalars.stabilized
-        and total == second_order_symmetry_dimension(n)
-    )
-    return checks
-
-
-def _checks_symmetry_enumeration(n: int, seed: int, weight) -> dict[str, bool]:
-    checks: dict[str, bool] = {}
-    first = enumerate_symmetries(n, 1, 2)
-    checks["first_order_enumeration_count"] = (
-        first.dimension == (n + 1) * (n + 2) // 2 + 1 and first.stabilized
-    )
-    basis = enumerate_symmetries(n, 2, 4)
-    expected = second_order_symmetry_dimension(n)
-    checks["second_order_enumeration_count"] = (
-        basis.dimension == expected and basis.stabilized
-    )
-    family = canonical_second_order_family(n)
-    in_span = all(operator_in_span(basis.elements, op) for op in family)
-    checks["constructed_family_spans_enumerated_space"] = (
-        in_span and operator_span_dimension(family) == expected
-    )
-    return checks
-
-
-def _checks_certificates(n: int, seed: int, weight) -> dict[str, bool]:
-    ok = True
-    for op in canonical_second_order_family(n):
-        ok = ok and is_symmetry(op) is not None
-    return {"all_canonical_operators_have_certificates": ok}
-
-
-def _checks_structure_lemma(n: int, seed: int, weight) -> dict[str, bool]:
-    ok = True
-    for v in solve_ckt(n, 1, 2).elements:
-        ok = ok and verify_lemma_hilf(v).all_hold
-    for v in solve_ckt(n, 2, 4).elements:
-        ok = ok and verify_lemma_hilf(v).all_hold
-    return {"divergence_structure_lemma_on_solution_bases": ok}
-
-
-def _checks_quartic_obstruction(n: int, seed: int, weight) -> dict[str, bool]:
-    report = counterexample_operator_check(n, seed)
-    return {
-        "quartic_first_traces_vanish": report.first_trace_is_zero,
-        "quartic_tail_traces_vanish": report.tail_trace_is_zero,
-        "quartic_mixed_trace_is_multiple": report.mixed_trace_matches
-        and report.mixed_trace_factor != 0,
-        "quartic_operator_factors_exactly": report.quartic_matches
-        and report.scalar_factor != 0,
-    }
-
-
-SUITES = {
-    "ambient-identities": _checks_ambient_identities,
-    "induced-operators": _checks_induced_operators,
-    "composition-identity": _checks_composition_identity,
-    "summand-behavior": _checks_summand_behavior,
-    "dimension-counts": _checks_dimension_counts,
-    "symmetry-enumeration": _checks_symmetry_enumeration,
-    "certificates": _checks_certificates,
-    "structure-lemma": _checks_structure_lemma,
-    "quartic-obstruction": _checks_quartic_obstruction,
-}
+# verify
 
 
 # the one suite that reads each optional verify flag; other suites ignore it
@@ -337,17 +170,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_BAD_ARGS
     seed = 0 if args.seed is None else args.seed
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    all_ok = True
+    # one row per (suite, check): the number of cases and the failing ones
+    rows: dict[tuple[str, str], dict] = {}
     for name in names:
-        for check, ok in SUITES[name](args.n, seed, args.w).items():
-            results.append({"suite": name, "check": check, "ok": ok})
-            all_ok = all_ok and ok
+        for check, case, ok in SUITES[name](args.n, seed, args.w):
+            row = rows.setdefault(
+                (name, check), {"suite": name, "check": check, "cases": 0, "failed": []}
+            )
+            row["cases"] += 1
+            if not ok:
+                row["failed"].append(case)
+    results = [dict(row, ok=not row["failed"]) for row in rows.values()]
+    all_ok = all(row["ok"] for row in results)
     payload = {"n": args.n, "ok": all_ok, "checks": results}
-    lines = [
-        f"[{'PASS' if row['ok'] else 'FAIL'}] {row['suite']}: {row['check']}"
-        for row in results
-    ]
+    lines = []
+    for row in results:
+        status = "PASS" if row["ok"] else "FAIL"
+        line = f"[{status}] {row['suite']}: {row['check']} (cases: {row['cases']})"
+        if row["failed"]:
+            line += " failed: " + "; ".join(row["failed"])
+        lines.append(line)
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
     _config(args).emit(payload, lines)
     return EXIT_OK if all_ok else EXIT_IDENTITY_FAILURE

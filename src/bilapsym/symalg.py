@@ -137,32 +137,6 @@ def lie_element(
     return PairSkewTensor(n, 1, 0, comps)
 
 
-@dataclass(frozen=True)
-class LieBlocks:
-    lam: Fraction
-    r_vec: tuple[Fraction, ...]
-    s_vec: tuple[Fraction, ...]
-    m_mat: dict[tuple[int, int], Fraction]
-
-
-def lie_blocks(v: LieElement) -> LieBlocks:
-    """Read the grading blocks back from a one-pair tensor."""
-    if v.pair_count != 1 or v.tail_valency != 0:
-        raise ValueError("expected a one-pair tensor")
-    n = v.n
-    return LieBlocks(
-        lam=v.get((0, n + 1)),
-        r_vec=tuple(v.get((0, a)) for a in range(1, n + 1)),
-        s_vec=tuple(v.get((a, n + 1)) for a in range(1, n + 1)),
-        m_mat={
-            (a, b): v.get((a, b))
-            for a in range(1, n + 1)
-            for b in range(a + 1, n + 1)
-            if v.get((a, b)) != 0
-        },
-    )
-
-
 def dilation_element(n: int) -> LieElement:
     return lie_element(n, lam=1)
 
@@ -208,50 +182,6 @@ def killing_form(u: LieElement, v: LieElement) -> Fraction:
         # sum over both orders of the canonical pair
         total += 2 * val * v.get((ambient_lower(n, b), ambient_lower(n, q)))
     return -n * total
-
-
-def flat_bracket(x: SymTensorField, y: SymTensorField) -> SymTensorField:
-    """The bracket of vector fields: X^b d_b Y^a - Y^b d_b X^a."""
-    if x.valency != 1 or y.valency != 1 or x.n != y.n:
-        raise ValueError("expected vector fields of the same dimension")
-    n = x.n
-    comps = {}
-    for a in base_indices(n):
-        total = Polynomial.zero(x.space)
-        for b in base_indices(n):
-            total = total + x.get((b,)) * y.get((a,)).partial(b)
-            total = total - y.get((b,)) * x.get((a,)).partial(b)
-        if not total.is_zero:
-            comps[(a,)] = total
-    return SymTensorField(n, 1, comps)
-
-
-def killing_form_flat(x: SymTensorField, y: SymTensorField) -> Fraction:
-    """The flat-space invariant pairing of two conformal vector fields.
-
-    (d_b X^a)(d_a Y^b) - ((n-2)/n^2)(div X)(div Y)
-    - (2/n) X^a d_a div Y - (2/n) Y^a d_a div X; constant on solutions.
-    """
-    if x.valency != 1 or y.valency != 1 or x.n != y.n:
-        raise ValueError("expected vector fields of the same dimension")
-    n = x.n
-    space = x.space
-    div_x = Polynomial.zero(space)
-    div_y = Polynomial.zero(space)
-    for a in base_indices(n):
-        div_x = div_x + x.get((a,)).partial(a)
-        div_y = div_y + y.get((a,)).partial(a)
-    total = Polynomial.zero(space)
-    for a in base_indices(n):
-        for b in base_indices(n):
-            total = total + x.get((a,)).partial(b) * y.get((b,)).partial(a)
-    total = total - div_x * div_y * Fraction(n - 2, n * n)
-    for a in base_indices(n):
-        total = total - x.get((a,)) * div_y.partial(a) * Fraction(2, n)
-        total = total - y.get((a,)) * div_x.partial(a) * Fraction(2, n)
-    if not total.is_constant:
-        raise ValueError("pairing is not constant; inputs are not conformal")
-    return total.constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +272,6 @@ def canonical_DW(w_field: SymTensorField | Polynomial, weight: Rational) -> Diff
     terms.update({(a,): da * c1 for a, da in grad.items()})
     terms[()] = lap_w * c0
     return DiffOp(space, terms)
-
-
-@dataclass(frozen=True)
-class WeightedOperator:
-    """An operator together with the homogeneity weight it acts on."""
-
-    op: DiffOp
-    weight: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", rat(self.weight))
 
 
 def bilaplacian_weight(n: int) -> Fraction:
@@ -646,13 +565,6 @@ def _operator_column(op: DiffOp) -> dict:
 def operator_span_dimension(ops: Iterable[DiffOp]) -> int:
     """Dimension of the linear span of the given operators."""
     return rank([_operator_column(op) for op in ops])
-
-
-def operator_in_span(ops: Sequence[DiffOp], candidate: DiffOp) -> bool:
-    """Whether candidate lies in the linear span of ops."""
-    columns = [_operator_column(op) for op in ops]
-    base_rank = rank(columns)
-    return rank(columns + [_operator_column(candidate)]) == base_rank
 
 
 def canonical_second_order_family(n: int) -> list[DiffOp]:

@@ -335,32 +335,6 @@ def sym_outer(a: SymTensorField, b: SymTensorField) -> SymTensorField:
     return SymTensorField(a.n, a.valency + b.valency, comps)
 
 
-def split_symbol(t: SymTensorField):
-    """Split T = V + g(.)W + g(.)g(.)X with V, W trace-free.
-
-    Returns (V, W, X); W is None for valency < 2 and X is None for
-    valency < 4.  Reconstruction is exact: T = V + sym(g, W) + sym(g, g, X).
-    """
-    v = tracefree_part(t)
-    if t.valency < 2:
-        return v, None, None
-    g = metric_tensor(t.n)
-    trace_t = metric_trace(t)
-    a = _solve_g_multiple(trace_t)
-    w = tracefree_part(a)
-    if t.valency < 4:
-        return v, w, None
-    trace_a = metric_trace(a)
-    x = _solve_g_multiple(trace_a)
-    return v, w, x
-
-
-def _solve_g_multiple(trace: SymTensorField) -> SymTensorField:
-    """Solve trace(g (.) A) = given trace for symmetric A (one g layer)."""
-    comps = _trace_preimage(trace.components, trace.valency + 2, trace.n, "base")
-    return SymTensorField(trace.n, trace.valency, comps)
-
-
 # ---------------------------------------------------------------------------
 # constant ambient symmetric tensors
 
@@ -780,40 +754,6 @@ def decompose_gg(x: PairSkewTensor) -> GGDecomposition:
         adjoint=adjoint,
         fully_skew=skew_part,
     )
-
-
-def is_totally_tracefree(x: PairSkewTensor) -> bool:
-    """All six single contractions of a two-pair tensor vanish."""
-    for pi in range(4):
-        for pj in range(pi + 1, 4):
-            if contract_positions(x, [(pi, pj)]):
-                return False
-    return True
-
-
-def satisfies_cyclic_identity(x: PairSkewTensor) -> bool:
-    """X^{BQCR} + X^{BCRQ} + X^{BRQC} = 0 for all index values."""
-    idx = ambient_indices(x.n)
-    for key in itertools.product(idx, repeat=4):
-        b, q, c, r = key
-        if x.get((b, q, c, r)) + x.get((b, c, r, q)) + x.get((b, r, q, c)) != 0:
-            return False
-    return True
-
-
-def is_pair_symmetric(x: PairSkewTensor) -> bool:
-    return (x - pair_swap(x)).is_zero
-
-
-def is_totally_skew(x: PairSkewTensor) -> bool:
-    idx = ambient_indices(x.n)
-    for key in itertools.product(idx, repeat=4):
-        b, q, c, r = key
-        if x.get((b, q, c, r)) != -x.get((b, q, r, c)):
-            return False
-        if x.get((b, q, c, r)) != -x.get((c, q, b, r)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilapsym.ambient import (
-    AmbientMetric,
-    HomogeneousFunction,
-    PhiPsi,
     ambient_bilaplacian,
     ambient_laplacian,
     ambient_op_V,
@@ -27,9 +24,8 @@ from bilapsym.ambient import (
     realize_ckt,
     realize_gckt,
     section_substitution,
-    verify_cone_identities,
-    verify_phipsi_identities,
 )
+from bilapsym.checks import SUITES
 from bilapsym.exactpoly import Monomial, Polynomial, ambient_space, base_space
 from bilapsym.symalg import (
     bilaplacian_weight,
@@ -43,7 +39,7 @@ from bilapsym.symalg import (
     special_conformal_element,
     translation_element,
 )
-from bilapsym.tensorcalc import bullet_extract
+from bilapsym.tensorcalc import ambient_lower, bullet_extract
 from bilapsym.weylop import (
     DiffOp,
     apply,
@@ -54,15 +50,24 @@ from bilapsym.weylop import (
 )
 
 
+def _ambient_rows(n: int, checks: set[str]) -> list[tuple[str, str, bool]]:
+    """The rows of the ambient-identities suite for the named checks."""
+    return [row for row in SUITES["ambient-identities"](n, 0, None) if row[0] in checks]
+
+
 class TestMetricAndCone:
     def test_metric_pairing(self):
-        g = AmbientMetric(3)
-        assert g.pairing(0, 4) == 1
-        assert g.pairing(4, 0) == 1
-        assert g.pairing(1, 1) == 1
-        assert g.pairing(0, 0) == 0
-        assert g.pairing(0, 1) == 0
-        assert g.lower(0) == 4 and g.lower(4) == 0 and g.lower(2) == 2
+        # g_ab (equal to g^ab) is 1 exactly when a is the lowered b
+        def pairing(a, b):
+            return 1 if a == ambient_lower(3, b) else 0
+
+        assert pairing(0, 4) == 1
+        assert pairing(4, 0) == 1
+        assert pairing(1, 1) == 1
+        assert pairing(0, 0) == 0
+        assert pairing(0, 1) == 0
+        assert ambient_lower(3, 0) == 4 and ambient_lower(3, 4) == 0
+        assert ambient_lower(3, 2) == 2
 
     def test_r_polynomial_is_quadratic(self):
         r = r_polynomial(3)
@@ -81,12 +86,18 @@ class TestMetricAndCone:
         assert ambient_bilaplacian(3) == compose(lap, lap)
 
     def test_phipsi_identities(self):
+        checks = {"position_null", "position_tangent_orthogonal", "tangent_metric"}
         for n in (3, 4):
-            assert all(verify_phipsi_identities(n).values())
+            rows = _ambient_rows(n, checks)
+            assert len(rows) == 1 + n + n * n
+            assert all(ok for _, _, ok in rows)
 
     def test_cone_identities(self):
+        checks = {"laplacian_cone_commutator", "bilaplacian_cone_commutator"}
         for n in (3, 4):
-            assert all(verify_cone_identities(n).values())
+            rows = _ambient_rows(n, checks)
+            assert len(rows) == 2
+            assert all(ok for _, _, ok in rows)
 
 
 class TestExtension:
@@ -104,8 +115,9 @@ class TestExtension:
                 )
             f = Polynomial(space, terms)
             w = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-            h = HomogeneousFunction.extend(f, w)
-            assert h.section() == f
+            extended = extend_polynomial(f, w)
+            assert f.is_zero or extended.homogeneous_degree() == w
+            assert section_substitution(extended) == f
 
     def test_extension_is_homogeneous(self):
         space = base_space(3)

@@ -19,7 +19,7 @@ from bilapsym.cktsolve import (
 )
 from bilapsym.exactpoly import Polynomial, base_space
 from bilapsym.symalg import lie_to_ckv, so_basis, special_conformal_element
-from bilapsym.tensorcalc import SymTensorField, metric_trace, tracefree_part
+from bilapsym.tensorcalc import SymTensorField
 
 
 class TestResiduals:

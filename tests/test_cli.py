@@ -127,7 +127,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
-        assert all(row["ok"] for row in payload["checks"])
+        assert all(row["ok"] and row["cases"] and not row["failed"] for row in payload["checks"])
 
     def test_weight_override_reaches_suite(self, capsys):
         code = cli.main(
@@ -158,7 +158,7 @@ class TestVerify:
         def record(name):
             def suite(n, seed, weight):
                 seen[name] = (seed, weight)
-                return {"recorded": True}
+                yield "recorded", f"n={n}", True
 
             return suite
 
@@ -170,21 +170,60 @@ class TestVerify:
 
     def test_seed_defaults_to_zero(self, monkeypatch):
         seen = []
-        monkeypatch.setitem(
-            cli.SUITES,
-            "quartic-obstruction",
-            lambda n, seed, weight: seen.append(seed) or {"recorded": True},
-        )
+
+        def suite(n, seed, weight):
+            seen.append(seed)
+            yield "recorded", f"seed={seed}", True
+
+        monkeypatch.setitem(cli.SUITES, "quartic-obstruction", suite)
         assert cli.main(["verify", "--suite", "quartic-obstruction"]) == 0
         assert seen == [0]
 
     def test_failing_check_yields_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli.SUITES, "ambient-identities", lambda n, seed, weight: {"forced": False}
-        )
+        def suite(n, seed, weight):
+            yield "forced", f"n={n}", False
+
+        monkeypatch.setitem(cli.SUITES, "ambient-identities", suite)
         code = cli.main(["verify", "--suite", "ambient-identities"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failing_case_is_named(self, tmp_path, monkeypatch, fmt):
+        def suite(n, seed, weight):
+            for case in ("e(0,1)*e(0,1) w=1/7", "e(0,1)*e(0,2) w=1/7", "e(0,2)*e(0,2) w=1/7"):
+                yield "identity", case, case != "e(0,1)*e(0,2) w=1/7"
+            yield "other", "n=3", True
+
+        monkeypatch.setitem(cli.SUITES, "composition-identity", suite)
+        out = tmp_path / "verify.out"
+        argv = ["verify", "--suite", "composition-identity", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 1
+        if fmt == "json":
+            payload = json.loads(out.read_text())
+            assert payload["ok"] is False
+            assert payload["checks"] == [
+                {
+                    "suite": "composition-identity",
+                    "check": "identity",
+                    "ok": False,
+                    "cases": 3,
+                    "failed": ["e(0,1)*e(0,2) w=1/7"],
+                },
+                {
+                    "suite": "composition-identity",
+                    "check": "other",
+                    "ok": True,
+                    "cases": 1,
+                    "failed": [],
+                },
+            ]
+        else:
+            assert out.read_text().splitlines() == [
+                "[FAIL] composition-identity: identity (cases: 3) failed: e(0,1)*e(0,2) w=1/7",
+                "[PASS] composition-identity: other (cases: 1)",
+                "overall: FAIL",
+            ]
 
 
 class TestExitCodes:

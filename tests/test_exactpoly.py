@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bilapsym.exactpoly import (
     Monomial,
     Polynomial,
-    VarSpace,
     ambient_space,
     base_space,
     format_rational,

@@ -24,24 +24,20 @@ from bilapsym.tensorcalc import (
     ambient_metric_sym,
     bullet_embed,
     bullet_extract,
+    contract_positions,
     counterexample_first_trace,
     counterexample_mixed_trace,
     counterexample_tail_trace,
     counterexample_tensor,
     decompose_gg,
     fully_skew_part,
-    is_pair_symmetric,
-    is_totally_skew,
-    is_totally_tracefree,
     metric_tensor,
     metric_trace,
     nondecreasing_tuples,
     pair_orbit,
     pair_swap,
-    satisfies_cyclic_identity,
     scalar_embed,
     scalar_extract,
-    split_symbol,
     sym_outer,
     symmetrize,
     tracefree_part,
@@ -58,6 +54,44 @@ from bilapsym.symalg import (
 
 N = 3
 SPACE = base_space(N)
+
+
+# ---------------------------------------------------------------------------
+# reference predicates for the symmetry types of two-pair tensors
+
+
+def is_totally_tracefree(x: PairSkewTensor) -> bool:
+    """All six single contractions of a two-pair tensor vanish."""
+    for pi in range(4):
+        for pj in range(pi + 1, 4):
+            if contract_positions(x, [(pi, pj)]):
+                return False
+    return True
+
+
+def satisfies_cyclic_identity(x: PairSkewTensor) -> bool:
+    """X^{BQCR} + X^{BCRQ} + X^{BRQC} = 0 for all index values."""
+    idx = ambient_indices(x.n)
+    for key in itertools.product(idx, repeat=4):
+        b, q, c, r = key
+        if x.get((b, q, c, r)) + x.get((b, c, r, q)) + x.get((b, r, q, c)) != 0:
+            return False
+    return True
+
+
+def is_pair_symmetric(x: PairSkewTensor) -> bool:
+    return (x - pair_swap(x)).is_zero
+
+
+def is_totally_skew(x: PairSkewTensor) -> bool:
+    idx = ambient_indices(x.n)
+    for key in itertools.product(idx, repeat=4):
+        b, q, c, r = key
+        if x.get((b, q, c, r)) != -x.get((b, q, r, c)):
+            return False
+        if x.get((b, q, c, r)) != -x.get((c, q, b, r)):
+            return False
+    return True
 
 
 def const_field(n, valency, entries):
@@ -141,14 +175,6 @@ class TestSymTensorField:
                 arranged = tuple(key[i] for i in perm)
                 total = total + a.get(arranged[:1]) * b.get(arranged[1:])
             assert t.get(key) * len(perms) == total
-
-    def test_split_symbol_reconstructs(self):
-        t = random_sym_field(N, 4, seed=9)
-        v, w, x = split_symbol(t)
-        g = metric_tensor(N)
-        rebuilt = v + sym_outer(g, w) + sym_outer(g, sym_outer(g, x))
-        assert rebuilt == t
-        assert v.is_tracefree()
 
     def test_json_round_trip(self):
         t = random_sym_field(N, 2, seed=5)
