@@ -293,7 +293,8 @@ def ambient_identities(n: int, seed: int, weight):
             total = Polynomial._sum(
                 space, (pp.psi(b, q) * pp.psi(c, lower(q)) for q in ambient_indices(n))
             )
-            yield "tangent_metric", f"b={b} c={c}", total == Polynomial.constant(space, int(b == c))
+            expected = Polynomial.constant(space, int(b == c))
+            yield "tangent_metric", f"b={b} c={c}", total == expected
 
     # commutators with r, and the cone relations on sampled homogeneous g
     aspace = ambient_space(n)
