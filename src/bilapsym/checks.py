@@ -40,8 +40,11 @@ from .exactpoly import Monomial, Polynomial, ambient_space, base_space, format_r
 from .symalg import (
     LieElement,
     bilaplacian_weight,
+    bracket,
+    bullet_product,
     canonical_DV,
     canonical_DW,
+    cartan_product,
     counterexample_operator_check,
     dilation_element,
     enumerate_symmetries,
@@ -236,22 +239,33 @@ def induced_operators(n: int, seed: int, weight):
 
 def composition_identity(n: int, seed: int, weight):
     """D_X D_Y splits into the invariant summands for every pair of basis
-    elements, and the scalar term is w(n+w)/(n(n+1)(n+2)) times the
-    invariant pairing: at three distinct weights this pins the quadratic."""
+    elements, and what D_X D_Y leaves after its three operator summands
+    (Cartan, bullet and half the bracket) is w(n+w)/(n(n+1)(n+2)) times the
+    invariant pairing, times the identity: at three distinct weights this
+    pins the quadratic."""
     if weight is None:
         weights = [bilaplacian_weight(n), laplacian_weight(n), Fraction(1, 7)]
     else:
         weights = [weight]
     scale = Fraction(1, n * (n + 1) * (n + 2))
+    identity = DiffOp.identity(base_space(n))
     basis = _basis(n)
     for i, (a, u) in enumerate(basis):
         for b, v in basis[i:]:
+            cart, bull = cartan_product(u, v), bullet_product(u, v)
+            br = lie_to_ckv(bracket(u, v))
+            pairing = killing_form(u, v)
             for w in weights:
                 case = f"{a}*{b} w={format_rational(w)}"
                 report = verify_generalstory(u, v, w)
                 yield "composition_identity_on_basis_pairs", case, report.holds
+                summands = (
+                    canonical_DV(cart, w)
+                    + canonical_DW(bull, w)
+                    + canonical_DV(br, w) * Fraction(1, 2)
+                )
                 yield "scalar_term_is_killing_form_multiple", case, (
-                    report.scalar_coefficient == killing_form(u, v) * w * (n + w) * scale
+                    report.lhs - summands == identity * (pairing * w * (n + w) * scale)
                 )
 
 

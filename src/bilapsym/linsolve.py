@@ -7,6 +7,12 @@ inverses.  Nullspace bases are normalized
 reduced-row-echelon style: each basis vector carries coefficient 1 at its
 free column and zeros at all other free columns, so output is deterministic
 for a fixed column order.
+
+``nullspace`` first tries a modular certificate of emptiness: an integer
+matrix of full column rank modulo a prime p has a maximal minor that is
+nonzero mod p, hence nonzero over the integers, so its nullspace is zero.
+Only when the rank drops modulo p (the nullspace is nonzero, or p divides
+every maximal minor) does the exact elimination run.
 """
 
 from __future__ import annotations
@@ -51,6 +57,47 @@ def _to_integer_rows(
     return out
 
 
+# The prime of the emptiness certificate; any prime gives exact answers, a
+# large one rarely divides every maximal minor of a full-rank block.
+PRIME = 2**31 - 1
+
+
+def _full_column_rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int) -> bool:
+    """Whether the integer rows have rank ``ncols`` modulo ``PRIME``.
+
+    Gaussian elimination column by column with the sparsest holder as the
+    pivot row, as in ``_Eliminator``; the answer is False at the first
+    column that finds no pivot.
+    """
+    rows = [{c: v % PRIME for c, v in row.items() if v % PRIME} for row in rows]
+    col_rows: dict[int, set[int]] = {}
+    for rid, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+    for c in range(ncols):
+        holders = col_rows.pop(c, None)
+        if not holders:
+            return False
+        pid = min(holders, key=lambda rid: (len(rows[rid]), rid))
+        pr = rows[pid]
+        inv = pow(pr.pop(c), -1, PRIME)
+        for k in pr:
+            col_rows[k].discard(pid)
+        for sid in holders - {pid}:
+            sr = rows[sid]
+            f = sr.pop(c) * inv % PRIME
+            for k, v in pr.items():
+                nv = (sr.get(k, 0) - f * v) % PRIME
+                if nv:
+                    if k not in sr:
+                        col_rows[k].add(sid)
+                    sr[k] = nv
+                else:
+                    del sr[k]
+                    col_rows[k].discard(sid)
+    return True
+
+
 def _reduce_row(row: dict[int, int]) -> None:
     g = 0
     for v in row.values():
@@ -63,9 +110,9 @@ def _reduce_row(row: dict[int, int]) -> None:
 class _Eliminator:
     """Gauss-Jordan elimination state over sparse integer rows."""
 
-    def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]], ncols: int) -> None:
+    def __init__(self, rows: list[dict[int, int]], ncols: int) -> None:
         self.ncols = ncols
-        self.rows = _to_integer_rows(columns)
+        self.rows = rows
         self.col_rows: dict[int, set[int]] = {}
         for rid, row in enumerate(self.rows):
             for c in row:
@@ -144,11 +191,16 @@ def nullspace(
 
     Each column is a sparse map from an arbitrary hashable row key to a
     Fraction.  Returns one basis vector per free column, as a sparse map
-    column-index -> Fraction with coefficient 1 at the free column.
+    column-index -> Fraction with coefficient 1 at the free column.  Values
+    may be ``int`` or ``Fraction``.  A block of full column rank modulo
+    ``PRIME`` returns ``[]`` without exact elimination.
     """
     if ncols is None:
         ncols = len(columns)
-    return _Eliminator(columns, ncols).nullspace_basis()
+    rows = _to_integer_rows(columns)
+    if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
+        return []
+    return _Eliminator(rows, ncols).nullspace_basis()
 
 
 def block_nullspace(
@@ -179,7 +231,7 @@ def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = Non
     """Exact rank of the linear map with the given columns."""
     if ncols is None:
         ncols = len(columns)
-    return _Eliminator(columns, ncols).rank
+    return _Eliminator(_to_integer_rows(columns), ncols).rank
 
 
 def invert(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:

@@ -16,7 +16,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cache
+from math import perm, prod
+from operator import gt, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ambient import (
     ambient_laplacian,
@@ -33,7 +36,9 @@ from .exactpoly import (
     Monomial,
     Polynomial,
     Rational,
+    VarSpace,
     base_space,
+    collect,
     exponent_tuples,
     monomial_from_exponents,
     parity_class,
@@ -70,7 +75,6 @@ from .weylop import (
     euler_op,
     right_factor_through_bilaplacian,
     right_factor_through_laplacian,
-    symbol_division,
 )
 
 # A Lie algebra element is a constant skew one-pair ambient tensor.
@@ -445,38 +449,82 @@ def _scalar_operator_shape(n: int) -> bool:
 # brute-force enumeration of low-order symmetries
 
 
-def _symbol_rows(
-    bilap: DiffOp,
-    m_exps: tuple[int, ...],
-    alpha: tuple[int, ...],
-    cache: dict,
-) -> dict:
-    """Rows of the linear symmetry condition for one generator x^m d^alpha.
+SymbolRows = Callable[[tuple[int, ...], tuple[int, ...]], dict]
+
+
+def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
+    """Rows of the linear symmetry condition, one generator x^m d^alpha at a
+    time, cached per generator.
 
     The condition is that the full symbol of bilap o gen is divisible by the
     symbol of bilap, the squared Laplacian; rows are the remainder entries
-    keyed by (derivative multi-index, coefficient monomial), and the
-    remainder map is linear in the generator.
+    keyed by (derivative monomial, coefficient monomial), as
+    ``_operator_column`` keys them, and the remainder map is linear in the
+    generator.  bilap = sum_beta c_beta d^beta has constant integer
+    coefficients, so by the Leibniz rule
+
+        bilap o x^m d^alpha = sum_gamma m!/(m-gamma)! x^(m-gamma) P_gamma d^alpha,
+        P_gamma = sum_beta c_beta binomial(beta, gamma) d^(beta-gamma),
+
+    one distinct coefficient monomial per gamma <= m.  Each derivative
+    monomial delta reduces to its normal form modulo the symbol of bilap,
+    NF(delta) = -sum_{beta != lead} c_beta NF((delta/lead) beta) when the
+    leading term divides delta and delta otherwise; the leading term is
+    ``max`` of the keys, as in ``weylop.symbol_division``, and it is monic,
+    so every row entry is an ``int``.
     """
-    key = (m_exps, alpha)
-    if key in cache:
-        return cache[key]
-    space = bilap.space
-    mono = monomial_from_exponents(m_exps)
-    gen = DiffOp(space, {alpha: Polynomial(space, {mono: Fraction(1)})})
-    _, remainder = symbol_division(compose(bilap, gen), bilap)
-    rows = _operator_column(remainder)
-    cache[key] = rows
+    coeffs = {beta: c.constant_value() for beta, c in bilap.terms.items()}
+    lead = max(coeffs)
+    tail = [(beta, int(c)) for beta, c in coeffs.items() if beta != lead]
+    parts: dict[Monomial, dict[Monomial, int]] = {}
+    for beta, c in coeffs.items():
+        for gamma, rest, weight in beta.divisors():
+            part = parts.setdefault(gamma, {})
+            part[rest] = part.get(rest, 0) + int(c) * weight
+    # (gamma, its exponents on x1..xn)
+    n = bilap.space.n
+    gammas = [(gamma, tuple(gamma.exponent(v) for v in range(1, n + 1))) for gamma in parts]
+
+    @cache
+    def normal_form(delta: Monomial) -> dict[Monomial, int]:
+        shift = delta.divide(lead)
+        if shift is None:
+            return {delta: 1}
+        return collect(
+            (rho, -c * k) for beta, c in tail for rho, k in normal_form(shift * beta).items()
+        )
+
+    @cache
+    def reduced_part(gamma: Monomial, alpha: Monomial) -> dict[Monomial, int]:
+        """NF(P_gamma d^alpha)."""
+        return collect(
+            (rho, c * k)
+            for rest, c in parts[gamma].items()
+            for rho, k in normal_form(rest * alpha).items()
+        )
+
+    @cache
+    def rows(m_exps: tuple[int, ...], alpha: tuple[int, ...]) -> dict:
+        alpha_key = Monomial.of_indices(alpha)
+        out = {}
+        for gamma, g_exps in gammas:
+            if any(map(gt, g_exps, m_exps)):
+                continue
+            weight = prod(map(perm, m_exps, g_exps))
+            x_key = monomial_from_exponents(tuple(map(sub, m_exps, g_exps)))
+            for rho, k in reduced_part(gamma, alpha_key).items():
+                out[(rho, x_key)] = weight * k
+        return out
+
     return rows
 
 
 def _solve_symmetry_blocks(
-    bilap: DiffOp, order: int, degree_bound: int, min_shift: int, cache: dict
+    space: VarSpace, rows: SymbolRows, order: int, degree_bound: int, min_shift: int
 ) -> list[tuple[int, DiffOp]]:
     """Solve block by block; unknowns are generators (m_exps, alpha) of
     x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
     of shift >= min_shift are solved; returns (shift, solution) pairs."""
-    space = bilap.space
     n = space.n
     alphas: list[tuple[int, ...]] = []
     for length in range(order + 1):
@@ -491,7 +539,7 @@ def _solve_symmetry_blocks(
     solutions = block_nullspace(
         gens,
         lambda g: (sum(g[0]) - len(g[1]), parity_class(*g)),
-        lambda g: _symbol_rows(bilap, *g, cache),
+        lambda g: rows(*g),
     )
 
     def element(vec: dict) -> DiffOp:
@@ -530,17 +578,20 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     The result is flagged stabilized when raising the coefficient degree
     bound by two adds no solution.  A block of shift s <= degree_bound - order
     already holds every generator of that shift, so only the higher shifts
-    are solved again at the raised bound.
+    are solved again at the raised bound.  The flag compares solution
+    counts only: the number found at the raised bound in those shifts with
+    the number found at ``degree_bound``; it records no per-shift witness
+    and says nothing about bounds beyond degree_bound + 2.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if order < 0 or degree_bound < 0:
         raise ValueError("order and degree_bound must be nonnegative")
-    bilap = bilaplacian(n)
-    cache: dict = {}
-    solved = _solve_symmetry_blocks(bilap, order, degree_bound, -order, cache)
+    space = base_space(n)
+    rows = _symbol_row_builder(bilaplacian(n))
+    solved = _solve_symmetry_blocks(space, rows, order, degree_bound, -order)
     first_open = degree_bound - order + 1
-    raised = _solve_symmetry_blocks(bilap, order, degree_bound + 2, first_open, cache)
+    raised = _solve_symmetry_blocks(space, rows, order, degree_bound + 2, first_open)
     return SymmetryBasis(
         n=n,
         order=order,

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.linsolve import block_nullspace, invert, nullspace, rank
+from bilapsym import linsolve
+from bilapsym.linsolve import PRIME, block_nullspace, invert, nullspace, rank
 
 
 def test_rank_of_identity_columns():
@@ -62,6 +63,86 @@ def test_nullspace_vectors_annihilate(seed):
             for row, val in cols[col].items():
                 combo[row] = combo.get(row, Fraction(0)) + coeff * val
         assert all(v == 0 for v in combo.values())
+
+
+def _exact_nullspace(cols, ncols):
+    """The nullspace by exact elimination alone, without the certificate."""
+    return linsolve._Eliminator(linsolve._to_integer_rows(cols), ncols).nullspace_basis()
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        # determinant PRIME: independent over Q, singular mod PRIME; the
+        # rows have gcd 1, so the integer scaling keeps them as they are
+        [{0: 1, 1: 1}, {1: PRIME}],
+        [{0: 1, 1: 1}, {0: 1, 1: PRIME + 1}],
+        [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: Fraction(1, 2), 1: Fraction(PRIME + 1, 2)}],
+    ],
+    ids=["triangular", "dense", "fractions"],
+)
+def test_singular_mod_prime_falls_back_to_exact(cols, monkeypatch):
+    assert not linsolve._full_column_rank_mod_p(linsolve._to_integer_rows(cols), len(cols))
+    built = []
+    original = linsolve._Eliminator
+
+    def recording(rows, ncols):
+        built.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linsolve, "_Eliminator", recording)
+    assert nullspace(cols) == []
+    assert built == [len(cols)]
+
+
+def test_rows_are_scaled_before_the_certificate(monkeypatch):
+    # the 1x1 matrix [PRIME] is the row [1] after gcd scaling, so the
+    # certificate decides it without exact elimination
+    monkeypatch.setattr(linsolve, "_Eliminator", None)
+    assert linsolve._to_integer_rows([{0: PRIME}]) == [{0: 1}]
+    assert nullspace([{0: PRIME}]) == []
+
+
+def test_full_rank_needs_no_exact_elimination(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("exact elimination ran on a certified block")
+
+    monkeypatch.setattr(linsolve, "_Eliminator", refuse)
+    cols = [
+        {"a": Fraction(1, 2), "b": Fraction(3)},
+        {"b": Fraction(-1), "c": Fraction(5, 7)},
+        {"a": 4, "c": 1, "d": -2},
+    ]
+    assert nullspace(cols) == []
+    assert block_nullspace(range(2), lambda u: u, lambda u: cols[u]) == []
+
+
+def test_fewer_rows_than_columns_is_never_certified(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("certificate consulted with fewer rows than columns")
+
+    monkeypatch.setattr(linsolve, "_full_column_rank_mod_p", refuse)
+    assert nullspace([{0: 1}, {0: 2}]) == [{0: Fraction(-2), 1: Fraction(1)}]
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=150, deadline=None)
+def test_nullspace_equals_exact_elimination(seed):
+    # some columns are integer combinations of the others, so blocks with
+    # at least as many rows as columns are often singular too
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+    entries = [-2, -1, 0, 0, 1, 2, 3, PRIME, -PRIME, 2 * PRIME, PRIME + 1]
+    cols: list[dict] = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.4:
+            combo = [(rng.randint(-2, 2), rng.choice(cols)) for _ in range(2)]
+            col = {r: sum(k * c.get(r, 0) for k, c in combo) for r in range(nrows)}
+        else:
+            col = {r: rng.choice(entries) for r in range(nrows)}
+        cols.append({r: v for r, v in col.items() if v})
+    rng.shuffle(cols)
+    assert nullspace(cols) == _exact_nullspace(cols, ncols)
 
 
 @given(st.integers(0, 2**30))

@@ -8,10 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilapsym import linsolve, symalg
 from bilapsym.ambient import lie_to_ckv, realize_ckt, realize_gckt
-from bilapsym.exactpoly import Polynomial, base_space
+from bilapsym.exactpoly import Polynomial, base_space, exponent_tuples, monomial_from_exponents
 from bilapsym.symalg import (
     LieElement,
     bilaplacian_weight,
@@ -43,7 +45,14 @@ from bilapsym.tensorcalc import (
     bullet_extract,
     tracefree_part,
 )
-from bilapsym.weylop import DiffOp, bilaplacian, compose, is_symmetry, laplacian
+from bilapsym.weylop import (
+    DiffOp,
+    bilaplacian,
+    compose,
+    is_symmetry,
+    laplacian,
+    symbol_division,
+)
 
 # ---------------------------------------------------------------------------
 # reference constructions the library does not need: the grading blocks of
@@ -118,6 +127,18 @@ def killing_form_flat(x: SymTensorField, y: SymTensorField) -> Fraction:
     if not total.is_constant:
         raise ValueError("pairing is not constant; inputs are not conformal")
     return total.constant_value()
+
+
+def symbol_rows_by_division(bilap: DiffOp, m_exps: tuple, alpha: tuple) -> dict:
+    """Rows of the symmetry condition for x^m d^alpha, computed the long
+    way: compose bilap with the generator and keep the remainder of its
+    symbol modulo the symbol of bilap, keyed as ``_operator_column`` keys
+    operator terms."""
+    space = bilap.space
+    mono = monomial_from_exponents(m_exps)
+    gen = DiffOp(space, {alpha: Polynomial(space, {mono: Fraction(1)})})
+    _, remainder = symbol_division(compose(bilap, gen), bilap)
+    return symalg._operator_column(remainder)
 
 
 def _rng_element(n: int, rng: random.Random):
@@ -264,6 +285,36 @@ class TestCompositionIdentity:
 
 
 class TestEnumerator:
+    @given(
+        st.sampled_from([3, 4, 5]),
+        st.integers(0, 4),
+        st.integers(0, 8),
+        st.integers(0, 2**30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_rows_match_division(self, n, order, degree, seed):
+        rng = random.Random(seed)
+        alpha = tuple(sorted(rng.randint(1, n) for _ in range(order)))
+        m_exps = [0] * n
+        for _ in range(degree):
+            m_exps[rng.randrange(n)] += 1
+        m_exps = tuple(m_exps)
+        bilap = bilaplacian(n)
+        got = symalg._symbol_row_builder(bilap)(m_exps, alpha)
+        assert got == symbol_rows_by_division(bilap, m_exps, alpha)
+        assert all(type(v) is int and v for v in got.values())
+
+    def test_closed_form_rows_on_enumerated_generators(self):
+        # every generator of enumerate_symmetries(3, 2, 4), at the raised bound
+        bilap = bilaplacian(3)
+        rows = symalg._symbol_row_builder(bilap)
+        alphas = [(), (1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+        for degree in range(7):
+            for m_exps in exponent_tuples(3, degree):
+                for alpha in alphas:
+                    expected = symbol_rows_by_division(bilap, m_exps, alpha)
+                    assert rows(m_exps, alpha) == expected, (m_exps, alpha)
+
     def test_first_order_count(self):
         basis = enumerate_symmetries(3, 1, 2)
         assert basis.dimension == 11
