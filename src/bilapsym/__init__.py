@@ -17,7 +17,7 @@ from .exactpoly import (
     parse_rational,
     rat,
 )
-from .linsolve import invert, nullspace, rank
+from .linsolve import nullspace, rank
 from .tensorcalc import (
     GGDecomposition,
     PairSkewTensor,

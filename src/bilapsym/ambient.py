@@ -242,12 +242,10 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
     space = ambient_space(n)
 
     def corrections():
-        for b in ambient_indices(n):
-            mono = Monomial.of_indices([ambient_lower(n, b)])
-            for r in ambient_indices(n):
-                total = sum(x.get((b, q, ambient_lower(n, q), r)) for q in ambient_indices(n))
-                if total:
-                    yield Monomial.of_indices([r]), Polynomial(space, {mono: total})
+        for (b, q, c, r), val in x.ordered_entries():
+            if c == ambient_lower(n, q):
+                mono = Monomial.of_indices([ambient_lower(n, b)])
+                yield Monomial.of_indices([r]), Polynomial(space, {mono: val})
 
     return DiffOp._collect(space, itertools.chain(ambient_op_V(x).terms.items(), corrections()))
 

@@ -2,11 +2,10 @@
 
 Implements fraction-free Gauss-Jordan elimination on sparse integer rows
 (cross-multiplication plus gcd reduction), exposing exact nullspace bases,
-block-by-block nullspaces of graded systems, ranks, and small dense
-inverses.  Nullspace bases are normalized
-reduced-row-echelon style: each basis vector carries coefficient 1 at its
-free column and zeros at all other free columns, so output is deterministic
-for a fixed column order.
+block-by-block nullspaces of graded systems and ranks.  Nullspace bases are
+normalized reduced-row-echelon style: each basis vector carries coefficient
+1 at its free column and zeros at all other free columns, so output is
+deterministic for a fixed column order.
 
 ``nullspace`` first tries a modular certificate of emptiness: an integer
 matrix of full column rank modulo a prime p has a maximal minor that is
@@ -233,24 +232,3 @@ def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = Non
         ncols = len(columns)
     return _Eliminator(_to_integer_rows(columns), ncols).rank
 
-
-def invert(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Exact inverse of a small dense square matrix (Gauss-Jordan)."""
-    m = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(m)]
-        + [Fraction(1 if j == i else 0) for j in range(m)]
-        for i in range(m)
-    ]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]

@@ -299,6 +299,7 @@ class CompositionReport:
     holds: bool
     lhs: DiffOp
     rhs: DiffOp
+    summands: DiffOp  # D_cartan + D_bullet + (1/2) D_bracket, rhs without the scalar
     scalar_coefficient: Fraction
 
 
@@ -320,14 +321,12 @@ def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> Compo
     br = lie_to_ckv(bracket(u, v))
     pairing = killing_form(u, v)
     c_scalar = w * (n + w) / (n * (n + 1) * (n + 2)) * pairing
-    rhs = (
-        canonical_DV(cart, w)
-        + canonical_DW(bull, w)
-        + canonical_DV(br, w) * Fraction(1, 2)
-        + DiffOp.identity(base_space(n)) * c_scalar
+    summands = (
+        canonical_DV(cart, w) + canonical_DW(bull, w) + canonical_DV(br, w) * Fraction(1, 2)
     )
+    rhs = summands + DiffOp.identity(base_space(n)) * c_scalar
     return CompositionReport(
-        holds=(lhs == rhs), lhs=lhs, rhs=rhs, scalar_coefficient=c_scalar
+        holds=(lhs == rhs), lhs=lhs, rhs=rhs, summands=summands, scalar_coefficient=c_scalar
     )
 
 

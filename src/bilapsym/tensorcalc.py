@@ -4,13 +4,14 @@ Base-space tensors (``SymTensorField``) carry polynomial components indexed
 by nondecreasing multi-indices over 1..n; the flat metric is the identity.
 Constant ambient tensors use indices 0..n+1, where the ambient metric pairs
 0 with n+1 (the null directions) and is the identity on 1..n — so raising
-and lowering is the index involution 0 <-> n+1.  Trace-free projections are
-computed by solving a small exact linear system, one implementation for both
-metrics.  ``PairSkewTensor`` stores constant ambient tensors that are skew
-in each of k index pairs (optionally with a trailing symmetric pair), one
-canonical representative per sign orbit; ``PairSkewTensor.project`` builds
-one from the nonzero entries of an unsymmetrized tensor.  ``decompose_gg``
-splits a two-pair tensor into its six invariant summands.
+and lowering is the index involution 0 <-> n+1.  Trace-free projections
+use the closed form in powers of the metric and of the trace, one
+implementation for both metrics.  ``PairSkewTensor`` stores constant ambient
+tensors that are skew in each of k index pairs (optionally with a trailing
+symmetric pair), one canonical representative per sign orbit;
+``PairSkewTensor.project`` builds one from the nonzero entries of an
+unsymmetrized tensor.  ``decompose_gg`` splits a two-pair tensor into its
+six invariant summands.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -33,7 +33,6 @@ from .exactpoly import (
     rat,
     rational_from_json,
 )
-from .linsolve import invert
 
 MultiIndex = tuple[int, ...]
 
@@ -82,6 +81,11 @@ def pair_orbit(key: MultiIndex, pair_count: int) -> Iterator[tuple[MultiIndex, i
                 arranged[2 * i], arranged[2 * i + 1] = arranged[2 * i + 1], arranged[2 * i]
                 sign = -sign
         yield tuple(arranged), sign
+
+
+def _key_from_json(text: str) -> MultiIndex:
+    """The multi-index of a JSON component key; "" is the empty index."""
+    return tuple(int(i) for i in text.split(",")) if text else ()
 
 
 # ---------------------------------------------------------------------------
@@ -152,58 +156,35 @@ def _metric_components(n: int, kind: str) -> dict[MultiIndex, Fraction]:
     return comps
 
 
-@lru_cache(maxsize=None)
-def _tracefree_solver(n: int, kind: str, valency: int):
-    """Inverse of A -> trace(g (.) A) on symmetric (valency-2)-tensors."""
-    indices = base_indices(n) if kind == "base" else ambient_indices(n)
-    lower = (lambda a: a) if kind == "base" else (lambda a: ambient_lower(n, a))
-    g = _metric_components(n, kind)
-    basis = nondecreasing_tuples(indices, valency - 2)
-    pos = {key: i for i, key in enumerate(basis)}
-    cols = []
-    for key in basis:
-        unit = {key: Fraction(1)}
-        image = _trace_components(
-            _sym_outer_components(g, 2, unit, valency - 2, indices), valency, indices, lower
-        )
-        cols.append(image)
-    matrix = [
-        [Fraction(cols[j].get(basis[i], 0)) for j in range(len(basis))]
-        for i in range(len(basis))
-    ]
-    return basis, pos, tuple(tuple(row) for row in invert(matrix))
-
-
-def _trace_preimage(
-    trace: Mapping[MultiIndex, object], valency: int, n: int, kind: str
-) -> dict[MultiIndex, object]:
-    """The symmetric (valency-2)-tensor A with trace(g (.) A) = trace."""
-    basis, pos, inv = _tracefree_solver(n, kind, valency)
-    return collect(
-        (key_j, val * coef)
-        for j, key_j in enumerate(basis)
-        for key_k, val in trace.items()
-        if (coef := inv[j][pos[key_k]])
-    )
-
-
 def _tracefree_components(
     comps: Mapping[MultiIndex, object],
     valency: int,
     n: int,
     kind: str,
 ) -> dict[MultiIndex, object]:
-    if valency < 2:
-        return dict(comps)
+    """The trace-free part sum_k c_k g^k (.) tr^k T of a symmetric s-tensor T
+    in dimension N, with c_0 = 1 and
+    c_k / c_{k-1} = -(s-2k+2)(s-2k+1) / (2k (N+2s-2-2k)).
+
+    T = TF(T) + g (.) A splits T uniquely for N >= 3, and every denominator
+    N+2s-2-2k >= N-2 is positive, so the closed form is exact.
+    """
     indices = base_indices(n) if kind == "base" else ambient_indices(n)
     lower = (lambda a: a) if kind == "base" else (lambda a: ambient_lower(n, a))
-    tr = _trace_components(comps, valency, indices, lower)
-    if not tr:
-        return dict(comps)
-    correction = _trace_preimage(tr, valency, n, kind)
     g = _metric_components(n, kind)
-    g_corr = _sym_outer_components(g, 2, correction, valency - 2, indices)
-    return collect(itertools.chain(comps.items(), ((k, -v) for k, v in g_corr.items())))
+    s, dim = valency, len(indices)
+    terms = [comps.items()]
+    trace, g_power, coeff = comps, {(): Fraction(1)}, Fraction(1)
+    for k in range(1, s // 2 + 1):
+        trace = _trace_components(trace, s - 2 * k + 2, indices, lower)
+        if not trace:
+            break
+        coeff *= Fraction(-(s - 2 * k + 2) * (s - 2 * k + 1), 2 * k * (dim + 2 * s - 2 - 2 * k))
+        g_power = _sym_outer_components(g, 2, g_power, 2 * k - 2, indices)
+        # scaling the trace first costs one product per trace entry
+        scaled = {key: val * coeff for key, val in trace.items()}
+        terms.append(_sym_outer_components(g_power, 2 * k, scaled, s - 2 * k, indices).items())
+    return collect(itertools.chain.from_iterable(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +264,7 @@ class SymTensorField(LinearCombination):
         n = data["n"]
         space = base_space(n)
         comps = {
-            tuple(int(i) for i in key.split(",")) if key else (): Polynomial.from_json_obj(
-                space, val
-            )
+            _key_from_json(key): Polynomial.from_json_obj(space, val)
             for key, val in data["components"].items()
         }
         return cls(n, data["valency"], comps)
@@ -536,7 +515,7 @@ class PairSkewTensor(LinearCombination):
     @classmethod
     def from_json_obj(cls, data: dict) -> "PairSkewTensor":
         comps = {
-            tuple(int(i) for i in key.split(",")): rational_from_json(val)
+            _key_from_json(key): rational_from_json(val)
             for key, val in data["components"].items()
         }
         return cls(data["n"], data["pair_count"], data["tail_valency"], comps)
@@ -637,10 +616,14 @@ def scalar_embed(value: Rational, n: int) -> PairSkewTensor:
 def scalar_extract(x: PairSkewTensor) -> Fraction:
     """Double trace, normalized so scalar_extract(scalar_embed(v)) = v."""
     n = x.n
-    total = Fraction(0)
-    for b in ambient_indices(n):
-        for q in ambient_indices(n):
-            total += x.get((b, q, ambient_lower(n, b), ambient_lower(n, q)))
+    total = sum(
+        (
+            val
+            for (b, q, c, r), val in x.ordered_entries()
+            if c == ambient_lower(n, b) and r == ambient_lower(n, q)
+        ),
+        Fraction(0),
+    )
     return -n * total
 
 
@@ -681,22 +664,17 @@ def bullet_embed(w: PairSkewTensor) -> PairSkewTensor:
 
 
 def bullet_extract(x: PairSkewTensor) -> PairSkewTensor:
-    """Second-slot trace, symmetrized and trace-freed; inverts bullet_embed."""
+    """Second-slot trace, symmetrized and trace-freed; inverts bullet_embed.
+
+    Before symmetrizing, the component at (B, C) is X^{BQC}_Q.
+    """
     n = x.n
-    raw: dict[MultiIndex, Fraction] = {}
-    for b in ambient_indices(n):
-        for c in ambient_indices(n):
-            total = Fraction(0)
-            for q in ambient_indices(n):
-                total += x.get((b, q, c, ambient_lower(n, q)))
-            if total != 0:
-                raw[(b, c)] = total
-    sym: dict[MultiIndex, Fraction] = {}
-    for key in nondecreasing_tuples(ambient_indices(n), 2):
-        b, c = key
-        val = (raw.get((b, c), Fraction(0)) + raw.get((c, b), Fraction(0))) / 2
-        if val != 0:
-            sym[key] = val
+    traced = collect(
+        ((b, c), val)
+        for (b, q, c, r), val in x.ordered_entries()
+        if r == ambient_lower(n, q)
+    )
+    sym = _symmetrize_components(traced, 2)
     tensor = SymAmbientTensor(n, 2, sym).tracefree_part() * Fraction(1, n)
     return PairSkewTensor(n, 0, 2, dict(tensor.components))
 

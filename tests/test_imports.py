@@ -1,19 +1,24 @@
-"""Every imported name is used.
+"""Every imported name is used, and the library imports only the standard
+library.
 
 Each module of the library (except the package ``__init__``, whose imports
 are its exports) and of the tests is parsed with ``ast``; a name that an
 import statement binds but the module never references is dead weight that
-keeps a removed function looking used.
+keeps a removed function looking used.  Every library module, ``__init__``
+included, may import only relative modules and those of
+``sys.stdlib_module_names``: the package declares no dependencies.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "bilapsym").glob("*.py"), key=lambda p: p.name)
 MODULES = sorted(
     [p for p in (ROOT / "src" / "bilapsym").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
@@ -47,3 +52,24 @@ def test_scan_finds_an_unused_name():
 )
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def nonstandard_imports(source: str) -> list[str]:
+    """Top-level modules of absolute imports outside the standard library."""
+    tops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return sorted(tops - sys.stdlib_module_names)
+
+
+def test_scan_finds_a_nonstandard_module():
+    source = "import os.path\nimport numpy as np\nfrom .exactpoly import rat\nfrom sympy import S\n"
+    assert nonstandard_imports(source) == ["numpy", "sympy"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_library_imports_only_the_standard_library(path):
+    assert nonstandard_imports(path.read_text(encoding="utf-8")) == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilapsym import linsolve
-from bilapsym.linsolve import PRIME, block_nullspace, invert, nullspace, rank
+from bilapsym.linsolve import PRIME, block_nullspace, nullspace, rank
 
 
 def test_rank_of_identity_columns():
@@ -177,31 +177,3 @@ def test_block_nullspace_matches_per_block_nullspace(seed):
             for row, val in columns[u].items():
                 combo[row] = combo.get(row, Fraction(0)) + coeff * val
         assert all(v == 0 for v in combo.values())
-
-
-@given(st.integers(0, 2**30))
-@settings(max_examples=25, deadline=None)
-def test_invert_round_trip(seed):
-    rng = random.Random(seed)
-    size = rng.randint(1, 5)
-    while True:
-        mat = [
-            [Fraction(rng.randint(-5, 5)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        cols = [
-            {r: mat[r][c] for r in range(size) if mat[r][c]} for c in range(size)
-        ]
-        if rank(cols, size) == size:
-            break
-    inv = invert(mat)
-    for i in range(size):
-        for j in range(size):
-            entry = sum(mat[i][k] * inv[k][j] for k in range(size))
-            assert entry == (1 if i == j else 0)
-
-
-def test_invert_rejects_singular():
-    mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(ValueError):
-        invert(mat)

@@ -6,12 +6,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.exactpoly import Monomial, Polynomial, base_space, rat
+from bilapsym.ambient import ambient_op_gg, ambient_op_V
+from bilapsym.exactpoly import Monomial, Polynomial, ambient_space, base_space, rat
 from bilapsym.linsolve import rank
 from bilapsym.tensorcalc import (
     PairSkewTensor,
@@ -51,6 +53,7 @@ from bilapsym.symalg import (
     special_conformal_element,
     translation_element,
 )
+from bilapsym.weylop import DiffOp
 
 N = 3
 SPACE = base_space(N)
@@ -473,3 +476,165 @@ def test_scalar_and_bullet_embeds_match_reference(n, data):
     assert dict(w.ordered_entries()) == {
         key: w.get(key) for key in all_ordered_keys(n, 2) if w.get(key)
     }
+
+
+# ---------------------------------------------------------------------------
+# the sparse traces against the dense loops over ambient indices
+
+
+def dense_scalar_extract(x):
+    """Reference for ``scalar_extract``: the double trace summed over every
+    pair of ambient indices."""
+    n = x.n
+    total = Fraction(0)
+    for b in ambient_indices(n):
+        for q in ambient_indices(n):
+            total += x.get((b, q, ambient_lower(n, b), ambient_lower(n, q)))
+    return -n * total
+
+
+def dense_bullet_extract(x):
+    """Reference for ``bullet_extract``: the second-slot trace at every
+    ordered (B, C), symmetrized by hand."""
+    n = x.n
+    raw = {}
+    for b in ambient_indices(n):
+        for c in ambient_indices(n):
+            total = Fraction(0)
+            for q in ambient_indices(n):
+                total += x.get((b, q, c, ambient_lower(n, q)))
+            if total != 0:
+                raw[(b, c)] = total
+    sym = {}
+    for key in nondecreasing_tuples(ambient_indices(n), 2):
+        b, c = key
+        val = (raw.get((b, c), Fraction(0)) + raw.get((c, b), Fraction(0))) / 2
+        if val != 0:
+            sym[key] = val
+    tensor = SymAmbientTensor(n, 2, sym).tracefree_part() * Fraction(1, n)
+    return PairSkewTensor(n, 0, 2, dict(tensor.components))
+
+
+def dense_ambient_op_gg(x):
+    """Reference for ``ambient_op_gg``: the internal-trace correction summed
+    at every (B, R) over every Q."""
+    n = x.n
+    space = ambient_space(n)
+    op = ambient_op_V(x)
+    for b in ambient_indices(n):
+        mono = Monomial.of_indices([ambient_lower(n, b)])
+        for r in ambient_indices(n):
+            total = sum(x.get((b, q, ambient_lower(n, q), r)) for q in ambient_indices(n))
+            if total:
+                op = op + DiffOp(space, {(r,): Polynomial(space, {mono: total})})
+    return op
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_traces_match_dense_reference(n, data):
+    # the embedded summands give each trace a nonzero part
+    x = (
+        data.draw(pair_skew_tensors(n, 2))
+        + scalar_embed(data.draw(rationals), n)
+        + adjoint_embed(data.draw(pair_skew_tensors(n, 1)))
+        + bullet_embed(data.draw(pair_skew_tensors(n, 0, 2)))
+    )
+    scalar = scalar_extract(x)
+    assert type(scalar) is Fraction and scalar == dense_scalar_extract(x)
+    assert bullet_extract(x) == dense_bullet_extract(x)
+    assert ambient_op_gg(x) == dense_ambient_op_gg(x)
+
+
+# ---------------------------------------------------------------------------
+# the trace-free projection, characterized without reference to how it is
+# computed: Sym^s = (trace-free) + g (.) Sym^(s-2), and the projection is the
+# linear map that fixes the first summand and kills the second
+
+
+def sym_tensors(kind, n, valency):
+    """Random sparse symmetric tensors: constant ambient ones, or base
+    fields with affine polynomial components."""
+    if kind == "ambient":
+        keys = nondecreasing_tuples(ambient_indices(n), valency)
+        return st.dictionaries(st.sampled_from(keys), rationals, max_size=5).map(
+            lambda comps: SymAmbientTensor(n, valency, comps)
+        )
+    space = base_space(n)
+    monos = [Monomial(())] + [Monomial(((v, 1),)) for v in range(1, n + 1)]
+    polys = st.dictionaries(st.sampled_from(monos), rationals, max_size=2).map(
+        lambda terms: Polynomial(space, terms)
+    )
+    keys = nondecreasing_tuples(range(1, n + 1), valency)
+    return st.dictionaries(st.sampled_from(keys), polys, max_size=5).map(
+        lambda comps: SymTensorField(n, valency, comps)
+    )
+
+
+def tracefree_tensor(kind, n, valency, data):
+    """A trace-free tensor built from null vectors: a power v^s of a rational
+    ambient null vector, or p Re/Im (e_a + i e_b)^s for a base field with
+    polynomial factor p (the components of v^s at a key are products of the
+    components of v)."""
+    if kind == "ambient":
+        base = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        v0 = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        v = [Fraction(v0)] + [Fraction(c) for c in base] + [
+            Fraction(-sum(c * c for c in base), 2 * v0)
+        ]
+        keys = nondecreasing_tuples(ambient_indices(n), valency)
+        return SymAmbientTensor(
+            n, valency, {key: prod((v[i] for i in key), start=Fraction(1)) for key in keys}
+        )
+    a, b = data.draw(st.permutations(range(1, n + 1)))[:2]
+    monos = [Monomial(())] + [Monomial(((v, 1),)) for v in range(1, n + 1)]
+    terms = st.dictionaries(st.sampled_from(monos), rationals.filter(bool), min_size=1, max_size=2)
+    p = Polynomial(base_space(n), data.draw(terms))
+    real = valency == 0 or data.draw(st.booleans())
+    powers = [1, 1j, -1, -1j]
+    comps = {}
+    for j in range(valency + 1):
+        z = powers[j % 4]
+        coeff = z.real if real else z.imag
+        if coeff:
+            comps[tuple(sorted((a,) * (valency - j) + (b,) * j))] = p * Fraction(int(coeff))
+    return SymTensorField(n, valency, comps)
+
+
+@pytest.mark.parametrize("kind", ["base", "ambient"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("valency", range(7))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_tracefree_projection_characterized(kind, n, valency, data):
+    if kind == "base":
+        project, metric_times = tracefree_part, lambda a: sym_outer(metric_tensor(n), a)
+    else:
+        project, metric_times = SymAmbientTensor.tracefree_part, ambient_metric_sym(n).sym_outer
+    t = data.draw(sym_tensors(kind, n, valency))
+    other = data.draw(sym_tensors(kind, n, valency))
+    c = data.draw(rationals)
+    assert project(t).is_tracefree()
+    assert project(t + other * c) == project(t) + project(other) * c
+    h = tracefree_tensor(kind, n, valency, data)
+    assert h.is_tracefree() and not h.is_zero
+    assert project(h) == h
+    if valency >= 2:
+        a = data.draw(sym_tensors(kind, n, valency - 2))
+        assert project(metric_times(a)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# JSON round trips
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_json_round_trips(n, data):
+    t = data.draw(sym_tensors("base", n, data.draw(st.integers(0, 3))))
+    assert SymTensorField.from_json_obj(t.to_json_obj()) == t
+    tail = data.draw(st.sampled_from([0, 2]))
+    x = data.draw(pair_skew_tensors(n, data.draw(st.integers(0, 2)), tail))
+    assert PairSkewTensor.from_json_obj(x.to_json_obj()) == x
