@@ -47,22 +47,27 @@ def digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# (solver, arguments, stabilized, digest); solve_gckt(3, 2, 4) finds new
+# solutions above its bound, so it pins an unstabilized basis.
 GOLDEN = [
-    (solve_ckt, (3, 1, 2), "5c2b01bcc9e4c7788b8b04f248f3d81aa1a8fb2a12f976ef65d862f4e4c45931"),
-    (solve_ckt, (3, 2, 4), "4b1a619752dcbdfc5598a73b7b25c16e093bceacd48f35b4f4342c9c16c9ccc2"),
-    (solve_gckt, (3, 0, 4), "7afcd0882b5eb0f66eadab551246aed94e347c8ff979b4c2ae79beaebf0eec45"),
-    (enumerate_symmetries, (3, 1, 2), "b82939edda5282d56e02c16b1ffaa38d855535edecad3c52bd2e3905d6bc9d8a"),
+    (solve_ckt, (3, 1, 2), True, "5c2b01bcc9e4c7788b8b04f248f3d81aa1a8fb2a12f976ef65d862f4e4c45931"),
+    (solve_ckt, (3, 2, 4), True, "4b1a619752dcbdfc5598a73b7b25c16e093bceacd48f35b4f4342c9c16c9ccc2"),
+    (solve_ckt, (3, 3, 6), True, "8640e1eb274a09ed3b870ae240d84e623fb44a08316195e8f9da68a32a2ef4f5"),
+    (solve_ckt, (5, 2, 4), True, "4313d7e79825a3fc7a8cea0b9edac03667838bf314fac59ad1a1d77c9fa33bdf"),
+    (solve_gckt, (3, 0, 4), True, "7afcd0882b5eb0f66eadab551246aed94e347c8ff979b4c2ae79beaebf0eec45"),
+    (solve_gckt, (3, 2, 4), False, "2d49f2598ce51b3826e985fadfeecac29f3e495479f4642b9f6d3d9de2f22a59"),
+    (enumerate_symmetries, (3, 1, 2), True, "b82939edda5282d56e02c16b1ffaa38d855535edecad3c52bd2e3905d6bc9d8a"),
 ]
 
 
 @pytest.mark.parametrize(
-    "solver, args, expected",
+    "solver, args, stabilized, expected",
     GOLDEN,
-    ids=[f"{fn.__name__}{args}" for fn, args, _ in GOLDEN],
+    ids=[f"{fn.__name__}{args}" for fn, args, _, _ in GOLDEN],
 )
-def test_basis_digest(solver, args, expected):
+def test_basis_digest(solver, args, stabilized, expected):
     basis = solver(*args)
-    assert basis.stabilized
+    assert basis.stabilized is stabilized
     assert digest(basis) == expected
 
 
