@@ -8,12 +8,16 @@ coefficients and homogeneous in polynomial degree, so the solution space
 splits into independent blocks by (degree, per-variable parity); each block
 is a small exact nullspace computation.  Degrees above the stated bound are
 probed for emptiness, which is reported as stabilization.
+Columns are built in closed form from constant tensors, one per (component,
+derivative of the residual's order), computed once per component per solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, perm, prod
+from operator import gt, sub
 
 from .exactpoly import (
     Polynomial,
@@ -95,12 +99,58 @@ def gckt_residual(w: SymTensorField) -> SymTensorField:
 TRACEFREE_FROM_VALENCY = 2
 
 
-def _tensor_rows(t: SymTensorField, tag: str) -> dict:
-    return {
-        (tag, key, mono): coeff
-        for key, poly in t.components.items()
-        for mono, coeff in poly.terms.items()
-    }
+def _residual_column_builder(n: int, valency: int, residual_fn):
+    """The residual and trace rows of one unknown (key, exponents) at a time.
+
+    The residual R is linear with constant coefficients and homogeneous of
+    order r (its valency minus the input's): R(e_K p) is a sum over
+    |gamma| = r of d^gamma p times a constant tensor.  Since
+    d^gamma' x^gamma = gamma! when gamma' = gamma and 0 otherwise, that
+    tensor is C[K, gamma] = R(e_K x^gamma) / gamma!, and
+
+        R(e_K x^m) = sum_{gamma <= m} m!/(m-gamma)! x^(m-gamma) C[K, gamma];
+
+    the trace rows are tr(e_K) x^m.  C[K, .] and tr(e_K) are built on the
+    first use of K.  Rows are keyed (tag "r" or "t", multi-index, exponents).
+    """
+    space = base_space(n)
+    r = residual_fn(SymTensorField(n, valency)).valency - valency
+    gammas = exponent_tuples(n, r)
+    table: dict[MultiIndex, tuple[list, dict]] = {}
+
+    def constants(key: MultiIndex) -> tuple[list, dict]:
+        def unit(exps) -> SymTensorField:
+            mono = monomial_from_exponents(exps)
+            return SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
+
+        parts = []
+        for gamma in gammas:
+            scale = Fraction(1, prod(map(factorial, gamma)))
+            comps = residual_fn(unit(gamma)).components
+            parts.append((gamma, {k: p.constant_value() * scale for k, p in comps.items()}))
+        trace = {}
+        if valency >= TRACEFREE_FROM_VALENCY:
+            comps = metric_trace(unit((0,) * n)).components
+            trace = {k: p.constant_value() for k, p in comps.items()}
+        return parts, trace
+
+    def column(unknown) -> dict:
+        key, exps = unknown
+        if key not in table:
+            table[key] = constants(key)
+        parts, trace = table[key]
+        pairs = []
+        for gamma, const in parts:
+            if any(map(gt, gamma, exps)):
+                continue
+            weight = prod(map(perm, exps, gamma))
+            rest = tuple(map(sub, exps, gamma))
+            pairs.extend((("r", k, rest), c * weight) for k, c in const.items())
+        col = collect(pairs)
+        col.update((("t", k, exps), c) for k, c in trace.items())
+        return col
+
+    return column
 
 
 @dataclass(frozen=True)
@@ -131,15 +181,7 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
     space = base_space(n)
-
-    def column(unknown) -> dict:
-        key, exps = unknown
-        mono = monomial_from_exponents(exps)
-        unit = SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
-        col = _tensor_rows(residual_fn(unit), "r")
-        if valency >= TRACEFREE_FROM_VALENCY:
-            col.update(_tensor_rows(metric_trace(unit), "t"))
-        return col
+    column = _residual_column_builder(n, valency, residual_fn)
 
     def solve(degrees):
         unknowns = [

@@ -427,6 +427,8 @@ class Polynomial(LinearCombination):
 
     @classmethod
     def variable(cls, space: VarSpace, v: int, exponent: Exponent = 1) -> "Polynomial":
+        if not space.contains(v):  # before a monomial of v + 1 slots is built
+            raise ValueError(f"variable {v} not in {space}")
         return cls(space, {Monomial([(v, exponent)]): Fraction(1)})
 
     # -- predicates --------------------------------------------------------

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from bilapsym.cktsolve import (
+    TRACEFREE_FROM_VALENCY,
+    _residual_column_builder,
     ckt_residual,
     divergence,
     gckt_residual,
@@ -17,9 +19,69 @@ from bilapsym.cktsolve import (
     sym_gradient,
     verify_lemma_hilf,
 )
-from bilapsym.exactpoly import Polynomial, base_space
+from bilapsym.exactpoly import (
+    Polynomial,
+    base_space,
+    exponent_tuples,
+    monomial_from_exponents,
+)
 from bilapsym.symalg import lie_to_ckv, so_basis, special_conformal_element
-from bilapsym.tensorcalc import SymTensorField
+from bilapsym.tensorcalc import (
+    SymTensorField,
+    base_indices,
+    metric_trace,
+    nondecreasing_tuples,
+)
+
+
+def column_by_residual(n, valency, residual_fn):
+    """Reference column of the unknown (key, exps): the residual and the
+    metric trace of the unit tensor e_key x^exps, each entry keyed by its
+    tag, component and exponent tuple."""
+    space = base_space(n)
+
+    def rows(t, tag):
+        return {
+            (tag, key, tuple(mono.exponent(v) for v in base_indices(n))): coeff
+            for key, poly in t.components.items()
+            for mono, coeff in poly.terms.items()
+        }
+
+    def column(unknown):
+        key, exps = unknown
+        mono = monomial_from_exponents(exps)
+        unit = SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
+        col = rows(residual_fn(unit), "r")
+        if valency >= TRACEFREE_FROM_VALENCY:
+            col.update(rows(metric_trace(unit), "t"))
+        return col
+
+    return column
+
+
+# (residual, valency, n, top degree); the GCKT residual has order three, so
+# its columns are the ones whose weights m!/(m-gamma)! / gamma! differ from
+# binomials and from unscaled falling factorials
+COLUMN_CASES = [
+    (residual, valency, n, 5 if n < 5 else 3)
+    for residual, valencies in ((ckt_residual, (1, 2, 3)), (gckt_residual, (0, 1, 2)))
+    for valency in valencies
+    for n in (3, 4, 5)
+]
+
+
+@pytest.mark.parametrize(
+    "residual, valency, n, top",
+    COLUMN_CASES,
+    ids=[f"{r.__name__}-s{s}-n{n}" for r, s, n, _ in COLUMN_CASES],
+)
+def test_closed_form_columns_match_residual(residual, valency, n, top):
+    closed = _residual_column_builder(n, valency, residual)
+    reference = column_by_residual(n, valency, residual)
+    for d in range(top + 1):
+        for key in nondecreasing_tuples(base_indices(n), valency):
+            for exps in exponent_tuples(n, d):
+                assert closed((key, exps)) == reference((key, exps)), (key, exps)
 
 
 class TestResiduals:
@@ -94,6 +156,14 @@ class TestDimensions:
                 + solve_gckt(n, 0, 4).dimension
             )
             assert total == second_order_symmetry_dimension(n)
+
+    def test_so5_irreducible_dimensions(self):
+        # at n = 3 the rank-s solutions form the so(5) irrep of highest
+        # weight (s, s), of dimension (2s+3)(2s+1)(s+1)/3
+        for s, expected in ((1, 10), (2, 35), (3, 84)):
+            basis = solve_ckt(3, s, 2 * s)
+            assert basis.stabilized
+            assert basis.dimension == (2 * s + 3) * (2 * s + 1) * (s + 1) // 3 == expected
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,26 @@ class TestMonomial:
         m = Monomial(((1, 1),)) * Monomial(((1, 2), (2, 1)))
         assert m.exponent(1) == 3
         assert m.exponent(2) == 1
+
+
+class TestVariable:
+    def test_outside_the_space_raises(self):
+        for v in (0, 4, -1):
+            with pytest.raises(ValueError):
+                Polynomial.variable(SPACE, v)
+        assert Polynomial.variable(AMB, 0, Fraction(-1, 2)).terms == {
+            Monomial(((0, Fraction(-1, 2)),)): 1
+        }
+
+    def test_large_index_allocates_little(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                Polynomial.variable(SPACE, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 
