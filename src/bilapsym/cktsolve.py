@@ -6,8 +6,10 @@ solves the order-three variant when the trace-free part of its triply
 symmetrized gradient vanishes.  Both equations are linear with constant
 coefficients and homogeneous in polynomial degree, so the solution space
 splits into independent blocks by (degree, per-variable parity); each block
-is a small exact nullspace computation.  Degrees above the stated bound are
-probed for emptiness, which is reported as stabilization.
+is a small exact nullspace computation.  Because the equations have constant
+coefficients, d_i maps solutions of degree d + 1 to solutions of degree d,
+and a nonconstant polynomial has a nonzero d_i; so one empty degree proves
+every higher degree empty.  That proof is reported as stabilization.
 Columns are built in closed form from constant tensors, one per (component,
 derivative of the residual's order), computed once per component per solve.
 """
@@ -203,7 +205,10 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
         fields = {key: Polynomial(space, terms) for key, terms in comps.items()}
         elements.append(SymTensorField(n, valency, fields))
         degrees.append(d)
-    stabilized = all(not solve([d]) for d in (degree_bound + 1, degree_bound + 2))
+    # an empty degree proves every higher degree empty (module docstring);
+    # the degrees found lie in 0 .. degree_bound
+    empty_degree = len(set(degrees)) <= degree_bound
+    stabilized = empty_degree or not solve([degree_bound + 1])
     return SolutionBasis(
         n=n,
         valency=valency,
@@ -217,8 +222,12 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
 def solve_ckt(n: int, s: int, degree_bound: int) -> SolutionBasis:
     """Exact basis of trace-free symmetric s-tensors killed by ckt_residual.
 
-    Solutions of polynomial degree <= degree_bound, degree by degree; the
-    next two degrees are checked to be empty (``stabilized``).
+    Solutions of polynomial degree <= degree_bound, degree by degree.
+    ``stabilized`` is True exactly when no solution of higher degree
+    exists.  The witness is an empty degree: the first empty degree in
+    0 .. degree_bound when there is one, with no further solve; otherwise
+    degree_bound + 1, solved once, whose emptiness is the flag (a solution
+    there makes the flag False, exactly).
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -226,7 +235,8 @@ def solve_ckt(n: int, s: int, degree_bound: int) -> SolutionBasis:
 
 
 def solve_gckt(n: int, t: int, degree_bound: int) -> SolutionBasis:
-    """Exact basis of valency-t tensors killed by gckt_residual."""
+    """Exact basis of valency-t tensors killed by gckt_residual, with
+    ``stabilized`` proved as in ``solve_ckt``."""
     if t < 0:
         raise ValueError("t must be >= 0")
     return _solve_graded(n, t, degree_bound, gckt_residual)

@@ -7,11 +7,11 @@ normalized reduced-row-echelon style: each basis vector carries coefficient
 1 at its free column and zeros at all other free columns, so output is
 deterministic for a fixed column order.
 
-``nullspace`` first tries a modular certificate of emptiness: an integer
-matrix of full column rank modulo a prime p has a maximal minor that is
-nonzero mod p, hence nonzero over the integers, so its nullspace is zero.
-Only when the rank drops modulo p (the nullspace is nonzero, or p divides
-every maximal minor) does the exact elimination run.
+``nullspace`` and ``rank`` first try a modular certificate of full column
+rank: an integer matrix of full column rank modulo a prime p has a maximal
+minor that is nonzero mod p, hence nonzero over the integers, so its
+nullspace is zero.  Only when the rank drops modulo p (the nullspace is
+nonzero, or p divides every maximal minor) does the exact elimination run.
 """
 
 from __future__ import annotations
@@ -227,8 +227,15 @@ def block_nullspace(
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = None) -> int:
-    """Exact rank of the linear map with the given columns."""
+    """Exact rank of the linear map with the given columns.
+
+    Full column rank modulo ``PRIME`` is returned without exact
+    elimination: the rank modulo a prime never exceeds the rank over Q.
+    """
     if ncols is None:
         ncols = len(columns)
-    return _Eliminator(_to_integer_rows(columns), ncols).rank
+    rows = _to_integer_rows(columns)
+    if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
+        return ncols
+    return _Eliminator(rows, ncols).rank
 

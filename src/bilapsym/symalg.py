@@ -457,9 +457,9 @@ def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
 
     The condition is that the full symbol of bilap o gen is divisible by the
     symbol of bilap, the squared Laplacian; rows are the remainder entries
-    keyed by (derivative monomial, coefficient monomial), as
-    ``_operator_column`` keys them, and the remainder map is linear in the
-    generator.  bilap = sum_beta c_beta d^beta has constant integer
+    keyed by plain tuples (the derivative monomial's ``Monomial.exps``, the
+    coefficient's exponents on x1..xn), and the remainder map is linear in
+    the generator.  bilap = sum_beta c_beta d^beta has constant integer
     coefficients, so by the Leibniz rule
 
         bilap o x^m d^alpha = sum_gamma m!/(m-gamma)! x^(m-gamma) P_gamma d^alpha,
@@ -510,30 +510,36 @@ def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
             if any(map(gt, g_exps, m_exps)):
                 continue
             weight = prod(map(perm, m_exps, g_exps))
-            x_key = monomial_from_exponents(tuple(map(sub, m_exps, g_exps)))
+            x_exps = tuple(map(sub, m_exps, g_exps))
             for rho, k in reduced_part(gamma, alpha_key).items():
-                out[(rho, x_key)] = weight * k
+                out[(rho.exps, x_exps)] = weight * k
         return out
 
     return rows
 
 
 def _solve_symmetry_blocks(
-    space: VarSpace, rows: SymbolRows, order: int, degree_bound: int, min_shift: int
+    space: VarSpace,
+    rows: SymbolRows,
+    order: int,
+    degree_bound: int,
+    min_shift: int,
+    max_shift: int,
 ) -> list[tuple[int, DiffOp]]:
     """Solve block by block; unknowns are generators (m_exps, alpha) of
     x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
-    of shift >= min_shift are solved; returns (shift, solution) pairs."""
+    of shift in min_shift .. max_shift are solved; returns (shift, solution)
+    pairs."""
     n = space.n
     alphas: list[tuple[int, ...]] = []
     for length in range(order + 1):
         alphas.extend(nondecreasing_tuples(base_indices(n), length))
     gens = [
         (m_exps, alpha)
-        for degree in range(degree_bound + 1)
+        for degree in range(max(min_shift, 0), degree_bound + 1)
         for m_exps in exponent_tuples(n, degree)
         for alpha in alphas
-        if degree - len(alpha) >= min_shift
+        if min_shift <= degree - len(alpha) <= max_shift
     ]
     solutions = block_nullspace(
         gens,
@@ -557,7 +563,11 @@ def _solve_symmetry_blocks(
 class SymmetryBasis:
     """Basis of operators d with (squared Laplacian) o d in the left ideal
     generated by the squared Laplacian, up to the stated order and
-    polynomial coefficient degree."""
+    polynomial coefficient degree.
+
+    ``stabilized`` is True only when the elements provably span every such
+    operator of that order, whatever its coefficient degree; the proof is
+    described in ``enumerate_symmetries``."""
 
     n: int
     order: int
@@ -574,13 +584,31 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     """All symmetries of the squared Laplacian with derivative order <= order
     and coefficient degree <= degree_bound, by exact block-wise elimination.
 
-    The result is flagged stabilized when raising the coefficient degree
-    bound by two adds no solution.  A block of shift s <= degree_bound - order
-    already holds every generator of that shift, so only the higher shifts
-    are solved again at the raised bound.  The flag compares solution
-    counts only: the number found at the raised bound in those shifts with
-    the number found at ``degree_bound``; it records no per-shift witness
-    and says nothing about bounds beyond degree_bound + 2.
+    The flag ``stabilized`` is a proof by closure under derivatives.  The
+    shift of x^m d^alpha is |m| - |alpha|.  Since d_i commutes with the
+    squared Laplacian L, L o D = delta o L gives
+    L o [d_i, D] = [d_i, delta] o L, so ad d_i maps the symmetries of
+    order <= order and shift s + 1 into shift s.  On operators of order
+    <= order, the common kernel of the ad d_i is the constant-coefficient
+    operators, whose shift is <= 0.  So an empty shift s >= 1 (empty in
+    every parity class) proves every higher shift empty.  The shift-s
+    blocks hold every generator of that shift exactly when
+    s + order <= degree_bound; such a shift is complete.  The witness, by
+    (order, degree_bound):
+
+    * degree_bound < order: no witness, and the flag is False.  This is
+      exact: the order-th power of the dilation x.d is a symmetry of shift
+      0 with coefficients of degree ``order``, outside the basis.
+    * otherwise, an empty solved shift among 1 .. degree_bound - order
+      proves the flag True, with no further solve (shift 3 of (n, order,
+      degree_bound) = (3, 2, 6), shift 4 of (3, 3, 7)).
+    * failing that, the one shift degree_bound - order + 1 is solved with
+      all its generators, up to coefficient degree degree_bound + 1, and
+      the flag is whether it is empty (shift 3 of (3, 2, 4) and (4, 2, 4)).
+      False here means that no proof was found.
+
+    At order >= 4 the operators A o L are solutions at every shift, so
+    the flag is never True there.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -588,15 +616,22 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
         raise ValueError("order and degree_bound must be nonnegative")
     space = base_space(n)
     rows = _symbol_row_builder(bilaplacian(n))
-    solved = _solve_symmetry_blocks(space, rows, order, degree_bound, -order)
+    solved = _solve_symmetry_blocks(space, rows, order, degree_bound, -order, degree_bound)
     first_open = degree_bound - order + 1
-    raised = _solve_symmetry_blocks(space, rows, order, degree_bound + 2, first_open)
+    found = {shift for shift, _ in solved}
+    if first_open < 1:
+        stabilized = False
+    elif any(s not in found for s in range(1, first_open)):
+        stabilized = True
+    else:
+        probe = (first_open + order, first_open, first_open)
+        stabilized = not _solve_symmetry_blocks(space, rows, order, *probe)
     return SymmetryBasis(
         n=n,
         order=order,
         degree_bound=degree_bound,
         elements=tuple(op for _, op in solved),
-        stabilized=len(raised) == sum(1 for shift, _ in solved if shift >= first_open),
+        stabilized=stabilized,
     )
 
 

@@ -3,10 +3,12 @@ solutions entering second-order symmetries."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from bilapsym import cktsolve, linsolve
 from bilapsym.cktsolve import (
     TRACEFREE_FROM_VALENCY,
     _residual_column_builder,
@@ -24,6 +26,7 @@ from bilapsym.exactpoly import (
     base_space,
     exponent_tuples,
     monomial_from_exponents,
+    parity_class,
 )
 from bilapsym.symalg import lie_to_ckv, so_basis, special_conformal_element
 from bilapsym.tensorcalc import (
@@ -57,6 +60,51 @@ def column_by_residual(n, valency, residual_fn):
         return col
 
     return column
+
+
+def block_solution_counts(n, valency, residual_fn, degrees) -> dict:
+    """Solutions per (degree, parity class) block of the given degrees."""
+    column = _residual_column_builder(n, valency, residual_fn)
+    unknowns = [
+        (key, exps)
+        for d in degrees
+        for key in nondecreasing_tuples(base_indices(n), valency)
+        for exps in exponent_tuples(n, d)
+    ]
+
+    def block(u):
+        return (sum(u[1]), parity_class(u[1], u[0]))
+
+    counts = {block(u): 0 for u in unknowns}
+    for key, _ in linsolve.block_nullspace(unknowns, block, column):
+        counts[key] += 1
+    return counts
+
+
+def stabilized_by_two_probes(n, valency, residual_fn, degree_bound) -> bool:
+    """The former flag, kept as a reference: degrees degree_bound + 1 and
+    degree_bound + 2 both have no solution."""
+    probes = (degree_bound + 1, degree_bound + 2)
+    return not any(block_solution_counts(n, valency, residual_fn, probes).values())
+
+
+def derivatives(v: SymTensorField) -> list[SymTensorField]:
+    return [v.map_components(lambda p, i=i: p.partial(i)) for i in base_indices(v.n)]
+
+
+# (solver, residual, n, valency, degree_bound) where the closure flag is
+# compared with the two-probe reference
+FLAG_CASES = [
+    (solve_ckt, ckt_residual, 3, 1, 1),
+    (solve_ckt, ckt_residual, 3, 1, 2),
+    (solve_ckt, ckt_residual, 3, 2, 3),
+    (solve_ckt, ckt_residual, 3, 2, 4),
+    (solve_ckt, ckt_residual, 4, 1, 2),
+    (solve_gckt, gckt_residual, 3, 0, 3),
+    (solve_gckt, gckt_residual, 3, 0, 4),
+    (solve_gckt, gckt_residual, 3, 1, 2),
+    (solve_gckt, gckt_residual, 3, 2, 4),
+]
 
 
 # (residual, valency, n, top degree); the GCKT residual has order three, so
@@ -168,6 +216,72 @@ class TestDimensions:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             solve_ckt(2, 1, 2)
+
+
+class TestStabilization:
+    @pytest.mark.parametrize(
+        "solver, residual, n, valency, degree_bound",
+        FLAG_CASES,
+        ids=[f"{f.__name__}{args}" for f, _, *args in FLAG_CASES],
+    )
+    def test_flag_matches_two_probe_reference(self, solver, residual, n, valency, degree_bound):
+        basis = solver(n, valency, degree_bound)
+        assert basis.stabilized is stabilized_by_two_probes(n, valency, residual, degree_bound)
+
+    def test_derivatives_of_solutions_are_solutions(self):
+        # the closure the flag rests on: the equations have constant
+        # coefficients, so d_i of a solution solves them one degree lower
+        for v in solve_ckt(3, 2, 4).elements:
+            for dv in derivatives(v):
+                assert ckt_residual(dv).is_zero and dv.is_tracefree()
+        for w in solve_gckt(3, 0, 4).elements:
+            for dw in derivatives(w):
+                assert gckt_residual(dw).is_zero
+
+    def test_empty_degree_needs_no_probe(self, monkeypatch):
+        # solve_ckt(3, 1, 3) has no solution of degree 3: one solve, no probe
+        calls = []
+        original = cktsolve.block_nullspace
+
+        def recording(unknowns, block_of, column_of):
+            unknowns = list(unknowns)
+            calls.append({block_of(u)[0] for u in unknowns})
+            return original(unknowns, block_of, column_of)
+
+        monkeypatch.setattr(cktsolve, "block_nullspace", recording)
+        assert solve_ckt(3, 1, 3).stabilized
+        assert calls == [{0, 1, 2, 3}]
+        calls.clear()
+        assert solve_ckt(3, 1, 2).stabilized
+        assert calls == [{0, 1, 2}, {3}]
+
+    @pytest.mark.parametrize(
+        "solver, residual, n, valency, degree_bound",
+        [
+            # degree 3 of solve_gckt(3, 0, 3) has no solution of parity
+            # (1, 1, 1), but |x|^4 lies above the bound
+            (solve_gckt, gckt_residual, 3, 0, 3),
+            # the probe degree 2 of solve_ckt(3, 1, 1) has no solution of
+            # parity (1, 1, 1), but the special conformal fields fill the others
+            (solve_ckt, ckt_residual, 3, 1, 1),
+        ],
+        ids=["gckt-3-0-3", "ckt-3-1-1"],
+    )
+    def test_one_empty_class_is_no_witness(
+        self, monkeypatch, solver, residual, n, valency, degree_bound
+    ):
+        original = cktsolve._solve_graded
+
+        def one_class_mutant(n, valency, degree_bound, residual_fn):
+            basis = original(n, valency, degree_bound, residual_fn)
+            counts = block_solution_counts(n, valency, residual_fn, range(degree_bound + 2))
+            return dataclasses.replace(basis, stabilized=not all(counts.values()))
+
+        assert (solver, residual, n, valency, degree_bound) in FLAG_CASES
+        reference = stabilized_by_two_probes(n, valency, residual, degree_bound)
+        assert solver(n, valency, degree_bound).stabilized is reference is False
+        monkeypatch.setattr(cktsolve, "_solve_graded", one_class_mutant)
+        assert solver(n, valency, degree_bound).stabilized is True
 
 
 class TestStructureLemma:

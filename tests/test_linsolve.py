@@ -92,7 +92,8 @@ def test_singular_mod_prime_falls_back_to_exact(cols, monkeypatch):
 
     monkeypatch.setattr(linsolve, "_Eliminator", recording)
     assert nullspace(cols) == []
-    assert built == [len(cols)]
+    assert rank(cols) == len(cols)
+    assert built == [len(cols)] * 2
 
 
 def test_rows_are_scaled_before_the_certificate(monkeypatch):
@@ -114,6 +115,7 @@ def test_full_rank_needs_no_exact_elimination(monkeypatch):
         {"a": 4, "c": 1, "d": -2},
     ]
     assert nullspace(cols) == []
+    assert rank(cols) == 3
     assert block_nullspace(range(2), lambda u: u, lambda u: cols[u]) == []
 
 
@@ -123,6 +125,55 @@ def test_fewer_rows_than_columns_is_never_certified(monkeypatch):
 
     monkeypatch.setattr(linsolve, "_full_column_rank_mod_p", refuse)
     assert nullspace([{0: 1}, {0: 2}]) == [{0: Fraction(-2), 1: Fraction(1)}]
+
+
+def _exact_rank(cols, ncols):
+    """The rank by exact elimination alone, without the certificate."""
+    return linsolve._Eliminator(linsolve._to_integer_rows(cols), ncols).rank
+
+
+def _triangular_columns(rng, nrows, ncols, diagonal):
+    """Column j has ``diagonal[j]`` in row j, random entries below it and a
+    1 in row j of column 0, so no row has a common factor."""
+    cols = []
+    for j in range(ncols):
+        col = {j: diagonal[j]}
+        col.update({r: rng.randint(-3, 3) for r in range(j + 1, nrows)})
+        cols.append({r: v for r, v in col.items() if v})
+    for j in range(1, ncols):
+        cols[0][j] = 1
+    return cols
+
+
+@given(st.sampled_from(["full", "deficient", "mod-prime"]), st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_rank_equals_exact_elimination(kind, seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    nrows = ncols + rng.randint(0, 3)
+    diagonal = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(ncols)]
+    if kind == "mod-prime":
+        # independent over Q, but square with a determinant divisible by
+        # PRIME; row j >= 1 keeps a 1 in column 0, so scaling keeps PRIME
+        nrows = ncols = ncols + 1
+        diagonal.append(rng.choice([-3, 2, 5]))
+        diagonal[rng.randrange(1, ncols)] = PRIME
+    cols = _triangular_columns(rng, nrows, ncols, diagonal)
+    if kind == "deficient":
+        # one column becomes an integer combination of the others
+        k = rng.randrange(ncols)
+        combo: dict[int, int] = {}
+        for j in range(ncols):
+            weight = rng.randint(-2, 2) if j != k else 0
+            for r, v in cols[j].items():
+                combo[r] = combo.get(r, 0) + weight * v
+        cols[k] = {r: v for r, v in combo.items() if v}
+    rng.shuffle(cols)
+    expected = _exact_rank(cols, ncols)
+    full_mod_p = linsolve._full_column_rank_mod_p(linsolve._to_integer_rows(cols), ncols)
+    assert rank(cols) == expected
+    assert (expected == ncols) is (kind != "deficient")
+    assert full_mod_p is (kind == "full")
 
 
 @given(st.integers(0, 2**30))

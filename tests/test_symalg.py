@@ -3,6 +3,7 @@ calculus, and the brute-force symmetry enumerator."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from bilapsym import linsolve, symalg
 from bilapsym.ambient import lie_to_ckv, realize_ckt, realize_gckt
-from bilapsym.exactpoly import Polynomial, base_space, exponent_tuples, monomial_from_exponents
+from bilapsym.exactpoly import (
+    Polynomial,
+    base_space,
+    exponent_tuples,
+    monomial_from_exponents,
+    parity_class,
+)
 from bilapsym.symalg import (
     LieElement,
     bilaplacian_weight,
@@ -43,6 +50,7 @@ from bilapsym.tensorcalc import (
     SymTensorField,
     base_indices,
     bullet_extract,
+    nondecreasing_tuples,
     tracefree_part,
 )
 from bilapsym.weylop import (
@@ -133,12 +141,112 @@ def symbol_rows_by_division(bilap: DiffOp, m_exps: tuple, alpha: tuple) -> dict:
     """Rows of the symmetry condition for x^m d^alpha, computed the long
     way: compose bilap with the generator and keep the remainder of its
     symbol modulo the symbol of bilap, keyed as ``_operator_column`` keys
-    operator terms."""
+    operator terms, with both monomials mapped to the exponent tuples the
+    row builder keys by."""
     space = bilap.space
     mono = monomial_from_exponents(m_exps)
     gen = DiffOp(space, {alpha: Polynomial(space, {mono: Fraction(1)})})
     _, remainder = symbol_division(compose(bilap, gen), bilap)
-    return symalg._operator_column(remainder)
+    variables = base_indices(space.n)
+    return {
+        (rho.exps, tuple(x.exponent(v) for v in variables)): coeff
+        for (rho, x), coeff in symalg._operator_column(remainder).items()
+    }
+
+
+def stabilized_by_counts(n: int, order: int, degree_bound: int) -> bool:
+    """The former heuristic flag, kept as a reference: solve the shifts that
+    degree_bound truncates again at degree_bound + 2 and compare the
+    solution counts."""
+    space = base_space(n)
+    rows = symalg._symbol_row_builder(bilaplacian(n))
+    solved = symalg._solve_symmetry_blocks(space, rows, order, degree_bound, -order, degree_bound)
+    first_open = degree_bound - order + 1
+    raised = symalg._solve_symmetry_blocks(
+        space, rows, order, degree_bound + 2, first_open, degree_bound + 2
+    )
+    return len(raised) == sum(1 for shift, _ in solved if shift >= first_open)
+
+
+def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict:
+    """Solutions per (shift, parity class) block, over every block that has
+    generators x^m d^alpha with |m| <= degree_bound in the given shifts."""
+    rows = symalg._symbol_row_builder(bilaplacian(n))
+    alphas = [a for k in range(order + 1) for a in nondecreasing_tuples(base_indices(n), k)]
+    gens = [
+        (m, a)
+        for d in range(degree_bound + 1)
+        for m in exponent_tuples(n, d)
+        for a in alphas
+        if d - len(a) in shifts
+    ]
+
+    def block(g):
+        return (sum(g[0]) - len(g[1]), parity_class(*g))
+
+    counts = {block(g): 0 for g in gens}
+    for key, _ in linsolve.block_nullspace(gens, block, lambda g: rows(*g)):
+        counts[key] += 1
+    return counts
+
+
+def mutated_enumerator(witness):
+    """``enumerate_symmetries`` with its flag replaced: True when
+    ``witness(counts, complete)`` holds for some shift in 1 .. degree_bound,
+    or for the shift degree_bound - order + 1 solved with all its
+    generators (complete).  ``counts`` maps each parity class of the shift
+    to its number of solutions."""
+    original = symalg.enumerate_symmetries
+
+    def enumerate_mutant(n, order, degree_bound):
+        basis = original(n, order, degree_bound)
+        first_open = degree_bound - order + 1
+        solved = block_solution_counts(n, order, degree_bound, range(1, degree_bound + 1))
+        probe = block_solution_counts(n, order, first_open + order, [first_open])
+        by_shift = [
+            ({c: k for (t, c), k in solved.items() if t == s}, s < first_open)
+            for s in range(1, degree_bound + 1)
+        ]
+        by_shift.append(({c: k for (_, c), k in probe.items()}, True))
+        flag = any(witness(counts, complete) for counts, complete in by_shift)
+        return dataclasses.replace(basis, stabilized=flag)
+
+    return enumerate_mutant
+
+
+def accept_empty_shift(counts, complete):
+    return complete and not any(counts.values())
+
+
+def accept_truncated_shift(counts, complete):
+    return not any(counts.values())
+
+
+def accept_empty_class(counts, complete):
+    return complete and not all(counts.values())
+
+
+# (n, order, degree_bound) where the closure flag is compared with the count
+# reference; the first five have degree_bound < order
+FLAG_CASES = [
+    (3, 1, 0),
+    (3, 2, 0),
+    (3, 2, 1),
+    (4, 2, 1),
+    (3, 3, 2),
+    (3, 0, 1),
+    (3, 1, 1),
+    (3, 1, 2),
+    (3, 1, 3),
+    (3, 1, 4),
+    (4, 1, 4),
+    (3, 2, 2),
+    (3, 2, 3),
+    (3, 2, 4),
+    (3, 2, 5),
+    (3, 2, 6),
+    (4, 2, 4),
+]
 
 
 def _rng_element(n: int, rng: random.Random):
@@ -305,7 +413,7 @@ class TestEnumerator:
         assert all(type(v) is int and v for v in got.values())
 
     def test_closed_form_rows_on_enumerated_generators(self):
-        # every generator of enumerate_symmetries(3, 2, 4), at the raised bound
+        # every generator of order <= 2 at n = 3 up to coefficient degree 6
         bilap = bilaplacian(3)
         rows = symalg._symbol_row_builder(bilap)
         alphas = [(), (1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -333,21 +441,87 @@ class TestEnumerator:
             assert delta is not None
             assert compose(bilap, op) == compose(delta, bilap)
 
-    def test_stabilization_solves_each_block_once(self, monkeypatch):
-        # Columns are cached per generator, so the ids of a block's columns
-        # identify its member list; keeping the lists keeps the ids unique.
-        solved = []
-        original = linsolve.nullspace
+    @pytest.mark.parametrize(
+        "args, solved_shifts",
+        [
+            # no empty complete shift: one probe of shift 3 with its 181
+            # generators, up to coefficient degree 5, decides the flag
+            ((3, 2, 4), [range(-2, 5), range(3, 4)]),
+            # the complete shift 3 is empty: no further solve
+            ((3, 2, 6), [range(-2, 7)]),
+        ],
+        ids=["probe-3-2-4", "witness-3-2-6"],
+    )
+    def test_stabilization_solves_one_probe_at_most(self, monkeypatch, args, solved_shifts):
+        calls = []
+        original = symalg.block_nullspace
 
-        def recording(columns, *args, **kwargs):
-            solved.append(list(columns))
-            return original(columns, *args, **kwargs)
+        def recording(unknowns, block_of, column_of):
+            unknowns = list(unknowns)
+            calls.append((unknowns, {block_of(u)[0] for u in unknowns}))
+            return original(unknowns, block_of, column_of)
 
-        monkeypatch.setattr(linsolve, "nullspace", recording)
+        monkeypatch.setattr(symalg, "block_nullspace", recording)
+        basis = enumerate_symmetries(*args)
+        assert basis.stabilized
+        assert [shifts for _, shifts in calls] == [set(r) for r in solved_shifts]
+        if len(calls) == 2:
+            assert len(calls[1][0]) == 181
+
+    @pytest.mark.parametrize("args", FLAG_CASES, ids=str)
+    def test_flag_matches_count_reference(self, args):
+        assert symalg.enumerate_symmetries(*args).stabilized is stabilized_by_counts(*args)
+
+    @pytest.mark.parametrize(
+        "witness, args, expected",
+        [
+            # the proof's own witness, through the mutant's bookkeeping
+            (accept_empty_shift, (3, 2, 3), False),
+            (accept_empty_shift, (3, 1, 1), False),
+            # shift 2 of (3, 2, 3) is empty only below coefficient degree 4
+            (accept_truncated_shift, (3, 2, 3), True),
+            # the probe shift 1 of (3, 1, 1) has no solution of parity
+            # (1, 1, 1), but the special conformal fields fill the others
+            (accept_empty_class, (3, 1, 1), True),
+        ],
+        ids=["empty-shift-3-2-3", "empty-shift-3-1-1", "truncated", "one-class"],
+    )
+    def test_only_the_proof_witness_matches_reference(self, monkeypatch, witness, args, expected):
+        assert args in FLAG_CASES
+        reference = stabilized_by_counts(*args)
+        monkeypatch.setattr(symalg, "enumerate_symmetries", mutated_enumerator(witness))
+        assert symalg.enumerate_symmetries(*args).stabilized is expected
+        assert (expected is reference) is (witness is accept_empty_shift)
+
+    @pytest.mark.parametrize("args", [(3, 2, 2), (4, 2, 1), (3, 3, 2)], ids=str)
+    def test_nonpositive_shifts_are_never_empty(self, args):
+        # constant-coefficient operators and the dilation and rotations
+        # (and their products) fill every block of shift <= 0, so a witness
+        # of shift 0 could never be taken and the proof loses nothing by
+        # starting at shift 1
+        n, order, degree_bound = args
+        counts = block_solution_counts(n, order, degree_bound, range(-order, 1))
+        assert counts and all(counts.values())
+
+    def test_commutators_with_derivatives_stay_in_span(self):
+        # the closure the flag rests on: [d_i, D] of each element is again
+        # a symmetry of the same order, so it lies in the basis span
         basis = enumerate_symmetries(3, 2, 4)
-        member_lists = [tuple(map(id, columns)) for columns in solved]
-        assert len(set(member_lists)) == len(member_lists)
-        assert basis.dimension == 60 and basis.stabilized
+        space = base_space(3)
+        commutators = []
+        for op in basis.elements:
+            for i in base_indices(3):
+                d = DiffOp.partial_op(space, i)
+                commutators.append(compose(d, op) - compose(op, d))
+        assert any(not c.is_zero for c in commutators)
+        assert operator_span_dimension([*basis.elements, *commutators]) == 60
+
+    def test_third_order_count_is_proved_at_degree_seven(self):
+        # 225 = dim (3, 3) + dim (2, 2) + dim (1, 1) + 1 + dim (3, 1) + dim (2, 0)
+        # of so(5); the complete shift 4 is the empty witness
+        basis = enumerate_symmetries(3, 3, 7)
+        assert basis.dimension == 225
+        assert basis.stabilized
 
     def test_bilaplacian_built_once_per_call(self, monkeypatch):
         calls = []
