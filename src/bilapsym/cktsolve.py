@@ -5,21 +5,17 @@ trace-free part of its symmetrized gradient vanishes; a valency-t tensor W
 solves the order-three variant when the trace-free part of its triply
 symmetrized gradient vanishes.  Both equations are linear with constant
 coefficients and homogeneous in polynomial degree, so the solution space
-splits into independent blocks by (degree, per-variable parity); each block
-is a small exact nullspace computation.  Because the equations have constant
-coefficients, d_i maps solutions of degree d + 1 to solutions of degree d,
-and a nonconstant polynomial has a nonzero d_i; so one empty degree proves
-every higher degree empty.  That proof is reported as stabilization.
-Columns are built in closed form from constant tensors, one per (component,
-derivative of the residual's order), computed once per component per solve.
+splits into independent blocks by (degree, per-variable parity), each a
+small exact nullspace, and d_i maps solutions of degree d + 1 to solutions
+of degree d, with only the constants killed by every d_i: the setting of
+``linsolve.leibniz_columns`` and ``linsolve.stabilized_by_closure``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm, prod
-from operator import gt, sub
+from math import factorial, prod
 
 from .exactpoly import (
     Polynomial,
@@ -29,7 +25,7 @@ from .exactpoly import (
     monomial_from_exponents,
     parity_class,
 )
-from .linsolve import block_nullspace
+from .linsolve import block_nullspace, leibniz_columns, stabilized_by_closure
 from .tensorcalc import (
     MultiIndex,
     SymTensorField,
@@ -46,30 +42,41 @@ from .tensorcalc import (
 
 
 def sym_gradient(v: SymTensorField) -> SymTensorField:
-    """Symmetrized gradient: average of d_{i_p} V[rest] over positions."""
+    """Symmetrized gradient: average of d_{i_p} V[rest] over positions.
+
+    d_i V[K] lands on K' = sorted(K + (i,)) once for each position of i in
+    K', so only the stored components are visited.
+    """
     n, s = v.n, v.valency
     share = Fraction(1, s + 1)
-    sums = collect(
-        (key, v.get(key[:p] + key[p + 1 :]).partial(key[p]))
-        for key in nondecreasing_tuples(base_indices(n), s + 1)
-        for p in range(s + 1)
-    )
-    return SymTensorField._make((n, s + 1), {key: val * share for key, val in sums.items()})
+
+    def terms():
+        for key, comp in v.components.items():
+            for i in base_indices(n):
+                d = comp.partial(i)
+                if d:
+                    out = tuple(sorted(key + (i,)))
+                    mult = out.count(i)
+                    yield out, d if mult == 1 else d * mult
+
+    return SymTensorField._make((n, s + 1), {k: val * share for k, val in collect(terms()).items()})
 
 
 def divergence(v: SymTensorField) -> SymTensorField:
-    """Contraction of the gradient with the tensor's first slot."""
+    """Contraction of the gradient with the tensor's first slot: d_a V[K]
+    lands on K less one a, once per distinct index a of the stored K."""
     n, s = v.n, v.valency
     if s < 1:
         raise ValueError("divergence needs valency >= 1")
-    return SymTensorField._collect(
-        (n, s - 1),
-        (
-            (key, v.get(key + (a,)).partial(a))
-            for key in nondecreasing_tuples(base_indices(n), s - 1)
-            for a in base_indices(n)
-        ),
-    )
+
+    def terms():
+        for key, comp in v.components.items():
+            for a in dict.fromkeys(key):
+                rest = list(key)
+                rest.remove(a)
+                yield tuple(rest), comp.partial(a)
+
+    return SymTensorField._collect((n, s - 1), terms())
 
 
 def component_laplacian(v: SymTensorField) -> SymTensorField:
@@ -102,25 +109,19 @@ TRACEFREE_FROM_VALENCY = 2
 
 
 def _residual_column_builder(n: int, valency: int, residual_fn):
-    """The residual and trace rows of one unknown (key, exponents) at a time.
+    """The residual and trace rows of one unknown (key, exponents) at a time,
+    by ``linsolve.leibniz_columns``.
 
-    The residual R is linear with constant coefficients and homogeneous of
-    order r (its valency minus the input's): R(e_K p) is a sum over
-    |gamma| = r of d^gamma p times a constant tensor.  Since
-    d^gamma' x^gamma = gamma! when gamma' = gamma and 0 otherwise, that
-    tensor is C[K, gamma] = R(e_K x^gamma) / gamma!, and
-
-        R(e_K x^m) = sum_{gamma <= m} m!/(m-gamma)! x^(m-gamma) C[K, gamma];
-
-    the trace rows are tr(e_K) x^m.  C[K, .] and tr(e_K) are built on the
-    first use of K.  Rows are keyed (tag "r" or "t", multi-index, exponents).
+    The residual R has constant coefficients and order r (its valency
+    minus the input's), so R(e_K x^gamma) is constant for |gamma| = r and
+    C[K, gamma] = R(e_K x^gamma) / gamma!.  The trace tr(e_K) is the
+    gamma = 0 part.  Rows are keyed ("r" or "t", multi-index).
     """
     space = base_space(n)
     r = residual_fn(SymTensorField(n, valency)).valency - valency
     gammas = exponent_tuples(n, r)
-    table: dict[MultiIndex, tuple[list, dict]] = {}
 
-    def constants(key: MultiIndex) -> tuple[list, dict]:
+    def constants(key: MultiIndex) -> list:
         def unit(exps) -> SymTensorField:
             mono = monomial_from_exponents(exps)
             return SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
@@ -129,30 +130,13 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
         for gamma in gammas:
             scale = Fraction(1, prod(map(factorial, gamma)))
             comps = residual_fn(unit(gamma)).components
-            parts.append((gamma, {k: p.constant_value() * scale for k, p in comps.items()}))
-        trace = {}
+            parts.append((gamma, {("r", k): p.constant_value() * scale for k, p in comps.items()}))
         if valency >= TRACEFREE_FROM_VALENCY:
             comps = metric_trace(unit((0,) * n)).components
-            trace = {k: p.constant_value() for k, p in comps.items()}
-        return parts, trace
+            parts.append(((0,) * n, {("t", k): p.constant_value() for k, p in comps.items()}))
+        return parts
 
-    def column(unknown) -> dict:
-        key, exps = unknown
-        if key not in table:
-            table[key] = constants(key)
-        parts, trace = table[key]
-        pairs = []
-        for gamma, const in parts:
-            if any(map(gt, gamma, exps)):
-                continue
-            weight = prod(map(perm, exps, gamma))
-            rest = tuple(map(sub, exps, gamma))
-            pairs.extend((("r", k, rest), c * weight) for k, c in const.items())
-        col = collect(pairs)
-        col.update((("t", k, exps), c) for k, c in trace.items())
-        return col
-
-    return column
+    return leibniz_columns(constants)
 
 
 @dataclass(frozen=True)
@@ -205,10 +189,9 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
         fields = {key: Polynomial(space, terms) for key, terms in comps.items()}
         elements.append(SymTensorField(n, valency, fields))
         degrees.append(d)
-    # an empty degree proves every higher degree empty (module docstring);
-    # the degrees found lie in 0 .. degree_bound
-    empty_degree = len(set(degrees)) <= degree_bound
-    stabilized = empty_degree or not solve([degree_bound + 1])
+    stabilized = stabilized_by_closure(
+        set(degrees), degree_bound + 1, lambda: solve([degree_bound + 1])
+    )
     return SolutionBasis(
         n=n,
         valency=valency,
@@ -220,14 +203,10 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
 
 
 def solve_ckt(n: int, s: int, degree_bound: int) -> SolutionBasis:
-    """Exact basis of trace-free symmetric s-tensors killed by ckt_residual.
-
-    Solutions of polynomial degree <= degree_bound, degree by degree.
-    ``stabilized`` is True exactly when no solution of higher degree
-    exists.  The witness is an empty degree: the first empty degree in
-    0 .. degree_bound when there is one, with no further solve; otherwise
-    degree_bound + 1, solved once, whose emptiness is the flag (a solution
-    there makes the flag False, exactly).
+    """Exact basis of trace-free symmetric s-tensors killed by ckt_residual,
+    of polynomial degree <= degree_bound.  ``stabilized`` is True exactly
+    when no solution of higher degree exists: an empty degree up to
+    degree_bound proves it, and otherwise degree_bound + 1 is solved once.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

@@ -127,9 +127,27 @@ def cmd_basis(args: argparse.Namespace) -> int:
 # build-op
 
 
+# the kinds (or suites) that read each optional flag; the others ignore it
+BUILD_OP_FLAG_READERS = {"w": ("dv", "dw"), "n": ("laplacian", "bilaplacian")}
+VERIFY_FLAG_READERS = {"w": ("all", "composition-identity"), "seed": ("all", "quartic-obstruction")}
+
+
+def _reports_unread_flag(args: argparse.Namespace, readers: dict, what: str) -> bool:
+    """Report the first flag given that the chosen ``what`` does not read."""
+    choice = getattr(args, what)
+    for flag, readers_of_flag in readers.items():
+        if getattr(args, flag) is not None and choice not in readers_of_flag:
+            print(f"error: --{flag} has no effect on {what} {choice}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_build_op(args: argparse.Namespace) -> int:
+    if _reports_unread_flag(args, BUILD_OP_FLAG_READERS, "kind"):
+        return EXIT_BAD_ARGS
     if args.kind in ("laplacian", "bilaplacian"):
-        op = laplacian(args.n) if args.kind == "laplacian" else bilaplacian(args.n)
+        n = 3 if args.n is None else args.n
+        op = laplacian(n) if args.kind == "laplacian" else bilaplacian(n)
     else:
         if args.symbol is None:
             raise ValueError(f"kind {args.kind!r} requires a symbol file")
@@ -140,10 +158,11 @@ def cmd_build_op(args: argparse.Namespace) -> int:
             symbol = cls.from_json_obj(json.loads(text))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed symbol file {args.symbol}: {exc!r}") from None
+        w = 0 if args.w is None else args.w
         if args.kind == "dv":
-            op = canonical_DV(symbol, args.w)
+            op = canonical_DV(symbol, w)
         elif args.kind == "dw":
-            op = canonical_DW(symbol, args.w)
+            op = canonical_DW(symbol, w)
         elif args.kind == "ambient-one-pair":
             op = ambient_op_V(symbol)
         elif args.kind == "ambient-two-pair":
@@ -159,15 +178,9 @@ def cmd_build_op(args: argparse.Namespace) -> int:
 # verify
 
 
-# the one suite that reads each optional verify flag; other suites ignore it
-FLAG_READERS = {"w": "composition-identity", "seed": "quartic-obstruction"}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, reader in FLAG_READERS.items():
-        if getattr(args, flag) is not None and args.suite not in ("all", reader):
-            print(f"error: --{flag} has no effect on suite {args.suite}", file=sys.stderr)
-            return EXIT_BAD_ARGS
+    if _reports_unread_flag(args, VERIFY_FLAG_READERS, "suite"):
+        return EXIT_BAD_ARGS
     seed = 0 if args.seed is None else args.seed
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # one row per (suite, check): the number of cases and the failing ones
@@ -242,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         required=True,
     )
-    p.add_argument("--w", type=parse_rational, default="0", help="weight as a rational p/q")
+    p.add_argument("--w", type=parse_rational, default=None, help="dv/dw weight p/q (0)")
     p.add_argument("symbol", nargs="?", default=None, help="symbol JSON file")
-    p.set_defaults(fn=cmd_build_op)
+    # --n is read only by the laplacian kinds (3); a symbol file fixes its own
+    p.set_defaults(fn=cmd_build_op, n=None)
 
     p = sub.add_parser("verify", help="run exact identity suites")
     common(p)

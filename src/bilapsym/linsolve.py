@@ -12,13 +12,16 @@ rank: an integer matrix of full column rank modulo a prime p has a maximal
 minor that is nonzero mod p, hence nonzero over the integers, so its
 nullspace is zero.  Only when the rank drops modulo p (the nullspace is
 nonzero, or p divides every maximal minor) does the exact elimination run.
+The graded solvers share ``leibniz_columns`` and ``stabilized_by_closure``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from functools import cache
+from math import gcd, perm, prod
+from operator import gt, sub
+from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
 
 def _to_integer_rows(
@@ -224,6 +227,56 @@ def block_nullspace(
         for vec in nullspace([column_of(u) for u in members]):
             out.append((key, {members[pos]: coeff for pos, coeff in vec.items()}))
     return out
+
+
+# The constant parts of one label: (gamma, {row: value}) per distinct gamma.
+Parts = Sequence[tuple[tuple[int, ...], Mapping[Hashable, Fraction]]]
+
+
+def leibniz_columns(constants: Callable[[Hashable], Parts]) -> Callable[[tuple], dict]:
+    """Columns of a linear map with constant coefficients on polynomials.
+
+    The unknown (label, m) is the basis element ``label`` times x^m.  By
+    the Leibniz rule a map L with constant coefficients sends it to
+    sum_{gamma <= m} m!/(m-gamma)! x^(m-gamma) C[gamma], with constants
+    C[gamma] of the label alone.  ``constants(label)`` lists the pairs
+    (gamma, C[gamma]), each C[gamma] a map row -> value, and is called
+    once per label; the entry of row at x^(m-gamma) is keyed
+    (row, m - gamma).
+    """
+    parts_of = cache(constants)
+
+    def column(unknown: tuple) -> dict:
+        label, m = unknown
+        col = {}
+        for gamma, const in parts_of(label):
+            if not any(map(gt, gamma, m)):
+                weight = prod(map(perm, m, gamma))
+                rest = tuple(map(sub, m, gamma))
+                col.update(((row, rest), value * weight) for row, value in const.items())
+        return col
+
+    return column
+
+
+def stabilized_by_closure(solved_grades: Container, first_open: int, probe: Callable) -> bool:
+    """Whether no solution exists above the solved grades, by a proof.
+
+    Let each d_i map solutions of grade g + 1 to solutions of grade g, and
+    let every solution killed by all d_i have grade <= 0.  Then an empty
+    grade g >= 0 proves every grade above it empty: a solution of grade
+    g + 1 is killed by all d_i.  Grades 0 .. first_open - 1 are complete
+    (solved with all their unknowns), and ``solved_grades`` holds those
+    with a solution.  An empty one makes the flag True; failing that,
+    ``probe()`` solves grade first_open completely, once, and the flag is
+    whether it returned no solution.  With first_open < 1 no grade is
+    complete, and the flag is False.
+    """
+    if first_open < 1:
+        return False
+    if any(g not in solved_grades for g in range(first_open)):
+        return True
+    return not probe()
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = None) -> int:

@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import perm, prod
-from operator import gt, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .ambient import (
@@ -44,7 +42,7 @@ from .exactpoly import (
     parity_class,
     rat,
 )
-from .linsolve import block_nullspace, rank
+from .linsolve import block_nullspace, leibniz_columns, rank, stabilized_by_closure
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
@@ -448,29 +446,18 @@ def _scalar_operator_shape(n: int) -> bool:
 # brute-force enumeration of low-order symmetries
 
 
-SymbolRows = Callable[[tuple[int, ...], tuple[int, ...]], dict]
+def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
+    """Rows of the linear symmetry condition, one generator (alpha, m) of
+    x^m d^alpha at a time, by ``linsolve.leibniz_columns``.
 
-
-def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
-    """Rows of the linear symmetry condition, one generator x^m d^alpha at a
-    time, cached per generator.
-
-    The condition is that the full symbol of bilap o gen is divisible by the
-    symbol of bilap, the squared Laplacian; rows are the remainder entries
-    keyed by plain tuples (the derivative monomial's ``Monomial.exps``, the
-    coefficient's exponents on x1..xn), and the remainder map is linear in
-    the generator.  bilap = sum_beta c_beta d^beta has constant integer
-    coefficients, so by the Leibniz rule
-
-        bilap o x^m d^alpha = sum_gamma m!/(m-gamma)! x^(m-gamma) P_gamma d^alpha,
-        P_gamma = sum_beta c_beta binomial(beta, gamma) d^(beta-gamma),
-
-    one distinct coefficient monomial per gamma <= m.  Each derivative
-    monomial delta reduces to its normal form modulo the symbol of bilap,
-    NF(delta) = -sum_{beta != lead} c_beta NF((delta/lead) beta) when the
-    leading term divides delta and delta otherwise; the leading term is
-    ``max`` of the keys, as in ``weylop.symbol_division``, and it is monic,
-    so every row entry is an ``int``.
+    The rows are the entries of the remainder of the symbol of bilap o gen
+    modulo the symbol of bilap, the squared Laplacian, keyed by the
+    derivative monomial's ``Monomial.exps``.  bilap = sum_beta c_beta d^beta
+    has constant integer coefficients, and the part of x^(m-gamma) is
+    NF(P_gamma d^alpha), P_gamma = sum_beta c_beta binomial(beta, gamma)
+    d^(beta-gamma).  NF(delta) = -sum_{beta != lead} c_beta NF((delta/lead)
+    beta) when the leading term ``max`` (as in ``weylop.symbol_division``)
+    divides delta, and delta otherwise; it is monic, so entries are ints.
     """
     coeffs = {beta: c.constant_value() for beta, c in bilap.terms.items()}
     lead = max(coeffs)
@@ -480,9 +467,7 @@ def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
         for gamma, rest, weight in beta.divisors():
             part = parts.setdefault(gamma, {})
             part[rest] = part.get(rest, 0) + int(c) * weight
-    # (gamma, its exponents on x1..xn)
     n = bilap.space.n
-    gammas = [(gamma, tuple(gamma.exponent(v) for v in range(1, n + 1))) for gamma in parts]
 
     @cache
     def normal_form(delta: Monomial) -> dict[Monomial, int]:
@@ -493,40 +478,30 @@ def _symbol_row_builder(bilap: DiffOp) -> SymbolRows:
             (rho, -c * k) for beta, c in tail for rho, k in normal_form(shift * beta).items()
         )
 
-    @cache
-    def reduced_part(gamma: Monomial, alpha: Monomial) -> dict[Monomial, int]:
-        """NF(P_gamma d^alpha)."""
-        return collect(
-            (rho, c * k)
-            for rest, c in parts[gamma].items()
-            for rho, k in normal_form(rest * alpha).items()
-        )
-
-    @cache
-    def rows(m_exps: tuple[int, ...], alpha: tuple[int, ...]) -> dict:
+    def constants(alpha: tuple[int, ...]) -> list:
         alpha_key = Monomial.of_indices(alpha)
-        out = {}
-        for gamma, g_exps in gammas:
-            if any(map(gt, g_exps, m_exps)):
-                continue
-            weight = prod(map(perm, m_exps, g_exps))
-            x_exps = tuple(map(sub, m_exps, g_exps))
-            for rho, k in reduced_part(gamma, alpha_key).items():
-                out[(rho.exps, x_exps)] = weight * k
+        out = []
+        for gamma, part in parts.items():
+            reduced = collect(
+                (rho.exps, c * k)
+                for rest, c in part.items()
+                for rho, k in normal_form(rest * alpha_key).items()
+            )
+            out.append((tuple(gamma.exponent(v) for v in range(1, n + 1)), reduced))
         return out
 
-    return rows
+    return leibniz_columns(constants)
 
 
 def _solve_symmetry_blocks(
     space: VarSpace,
-    rows: SymbolRows,
+    rows: Callable[[tuple], dict],
     order: int,
     degree_bound: int,
     min_shift: int,
     max_shift: int,
 ) -> list[tuple[int, DiffOp]]:
-    """Solve block by block; unknowns are generators (m_exps, alpha) of
+    """Solve block by block; unknowns are generators (alpha, m_exps) of
     x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
     of shift in min_shift .. max_shift are solved; returns (shift, solution)
     pairs."""
@@ -535,16 +510,14 @@ def _solve_symmetry_blocks(
     for length in range(order + 1):
         alphas.extend(nondecreasing_tuples(base_indices(n), length))
     gens = [
-        (m_exps, alpha)
+        (alpha, m_exps)
         for degree in range(max(min_shift, 0), degree_bound + 1)
         for m_exps in exponent_tuples(n, degree)
         for alpha in alphas
         if min_shift <= degree - len(alpha) <= max_shift
     ]
     solutions = block_nullspace(
-        gens,
-        lambda g: (sum(g[0]) - len(g[1]), parity_class(*g)),
-        lambda g: rows(*g),
+        gens, lambda g: (sum(g[1]) - len(g[0]), parity_class(g[1], g[0])), rows
     )
 
     def element(vec: dict) -> DiffOp:
@@ -552,7 +525,7 @@ def _solve_symmetry_blocks(
             space,
             (
                 (Monomial.of_indices(alpha), Polynomial(space, {monomial_from_exponents(m): c}))
-                for (m, alpha), c in vec.items()
+                for (alpha, m), c in vec.items()
             ),
         )
 
@@ -566,8 +539,7 @@ class SymmetryBasis:
     polynomial coefficient degree.
 
     ``stabilized`` is True only when the elements provably span every such
-    operator of that order, whatever its coefficient degree; the proof is
-    described in ``enumerate_symmetries``."""
+    operator of that order, whatever its coefficient degree."""
 
     n: int
     order: int
@@ -584,31 +556,15 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     """All symmetries of the squared Laplacian with derivative order <= order
     and coefficient degree <= degree_bound, by exact block-wise elimination.
 
-    The flag ``stabilized`` is a proof by closure under derivatives.  The
-    shift of x^m d^alpha is |m| - |alpha|.  Since d_i commutes with the
-    squared Laplacian L, L o D = delta o L gives
-    L o [d_i, D] = [d_i, delta] o L, so ad d_i maps the symmetries of
-    order <= order and shift s + 1 into shift s.  On operators of order
-    <= order, the common kernel of the ad d_i is the constant-coefficient
-    operators, whose shift is <= 0.  So an empty shift s >= 1 (empty in
-    every parity class) proves every higher shift empty.  The shift-s
-    blocks hold every generator of that shift exactly when
-    s + order <= degree_bound; such a shift is complete.  The witness, by
-    (order, degree_bound):
-
-    * degree_bound < order: no witness, and the flag is False.  This is
-      exact: the order-th power of the dilation x.d is a symmetry of shift
-      0 with coefficients of degree ``order``, outside the basis.
-    * otherwise, an empty solved shift among 1 .. degree_bound - order
-      proves the flag True, with no further solve (shift 3 of (n, order,
-      degree_bound) = (3, 2, 6), shift 4 of (3, 3, 7)).
-    * failing that, the one shift degree_bound - order + 1 is solved with
-      all its generators, up to coefficient degree degree_bound + 1, and
-      the flag is whether it is empty (shift 3 of (3, 2, 4) and (4, 2, 4)).
-      False here means that no proof was found.
-
-    At order >= 4 the operators A o L are solutions at every shift, so
-    the flag is never True there.
+    ``stabilized`` is ``linsolve.stabilized_by_closure`` graded by the shift
+    |m| - |alpha| of x^m d^alpha.  Since d_i commutes with the squared
+    Laplacian L, L o D = delta o L gives L o [d_i, D] = [d_i, delta] o L,
+    so [d_i, .] maps shift s + 1 into shift s; only constant-coefficient
+    operators, of shift <= 0, commute with every d_i.  With degree_bound
+    < order the flag is False, and rightly: the order-th power of the
+    dilation x.d is a symmetry of shift 0 outside the basis.  At order >= 4
+    the operators A o L are solutions at every shift, so the flag is never
+    True there.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -617,15 +573,15 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     space = base_space(n)
     rows = _symbol_row_builder(bilaplacian(n))
     solved = _solve_symmetry_blocks(space, rows, order, degree_bound, -order, degree_bound)
+    # shift s is complete when s + order <= degree_bound
     first_open = degree_bound - order + 1
-    found = {shift for shift, _ in solved}
-    if first_open < 1:
-        stabilized = False
-    elif any(s not in found for s in range(1, first_open)):
-        stabilized = True
-    else:
-        probe = (first_open + order, first_open, first_open)
-        stabilized = not _solve_symmetry_blocks(space, rows, order, *probe)
+    stabilized = stabilized_by_closure(
+        {shift for shift, _ in solved},
+        first_open,
+        lambda: _solve_symmetry_blocks(
+            space, rows, order, first_open + order, first_open, first_open
+        ),
+    )
     return SymmetryBasis(
         n=n,
         order=order,

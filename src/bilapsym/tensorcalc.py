@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactpoly import (
@@ -108,24 +108,21 @@ def _sym_outer_components(
     p: int,
     b: Mapping[MultiIndex, object],
     q: int,
-    indices: tuple[int, ...],
 ) -> dict[MultiIndex, object]:
-    """Components of the symmetrized product of two symmetric tensors."""
-    if p == 0 or q == 0:
-        scalar_comp, tensor_comp = (a, b) if p == 0 else (b, a)
-        s = scalar_comp.get(())
-        return {} if s is None else collect((key, val * s) for key, val in tensor_comp.items())
+    """Components of the symmetrized product of two symmetric tensors.
+
+    Each stored pair (ka, kb) lands on sorted(ka + kb) once for each choice
+    of the positions of ka there, prod_i C(mult(i), mult_ka(i)) times.
+    """
     prefactor = Fraction(factorial(p) * factorial(q), factorial(p + q))
-    positions = tuple(range(p + q))
 
     def products():
-        for key in nondecreasing_tuples(indices, p + q):
-            for first in itertools.combinations(positions, p):
-                av = a.get(tuple(key[i] for i in first))
-                rest = tuple(key[i] for i in positions if i not in first)
-                bv = None if av is None else b.get(rest)
-                if bv is not None:
-                    yield key, av * bv
+        for ka, av in a.items():
+            for kb, bv in b.items():
+                key = tuple(sorted(ka + kb))
+                weight = prod(comb(key.count(i), ka.count(i)) for i in set(ka))
+                val = av * bv
+                yield key, val if weight == 1 else val * weight
 
     return {key: val * prefactor for key, val in collect(products()).items()}
 
@@ -133,18 +130,26 @@ def _sym_outer_components(
 def _trace_components(
     comps: Mapping[MultiIndex, object],
     valency: int,
-    indices: tuple[int, ...],
     lower: Callable[[int], int],
 ) -> dict[MultiIndex, object]:
-    """Metric trace over the first two slots (all slots are equivalent)."""
+    """Metric trace over the first two slots (all slots are equivalent).
+
+    A stored key gives its value to the key less a and lower(a), once for
+    each distinct index a of the key for which both can be removed.
+    """
     if valency < 2:
         raise ValueError("trace needs valency >= 2")
-    return collect(
-        (key, val)
-        for key in nondecreasing_tuples(indices, valency - 2)
-        for aidx in indices
-        if (val := comps.get(tuple(sorted(key + (aidx, lower(aidx)))))) is not None
-    )
+
+    def traces():
+        for key, val in comps.items():
+            for a in dict.fromkeys(key):
+                rest = list(key)
+                rest.remove(a)
+                if lower(a) in rest:
+                    rest.remove(lower(a))
+                    yield tuple(rest), val
+
+    return collect(traces())
 
 
 def _metric_components(n: int, kind: str) -> dict[MultiIndex, Fraction]:
@@ -169,21 +174,20 @@ def _tracefree_components(
     T = TF(T) + g (.) A splits T uniquely for N >= 3, and every denominator
     N+2s-2-2k >= N-2 is positive, so the closed form is exact.
     """
-    indices = base_indices(n) if kind == "base" else ambient_indices(n)
     lower = (lambda a: a) if kind == "base" else (lambda a: ambient_lower(n, a))
     g = _metric_components(n, kind)
-    s, dim = valency, len(indices)
+    s, dim = valency, n if kind == "base" else n + 2
     terms = [comps.items()]
     trace, g_power, coeff = comps, {(): Fraction(1)}, Fraction(1)
     for k in range(1, s // 2 + 1):
-        trace = _trace_components(trace, s - 2 * k + 2, indices, lower)
+        trace = _trace_components(trace, s - 2 * k + 2, lower)
         if not trace:
             break
         coeff *= Fraction(-(s - 2 * k + 2) * (s - 2 * k + 1), 2 * k * (dim + 2 * s - 2 - 2 * k))
-        g_power = _sym_outer_components(g, 2, g_power, 2 * k - 2, indices)
+        g_power = _sym_outer_components(g, 2, g_power, 2 * k - 2)
         # scaling the trace first costs one product per trace entry
         scaled = {key: val * coeff for key, val in trace.items()}
-        terms.append(_sym_outer_components(g_power, 2 * k, scaled, s - 2 * k, indices).items())
+        terms.append(_sym_outer_components(g_power, 2 * k, scaled, s - 2 * k).items())
     return collect(itertools.chain.from_iterable(terms))
 
 
@@ -241,10 +245,7 @@ class SymTensorField(LinearCombination):
     def is_tracefree(self) -> bool:
         if self.valency < 2:
             return True
-        tr = _trace_components(
-            self.components, self.valency, base_indices(self.n), lambda a: a
-        )
-        return not tr
+        return not _trace_components(self.components, self.valency, lambda a: a)
 
     def __repr__(self) -> str:
         return f"<SymTensorField n={self.n} valency={self.valency} nnz={len(self.components)}>"
@@ -294,7 +295,7 @@ def symmetrize(
 def metric_trace(t: SymTensorField) -> SymTensorField:
     """Exact contraction of two slots with the flat metric (all slot pairs
     give the same trace of a symmetric tensor)."""
-    comps = _trace_components(t.components, t.valency, base_indices(t.n), lambda a: a)
+    comps = _trace_components(t.components, t.valency, lambda a: a)
     return SymTensorField(t.n, t.valency - 2, comps)
 
 
@@ -308,9 +309,7 @@ def sym_outer(a: SymTensorField, b: SymTensorField) -> SymTensorField:
     """Symmetrized outer product of two symmetric tensor fields."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    comps = _sym_outer_components(
-        a.components, a.valency, b.components, b.valency, base_indices(a.n)
-    )
+    comps = _sym_outer_components(a.components, a.valency, b.components, b.valency)
     return SymTensorField(a.n, a.valency + b.valency, comps)
 
 
@@ -346,10 +345,7 @@ class SymAmbientTensor(LinearCombination):
 
     def trace(self) -> "SymAmbientTensor":
         comps = _trace_components(
-            self.components,
-            self.valency,
-            ambient_indices(self.n),
-            lambda a: ambient_lower(self.n, a),
+            self.components, self.valency, lambda a: ambient_lower(self.n, a)
         )
         return SymAmbientTensor(self.n, self.valency - 2, comps)
 
@@ -362,11 +358,7 @@ class SymAmbientTensor(LinearCombination):
 
     def sym_outer(self, other: "SymAmbientTensor") -> "SymAmbientTensor":
         comps = _sym_outer_components(
-            self.components,
-            self.valency,
-            other.components,
-            other.valency,
-            ambient_indices(self.n),
+            self.components, self.valency, other.components, other.valency
         )
         return SymAmbientTensor(self.n, self.valency + other.valency, comps)
 

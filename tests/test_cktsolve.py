@@ -7,6 +7,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilapsym import cktsolve, linsolve
 from bilapsym.cktsolve import (
@@ -39,13 +41,13 @@ from bilapsym.tensorcalc import (
 
 def column_by_residual(n, valency, residual_fn):
     """Reference column of the unknown (key, exps): the residual and the
-    metric trace of the unit tensor e_key x^exps, each entry keyed by its
-    tag, component and exponent tuple."""
+    metric trace of the unit tensor e_key x^exps, each entry keyed by
+    (tag, component) and exponent tuple."""
     space = base_space(n)
 
     def rows(t, tag):
         return {
-            (tag, key, tuple(mono.exponent(v) for v in base_indices(n))): coeff
+            ((tag, key), tuple(mono.exponent(v) for v in base_indices(n))): coeff
             for key, poly in t.components.items()
             for mono, coeff in poly.terms.items()
         }
@@ -130,6 +132,48 @@ def test_closed_form_columns_match_residual(residual, valency, n, top):
         for key in nondecreasing_tuples(base_indices(n), valency):
             for exps in exponent_tuples(n, d):
                 assert closed((key, exps)) == reference((key, exps)), (key, exps)
+
+
+def dense_sym_gradient(v: SymTensorField) -> SymTensorField:
+    """Reference for ``sym_gradient``: (1/(s+1)) sum_p d_{K_p} V[K less p]
+    at every nondecreasing key K of valency s + 1."""
+    n, s = v.n, v.valency
+    comps = {}
+    for key in nondecreasing_tuples(base_indices(n), s + 1):
+        total = Polynomial.zero(v.space)
+        for p in range(s + 1):
+            total = total + v.get(key[:p] + key[p + 1 :]).partial(key[p])
+        comps[key] = total * Fraction(1, s + 1)
+    return SymTensorField(n, s + 1, comps)
+
+
+def dense_divergence(v: SymTensorField) -> SymTensorField:
+    """Reference for ``divergence``: sum_a d_a V[K + (a,)] at every
+    nondecreasing key K of valency s - 1."""
+    n = v.n
+    comps = {}
+    for key in nondecreasing_tuples(base_indices(n), v.valency - 1):
+        total = Polynomial.zero(v.space)
+        for a in base_indices(n):
+            total = total + v.get(key + (a,)).partial(a)
+        comps[key] = total
+    return SymTensorField(n, v.valency - 1, comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_gradient_and_divergence_match_dense(data):
+    n = data.draw(st.sampled_from([3, 4, 5]))
+    valency = data.draw(st.integers(0, 4))
+    space = base_space(n)
+    monos = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(monomial_from_exponents)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    polys = st.dictionaries(monos, coeffs, max_size=3).map(lambda t: Polynomial(space, t))
+    keys = st.sampled_from(nondecreasing_tuples(base_indices(n), valency))
+    v = SymTensorField(n, valency, data.draw(st.dictionaries(keys, polys, max_size=4)))
+    assert sym_gradient(v) == dense_sym_gradient(v)
+    if valency >= 1:
+        assert divergence(v) == dense_divergence(v)
 
 
 class TestResiduals:

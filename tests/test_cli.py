@@ -263,11 +263,34 @@ class TestExitCodes:
     def test_malformed_symbol_file_exit_four(self, tmp_path, capsys, kind, content):
         symbol = tmp_path / "symbol.json"
         symbol.write_text(content)
-        code = cli.main(["build-op", "--kind", kind, "--w", "1/2", str(symbol)])
+        weight = ["--w", "1/2"] if kind in ("dv", "dw") else []
+        code = cli.main(["build-op", "--kind", kind, *weight, str(symbol)])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: malformed symbol file")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, kind",
+        [
+            (["--w", "5/3"], "bilaplacian"),
+            (["--w", "0"], "laplacian"),
+            (["--w", "7"], "ambient-one-pair"),
+            (["--w", "1/2"], "ambient-two-pair"),
+            (["--w", "1/2"], "ambient-scalar-symbol"),
+            (["--n", "5"], "dv"),
+            (["--n", "3"], "dw"),
+            (["--n", "4"], "ambient-one-pair"),
+        ],
+    )
+    def test_unread_build_op_flag_exit_two(self, tmp_path, capsys, flags, kind):
+        # rejected before the (missing) symbol file is read
+        argv = ["build-op", "--kind", kind, *flags, str(tmp_path / "missing.json")]
+        if kind.endswith("laplacian"):
+            argv.pop()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flags[0]} has no effect on kind {kind}\n"
 
     @pytest.mark.parametrize("weight", ["abc", "1/0"])
     @pytest.mark.parametrize("command", ["build-op", "verify"])

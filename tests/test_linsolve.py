@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilapsym import linsolve
-from bilapsym.linsolve import PRIME, block_nullspace, nullspace, rank
+from bilapsym.linsolve import (
+    PRIME,
+    block_nullspace,
+    leibniz_columns,
+    nullspace,
+    rank,
+    stabilized_by_closure,
+)
 
 
 def test_rank_of_identity_columns():
@@ -228,3 +235,52 @@ def test_block_nullspace_matches_per_block_nullspace(seed):
             for row, val in columns[u].items():
                 combo[row] = combo.get(row, Fraction(0)) + coeff * val
         assert all(v == 0 for v in combo.values())
+
+
+# ---------------------------------------------------------------------------
+# the shared pieces of the graded solvers
+
+
+def test_leibniz_columns_build_constants_once_per_label():
+    # L = d_1^2 + 3 on polynomials in two variables, per label scaled by
+    # its value: L(label x^m) = label (m1 (m1 - 1) x^(m - (2, 0)) + 3 x^m)
+    calls = []
+
+    def constants(label):
+        calls.append(label)
+        return [((2, 0), {"row": Fraction(label)}), ((0, 0), {"row": Fraction(3 * label)})]
+
+    column = leibniz_columns(constants)
+    assert column((2, (3, 1))) == {("row", (1, 1)): 12, ("row", (3, 1)): 6}
+    # gamma = (2, 0) does not divide x1 x2: only the gamma = 0 part is left
+    assert column((5, (1, 1))) == {("row", (1, 1)): 15}
+    assert column((2, (0, 4))) == {("row", (0, 4)): 6}
+    assert calls == [2, 5]
+
+
+@pytest.mark.parametrize(
+    "solved, first_open, probe_result, expected, probed",
+    [
+        # no complete grade: False without a probe
+        ({0, 1}, 0, [], False, False),
+        (set(), -2, [], False, False),
+        # an empty complete grade is the witness: True without a probe
+        ({1, 2}, 3, [], True, False),
+        ({0, 2}, 3, ["solution"], True, False),
+        # every complete grade has a solution: the probe decides
+        ({0, 1, 2}, 3, [], True, True),
+        ({0, 1, 2}, 3, ["solution"], False, True),
+        ({0}, 1, ["solution"], False, True),
+        # grades above first_open - 1 are no witness
+        ({0, 1, 5}, 2, ["solution"], False, True),
+    ],
+)
+def test_stabilized_by_closure(solved, first_open, probe_result, expected, probed):
+    calls = []
+
+    def probe():
+        calls.append(first_open)
+        return probe_result
+
+    assert stabilized_by_closure(solved, first_open, probe) is expected
+    assert calls == ([first_open] if probed else [])

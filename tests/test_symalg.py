@@ -174,7 +174,7 @@ def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict
     rows = symalg._symbol_row_builder(bilaplacian(n))
     alphas = [a for k in range(order + 1) for a in nondecreasing_tuples(base_indices(n), k)]
     gens = [
-        (m, a)
+        (a, m)
         for d in range(degree_bound + 1)
         for m in exponent_tuples(n, d)
         for a in alphas
@@ -182,10 +182,10 @@ def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict
     ]
 
     def block(g):
-        return (sum(g[0]) - len(g[1]), parity_class(*g))
+        return (sum(g[1]) - len(g[0]), parity_class(g[1], g[0]))
 
     counts = {block(g): 0 for g in gens}
-    for key, _ in linsolve.block_nullspace(gens, block, lambda g: rows(*g)):
+    for key, _ in linsolve.block_nullspace(gens, block, rows):
         counts[key] += 1
     return counts
 
@@ -408,7 +408,7 @@ class TestEnumerator:
             m_exps[rng.randrange(n)] += 1
         m_exps = tuple(m_exps)
         bilap = bilaplacian(n)
-        got = symalg._symbol_row_builder(bilap)(m_exps, alpha)
+        got = symalg._symbol_row_builder(bilap)((alpha, m_exps))
         assert got == symbol_rows_by_division(bilap, m_exps, alpha)
         assert all(type(v) is int and v for v in got.values())
 
@@ -421,7 +421,7 @@ class TestEnumerator:
             for m_exps in exponent_tuples(3, degree):
                 for alpha in alphas:
                     expected = symbol_rows_by_division(bilap, m_exps, alpha)
-                    assert rows(m_exps, alpha) == expected, (m_exps, alpha)
+                    assert rows((alpha, m_exps)) == expected, (m_exps, alpha)
 
     def test_first_order_count(self):
         basis = enumerate_symmetries(3, 1, 2)

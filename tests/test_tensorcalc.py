@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,8 @@ from bilapsym.tensorcalc import (
     sym_outer,
     symmetrize,
     tracefree_part,
+    _sym_outer_components,
+    _trace_components,
 )
 from bilapsym.symalg import (
     bracket,
@@ -623,6 +625,69 @@ def test_tracefree_projection_characterized(kind, n, valency, data):
     if valency >= 2:
         a = data.draw(sym_tensors(kind, n, valency - 2))
         assert project(metric_times(a)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the sparse symmetric product and trace against the dense loops over every
+# nondecreasing output key
+
+
+def dense_sym_outer_components(a, p, b, q, indices):
+    """Reference for ``_sym_outer_components``: every split of the positions
+    of every nondecreasing key of valency p + q into p and q slots."""
+    prefactor = Fraction(factorial(p) * factorial(q), factorial(p + q))
+    positions = tuple(range(p + q))
+    out = {}
+    for key in nondecreasing_tuples(indices, p + q):
+        total = 0
+        for first in itertools.combinations(positions, p):
+            av = a.get(tuple(key[i] for i in first))
+            bv = b.get(tuple(key[i] for i in positions if i not in first))
+            if av is not None and bv is not None:
+                total = av * bv + total
+        if total:
+            out[key] = total * prefactor
+    return out
+
+
+def dense_trace_components(comps, valency, indices, lower):
+    """Reference for ``_trace_components``: T[key + (a, lower(a))] summed
+    over every index a at every nondecreasing key of valency - 2."""
+    out = {}
+    for key in nondecreasing_tuples(indices, valency - 2):
+        total = 0
+        for a in indices:
+            val = comps.get(tuple(sorted(key + (a, lower(a)))))
+            if val is not None:
+                total = val + total
+        if total:
+            out[key] = total
+    return out
+
+
+@pytest.mark.parametrize("kind", ["base", "ambient"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("valency", range(7))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_sparse_product_and_trace_match_dense(kind, n, valency, data):
+    if kind == "base":
+        indices, lower = tuple(range(1, n + 1)), (lambda a: a)
+    else:
+        indices, lower = ambient_indices(n), (lambda a: ambient_lower(n, a))
+    t = data.draw(sym_tensors(kind, n, valency)).components
+    q = data.draw(st.integers(0, 6 - valency))
+    other = data.draw(sym_tensors(kind, n, q)).components
+    assert _sym_outer_components(t, valency, other, q) == dense_sym_outer_components(
+        t, valency, other, q, indices
+    )
+    if valency < 2:
+        with pytest.raises(ValueError):
+            _trace_components(t, valency, lower)
+    else:
+        assert _trace_components(t, valency, lower) == dense_trace_components(
+            t, valency, indices, lower
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.exactpoly import Monomial, Polynomial, base_space
+from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space
 from bilapsym.weylop import (
     DiffOp,
     NotDivisibleError,
@@ -178,10 +178,35 @@ class TestOperatorFromAction:
             operator_from_action(SPACE, lambda p: p * p, order=2)
 
 
+@st.composite
+def operators(draw):
+    """Random operators on a base or an ambient space, whose coefficients
+    may carry fractional and negative powers of the scaling variable x0."""
+    space = VarSpace(draw(st.sampled_from(["base", "ambient"])), draw(st.integers(3, 5)))
+    x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    def monomial(draw_exp):
+        return Monomial(
+            (v, draw(x0_exps) if v == 0 else draw_exp()) for v in space.variables
+        )
+
+    def polynomial():
+        size = draw(st.integers(0, 3))
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+        return Polynomial(
+            space, {monomial(lambda: draw(st.integers(0, 2))): draw(coeffs) for _ in range(size)}
+        )
+
+    alphas = st.lists(st.sampled_from(space.variables), max_size=3).map(
+        lambda a: tuple(sorted(a))
+    )
+    return DiffOp(space, {draw(alphas): polynomial() for _ in range(draw(st.integers(0, 4)))})
+
+
 class TestSerialization:
-    def test_json_round_trip(self):
-        rng = random.Random(17)
-        op = random_op(rng)
+    @settings(max_examples=60, deadline=None)
+    @given(operators())
+    def test_json_round_trip(self, op):
         assert DiffOp.from_json_obj(op.to_json_obj()) == op
 
     def test_text_contains_derivatives(self):
