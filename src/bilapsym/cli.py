@@ -50,6 +50,31 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(fmt=args.format, out_path=args.out)
 
 
+# the kinds (or suites) that read each optional argument; the others ignore it
+SOLVE_FLAG_READERS = {"--s": ("ckt", "symmetries"), "--t": ("gckt",)}
+SYMBOL_KINDS = ("dv", "dw", "ambient-one-pair", "ambient-two-pair", "ambient-scalar-symbol")
+BUILD_OP_FLAG_READERS = {
+    "--w": ("dv", "dw"), "--n": ("laplacian", "bilaplacian"), "symbol": SYMBOL_KINDS,
+}
+VERIFY_FLAG_READERS = {
+    "--w": ("all", "composition-identity"), "--seed": ("all", "quartic-obstruction"),
+}
+
+
+def _reports_unread_flag(args: argparse.Namespace, readers: dict, what: str) -> bool:
+    """Report the first argument given that the chosen ``what`` does not read."""
+    choice = getattr(args, what)
+    for flag, readers_of_flag in readers.items():
+        if getattr(args, flag.lstrip("-")) is not None and choice not in readers_of_flag:
+            print(f"error: {flag} has no effect on {what} {choice}", file=sys.stderr)
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# dims / basis
+
+
 def _default_bound(args: argparse.Namespace) -> int:
     if args.degree_bound is not None:
         return args.degree_bound
@@ -58,11 +83,10 @@ def _default_bound(args: argparse.Namespace) -> int:
     return 4
 
 
-# ---------------------------------------------------------------------------
-# dims / basis
-
-
 def _solve_for(args: argparse.Namespace):
+    # --s and --t stay unset unless given, so that an unread one is reported
+    args.s = 1 if args.s is None else args.s
+    args.t = 0 if args.t is None else args.t
     bound = _default_bound(args)
     if args.kind == "ckt":
         return solve_ckt(args.n, args.s, bound)
@@ -72,6 +96,8 @@ def _solve_for(args: argparse.Namespace):
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
+    if _reports_unread_flag(args, SOLVE_FLAG_READERS, "kind"):
+        return EXIT_BAD_ARGS
     basis = _solve_for(args)
     payload: dict = {
         "kind": args.kind,
@@ -107,6 +133,8 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    if _reports_unread_flag(args, SOLVE_FLAG_READERS, "kind"):
+        return EXIT_BAD_ARGS
     basis = _solve_for(args)
     elements = [el.to_json_obj() for el in basis.elements]
     payload = {
@@ -125,21 +153,6 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # build-op
-
-
-# the kinds (or suites) that read each optional flag; the others ignore it
-BUILD_OP_FLAG_READERS = {"w": ("dv", "dw"), "n": ("laplacian", "bilaplacian")}
-VERIFY_FLAG_READERS = {"w": ("all", "composition-identity"), "seed": ("all", "quartic-obstruction")}
-
-
-def _reports_unread_flag(args: argparse.Namespace, readers: dict, what: str) -> bool:
-    """Report the first flag given that the chosen ``what`` does not read."""
-    choice = getattr(args, what)
-    for flag, readers_of_flag in readers.items():
-        if getattr(args, flag) is not None and choice not in readers_of_flag:
-            print(f"error: --{flag} has no effect on {what} {choice}", file=sys.stderr)
-            return True
-    return False
 
 
 def cmd_build_op(args: argparse.Namespace) -> int:
@@ -235,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
             default="ckt",
             help="which solution space to solve",
         )
-        p.add_argument("--s", type=int, default=1, help="valency (ckt) or order (symmetries)")
-        p.add_argument("--t", type=int, default=0, help="valency for gckt")
+        p.add_argument(
+            "--s", type=int, default=None, help="valency (ckt) or order (symmetries) (1)"
+        )
+        p.add_argument("--t", type=int, default=None, help="valency for gckt (0)")
         p.add_argument("--degree-bound", type=int, default=None)
         p.set_defaults(fn=fn)
 
@@ -244,15 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--kind",
-        choices=(
-            "dv",
-            "dw",
-            "ambient-one-pair",
-            "ambient-two-pair",
-            "ambient-scalar-symbol",
-            "laplacian",
-            "bilaplacian",
-        ),
+        choices=SYMBOL_KINDS + ("laplacian", "bilaplacian"),
         required=True,
     )
     p.add_argument("--w", type=parse_rational, default=None, help="dv/dw weight p/q (0)")

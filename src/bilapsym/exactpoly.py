@@ -311,6 +311,15 @@ class Monomial:
         return out
 
     @classmethod
+    def _of_padded(cls, exps: tuple) -> "Monomial":
+        """A monomial from a valid exponent vector that may end in zeros and
+        may hold an integral x0 exponent as a Fraction."""
+        if type(exps[0]) is Fraction and exps[0].denominator == 1:
+            exps = (int(exps[0]),) + exps[1:]
+        exps = _trimmed(exps)
+        return cls._of(exps, sum(exps))
+
+    @classmethod
     def of_indices(cls, indices: Iterable[int]) -> "Monomial":
         """The product of x_v over the indices (the key of d^alpha)."""
         return cls((v, 1) for v in indices)

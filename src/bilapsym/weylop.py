@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import add as _add
 from typing import Callable, Mapping
 
 from .exactpoly import (
@@ -175,20 +176,103 @@ def apply(op: DiffOp, p: Polynomial) -> Polynomial:
     )
 
 
+def _numerators(op: DiffOp, width: int) -> tuple[int, list]:
+    """The coefficients of op as integer numerators over one common
+    denominator, the lcm of theirs: (den, [(alpha, [(exps, numerator)])]),
+    with each exponent vector padded to ``width`` slots."""
+    den = lcm(*(c.denominator for coeff in op.terms.values() for c in coeff.terms.values()))
+    pad = (0,) * width
+    return den, [
+        (alpha, [
+            ((m.exps + pad)[:width], c.numerator * (den // c.denominator))
+            for m, c in coeff.terms.items()
+        ])
+        for alpha, coeff in op.terms.items()
+    ]
+
+
+def _lowered(m: tuple, gamma: list) -> tuple[Rational, tuple] | None:
+    """The falling factorial [m]_gamma = prod_v m_v (m_v - 1) ... (m_v -
+    gamma_v + 1) with the exponents m - gamma, for gamma given by its
+    nonzero (v, gamma_v), or None when it vanishes.  It vanishes only on a
+    nonnegative integer m_v < gamma_v; a negative or fractional x0 exponent
+    never does, and gives a Fraction when fractional."""
+    ff = 1
+    low = list(m)
+    for v, g in gamma:
+        e = m[v]
+        if type(e) is int and 0 <= e < g:
+            return None
+        for i in range(g):
+            ff *= e - i
+        low[v] = e - g
+    return ff, tuple(low)
+
+
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """The operator product a o b, normal-ordered via the Leibniz rule."""
+    """The operator product a o b, normal-ordered term by term:
+
+        x^p d^alpha o x^m d^beta
+            = sum_{gamma <= alpha} C(alpha, gamma) [m]_gamma x^(p+m-gamma) d^(alpha-gamma+beta).
+
+    Each operand is scaled once to integer numerators over a common
+    denominator, so the products are summed exactly as ints (Fractions only
+    through a fractional x0 exponent) and each output coefficient is one
+    Fraction over the product of the two denominators.
+    """
     a._check_like(b)
+    space = a.space
+    width = space.variables[-1] + 1
+    pad = (0,) * width
+    den_a, terms_a = _numerators(a, width)
+    den_b, terms_b = _numerators(b, width)
 
-    def terms():
-        for alpha, ca in a.terms.items():
-            leibniz = alpha.divisors()
-            for beta, cb in b.terms.items():
-                for gamma, rest, weight in leibniz:
-                    dcb = _differentiate(cb, gamma)
-                    if not dcb.is_zero:
-                        yield rest * beta, ca * dcb * weight
+    # the terms of b under padded beta, with [m]_gamma folded into the
+    # numerator and x^m lowered to x^(m - gamma): once per gamma in this call
+    unshifted = [((beta.exps + pad)[:width], cb) for beta, cb in terms_b]
+    shifted: dict[tuple, list] = {(0,): unshifted}
 
-    return DiffOp._collect(a.space, terms())
+    def lowered_b(gamma: Monomial) -> list:
+        out = shifted.get(gamma.exps)
+        if out is None:
+            out = shifted[gamma.exps] = []
+            moves = list(gamma.items())
+            for beta, cb in unshifted:
+                low = []
+                for m, num in cb:
+                    hit = _lowered(m, moves)
+                    if hit is not None:
+                        low.append((hit[1], num * hit[0]))
+                if low:
+                    out.append((beta, low))
+        return out
+
+    sums: dict[tuple, dict] = {}
+    for alpha, ca in terms_a:
+        for gamma, rest, weight in alpha.divisors():
+            rest = (rest.exps + pad)[:width]
+            for beta, cb in lowered_b(gamma):
+                bucket = sums.setdefault(tuple(map(_add, rest, beta)), {})
+                for low, num_b in cb:
+                    f = num_b * weight
+                    for p, num_a in ca:
+                        e = tuple(map(_add, p, low))
+                        bucket[e] = bucket.get(e, 0) + num_a * f
+
+    den = den_a * den_b
+    monomials: dict[tuple, Monomial] = {}
+    terms = {}
+    for d, bucket in sums.items():
+        coeff = {}
+        for e, t in bucket.items():
+            if t:
+                m = monomials.get(e)
+                if m is None:
+                    m = monomials[e] = Monomial._of_padded(e)
+                coeff[m] = Fraction(t, den)
+        if coeff:
+            terms[Monomial._of_padded(d)] = Polynomial._make(space, coeff)
+    return DiffOp._make(space, terms)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -45,6 +45,17 @@ class TestDims:
         text = capsys.readouterr().out
         assert "dimension: 14" in text
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [("ckt", {"s": 1, "dimension": 10}), ("gckt", {"t": 0, "dimension": 14}),
+         ("symmetries", {"order": 1, "dimension": 11})],
+    )
+    def test_unset_valency_reads_as_default(self, tmp_path, kind, payload):
+        out = tmp_path / "d.json"
+        assert cli.main(["dims", "--kind", kind, "--format", "json", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        assert {key: got[key] for key in payload} == payload
+
     def test_symmetries_includes_closed_form(self, tmp_path):
         out = tmp_path / "d.json"
         code = cli.main(
@@ -291,6 +302,35 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {flags[0]} has no effect on kind {kind}\n"
+
+    @pytest.mark.parametrize("kind", ["laplacian", "bilaplacian"])
+    def test_symbol_file_for_builtin_operator_exit_two(self, tmp_path, capsys, monkeypatch, kind):
+        symbol = tmp_path / "f.json"
+        symbol.write_text("{}")
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a))
+        assert cli.main(["build-op", "--kind", kind, str(symbol)]) == 2
+        assert opened == []
+        captured = capsys.readouterr()
+        assert captured.err == f"error: symbol has no effect on kind {kind}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, kind, flag, value",
+        [
+            ("dims", "gckt", "--s", "5"),
+            ("dims", "ckt", "--t", "4"),
+            ("dims", "symmetries", "--t", "0"),
+            ("basis", "gckt", "--s", "1"),
+            ("basis", "ckt", "--t", "2"),
+        ],
+    )
+    def test_unread_valency_flag_exit_two(self, capsys, command, kind, flag, value):
+        argv = [command, "--kind", kind, flag, value, "--n", "3", "--degree-bound", "2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} has no effect on kind {kind}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("weight", ["abc", "1/0"])
     @pytest.mark.parametrize("command", ["build-op", "verify"])

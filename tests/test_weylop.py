@@ -178,34 +178,115 @@ class TestOperatorFromAction:
             operator_from_action(SPACE, lambda p: p * p, order=2)
 
 
+x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
 @st.composite
-def operators(draw):
-    """Random operators on a base or an ambient space, whose coefficients
-    may carry fractional and negative powers of the scaling variable x0."""
-    space = VarSpace(draw(st.sampled_from(["base", "ambient"])), draw(st.integers(3, 5)))
-    x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+def polynomials_on(draw, space, min_size=0, free_of=None):
+    """A random polynomial on ``space`` (without the variable ``free_of``)
+    whose coefficients have denominators up to 7 and whose monomials may
+    carry fractional and negative powers of the scaling variable x0."""
+    variables = [v for v in space.variables if v != free_of]
+    coeffs = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 7))
+    terms = {}
+    for _ in range(draw(st.integers(min_size, 3))):
+        exps = ((v, draw(x0_exps if v == 0 else st.integers(0, 2))) for v in variables)
+        terms[Monomial(exps)] = draw(coeffs)
+    return Polynomial(space, terms)
 
-    def monomial(draw_exp):
-        return Monomial(
-            (v, draw(x0_exps) if v == 0 else draw_exp()) for v in space.variables
-        )
 
-    def polynomial():
-        size = draw(st.integers(0, 3))
-        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
-        return Polynomial(
-            space, {monomial(lambda: draw(st.integers(0, 2))): draw(coeffs) for _ in range(size)}
-        )
-
+@st.composite
+def operators_on(draw, space):
+    """A random operator of order up to 3 with ``polynomials_on`` coefficients."""
     alphas = st.lists(st.sampled_from(space.variables), max_size=3).map(
         lambda a: tuple(sorted(a))
     )
-    return DiffOp(space, {draw(alphas): polynomial() for _ in range(draw(st.integers(0, 4)))})
+    return DiffOp(
+        space,
+        {draw(alphas): draw(polynomials_on(space)) for _ in range(draw(st.integers(0, 4)))},
+    )
+
+
+spaces = st.builds(VarSpace, st.sampled_from(["base", "ambient"]), st.integers(3, 5))
+operators = spaces.flatmap(operators_on)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(q d_v, x_v^w C d^beta d_v - w x_v^(w-1) C d^beta) with C free of x_v:
+    the two d^beta d_v terms of the product cancel, for any exponent w of
+    x0 and any w >= 1 elsewhere."""
+    space = draw(spaces)
+    v = draw(st.sampled_from(space.variables))
+    w = draw(x0_exps if v == 0 else st.integers(1, 3))
+    q = draw(polynomials_on(space, min_size=1))
+    c = draw(polynomials_on(space, min_size=1, free_of=v))
+    beta = tuple(sorted(draw(st.lists(st.sampled_from(space.variables), max_size=2))))
+    cancelled = tuple(sorted(beta + (v,)))
+    b = DiffOp(space, {
+        cancelled: c * Polynomial.variable(space, v, w),
+        beta: c * Polynomial.variable(space, v, w - 1) * -w,
+    })
+    return DiffOp(space, {(v,): q}), b, cancelled
+
+
+def compose_by_polynomials(a: DiffOp, b: DiffOp) -> DiffOp:
+    """The Leibniz product built from Polynomial products: C(alpha, gamma)
+    ca d^gamma(cb) d^(alpha - gamma + beta) for each pair of terms."""
+    a._check_like(b)
+
+    def differentiate(p, gamma):
+        for v in gamma.indices():
+            p = p.partial(v)
+        return p
+
+    def terms():
+        for alpha, ca in a.terms.items():
+            leibniz = alpha.divisors()
+            for beta, cb in b.terms.items():
+                for gamma, rest, weight in leibniz:
+                    dcb = differentiate(cb, gamma)
+                    if not dcb.is_zero:
+                        yield rest * beta, ca * dcb * weight
+
+    return DiffOp._collect(a.space, terms())
+
+
+def assert_composes_like_reference(a, b):
+    out = compose(a, b)
+    assert out == compose_by_polynomials(a, b)
+    for coeff in out.terms.values():
+        for m, c in coeff.terms.items():
+            assert type(c) is Fraction
+            assert list(map(type, m.exps)) == list(map(type, Monomial(m.items()).exps))
+    return out
+
+
+class TestComposeReference:
+    @settings(max_examples=150, deadline=None)
+    @given(spaces.flatmap(lambda s: st.tuples(operators_on(s), operators_on(s))))
+    def test_matches_polynomial_products(self, pair):
+        assert_composes_like_reference(*pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cancelling_pairs())
+    def test_cancelling_terms_drop_out(self, case):
+        a, b, cancelled = case
+        out = assert_composes_like_reference(a, b)
+        assert out.coefficient(cancelled).is_zero
+        assert out.terms
+
+    @pytest.mark.parametrize("w", [-2, Fraction(-3, 2), 0, Fraction(1, 2), 2])
+    def test_d0_past_a_power_of_x0(self, w):
+        space = VarSpace("ambient", 3)
+        power, lowered = (Polynomial.variable(space, 0, e) for e in (w, w - 1))
+        out = compose(DiffOp.partial_op(space, 0), DiffOp.multiplication(power))
+        assert out == DiffOp(space, {(0,): power, (): lowered * w})
 
 
 class TestSerialization:
     @settings(max_examples=60, deadline=None)
-    @given(operators())
+    @given(operators)
     def test_json_round_trip(self, op):
         assert DiffOp.from_json_obj(op.to_json_obj()) == op
 
