@@ -45,6 +45,7 @@ from .weylop import (
     bilaplacian,
     commutator,
     compose,
+    compose_sum,
     is_symmetry,
     laplacian,
     operator_from_action,

@@ -38,7 +38,7 @@ from .tensorcalc import (
     ambient_lower,
     symmetrize,
 )
-from .weylop import DiffOp, compose, euler_op, multiplier_commutator
+from .weylop import DiffOp, compose, compose_sum, euler_op, multiplier_commutator
 
 # ---------------------------------------------------------------------------
 # cone and section
@@ -312,16 +312,16 @@ def _descend(op: DiffOp, weight: Fraction) -> DiffOp:
     space = base_space(op.space.n)
     euler, ident = euler_op(space), DiffOp.identity(space)
 
-    def parts():
+    def groups():
         for alpha, coeff in op.terms.items():
             if not alpha.exponent(op.space.inf):
                 k = alpha.exponent(0)
                 part = DiffOp(space, {alpha.indices()[k:]: 1})
                 for i in range(k):
                     part = compose(ident * (weight - alpha.degree + k - i) - euler, part)
-                yield part * section_substitution(coeff)
+                yield DiffOp.multiplication(section_substitution(coeff)), ((part, 1),)
 
-    return DiffOp._sum(space, parts())
+    return compose_sum(space, groups())
 
 
 def preserves_cone_ideal(op: DiffOp, weight: Rational) -> bool:

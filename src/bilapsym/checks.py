@@ -374,6 +374,8 @@ def quartic_obstruction(n: int, seed: int, weight):
     the squared Laplacian."""
     report = counterexample_operator_check(n, seed)
     case = f"n={n} seed={report.seed_used}"
+    if report.skipped:
+        case += " (skipped " + ", ".join(f"{s}: {why}" for s, why in report.skipped) + ")"
     yield "quartic_first_traces_vanish", case, report.first_trace_is_zero
     yield "quartic_tail_traces_vanish", case, report.tail_trace_is_zero
     yield "quartic_mixed_trace_is_multiple", case, (

@@ -70,6 +70,7 @@ from .weylop import (
     NotDivisibleError,
     bilaplacian,
     compose,
+    compose_sum,
     euler_op,
     right_factor_through_bilaplacian,
     right_factor_through_laplacian,
@@ -634,6 +635,7 @@ class CounterexampleReport:
 
     n: int
     seed_used: int
+    skipped: tuple[tuple[int, str], ...]  # (seed, "zero tensor" | "zero quartic")
     first_trace_is_zero: bool
     tail_trace_is_zero: bool
     mixed_trace_factor: Fraction
@@ -684,19 +686,20 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
     quartic boundary polynomial times the squared Laplacian.
 
     Seeds that degenerate (zero tensor or zero quartic polynomial) are
-    skipped deterministically; the report records the seed actually used.
+    skipped deterministically; the report records the seed actually used
+    and each seed skipped before it with its reason.
     """
     z = None
-    seed_used = seed
+    skipped = []
     for attempt in range(seed, seed + 10):
         candidate = _random_tracefree_four_tensor(n, attempt)
         if candidate.is_zero:
-            continue
-        if quartic_boundary_polynomial(candidate).is_zero:
-            continue
-        z = candidate
-        seed_used = attempt
-        break
+            skipped.append((attempt, "zero tensor"))
+        elif quartic_boundary_polynomial(candidate).is_zero:
+            skipped.append((attempt, "zero quartic"))
+        else:
+            z = candidate
+            break
     if z is None:
         raise ValueError("could not draw a nondegenerate tensor from this seed")
 
@@ -722,24 +725,22 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
     second = {
         (p, q): compose(ops[p], ops[q]) for p in pairs for q in pairs
     }
-    space = ops[pairs[0]].space
-
-    def products():
-        for p1 in pairs:
-            for p2 in pairs:
-                right_sum = DiffOp._sum(
-                    space,
-                    (
-                        second[(p3, p4)] * coeff
-                        for p3 in pairs
-                        for p4 in pairs
-                        if (coeff := x.get(p1 + p2 + p3 + p4))
-                    ),
-                )
-                if not right_sum.is_zero:
-                    yield compose(second[(p1, p2)], right_sum)
-
-    total = DiffOp._sum(space, products())
+    total = compose_sum(
+        ops[pairs[0]].space,
+        (
+            (
+                second[(p1, p2)],
+                [
+                    (second[(p3, p4)], coeff)
+                    for p3 in pairs
+                    for p4 in pairs
+                    if (coeff := x.get(p1 + p2 + p3 + p4))
+                ],
+            )
+            for p1 in pairs
+            for p2 in pairs
+        ),
+    )
 
     w0 = bilaplacian_weight(n)
     induced = induce(total, w0)
@@ -761,7 +762,8 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
 
     return CounterexampleReport(
         n=n,
-        seed_used=seed_used,
+        seed_used=attempt,
+        skipped=tuple(skipped),
         first_trace_is_zero=first_zero,
         tail_trace_is_zero=tail_zero,
         mixed_trace_factor=factor,

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import add as _add
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exactpoly import (
     LinearCombination,
@@ -28,6 +28,7 @@ from .exactpoly import (
     Rational,
     VarSpace,
     base_space,
+    rat,
 )
 
 Alpha = tuple[int, ...]
@@ -209,57 +210,121 @@ def _lowered(m: tuple, gamma: list) -> tuple[Rational, tuple] | None:
     return ff, tuple(low)
 
 
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """The operator product a o b, normal-ordered term by term:
+def _lowered_terms(terms: list, gamma: Monomial) -> list:
+    """The terms [(beta, [(m, numerator)])] of a right factor with
+    [m]_gamma folded into each numerator and x^m lowered to x^(m - gamma);
+    the terms that vanish are dropped."""
+    moves = list(gamma.items())
+    out = []
+    for beta, cb in terms:
+        low = []
+        for m, num in cb:
+            hit = _lowered(m, moves)
+            if hit is not None:
+                low.append((hit[1], num * hit[0]))
+        if low:
+            out.append((beta, low))
+    return out
+
+
+def compose_sum(
+    space: VarSpace, groups: Iterable[tuple[DiffOp, Iterable[tuple[DiffOp, Rational]]]]
+) -> DiffOp:
+    """The operator sum_i a_i o (sum_j c_ij b_ij) for the groups
+    (a_i, [(b_ij, c_ij), ...]), normal-ordered term by term:
 
         x^p d^alpha o x^m d^beta
             = sum_{gamma <= alpha} C(alpha, gamma) [m]_gamma x^(p+m-gamma) d^(alpha-gamma+beta).
 
-    Each operand is scaled once to integer numerators over a common
-    denominator, so the products are summed exactly as ints (Fractions only
-    through a fractional x0 exponent) and each output coefficient is one
-    Fraction over the product of the two denominators.
+    Each operand is written as integer numerators over a common
+    denominator: a left factor once per group, a right factor once per
+    call.  The right factors of a group are summed as ints, and each group
+    is expanded once into buckets over one running denominator.  Groups are
+    streamed: a group whose denominator does not divide the running one
+    rescales the buckets filled so far.  So every output coefficient is one
+    sum of int products (Fractions only through a fractional x0 exponent)
+    turned into one Fraction at the end.
     """
-    a._check_like(b)
-    space = a.space
     width = space.variables[-1] + 1
     pad = (0,) * width
-    den_a, terms_a = _numerators(a, width)
-    den_b, terms_b = _numerators(b, width)
 
-    # the terms of b under padded beta, with [m]_gamma folded into the
-    # numerator and x^m lowered to x^(m - gamma): once per gamma in this call
-    unshifted = [((beta.exps + pad)[:width], cb) for beta, cb in terms_b]
-    shifted: dict[tuple, list] = {(0,): unshifted}
+    def numerators(op: DiffOp) -> tuple[int, list]:
+        if type(op) is not DiffOp:
+            raise TypeError("expected a DiffOp")
+        if op.space != space:
+            raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
+        return _numerators(op, width)
 
-    def lowered_b(gamma: Monomial) -> list:
-        out = shifted.get(gamma.exps)
-        if out is None:
-            out = shifted[gamma.exps] = []
-            moves = list(gamma.items())
-            for beta, cb in unshifted:
-                low = []
+    # id -> (b, den, terms) for the right factors: holding b keeps its id
+    # from being reused by another operand within this call.  Left factors
+    # are not kept, so a stream of fresh groups holds one at a time.
+    cache: dict[int, tuple] = {}
+
+    def right_numerators(b: DiffOp) -> tuple[int, list]:
+        hit = cache.get(id(b))
+        if hit is None:
+            hit = cache[id(b)] = (b, *numerators(b))
+        return hit[1:]
+
+    def right_sum(factors) -> tuple[int, list]:
+        """sum_j c_j b_j as (den, [(padded beta, [(m, numerator)])])."""
+        parts = [(right_numerators(b), rat(c)) for b, c in factors]
+        parts = [(num_b, c) for num_b, c in parts if c and num_b[1]]
+        if len(parts) == 1:
+            (den, terms), c = parts[0]
+            k = c.numerator
+            return den * c.denominator, [
+                ((beta.exps + pad)[:width], cb if k == 1 else [(m, num * k) for m, num in cb])
+                for beta, cb in terms
+            ]
+        den = lcm(*(den_b * c.denominator for (den_b, _), c in parts))
+        acc: dict[tuple, dict] = {}
+        for (den_b, terms), c in parts:
+            k = den // (den_b * c.denominator) * c.numerator
+            for beta, cb in terms:
+                coeff = acc.setdefault((beta.exps + pad)[:width], {})
                 for m, num in cb:
-                    hit = _lowered(m, moves)
-                    if hit is not None:
-                        low.append((hit[1], num * hit[0]))
-                if low:
-                    out.append((beta, low))
-        return out
+                    coeff[m] = coeff.get(m, 0) + num * k
+        return den, [
+            (beta, nonzero)
+            for beta, coeff in acc.items()
+            if (nonzero := [(m, t) for m, t in coeff.items() if t])
+        ]
 
+    den = 1
     sums: dict[tuple, dict] = {}
-    for alpha, ca in terms_a:
-        for gamma, rest, weight in alpha.divisors():
-            rest = (rest.exps + pad)[:width]
-            for beta, cb in lowered_b(gamma):
-                bucket = sums.setdefault(tuple(map(_add, rest, beta)), {})
-                for low, num_b in cb:
-                    f = num_b * weight
-                    for p, num_a in ca:
-                        e = tuple(map(_add, p, low))
-                        bucket[e] = bucket.get(e, 0) + num_a * f
+    for a, factors in groups:
+        den_a, terms_a = numerators(a)
+        den_r, right = right_sum(factors)
+        if not (terms_a and right):
+            continue
+        den_g = den_a * den_r
+        if den % den_g:
+            grown = lcm(den, den_g)
+            k = grown // den
+            for bucket in sums.values():
+                for e in bucket:
+                    bucket[e] *= k
+            den = grown
+        scale = den // den_g
+        # the right factor lowered by each gamma, once per gamma in this group
+        shifted = {(0,): right}
+        for alpha, ca in terms_a:
+            if scale != 1:
+                ca = [(p, num * scale) for p, num in ca]
+            for gamma, rest, weight in alpha.divisors():
+                rest = (rest.exps + pad)[:width]
+                low_b = shifted.get(gamma.exps)
+                if low_b is None:
+                    low_b = shifted[gamma.exps] = _lowered_terms(right, gamma)
+                for beta, cb in low_b:
+                    bucket = sums.setdefault(tuple(map(_add, rest, beta)), {})
+                    for low, num_b in cb:
+                        f = num_b * weight
+                        for p, num_a in ca:
+                            e = tuple(map(_add, p, low))
+                            bucket[e] = bucket.get(e, 0) + num_a * f
 
-    den = den_a * den_b
     monomials: dict[tuple, Monomial] = {}
     terms = {}
     for d, bucket in sums.items():
@@ -273,6 +338,11 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
         if coeff:
             terms[Monomial._of_padded(d)] = Polynomial._make(space, coeff)
     return DiffOp._make(space, terms)
+
+
+def compose(a: DiffOp, b: DiffOp) -> DiffOp:
+    """The operator product a o b: the one-group case of ``compose_sum``."""
+    return compose_sum(a.space, ((a, ((b, 1),)),))
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

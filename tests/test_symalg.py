@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym import linsolve, symalg
-from bilapsym.ambient import lie_to_ckv, realize_ckt, realize_gckt
+from bilapsym import ambient, checks, linsolve, symalg
+from bilapsym.ambient import (
+    ambient_op_V,
+    ambient_op_W,
+    ambient_op_gg,
+    lie_to_ckv,
+    realize_ckt,
+    realize_gckt,
+    section_substitution,
+)
 from bilapsym.exactpoly import (
     Polynomial,
     base_space,
@@ -39,6 +47,7 @@ from bilapsym.symalg import (
     quartic_boundary_polynomial,
     rotation_element,
     so_basis,
+    so_basis_element,
     so_pair_list,
     special_conformal_element,
     summand_operator_checks,
@@ -50,6 +59,8 @@ from bilapsym.tensorcalc import (
     SymTensorField,
     base_indices,
     bullet_extract,
+    counterexample_tensor,
+    decompose_gg,
     nondecreasing_tuples,
     tracefree_part,
 )
@@ -57,6 +68,7 @@ from bilapsym.weylop import (
     DiffOp,
     bilaplacian,
     compose,
+    euler_op,
     is_symmetry,
     laplacian,
     symbol_division,
@@ -570,3 +582,112 @@ class TestQuarticObstruction:
         # The trace-free projection keeps a nonzero x1^4 coefficient.
         assert q.terms.get(Monomial([(1, 4)])) not in (None, 0)
         assert q.homogeneous_degree() == 4
+
+
+# ---------------------------------------------------------------------------
+# the quartic operator and the descent by their former routes: each product
+# composed on its own and the operators summed afterwards
+
+
+def quartic_operator_by_products(n: int, x) -> DiffOp:
+    """Sum X^{p1p2p3p4} V_p1 V_p2 V_p3 V_p4 for the counterexample tensor X:
+    one composition with each right sum Sum_{p3,p4} X^{p1p2p3p4} V_p3 V_p4,
+    and one sum of the products."""
+    pairs = so_pair_list(n)
+    ops = {p: ambient_op_V(so_basis_element(n, *p)) for p in pairs}
+    second = {(p, q): compose(ops[p], ops[q]) for p in pairs for q in pairs}
+    space = ops[pairs[0]].space
+
+    def products():
+        for p1 in pairs:
+            for p2 in pairs:
+                right_sum = DiffOp._sum(space, (
+                    second[(p3, p4)] * coeff
+                    for p3 in pairs
+                    for p4 in pairs
+                    if (coeff := x.get(p1 + p2 + p3 + p4))
+                ))
+                if not right_sum.is_zero:
+                    yield compose(second[(p1, p2)], right_sum)
+
+    return DiffOp._sum(space, products())
+
+
+def descend_by_parts(op: DiffOp, weight: Fraction) -> DiffOp:
+    """The descent with each part scaled by its restricted coefficient and
+    the parts summed afterwards."""
+    space = base_space(op.space.n)
+    euler, ident = euler_op(space), DiffOp.identity(space)
+
+    def parts():
+        for alpha, coeff in op.terms.items():
+            if not alpha.exponent(op.space.inf):
+                k = alpha.exponent(0)
+                part = DiffOp(space, {alpha.indices()[k:]: 1})
+                for i in range(k):
+                    part = compose(ident * (weight - alpha.degree + k - i) - euler, part)
+                yield part * section_substitution(coeff)
+
+    return DiffOp._sum(space, parts())
+
+
+class TestQuarticRoutes:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_quartic_operator_matches_products_route(self, seed, monkeypatch):
+        # the report's own tensor X, kept rather than built a second time
+        tensors = []
+
+        def kept(z):
+            tensors.append(counterexample_tensor(z))
+            return tensors[-1]
+
+        monkeypatch.setattr(symalg, "counterexample_tensor", kept)
+        report = symalg.counterexample_operator_check(3, seed)
+        assert report.seed_used == seed and report.skipped == ()
+        reference, w0 = quartic_operator_by_products(3, tensors[0]), bilaplacian_weight(3)
+        expected = descend_by_parts(reference, w0)
+        assert report.induced == expected
+        assert ambient._descend(reference, w0) == expected
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_descent_matches_parts_route(self, n):
+        u, v = translation_element(n, 1), special_conformal_element(n, 1)
+        d = dilation_element(n)
+        w0 = bilaplacian_weight(n)
+        for op in (
+            ambient_op_gg(decompose_gg(pair_tensor(u, v)).cartan),
+            ambient_op_W(decompose_gg(pair_tensor(d, d)).bullet_W),
+            ambient_op_V(d),
+        ):
+            for weight in (w0, Fraction(1, 3)):
+                assert ambient._descend(op, weight) == descend_by_parts(op, weight)
+
+    def test_skipped_seeds_are_recorded_and_named(self, monkeypatch):
+        draw = symalg._random_tracefree_four_tensor
+        no_quartic = draw(3, 1)
+
+        def degenerate_first(n, seed):
+            if seed == 0:
+                return SymAmbientTensor(n, 4, {})
+            return no_quartic if seed == 1 else draw(n, seed)
+
+        quartic = symalg.quartic_boundary_polynomial
+        monkeypatch.setattr(symalg, "_random_tracefree_four_tensor", degenerate_first)
+        monkeypatch.setattr(
+            symalg, "quartic_boundary_polynomial",
+            lambda z: Polynomial.zero(base_space(z.n)) if z is no_quartic else quartic(z),
+        )
+        reports = []
+
+        def recorded(n, seed):
+            reports.append(symalg.counterexample_operator_check(n, seed))
+            return reports[-1]
+
+        monkeypatch.setattr(checks, "counterexample_operator_check", recorded)
+        rows = list(checks.quartic_obstruction(3, 0, None))
+        assert reports[0].seed_used == 2
+        assert reports[0].skipped == ((0, "zero tensor"), (1, "zero quartic"))
+        assert len(rows) == 5
+        for _, case, ok in rows:
+            assert ok
+            assert case == "n=3 seed=2 (skipped 0: zero tensor, 1: zero quartic)"

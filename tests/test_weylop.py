@@ -18,6 +18,7 @@ from bilapsym.weylop import (
     bilaplacian,
     commutator,
     compose,
+    compose_sum,
     euler_op,
     is_symmetry,
     laplacian,
@@ -282,6 +283,101 @@ class TestComposeReference:
         power, lowered = (Polynomial.variable(space, 0, e) for e in (w, w - 1))
         out = compose(DiffOp.partial_op(space, 0), DiffOp.multiplication(power))
         assert out == DiffOp(space, {(0,): power, (): lowered * w})
+
+
+scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def operator_groups(draw):
+    """(space, [(a, [(b, c), ...]), ...]) on one space: coefficients with
+    denominators up to 7 that differ between groups, zero coefficients,
+    empty groups, operands repeated across groups, and groups whose right
+    factors cancel to zero."""
+    space = draw(spaces)
+    pool: list[DiffOp] = []
+
+    def operand():
+        # an operand drawn earlier comes back as the same object
+        if pool and draw(st.booleans()):
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        pool.append(draw(operators_on(space)))
+        return pool[-1]
+
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = operand()
+        rights = [(operand(), draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
+        if rights and draw(st.booleans()):
+            rights += [(b, -c) for b, c in rights]
+        groups.append((a, rights))
+    return space, groups
+
+
+def compose_sum_reference(space, groups) -> DiffOp:
+    return DiffOp._sum(space, (compose(a, b) * c for a, rights in groups for b, c in rights))
+
+
+class TestComposeSum:
+    @settings(max_examples=60, deadline=None)
+    @given(operator_groups())
+    def test_matches_sum_of_products(self, case):
+        space, groups = case
+        out = compose_sum(space, iter(groups))
+        assert out == compose_sum_reference(space, groups)
+        for coeff in out.terms.values():
+            assert all(type(c) is Fraction for c in coeff.terms.values())
+
+    def test_denominator_growth_rescales_earlier_groups(self):
+        space = VarSpace("ambient", 3)
+        x0, x1 = Polynomial.variable(space, 0, Fraction(-1, 2)), Polynomial.variable(space, 1)
+        a = DiffOp(space, {(1,): x0 * Fraction(1, 2)})
+        b = DiffOp(space, {(): x1 * Fraction(1, 3), (0,): x0})
+        groups = [(a, [(b, 1)]), (b, [(a, Fraction(2, 7)), (b, Fraction(-1, 5))])]
+        assert compose_sum(space, groups) == compose_sum_reference(space, groups)
+
+    def test_fresh_operands_never_share_a_cache_entry(self):
+        # each right factor is dropped before the next one is allocated, so
+        # the allocator hands the next one the same address: a numerator
+        # cache keyed by an id it does not keep alive would hand each group
+        # the numerators of the first
+        left = DiffOp.partial_op(SPACE, 1)
+        rights = [random_op(random.Random(k)) for k in range(6)]
+
+        def groups():
+            factors = []
+            for b in rights:
+                factors.clear()
+                factors.append((DiffOp._make(SPACE, b.terms), 1))
+                yield left, factors
+
+        expected = compose_sum_reference(SPACE, [(left, [(b, 1)]) for b in rights])
+        assert compose_sum(SPACE, groups()) == expected
+
+    def test_cancelling_groups_give_zero(self):
+        rng = random.Random(3)
+        a, b = random_op(rng), random_op(rng)
+        assert compose_sum(SPACE, [(a, [(b, Fraction(2, 3))]), (a, [(b, Fraction(-2, 3))])]).is_zero
+        assert compose_sum(SPACE, [(a, [(b, 1), (b, -1)]), (b, [])]).is_zero
+        assert compose_sum(SPACE, []).is_zero
+
+    @pytest.mark.parametrize("other", [base_space(4), VarSpace("ambient", N)])
+    @pytest.mark.parametrize("slot", ["left", "right", "zero coefficient"])
+    def test_mismatched_space_raises(self, other, slot):
+        alien = DiffOp.identity(other)
+        group = {
+            "left": (alien, [(laplacian(N), 1)]),
+            "right": (laplacian(N), [(alien, 1)]),
+            "zero coefficient": (laplacian(N), [(laplacian(N), 1), (alien, 0)]),
+        }[slot]
+        with pytest.raises(ValueError):
+            compose_sum(SPACE, [group])
+
+    def test_compose_checks_its_right_operand(self):
+        with pytest.raises(ValueError):
+            compose(laplacian(N), DiffOp.identity(base_space(4)))
+        with pytest.raises(TypeError):
+            compose(laplacian(N), var(1))
 
 
 class TestSerialization:
