@@ -65,7 +65,6 @@ from .cktsolve import (
     verify_lemma_hilf,
 )
 from .ambient import (
-    PhiPsi,
     ambient_bilaplacian,
     ambient_laplacian,
     ambient_op_V,
@@ -77,6 +76,7 @@ from .ambient import (
     r_polynomial,
     realize_ckt,
     realize_gckt,
+    section_frame,
 )
 from .symalg import (
     CompositionReport,
@@ -103,6 +103,7 @@ from .symalg import (
     so_basis,
     so_basis_element,
     special_conformal_element,
+    summand_operator_cases,
     summand_operator_checks,
     translation_element,
     verify_generalstory,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
 from .exactpoly import (
     Monomial,
@@ -32,9 +33,9 @@ from .exactpoly import (
     to_base,
 )
 from .tensorcalc import (
+    MultiIndex,
     PairSkewTensor,
     SymTensorField,
-    ambient_indices,
     ambient_lower,
     symmetrize,
 )
@@ -99,57 +100,39 @@ def extend_polynomial(f: Polynomial, weight: Rational) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the section embedding coefficients
+# the section frame and the realization of constant ambient tensors
 
 
-class PhiPsi:
-    """Lowered position vector and tangent projector along the section.
+def section_frame(n: int) -> tuple[list[Polynomial], list[list[tuple[int, Polynomial]]]]:
+    """The lowered position vector and the tangent projector along the section.
 
-    ``phi(B)`` is the lowered position vector of the section point
-    (1, x, -(x.x)/2); ``psi(b, Q)`` projects ambient directions onto the
-    section's tangent frame.  Both are exact base-space polynomials.
+    ``phi[B]`` is the lowered position vector of the section point
+    (1, x, -(x.x)/2), and ``psi[Q]`` lists the nonzero entries
+    (b, psi(b, Q)) of the projector of ambient direction Q onto the
+    tangent frame d_b of the section.  All are base-space polynomials.
     """
-
-    __slots__ = ("n", "_phi")
-
-    def __init__(self, n: int) -> None:
-        space = base_space(n)
-        phi: dict[int, Polynomial] = {
-            0: base_square(n) * Fraction(-1, 2),
-            n + 1: Polynomial.one(space),
-        }
-        for b in range(1, n + 1):
-            phi[b] = Polynomial.variable(space, b)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhiPsi is immutable")
-
-    def phi(self, b: int) -> Polynomial:
-        if not 0 <= b <= self.n + 1:
-            raise ValueError(f"ambient index {b} out of range")
-        return self._phi[b]
-
-    def psi(self, b: int, q: int) -> Polynomial:
-        if not 1 <= b <= self.n:
-            raise ValueError(f"base index {b} out of range")
-        return dict(self.psi_options(q)).get(b, Polynomial.zero(base_space(self.n)))
-
-    def psi_options(self, q: int) -> list[tuple[int, Polynomial]]:
-        """Nonzero psi(., q) entries as (base index, factor) pairs."""
-        space = base_space(self.n)
-        if q == 0:
-            return [
-                (b, -Polynomial.variable(space, b)) for b in range(1, self.n + 1)
-            ]
-        if q == self.n + 1:
-            return []
-        return [(q, Polynomial.one(space))]
+    space = base_space(n)
+    xs = [Polynomial.variable(space, b) for b in range(1, n + 1)]
+    one = Polynomial.one(space)
+    phi = [base_square(n) * Fraction(-1, 2), *xs, one]
+    psi = [[(b, -x) for b, x in enumerate(xs, 1)], *([(b, one)] for b in range(1, n + 1)), []]
+    return phi, psi
 
 
-# ---------------------------------------------------------------------------
-# realization of constant ambient tensors as fields on the section
+def section_polynomial(n: int, entries: Iterable[tuple[MultiIndex, Rational]]) -> Polynomial:
+    """The contraction sum val * phi[B1] ... phi[Bk] of constant components
+    (key, val) with the lowered position vector on every slot."""
+    phi, _ = section_frame(n)
+    space = base_space(n)
+
+    def terms():
+        for key, val in entries:
+            term = Polynomial.constant(space, val)
+            for b in key:
+                term = term * phi[b]
+            yield term
+
+    return Polynomial._sum(space, terms())
 
 
 def realize_ckt(x: PairSkewTensor) -> SymTensorField:
@@ -161,16 +144,15 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     if x.tail_valency != 0:
         raise ValueError("realize_ckt expects no trailing pair")
     n, k = x.n, x.pair_count
-    pp = PhiPsi(n)
+    phi, psi = section_frame(n)
     space = base_space(n)
 
     def terms():
         for full, val in x.ordered_entries():
             prefix = Polynomial.constant(space, val)
-            for i in range(k):
-                prefix = prefix * pp.phi(full[2 * i])
-            option_lists = [pp.psi_options(full[2 * i + 1]) for i in range(k)]
-            for choice in itertools.product(*option_lists):
+            for b in full[0::2]:
+                prefix = prefix * phi[b]
+            for choice in itertools.product(*(psi[q] for q in full[1::2])):
                 term = prefix
                 for _, factor in choice:
                     term = term * factor
@@ -190,16 +172,7 @@ def realize_gckt(w: PairSkewTensor) -> SymTensorField:
     """Realize a trailing-pair tensor as a scalar field on the section."""
     if w.pair_count != 0 or w.tail_valency != 2:
         raise ValueError("expected a trailing-pair tensor")
-    n = w.n
-    pp = PhiPsi(n)
-    space = base_space(n)
-    total = Polynomial.zero(space)
-    for d in ambient_indices(n):
-        for e in ambient_indices(n):
-            val = w.get((d, e))
-            if val != 0:
-                total = total + pp.phi(d) * pp.phi(e) * val
-    return SymTensorField(n, 0, {(): total})
+    return SymTensorField(w.n, 0, {(): section_polynomial(w.n, w.ordered_entries())})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import random
 from fractions import Fraction
 
 from .ambient import (
-    PhiPsi,
     ambient_bilaplacian,
     ambient_laplacian,
     ambient_op_gg,
@@ -28,6 +27,7 @@ from .ambient import (
     r_polynomial,
     realize_ckt,
     realize_gckt,
+    section_frame,
 )
 from .cktsolve import (
     divergence,
@@ -53,12 +53,21 @@ from .symalg import (
     so_basis_element,
     so_pair_list,
     special_conformal_element,
-    summand_operator_checks,
+    summand_operator_cases,
     translation_element,
     verify_generalstory,
 )
 from .tensorcalc import ambient_indices, ambient_lower, base_indices, decompose_gg
-from .weylop import DiffOp, apply, bilaplacian, compose, euler_op, is_symmetry, laplacian
+from .weylop import (
+    DiffOp,
+    apply,
+    bilaplacian,
+    commutator,
+    compose,
+    euler_op,
+    is_symmetry,
+    laplacian,
+)
 
 # ---------------------------------------------------------------------------
 # shared inputs
@@ -88,10 +97,6 @@ def _canonical_operators(n: int) -> list[tuple[str, DiffOp]]:
         + [(f"ckt[{i}]", canonical_DV(v, w0)) for i, v in enumerate(ckt.elements)]
         + [(f"gckt[{i}]", canonical_DW(w, w0)) for i, w in enumerate(scalars.elements)]
     )
-
-
-def _commutes(a: DiffOp, b: DiffOp) -> bool:
-    return compose(a, b) == compose(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +287,22 @@ def ambient_identities(n: int, seed: int, weight):
     """The section coefficients, the cone commutators and relations, and the
     operators that commute with r and the ambient Laplacians."""
     case = f"n={n}"
-    # contraction identities of the section coefficients phi and psi
-    pp, space = PhiPsi(n), base_space(n)
+    # contraction identities of the section frame phi and psi
+    (phi, psi), space = section_frame(n), base_space(n)
     lower = functools.partial(ambient_lower, n)
-    null = Polynomial._sum(space, (pp.phi(b) * pp.phi(lower(b)) for b in ambient_indices(n)))
+
+    def psi_at(b: int, q: int) -> Polynomial:
+        return dict(psi[q]).get(b, Polynomial.zero(space))
+
+    null = Polynomial._sum(space, (phi[b] * phi[lower(b)] for b in ambient_indices(n)))
     yield "position_null", case, null.is_zero
     for c in base_indices(n):
-        total = Polynomial._sum(
-            space, (pp.phi(b) * pp.psi(c, lower(b)) for b in ambient_indices(n))
-        )
+        total = Polynomial._sum(space, (phi[b] * psi_at(c, lower(b)) for b in ambient_indices(n)))
         yield "position_tangent_orthogonal", f"c={c}", total.is_zero
     for b in base_indices(n):
         for c in base_indices(n):
             total = Polynomial._sum(
-                space, (pp.psi(b, q) * pp.psi(c, lower(q)) for q in ambient_indices(n))
+                space, (psi_at(b, q) * psi_at(c, lower(q)) for q in ambient_indices(n))
             )
             expected = Polynomial.constant(space, int(b == c))
             yield "tangent_metric", f"b={b} c={c}", total == expected
@@ -306,10 +313,9 @@ def ambient_identities(n: int, seed: int, weight):
     r = r_polynomial(n)
     mult_r = DiffOp.multiplication(r)
     grading = DiffOp.identity(aspace) * Fraction(2 * n + 4) + euler_op(aspace) * Fraction(4)
-    yield "laplacian_cone_commutator", case, compose(lap, mult_r) - compose(mult_r, lap) == grading
+    yield "laplacian_cone_commutator", case, commutator(lap, mult_r) == grading
     yield "bilaplacian_cone_commutator", case, (
-        compose(bilap, mult_r) - compose(mult_r, bilap)
-        == compose(grading, lap) + compose(lap, grading)
+        commutator(bilap, mult_r) == compose(grading, lap) + compose(lap, grading)
     )
     rng = random.Random(20260818)
     for degree in range(4):
@@ -330,7 +336,9 @@ def ambient_identities(n: int, seed: int, weight):
     # top summand)
     basic = [(label, ambient_op_V(u)) for label, u in _basis(n)]
     for label, op in basic:
-        yield "one_pair_operator_commutes", label, _commutes(op, mult_r) and _commutes(op, lap)
+        yield "one_pair_operator_commutes", label, (
+            commutator(op, mult_r).is_zero and commutator(op, lap).is_zero
+        )
     t1, k1, k2 = (
         translation_element(n, 1),
         special_conformal_element(n, 1),
@@ -342,12 +350,14 @@ def ambient_identities(n: int, seed: int, weight):
         if not cartan.is_zero:
             op = ambient_op_V(cartan)
             yield "top_summand_operator_commutes", label, (
-                _commutes(op, mult_r) and _commutes(op, bilap)
+                commutator(op, mult_r).is_zero and commutator(op, bilap).is_zero
             )
     for word in ((0,), (3,), (0, 5), (2, 7), (9, 1), (0, 5, 9), (4, 4, 4), (8, 2, 6)):
         op = functools.reduce(compose, (basic[i][1] for i in word))
         label = "".join(basic[i][0] for i in word)
-        yield "word_commutes", label, _commutes(op, mult_r) and _commutes(op, lap)
+        yield "word_commutes", label, (
+            commutator(op, mult_r).is_zero and commutator(op, lap).is_zero
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +366,15 @@ def ambient_identities(n: int, seed: int, weight):
 
 def summand_behavior(n: int, seed: int, weight):
     """Each invariant summand acts as the paper states
-    (``symalg.summand_operator_checks``)."""
-    for check, ok in summand_operator_checks(n).items():
-        yield check, f"n={n}", ok
+    (``symalg.summand_operator_cases``): one row per check, whose case is
+    its first failing element, pair or weight, or the dimension when all
+    hold."""
+    failed: dict[str, str | None] = {}
+    for check, case, ok in summand_operator_cases(n):
+        if failed.setdefault(check, None) is None and not ok:
+            failed[check] = case
+    for check, case in failed.items():
+        yield check, case or f"n={n}", case is None
 
 
 def structure_lemma(n: int, seed: int, weight):

@@ -186,9 +186,7 @@ class _Eliminator:
         return basis
 
 
-def nullspace(
-    columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = None
-) -> list[dict[int, Fraction]]:
+def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, Fraction]]:
     """Exact rational nullspace of the linear map with the given columns.
 
     Each column is a sparse map from an arbitrary hashable row key to a
@@ -197,8 +195,7 @@ def nullspace(
     may be ``int`` or ``Fraction``.  A block of full column rank modulo
     ``PRIME`` returns ``[]`` without exact elimination.
     """
-    if ncols is None:
-        ncols = len(columns)
+    ncols = len(columns)
     rows = _to_integer_rows(columns)
     if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
         return []
@@ -279,14 +276,13 @@ def stabilized_by_closure(solved_grades: Container, first_open: int, probe: Call
     return not probe()
 
 
-def rank(columns: Sequence[Mapping[Hashable, Fraction]], ncols: int | None = None) -> int:
+def rank(columns: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Exact rank of the linear map with the given columns.
 
     Full column rank modulo ``PRIME`` is returned without exact
     elimination: the rank modulo a prime never exceeds the rank over Q.
     """
-    if ncols is None:
-        ncols = len(columns)
+    ncols = len(columns)
     rows = _to_integer_rows(columns)
     if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
         return ncols

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ambient import (
     ambient_laplacian,
@@ -27,7 +27,7 @@ from .ambient import (
     lie_to_ckv,
     realize_ckt,
     realize_gckt,
-    PhiPsi,
+    section_polynomial,
 )
 from .cktsolve import divergence, solve_ckt, solve_gckt
 from .exactpoly import (
@@ -38,6 +38,7 @@ from .exactpoly import (
     base_space,
     collect,
     exponent_tuples,
+    format_rational,
     monomial_from_exponents,
     parity_class,
     rat,
@@ -51,7 +52,6 @@ from .tensorcalc import (
     adjoint_embed,
     adjoint_extract,
     ambient_indices,
-    ambient_lower,
     base_indices,
     bullet_embed,
     counterexample_first_trace,
@@ -62,6 +62,7 @@ from .tensorcalc import (
     distinct_orderings,
     nondecreasing_tuples,
     scalar_embed,
+    scalar_extract,
     sym_outer,
     tracefree_part,
 )
@@ -175,16 +176,9 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
 
 
 def killing_form(u: LieElement, v: LieElement) -> Fraction:
-    """The invariant pairing -n * u^{BQ} v_{BQ} (ambient normalization)."""
-    if u.pair_count != 1 or v.pair_count != 1 or u.n != v.n:
-        raise ValueError("expected one-pair tensors of the same dimension")
-    n = u.n
-    total = Fraction(0)
-    for key, val in u.components.items():
-        b, q = key
-        # sum over both orders of the canonical pair
-        total += 2 * val * v.get((ambient_lower(n, b), ambient_lower(n, q)))
-    return -n * total
+    """The invariant pairing -n * u^{BQ} v_{BQ} (ambient normalization):
+    the double trace of their two-pair product."""
+    return scalar_extract(pair_tensor(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +197,16 @@ def pair_tensor(u: LieElement, v: LieElement) -> PairSkewTensor:
     )
 
 
-def cartan_product(u: LieElement, v: LieElement) -> SymTensorField:
-    """Trace-free symmetric product of the realized vector fields."""
-    x, y = lie_to_ckv(u), lie_to_ckv(v)
+def cartan_product(x: SymTensorField, y: SymTensorField) -> SymTensorField:
+    """The trace-free symmetric product of two vector fields."""
     return tracefree_part(sym_outer(x, y))
 
 
-def bullet_product(u: LieElement, v: LieElement) -> SymTensorField:
-    """The scalar (1/n) X^a Y_a of the realized vector fields."""
-    x, y = lie_to_ckv(u), lie_to_ckv(v)
-    n = u.n
+def bullet_product(x: SymTensorField, y: SymTensorField) -> SymTensorField:
+    """The scalar (1/n) X^a Y_a of two vector fields."""
+    if x.valency != 1 or y.valency != 1 or x.n != y.n:
+        raise ValueError("expected vector fields of the same dimension")
+    n = x.n
     total = Polynomial._sum(x.space, (x.get((a,)) * y.get((a,)) for a in base_indices(n)))
     return SymTensorField(n, 0, {(): total * Fraction(1, n)})
 
@@ -305,9 +299,9 @@ class CompositionReport:
 def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> CompositionReport:
     """Check D_X D_Y = D_{cartan} + D_{bullet} + (1/2) D_{bracket} + scalar.
 
-    X, Y are the realized fields of u, v; the scalar term is
-    w(n+w)/(n(n+1)(n+2)) times the ambient invariant pairing of u and v.
-    All operators act on weight-w functions; the identity is exact.
+    X, Y are the realized fields of u, v, each realized once; the scalar
+    term is w(n+w)/(n(n+1)(n+2)) times the ambient invariant pairing of u
+    and v.  All operators act on weight-w functions; the identity is exact.
     """
     if u.n != v.n:
         raise ValueError("dimension mismatch")
@@ -315,8 +309,8 @@ def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> Compo
     w = rat(weight)
     x, y = lie_to_ckv(u), lie_to_ckv(v)
     lhs = compose(canonical_DV(x, w), canonical_DV(y, w))
-    cart = cartan_product(u, v)
-    bull = bullet_product(u, v)
+    cart = cartan_product(x, y)
+    bull = bullet_product(x, y)
     br = lie_to_ckv(bracket(u, v))
     pairing = killing_form(u, v)
     c_scalar = w * (n + w) / (n * (n + 1) * (n + 2)) * pairing
@@ -333,95 +327,94 @@ def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> Compo
 # summand operator behavior
 
 
-def summand_operator_checks(n: int) -> dict[str, bool]:
-    """Exact behavior of the ambient operator on each invariant summand."""
-    results: dict[str, bool] = {}
-    w0 = bilaplacian_weight(n)
-    u = dilation_element(n)
-    v = translation_element(n, 1)
-    t = rotation_element(n, 1, 2)
-    s = special_conformal_element(n, 2)
+def summand_operator_cases(n: int) -> Iterator[tuple[str, str, bool]]:
+    """Exact behavior of the ambient operator on each invariant summand, as
+    one (check, case, ok) row per element, pair or weight checked.  Cases
+    name the elements d (dilation), t1 (translation), r12 (rotation) and
+    k2 (special conformal), and the weight where one is used."""
+    w0, wl = bilaplacian_weight(n), laplacian_weight(n)
+    elements = {
+        "d": dilation_element(n),
+        "t1": translation_element(n, 1),
+        "r12": rotation_element(n, 1, 2),
+        "k2": special_conformal_element(n, 2),
+    }
+    first_order = {label: ambient_op_V(a) for label, a in elements.items()}
+
+    def product(label: str) -> PairSkewTensor:
+        a, b = label.split("*")
+        return pair_tensor(elements[a], elements[b])
+
+    parts = {label: decompose_gg(product(label)) for label in ("d*d", "d*t1", "t1*k2", "r12*k2")}
 
     # the two-derivative operator composes on decomposables
-    ok = True
-    for a, b in [(u, v), (v, s), (t, s), (u, t)]:
-        lhs = ambient_op_gg(pair_tensor(a, b))
-        rhs = compose(ambient_op_V(a), ambient_op_V(b))
-        ok = ok and lhs == rhs
-    results["two_pair_operator_composes"] = ok
+    for label in ("d*t1", "t1*k2", "r12*k2", "d*r12"):
+        a, b = label.split("*")
+        yield "two_pair_operator_composes", label, (
+            ambient_op_gg(product(label)) == compose(first_order[a], first_order[b])
+        )
 
     # adjoint summand: the embedded operator is half the original
-    ok = True
-    for a in (u, v, t, s):
-        lhs = ambient_op_gg(adjoint_embed(a))
-        rhs = ambient_op_V(a) * Fraction(1, 2)
-        ok = ok and lhs == rhs
-    results["adjoint_embeds_to_half"] = ok
+    for label, a in elements.items():
+        yield "adjoint_embeds_to_half", label, (
+            ambient_op_gg(adjoint_embed(a)) == first_order[label] * Fraction(1, 2)
+        )
 
     # hook and fully skew summands act by zero
-    ok = True
-    for a, b in [(u, v), (v, s), (t, s)]:
-        dec = decompose_gg(pair_tensor(a, b))
-        ok = ok and ambient_op_gg(dec.hook).is_zero
-        ok = ok and ambient_op_gg(dec.fully_skew).is_zero
-    results["hook_and_skew_act_by_zero"] = ok
+    for label in ("d*t1", "t1*k2", "r12*k2"):
+        dec = parts[label]
+        yield "hook_and_skew_act_by_zero", label, (
+            ambient_op_gg(dec.hook).is_zero and ambient_op_gg(dec.fully_skew).is_zero
+        )
 
-    # scalar summand: explicit operator shape
-    results["scalar_operator_shape"] = _scalar_operator_shape(n)
+    yield "scalar_operator_shape", f"n={n}", _scalar_operator_shape(n)
 
     # scalar summand induces multiplication by w(n+w)/(n(n+1)(n+2))
-    nn = n * (n + 1) * (n + 2)
-    ok = True
+    scalar_op = ambient_op_gg(scalar_embed(Fraction(1), n))
     for w in (w0, Fraction(1), Fraction(-1)):
-        op = ambient_op_gg(scalar_embed(Fraction(1), n))
-        ind = induce(op, w, order=0)
-        target = DiffOp.identity(base_space(n)) * (w * (n + w) / nn)
-        ok = ok and ind == target
-    results["scalar_induces_multiplication"] = ok
+        target = DiffOp.identity(base_space(n)) * (w * (n + w) / (n * (n + 1) * (n + 2)))
+        yield "scalar_induces_multiplication", f"w={format_rational(w)}", (
+            induce(scalar_op, w, order=0) == target
+        )
 
     # bullet summand: embedded operator induces the canonical scalar operator
-    ok = True
-    for a, b in [(u, u), (v, s), (t, s)]:
-        dec = decompose_gg(pair_tensor(a, b))
-        if dec.bullet_W.is_zero:
-            continue
-        op = ambient_op_gg(bullet_embed(dec.bullet_W))
-        for w in (w0, Fraction(1)):
-            ind = induce(op, w, order=2)
-            target = canonical_DW(realize_gckt(dec.bullet_W), w)
-            ok = ok and ind == target
-    results["bullet_induces_canonical_DW"] = ok
+    for label in ("d*d", "t1*k2", "r12*k2"):
+        bullet = parts[label].bullet_W
+        if not bullet.is_zero:
+            op, field = ambient_op_gg(bullet_embed(bullet)), realize_gckt(bullet)
+            for w in (w0, Fraction(1)):
+                yield "bullet_induces_canonical_DW", f"{label} w={format_rational(w)}", (
+                    induce(op, w, order=2) == canonical_DW(field, w)
+                )
 
     # cartan summand: embedded operator induces the canonical rank-2 operator
-    ok = True
-    for a, b in [(u, u), (v, s)]:
-        dec = decompose_gg(pair_tensor(a, b))
-        if dec.cartan.is_zero:
-            continue
-        op = ambient_op_gg(dec.cartan)
-        ind = induce(op, w0, order=2)
-        target = canonical_DV(realize_ckt(dec.cartan), w0)
-        ok = ok and ind == target
-    results["cartan_induces_canonical_DV"] = ok
+    for label in ("d*d", "t1*k2"):
+        cartan = parts[label].cartan
+        if not cartan.is_zero:
+            yield "cartan_induces_canonical_DV", f"{label} w={format_rational(w0)}", (
+                induce(ambient_op_gg(cartan), w0, order=2) == canonical_DV(realize_ckt(cartan), w0)
+            )
 
     # at the Laplacian weight the scalar-symbol operator right-factors
-    wl = laplacian_weight(n)
-    ok = True
-    for a, b in [(u, u), (v, s)]:
-        dec = decompose_gg(pair_tensor(a, b))
-        if dec.bullet_W.is_zero:
-            continue
-        dw = canonical_DW(realize_gckt(dec.bullet_W), wl)
-        try:
-            delta = right_factor_through_laplacian(dw)
-        except NotDivisibleError:
-            ok = False
-            continue
-        ok = ok and delta == DiffOp.multiplication(
-            realize_gckt(dec.bullet_W).get(())
-        )
-    results["bullet_factors_through_laplacian_at_special_weight"] = ok
+    for label in ("d*d", "t1*k2"):
+        bullet = parts[label].bullet_W
+        if not bullet.is_zero:
+            w_poly = realize_gckt(bullet).get(())
+            try:
+                delta = right_factor_through_laplacian(canonical_DW(w_poly, wl))
+                ok = delta == DiffOp.multiplication(w_poly)
+            except NotDivisibleError:
+                ok = False
+            yield "bullet_factors_through_laplacian_at_special_weight", (
+                f"{label} w={format_rational(wl)}"
+            ), ok
 
+
+def summand_operator_checks(n: int) -> dict[str, bool]:
+    """Each check of ``summand_operator_cases``, true iff all its cases hold."""
+    results: dict[str, bool] = {}
+    for check, _, ok in summand_operator_cases(n):
+        results[check] = results.get(check, True) and ok
     return results
 
 
@@ -669,15 +662,9 @@ def _random_tracefree_four_tensor(n: int, seed: int) -> SymAmbientTensor:
 
 def quartic_boundary_polynomial(z: SymAmbientTensor) -> Polynomial:
     """The degree-4 polynomial Z^{BCDE} Phi_B Phi_C Phi_D Phi_E."""
-    n = z.n
-    phi = PhiPsi(n)
-    total = Polynomial.zero(base_space(n))
-    for key, val in z.components.items():
-        prod = Polynomial.constant(base_space(n), val * distinct_orderings(key))
-        for idx in key:
-            prod = prod * phi.phi(idx)
-        total = total + prod
-    return total
+    return section_polynomial(
+        z.n, ((key, val * distinct_orderings(key)) for key, val in z.components.items())
+    )
 
 
 def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport:
@@ -695,7 +682,9 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
         candidate = _random_tracefree_four_tensor(n, attempt)
         if candidate.is_zero:
             skipped.append((attempt, "zero tensor"))
-        elif quartic_boundary_polynomial(candidate).is_zero:
+            continue
+        q_poly = quartic_boundary_polynomial(candidate)
+        if q_poly.is_zero:
             skipped.append((attempt, "zero quartic"))
         else:
             z = candidate
@@ -744,7 +733,6 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
 
     w0 = bilaplacian_weight(n)
     induced = induce(total, w0)
-    q_poly = quartic_boundary_polynomial(z)
 
     certificate = DiffOp.zero(base_space(n))
     scalar_factor = Fraction(0)

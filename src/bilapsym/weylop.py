@@ -480,14 +480,13 @@ def operator_from_action(
     space: VarSpace,
     action: Callable[[Polynomial], Polynomial],
     order: int,
-    check_margin: int = 2,
 ) -> DiffOp:
     """Read off the order-<=``order`` operator from an action on monomials.
 
     Coefficients are read off triangularly from the action on monomials of
     degree <= order.  The result is exact only when the action really is an
     operator of order <= ``order``.  The check against all monomials of the
-    next ``check_margin`` degrees is a consistency test, not a proof.  The
+    next two degrees is a consistency test, not a proof.  The
     library does not rely on this; the tests use it as a reference for the
     symbolic descent in ``ambient.induce``.
     """
@@ -513,7 +512,7 @@ def operator_from_action(
             if not coeff.is_zero:
                 coeffs[alpha] = coeff
     op = DiffOp(space, {alpha.indices(): c for alpha, c in coeffs.items()})
-    for deg in range(order + 1, order + 1 + check_margin):
+    for deg in range(order + 1, order + 3):
         for _, mono in monomials(deg):
             if apply(op, mono) != action(mono):
                 raise ValueError(

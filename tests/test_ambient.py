@@ -3,6 +3,7 @@ constant tensors as fields, and exact operator induction."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from bilapsym.ambient import (
     r_polynomial,
     realize_ckt,
     realize_gckt,
+    section_polynomial,
     section_substitution,
 )
 from bilapsym.checks import SUITES
@@ -34,12 +36,19 @@ from bilapsym.symalg import (
     dilation_element,
     laplacian_weight,
     pair_tensor,
+    quartic_boundary_polynomial,
     rotation_element,
     so_basis,
     special_conformal_element,
     translation_element,
 )
-from bilapsym.tensorcalc import ambient_lower, bullet_extract
+from bilapsym.tensorcalc import (
+    SymAmbientTensor,
+    ambient_indices,
+    ambient_lower,
+    bullet_extract,
+    nondecreasing_tuples,
+)
 from bilapsym.weylop import (
     DiffOp,
     apply,
@@ -129,6 +138,41 @@ class TestExtension:
         r = r_polynomial(3)
         x1 = Polynomial.variable(ambient_space(3), 1)
         assert section_substitution(r * x1).is_zero
+
+
+@st.composite
+def constant_entries(draw):
+    """(n, [(key, value), ...]): keys of up to four ambient indices, in any
+    order and possibly repeated, with rational values."""
+    n = draw(st.integers(3, 5))
+    keys = st.lists(st.integers(0, n + 1), max_size=4).map(tuple)
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    return n, draw(st.lists(st.tuples(keys, values), max_size=6))
+
+
+class TestSectionFrame:
+    @settings(max_examples=40, deadline=None)
+    @given(constant_entries())
+    def test_section_polynomial_restricts_the_ambient_contraction(self, case):
+        # val * x_{B1} ... x_{Bk} with lowered indices, on the section
+        n, entries = case
+        space = ambient_space(n)
+        ambient = Polynomial._sum(
+            space,
+            (
+                Polynomial(space, {Monomial.of_indices(ambient_lower(n, b) for b in key): val})
+                for key, val in entries
+            ),
+        )
+        assert section_polynomial(n, entries) == section_substitution(ambient)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_quartic_contracts_every_ordering(self, n):
+        rng = random.Random(n)
+        keys = nondecreasing_tuples(ambient_indices(n), 4)
+        z = SymAmbientTensor(n, 4, {key: Fraction(rng.randint(-3, 3)) for key in keys})
+        every = ((key, z.get(key)) for key in itertools.product(ambient_indices(n), repeat=4))
+        assert quartic_boundary_polynomial(z) == section_polynomial(n, every)
 
 
 class TestRealization:

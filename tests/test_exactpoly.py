@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -267,11 +268,30 @@ class TestSubstitution:
             p.substitute({0: Polynomial.variable(space, 1)})
 
 
+@st.composite
+def ambient_polynomials(draw):
+    """A polynomial on the ambient space of dimension 3..5 whose x0
+    exponents may be negative or fractional."""
+    space = ambient_space(draw(st.integers(3, 5)))
+    x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [(v, draw(x0_exps if v == 0 else st.integers(0, 3))) for v in space.variables]
+        terms[Monomial(exps)] = draw(rationals)
+    return Polynomial(space, terms)
+
+
 class TestSerialization:
     @given(polynomials())
     @settings(max_examples=30, deadline=None)
     def test_json_round_trip(self, p):
         assert Polynomial.from_json_obj(SPACE, p.to_json_obj()) == p
+
+    @given(ambient_polynomials())
+    @settings(max_examples=60, deadline=None)
+    def test_ambient_json_round_trip(self, p):
+        text = json.dumps(p.to_json_obj())
+        assert Polynomial.from_json_obj(p.space, json.loads(text)) == p
 
     def test_rational_formats(self):
         assert parse_rational("3/4") == Fraction(3, 4)

@@ -62,8 +62,8 @@ def test_nullspace_vectors_annihilate(seed):
             if rng.random() < 0.6
         }
         cols.append({r: v for r, v in col.items() if v})
-    vecs = nullspace(cols, ncols)
-    assert rank(cols, ncols) + len(vecs) == ncols
+    vecs = nullspace(cols)
+    assert rank(cols) + len(vecs) == ncols
     for vec in vecs:
         combo: dict[int, Fraction] = {}
         for col, coeff in vec.items():

@@ -50,6 +50,7 @@ from bilapsym.symalg import (
     so_basis_element,
     so_pair_list,
     special_conformal_element,
+    summand_operator_cases,
     summand_operator_checks,
     translation_element,
     verify_generalstory,
@@ -57,6 +58,7 @@ from bilapsym.symalg import (
 from bilapsym.tensorcalc import (
     SymAmbientTensor,
     SymTensorField,
+    ambient_lower,
     base_indices,
     bullet_extract,
     counterexample_tensor,
@@ -306,16 +308,37 @@ class TestAlgebraBasics:
                 lie_to_ckv(u), lie_to_ckv(v)
             )
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_killing_form_is_the_component_contraction(self, n):
+        # -n u^{BQ} v_{BQ}: both orders of each stored pair of u
+        def contraction(u, v):
+            return -n * sum(
+                (
+                    2 * val * v.get((ambient_lower(n, b), ambient_lower(n, q)))
+                    for (b, q), val in u.components.items()
+                ),
+                Fraction(0),
+            )
+
+        rng = random.Random(n)
+        elements = so_basis(n) + [_rng_element(n, rng) for _ in range(3)]
+        for u in elements:
+            for v in elements:
+                assert killing_form(u, v) == contraction(u, v)
+
     def test_products_realize_consistently(self):
         n = 3
         u = dilation_element(n)
         v = special_conformal_element(n, 2)
-        assert cartan_product(u, v) == tracefree_part(
+        x, y = lie_to_ckv(u), lie_to_ckv(v)
+        assert cartan_product(x, y) == tracefree_part(
             realize_ckt(pair_tensor(u, v))
         )
-        assert bullet_product(u, v) == realize_gckt(
+        assert bullet_product(x, y) == realize_gckt(
             bullet_extract(pair_tensor(u, v))
         )
+        with pytest.raises(ValueError):
+            bullet_product(x, realize_ckt(pair_tensor(u, v)))
 
 
 class TestCanonicalOperators:
@@ -399,9 +422,30 @@ class TestCompositionIdentity:
         )
         assert report.scalar_coefficient == expected
 
+    def test_each_element_is_realized_once(self, monkeypatch):
+        # u, v and their bracket; the Cartan and bullet products take the
+        # fields of u and v instead of realizing them again
+        realized = []
+        original = ambient.realize_ckt
+
+        def counting(x):
+            realized.append(x)
+            return original(x)
+
+        monkeypatch.setattr(ambient, "realize_ckt", counting)
+        u, v = special_conformal_element(4, 1), rotation_element(4, 1, 3)
+        assert verify_generalstory(u, v, Fraction(-2, 3)).holds
+        assert realized == [u, v, bracket(u, v)]
+
     def test_summand_operator_checks(self):
         checks = summand_operator_checks(3)
         assert all(checks.values()), checks
+        cases = list(summand_operator_cases(3))
+        assert all(ok for _, _, ok in cases)
+        assert {check for check, _, _ in cases} == set(checks)
+        # one row per element, pair or weight, each named once per check
+        assert len(cases) == 25
+        assert len({(check, case) for check, case, _ in cases}) == len(cases)
 
 
 class TestEnumerator:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -385,6 +386,14 @@ class TestSerialization:
     @given(operators)
     def test_json_round_trip(self, op):
         assert DiffOp.from_json_obj(op.to_json_obj()) == op
+
+    @settings(max_examples=60, deadline=None)
+    @given(operators)
+    def test_json_text_round_trip(self, op):
+        # base and ambient operators, with negative and fractional x0
+        # exponents in the ambient coefficients, through the JSON text
+        back = DiffOp.from_json_obj(json.loads(json.dumps(op.to_json_obj())))
+        assert back == op and back.space == op.space
 
     def test_text_contains_derivatives(self):
         assert "d1" in DiffOp.partial_op(SPACE, 1).text()
