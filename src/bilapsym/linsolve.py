@@ -1,25 +1,27 @@
 """Exact sparse linear algebra over the rationals.
 
-Implements fraction-free Gauss-Jordan elimination on sparse integer rows
-(cross-multiplication plus gcd reduction), exposing exact nullspace bases,
-block-by-block nullspaces of graded systems and ranks.  Nullspace bases are
-normalized reduced-row-echelon style: each basis vector carries coefficient
-1 at its free column and zeros at all other free columns, so output is
-deterministic for a fixed column order.
+Exposes exact nullspace bases, block-by-block nullspaces of graded systems
+and ranks.  Nullspace bases are normalized reduced-row-echelon style: each
+basis vector carries coefficient 1 at its free column and zeros at all
+other free columns, so output is deterministic for a fixed column order.
 
-``nullspace`` and ``rank`` first try a modular certificate of full column
-rank: an integer matrix of full column rank modulo a prime p has a maximal
-minor that is nonzero mod p, hence nonzero over the integers, so its
-nullspace is zero.  Only when the rank drops modulo p (the nullspace is
-nonzero, or p divides every maximal minor) does the exact elimination run.
-The graded solvers share ``leibniz_columns`` and ``stabilized_by_closure``.
+Every block is solved once modulo a prime p: elimination finds the free
+columns, back-substitution gives each basis vector modulo p, rational
+reconstruction lifts its entries to fractions, and an exact product with
+the integer rows checks it.  The rank modulo p never exceeds the rank over
+Q, so checked vectors prove the nullity, the free columns and the basis
+(the proof is in ``_modular_nullspace``); a block with no free column
+modulo p has none over Q.  Only a failed lift or check runs the
+fraction-free Gauss-Jordan elimination over the integers (cross-
+multiplication plus gcd reduction).  The graded solvers share
+``leibniz_columns`` and ``stabilized_by_closure``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, perm, prod
+from math import gcd, isqrt, lcm, perm, prod
 from operator import gt, sub
 from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
@@ -59,45 +61,113 @@ def _to_integer_rows(
     return out
 
 
-# The prime of the emptiness certificate; any prime gives exact answers, a
-# large one rarely divides every maximal minor of a full-rank block.
+# The prime of the modular elimination.  Any prime gives exact answers, as
+# every lift is checked; a large one rarely divides a minor of a block, and
+# its lift bound covers the small fractions of the symmetry systems.
 PRIME = 2**31 - 1
 
+# Rational reconstruction returns r/s with |r|, s <= LIFT_BOUND; below
+# sqrt(PRIME / 2) two such fractions never agree modulo PRIME.
+LIFT_BOUND = isqrt(PRIME // 2)
 
-def _full_column_rank_mod_p(rows: Sequence[Mapping[int, int]], ncols: int) -> bool:
-    """Whether the integer rows have rank ``ncols`` modulo ``PRIME``.
 
-    Gaussian elimination column by column with the sparsest holder as the
-    pivot row, as in ``_Eliminator``; the answer is False at the first
-    column that finds no pivot.
+def _lift(a: int) -> Fraction | None:
+    """The fraction r/s = a modulo ``PRIME`` with |r|, s <= ``LIFT_BOUND``,
+    or None: the extended Euclidean algorithm on (PRIME, a), stopped at the
+    first remainder within the bound (Wang, Guy and Davenport 1982)."""
+    r0, r1 = PRIME, a
+    s0, s1 = 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > LIFT_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _modular_nullspace(
+    rows: Sequence[Mapping[int, int]], ncols: int
+) -> list[dict[int, Fraction]] | None:
+    """The nullspace basis of the integer rows, by elimination modulo
+    ``PRIME`` and rational reconstruction, or None when a lift fails or
+    its exact check does.
+
+    Elimination runs column by column with the sparsest holder as the pivot
+    row, normalized to 1; a column with no holder is free.  For each free
+    column f, back-substitution over the pivots in reverse gives the vector
+    v_f modulo p with 1 at f and 0 at the other free columns; its entries
+    are lifted to fractions, and v_f is kept only if every row annihilates
+    it exactly.
+
+    Proof that a full result equals the exact ``_Eliminator`` basis:
+    - The rank modulo p is at most the rank over Q: a minor nonzero modulo
+      p is nonzero over the integers.  So nullity_p >= nullity_Q.
+    - The verified v_f lie in the Q-kernel and are independent, each being
+      the only one nonzero at its free column.  So nullity_Q >= nullity_p,
+      and the two are equal.  With no free column, nullity_Q is 0.
+    - v_f is nonzero only at f and at pivots left of f, so column f is a
+      combination of the columns left of it: f is not a Q-pivot.  The free
+      sets modulo p and over Q have the same size, so they are equal.
+    - A kernel vector that vanishes on every free column is zero, so the
+      basis with 1 at its free column and 0 at the others is unique: it is
+      the basis ``_Eliminator`` returns, entry for entry.
     """
-    rows = [{c: v % PRIME for c, v in row.items() if v % PRIME} for row in rows]
+    mod = [{c: v % PRIME for c, v in row.items() if v % PRIME} for row in rows]
     col_rows: dict[int, set[int]] = {}
-    for rid, row in enumerate(rows):
+    for rid, row in enumerate(mod):
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
+    pivots: list[tuple[int, dict[int, int]]] = []
+    free: list[int] = []
     for c in range(ncols):
         holders = col_rows.pop(c, None)
         if not holders:
-            return False
-        pid = min(holders, key=lambda rid: (len(rows[rid]), rid))
-        pr = rows[pid]
+            free.append(c)
+            continue
+        pid = min(holders, key=lambda rid: (len(mod[rid]), rid))
+        pr = mod[pid]
         inv = pow(pr.pop(c), -1, PRIME)
         for k in pr:
+            pr[k] = pr[k] * inv % PRIME
             col_rows[k].discard(pid)
         for sid in holders - {pid}:
-            sr = rows[sid]
-            f = sr.pop(c) * inv % PRIME
+            sr = mod[sid]
+            neg = PRIME - sr.pop(c)
             for k, v in pr.items():
-                nv = (sr.get(k, 0) - f * v) % PRIME
-                if nv:
-                    if k not in sr:
-                        col_rows[k].add(sid)
-                    sr[k] = nv
+                if k in sr:
+                    nv = (sr[k] + neg * v) % PRIME
+                    if nv:
+                        sr[k] = nv
+                    else:
+                        del sr[k]
+                        col_rows[k].discard(sid)
                 else:
-                    del sr[k]
-                    col_rows[k].discard(sid)
-    return True
+                    sr[k] = neg * v % PRIME
+                    col_rows[k].add(sid)
+        pivots.append((c, pr))
+    basis: list[dict[int, Fraction]] = []
+    for f in free:
+        # a pivot row holds only columns right of its pivot, so the pivots
+        # right of f stay 0
+        vec = {f: 1}
+        for c, pr in reversed(pivots):
+            if c < f:
+                total = sum(v * vec[k] for k, v in pr.items() if k in vec) % PRIME
+                if total:
+                    vec[c] = PRIME - total
+        lifted = {k: _lift(v) for k, v in vec.items()}
+        if None in lifted.values() or not _annihilates(rows, lifted):
+            return None
+        basis.append(lifted)
+    return basis
+
+
+def _annihilates(rows: Sequence[Mapping[int, int]], vec: Mapping[int, Fraction]) -> bool:
+    """Whether every integer row has zero product with the vector."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    ints = {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+    return not any(sum(v * ints[k] for k, v in row.items() if k in ints) for row in rows)
 
 
 def _reduce_row(row: dict[int, int]) -> None:
@@ -110,7 +180,8 @@ def _reduce_row(row: dict[int, int]) -> None:
 
 
 class _Eliminator:
-    """Gauss-Jordan elimination state over sparse integer rows."""
+    """Fraction-free Gauss-Jordan elimination over sparse integer rows: the
+    fallback of ``_modular_nullspace``."""
 
     def __init__(self, rows: list[dict[int, int]], ncols: int) -> None:
         self.ncols = ncols
@@ -119,7 +190,6 @@ class _Eliminator:
         for rid, row in enumerate(self.rows):
             for c in row:
                 self.col_rows.setdefault(c, set()).add(rid)
-        self.pivot_row_of_col: dict[int, int] = {}
         self.pivot_col_of_row: dict[int, int] = {}
         self.free_cols: list[int] = []
         self._run()
@@ -164,12 +234,7 @@ class _Eliminator:
             pid = min(candidates, key=lambda rid: (len(self.rows[rid]), rid))
             for sid in sorted(holders - {pid}):
                 self._rewrite_row(sid, pid, c)
-            self.pivot_row_of_col[c] = pid
             self.pivot_col_of_row[pid] = c
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_row_of_col)
 
     def nullspace_basis(self) -> list[dict[int, Fraction]]:
         basis: list[dict[int, Fraction]] = []
@@ -192,14 +257,16 @@ def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, 
     Each column is a sparse map from an arbitrary hashable row key to a
     Fraction.  Returns one basis vector per free column, as a sparse map
     column-index -> Fraction with coefficient 1 at the free column.  Values
-    may be ``int`` or ``Fraction``.  A block of full column rank modulo
-    ``PRIME`` returns ``[]`` without exact elimination.
+    may be ``int`` or ``Fraction``.  The basis comes from
+    ``_modular_nullspace``, or from exact elimination when a lift or its
+    check fails.
     """
     ncols = len(columns)
     rows = _to_integer_rows(columns)
-    if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
-        return []
-    return _Eliminator(rows, ncols).nullspace_basis()
+    basis = _modular_nullspace(rows, ncols)
+    if basis is None:
+        basis = _Eliminator(rows, ncols).nullspace_basis()
+    return basis
 
 
 def block_nullspace(
@@ -277,14 +344,6 @@ def stabilized_by_closure(solved_grades: Container, first_open: int, probe: Call
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]]) -> int:
-    """Exact rank of the linear map with the given columns.
-
-    Full column rank modulo ``PRIME`` is returned without exact
-    elimination: the rank modulo a prime never exceeds the rank over Q.
-    """
-    ncols = len(columns)
-    rows = _to_integer_rows(columns)
-    if len(rows) >= ncols and _full_column_rank_mod_p(rows, ncols):
-        return ncols
-    return _Eliminator(rows, ncols).rank
-
+    """Exact rank of the linear map with the given columns: the number of
+    columns less the nullity."""
+    return len(columns) - len(nullspace(columns))

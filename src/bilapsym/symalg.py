@@ -311,8 +311,9 @@ def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> Compo
     lhs = compose(canonical_DV(x, w), canonical_DV(y, w))
     cart = cartan_product(x, y)
     bull = bullet_product(x, y)
-    br = lie_to_ckv(bracket(u, v))
-    pairing = killing_form(u, v)
+    product = pair_tensor(u, v)
+    br = lie_to_ckv(adjoint_extract(product))
+    pairing = scalar_extract(product)
     c_scalar = w * (n + w) / (n * (n + 1) * (n + 2)) * pairing
     summands = (
         canonical_DV(cart, w) + canonical_DW(bull, w) + canonical_DV(br, w) * Fraction(1, 2)

@@ -606,17 +606,21 @@ def scalar_embed(value: Rational, n: int) -> PairSkewTensor:
 
 
 def scalar_extract(x: PairSkewTensor) -> Fraction:
-    """Double trace, normalized so scalar_extract(scalar_embed(v)) = v."""
+    """Double trace, normalized so scalar_extract(scalar_embed(v)) = v.
+
+    Of the four flip arrangements of a stored key (b, q, c, r), two meet the
+    trace when (c, r) = (b', q') and the other two, with sign -1, when
+    (c, r) = (q', b'), where ' lowers an index.
+    """
     n = x.n
-    total = sum(
-        (
-            val
-            for (b, q, c, r), val in x.ordered_entries()
-            if c == ambient_lower(n, b) and r == ambient_lower(n, q)
-        ),
-        Fraction(0),
-    )
-    return -n * total
+    total = Fraction(0)
+    for (b, q, c, r), val in x.components.items():
+        lb, lq = ambient_lower(n, b), ambient_lower(n, q)
+        if (c, r) == (lb, lq):
+            total += val
+        elif (c, r) == (lq, lb):
+            total -= val
+    return -2 * n * total
 
 
 def adjoint_embed(v: PairSkewTensor) -> PairSkewTensor:

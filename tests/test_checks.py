@@ -35,12 +35,14 @@ def test_doubled_adjoint_embedding_names_its_first_failing_case(
 
 
 def test_negated_bracket_fails_the_scalar_rows(monkeypatch):
-    original = symalg.bracket
+    # the bracket is the adjoint extraction of the pair tensor, in
+    # ``bracket`` and in ``verify_generalstory`` alike
+    original = symalg.adjoint_extract
 
-    def negated(u, v):
-        return original(u, v) * -1
+    def negated(x):
+        return original(x) * -1
 
-    monkeypatch.setattr(symalg, "bracket", negated)
+    monkeypatch.setattr(symalg, "adjoint_extract", negated)
     rows = list(checks.composition_identity(3, 0, None))
     identity = _failed(rows, "composition_identity_on_basis_pairs")
     scalar = _failed(rows, "scalar_term_is_killing_form_multiple")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilapsym import linsolve
+from bilapsym.cktsolve import solve_ckt, solve_gckt
 from bilapsym.linsolve import (
     PRIME,
     block_nullspace,
@@ -18,6 +19,7 @@ from bilapsym.linsolve import (
     rank,
     stabilized_by_closure,
 )
+from bilapsym.symalg import enumerate_symmetries
 
 
 def test_rank_of_identity_columns():
@@ -73,8 +75,33 @@ def test_nullspace_vectors_annihilate(seed):
 
 
 def _exact_nullspace(cols, ncols):
-    """The nullspace by exact elimination alone, without the certificate."""
+    """The nullspace by exact elimination alone, without the modular pass."""
     return linsolve._Eliminator(linsolve._to_integer_rows(cols), ncols).nullspace_basis()
+
+
+def _lifted_nullspace(cols, ncols):
+    """The nullspace by the modular pass alone: None when it falls back."""
+    return linsolve._modular_nullspace(linsolve._to_integer_rows(cols), ncols)
+
+
+def _recording_eliminator(monkeypatch):
+    """Record the column count of every exact elimination."""
+    built = []
+    original = linsolve._Eliminator
+
+    def recording(rows, ncols):
+        built.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linsolve, "_Eliminator", recording)
+    return built
+
+
+def _refuse_elimination(monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(linsolve, "_Eliminator", refuse)
 
 
 @pytest.mark.parametrize(
@@ -89,15 +116,9 @@ def _exact_nullspace(cols, ncols):
     ids=["triangular", "dense", "fractions"],
 )
 def test_singular_mod_prime_falls_back_to_exact(cols, monkeypatch):
-    assert not linsolve._full_column_rank_mod_p(linsolve._to_integer_rows(cols), len(cols))
-    built = []
-    original = linsolve._Eliminator
-
-    def recording(rows, ncols):
-        built.append(ncols)
-        return original(rows, ncols)
-
-    monkeypatch.setattr(linsolve, "_Eliminator", recording)
+    # column 1 is free modulo PRIME, and its lifted vector fails the check
+    assert _lifted_nullspace(cols, len(cols)) is None
+    built = _recording_eliminator(monkeypatch)
     assert nullspace(cols) == []
     assert rank(cols) == len(cols)
     assert built == [len(cols)] * 2
@@ -105,17 +126,14 @@ def test_singular_mod_prime_falls_back_to_exact(cols, monkeypatch):
 
 def test_rows_are_scaled_before_the_certificate(monkeypatch):
     # the 1x1 matrix [PRIME] is the row [1] after gcd scaling, so the
-    # certificate decides it without exact elimination
+    # modular pass decides it without exact elimination
     monkeypatch.setattr(linsolve, "_Eliminator", None)
     assert linsolve._to_integer_rows([{0: PRIME}]) == [{0: 1}]
     assert nullspace([{0: PRIME}]) == []
 
 
 def test_full_rank_needs_no_exact_elimination(monkeypatch):
-    def refuse(rows, ncols):
-        raise AssertionError("exact elimination ran on a certified block")
-
-    monkeypatch.setattr(linsolve, "_Eliminator", refuse)
+    _refuse_elimination(monkeypatch)
     cols = [
         {"a": Fraction(1, 2), "b": Fraction(3)},
         {"b": Fraction(-1), "c": Fraction(5, 7)},
@@ -126,17 +144,59 @@ def test_full_rank_needs_no_exact_elimination(monkeypatch):
     assert block_nullspace(range(2), lambda u: u, lambda u: cols[u]) == []
 
 
-def test_fewer_rows_than_columns_is_never_certified(monkeypatch):
-    def refuse(rows, ncols):
-        raise AssertionError("certificate consulted with fewer rows than columns")
+def test_fewer_rows_than_columns_is_lifted_without_elimination(monkeypatch):
+    wide = [{0: 1}, {0: 2}]
+    wider = [{0: 2, 1: 1}, {0: 3}, {1: Fraction(1, 2)}, {0: 1, 1: -1}, {}]
+    expected = [_exact_nullspace(cols, len(cols)) for cols in (wide, wider)]
+    assert expected[0] == [{0: Fraction(-2), 1: Fraction(1)}]
+    assert [len(basis) for basis in expected] == [1, 3]
+    _refuse_elimination(monkeypatch)
+    assert [nullspace(wide), nullspace(wider)] == expected
 
-    monkeypatch.setattr(linsolve, "_full_column_rank_mod_p", refuse)
-    assert nullspace([{0: 1}, {0: 2}]) == [{0: Fraction(-2), 1: Fraction(1)}]
+
+def test_lift_beyond_the_bound_falls_back_once(monkeypatch):
+    # the entry -100003 has no fraction r/s with |r|, s <= LIFT_BOUND
+    assert 100003 > linsolve.LIFT_BOUND
+    cols = [{0: 1}, {0: 100003}]
+    assert _lifted_nullspace(cols, 2) is None
+    built = _recording_eliminator(monkeypatch)
+    assert nullspace(cols) == [{0: Fraction(-100003), 1: Fraction(1)}]
+    assert built == [2]
+
+
+def test_wrong_lift_is_rejected_by_the_exact_check(monkeypatch):
+    # PRIME + 1 is 1 modulo PRIME, so the entry lifts to -1; the exact
+    # product with the row 1 * x0 + (PRIME + 1) * x1 refuses it
+    assert linsolve._lift(PRIME - 1) == -1
+    cols = [{0: 1}, {0: PRIME + 1}]
+    built = _recording_eliminator(monkeypatch)
+    assert nullspace(cols) == [{0: Fraction(-(PRIME + 1)), 1: Fraction(1)}]
+    assert built == [2]
+
+
+@given(st.integers(-linsolve.LIFT_BOUND, linsolve.LIFT_BOUND), st.integers(1, linsolve.LIFT_BOUND))
+@settings(max_examples=200, deadline=None)
+def test_lift_inverts_reduction_within_the_bound(num, den):
+    value = Fraction(num, den)
+    residue = value.numerator * pow(value.denominator, -1, PRIME) % PRIME
+    assert linsolve._lift(residue) == value
+
+
+def test_benchmark_systems_never_fall_back(monkeypatch):
+    # every block of the enumeration and of the Killing solvers is decided
+    # by the modular pass alone
+    _refuse_elimination(monkeypatch)
+    assert len(enumerate_symmetries(3, 2, 6).elements) == 60
+    assert len(enumerate_symmetries(4, 2, 4).elements) == 120
+    for n in (3, 4):
+        assert len(solve_ckt(n, 1, 2).elements) == (n + 1) * (n + 2) // 2
+        assert solve_ckt(n, 2, 4).stabilized and solve_gckt(n, 0, 4).stabilized
+    assert len(solve_ckt(4, 2, 4).elements) == 84
 
 
 def _exact_rank(cols, ncols):
-    """The rank by exact elimination alone, without the certificate."""
-    return linsolve._Eliminator(linsolve._to_integer_rows(cols), ncols).rank
+    """The rank by exact elimination alone, without the modular pass."""
+    return ncols - len(_exact_nullspace(cols, ncols))
 
 
 def _triangular_columns(rng, nrows, ncols, diagonal):
@@ -177,10 +237,15 @@ def test_rank_equals_exact_elimination(kind, seed):
         cols[k] = {r: v for r, v in combo.items() if v}
     rng.shuffle(cols)
     expected = _exact_rank(cols, ncols)
-    full_mod_p = linsolve._full_column_rank_mod_p(linsolve._to_integer_rows(cols), ncols)
+    lifted = _lifted_nullspace(cols, ncols)
     assert rank(cols) == expected
     assert (expected == ncols) is (kind != "deficient")
-    assert full_mod_p is (kind == "full")
+    # the modular pass proves full rank, lifts the deficient nullspace and
+    # falls back only when PRIME divides the determinant
+    assert (lifted == []) is (kind == "full")
+    assert (lifted is None) is (kind == "mod-prime")
+    if lifted is not None:
+        assert lifted == _exact_nullspace(cols, ncols)
 
 
 @given(st.integers(0, 2**30))

@@ -64,6 +64,7 @@ from bilapsym.tensorcalc import (
     counterexample_tensor,
     decompose_gg,
     nondecreasing_tuples,
+    scalar_extract,
     tracefree_part,
 )
 from bilapsym.weylop import (
@@ -326,6 +327,27 @@ class TestAlgebraBasics:
             for v in elements:
                 assert killing_form(u, v) == contraction(u, v)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scalar_extract_matches_the_ordered_entry_sum(self, n):
+        # the double trace over every ordered entry of the pair tensor
+        def ordered_sum(x):
+            return -n * sum(
+                (
+                    val
+                    for (b, q, c, r), val in x.ordered_entries()
+                    if c == ambient_lower(n, b) and r == ambient_lower(n, q)
+                ),
+                Fraction(0),
+            )
+
+        pairs = [(u, v) for u in so_basis(n) for v in so_basis(n)]
+        if n == 4:
+            rng = random.Random(20)
+            pairs += [(_rng_element(n, rng), _rng_element(n, rng)) for _ in range(20)]
+        for u, v in pairs:
+            product = pair_tensor(u, v)
+            assert scalar_extract(product) == ordered_sum(product)
+
     def test_products_realize_consistently(self):
         n = 3
         u = dilation_element(n)
@@ -577,6 +599,13 @@ class TestEnumerator:
         # of so(5); the complete shift 4 is the empty witness
         basis = enumerate_symmetries(3, 3, 7)
         assert basis.dimension == 225
+        assert basis.stabilized
+
+    def test_third_order_count_at_n4_is_proved_at_degree_six(self):
+        # 595 = dim (3, 3) + dim (2, 2) + dim (1, 1) + 1 + dim (3, 1) + dim (2, 0)
+        # of so(6), the Weyl count of the same modules as at n = 3
+        basis = enumerate_symmetries(4, 3, 6)
+        assert basis.dimension == 595
         assert basis.stabilized
 
     def test_bilaplacian_built_once_per_call(self, monkeypatch):
