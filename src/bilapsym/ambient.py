@@ -39,7 +39,7 @@ from .tensorcalc import (
     ambient_lower,
     symmetrize,
 )
-from .weylop import DiffOp, compose, compose_sum, euler_op, multiplier_commutator
+from .weylop import DiffOp, commutator, compose, compose_sum, euler_op
 
 # ---------------------------------------------------------------------------
 # cone and section
@@ -309,9 +309,9 @@ def preserves_cone_ideal(op: DiffOp, weight: Rational) -> bool:
         raise ValueError("expected an ambient operator")
     if not op.is_zero:
         _operator_grade(op)
-    bracket, rpoly = op, r_polynomial(op.space.n)
+    bracket, r = op, DiffOp.multiplication(r_polynomial(op.space.n))
     for j in range(1, op.order + 1):
-        bracket = multiplier_commutator(bracket, rpoly)
+        bracket = commutator(bracket, r)
         if bracket.is_zero:
             return True
         if not _descend(bracket, rat(weight) - 2 * j).is_zero:

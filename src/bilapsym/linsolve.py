@@ -5,16 +5,18 @@ and ranks.  Nullspace bases are normalized reduced-row-echelon style: each
 basis vector carries coefficient 1 at its free column and zeros at all
 other free columns, so output is deterministic for a fixed column order.
 
-Every block is solved once modulo a prime p: elimination finds the free
+Every block is solved modulo a prime p: elimination finds the free
 columns, back-substitution gives each basis vector modulo p, rational
 reconstruction lifts its entries to fractions, and an exact product with
 the integer rows checks it.  The rank modulo p never exceeds the rank over
-Q, so checked vectors prove the nullity, the free columns and the basis
-(the proof is in ``_modular_nullspace``); a block with no free column
-modulo p has none over Q.  Only a failed lift or check runs the
-fraction-free Gauss-Jordan elimination over the integers (cross-
-multiplication plus gcd reduction).  The graded solvers share
-``leibniz_columns`` and ``stabilized_by_closure``.
+Q, so checked vectors prove the nullity, the free columns and the basis;
+a block with no free column modulo p has none over Q.  A failed lift or
+check retries at the next Mersenne prime 2**e - 1 of
+``MERSENNE_EXPONENTS``, from 2**31 - 1 up to 2**4423 - 1.  Once
+isqrt(p // 2) reaches the Hadamard bound of the integer rows the answer is
+certain to lift, so the ladder decides every block whose bound is below
+about 2**2211 (both proofs are in ``_modular_nullspace``).  The graded
+solvers share ``leibniz_columns`` and ``stabilized_by_closure``.
 """
 
 from __future__ import annotations
@@ -61,37 +63,39 @@ def _to_integer_rows(
     return out
 
 
-# The prime of the modular elimination.  Any prime gives exact answers, as
-# every lift is checked; a large one rarely divides a minor of a block, and
-# its lift bound covers the small fractions of the symmetry systems.
-PRIME = 2**31 - 1
+# The exponents e of the Mersenne primes 2**e - 1 that ``nullspace`` tries
+# in turn.  The last lift bound, isqrt((2**4423 - 1) // 2), is about 2**2211.
+MERSENNE_EXPONENTS = (31, 61, 127, 521, 1279, 2203, 4423)
 
-# Rational reconstruction returns r/s with |r|, s <= LIFT_BOUND; below
-# sqrt(PRIME / 2) two such fractions never agree modulo PRIME.
+# The first modulus, a word-size prime, and its lift bound.  Rational
+# reconstruction modulo p returns r/s with |r|, s <= isqrt(p // 2); below
+# sqrt(p / 2) two such fractions never agree modulo p.
+PRIME = 2 ** MERSENNE_EXPONENTS[0] - 1
 LIFT_BOUND = isqrt(PRIME // 2)
 
 
-def _lift(a: int) -> Fraction | None:
-    """The fraction r/s = a modulo ``PRIME`` with |r|, s <= ``LIFT_BOUND``,
-    or None: the extended Euclidean algorithm on (PRIME, a), stopped at the
-    first remainder within the bound (Wang, Guy and Davenport 1982)."""
-    r0, r1 = PRIME, a
+def _lift(a: int, p: int, bound: int) -> Fraction | None:
+    """The fraction r/s = a modulo the prime p with |r|, s <= bound, or
+    None: the extended Euclidean algorithm on (p, a), stopped at the first
+    remainder within the bound (Wang, Guy and Davenport 1982).  The bound
+    is isqrt(p // 2), computed once per modulus by the caller."""
+    r0, r1 = p, a
     s0, s1 = 0, 1
-    while r1 > LIFT_BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > LIFT_BOUND or gcd(r1, s1) != 1:
+    if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
 
 
 def _modular_nullspace(
-    rows: Sequence[Mapping[int, int]], ncols: int
+    rows: Sequence[Mapping[int, int]], ncols: int, p: int
 ) -> list[dict[int, Fraction]] | None:
-    """The nullspace basis of the integer rows, by elimination modulo
-    ``PRIME`` and rational reconstruction, or None when a lift fails or
-    its exact check does.
+    """The nullspace basis of the integer rows over Q, by elimination
+    modulo the prime p and rational reconstruction, or None when a lift
+    fails or its exact check does.
 
     Elimination runs column by column with the sparsest holder as the pivot
     row, normalized to 1; a column with no holder is free.  For each free
@@ -100,7 +104,8 @@ def _modular_nullspace(
     are lifted to fractions, and v_f is kept only if every row annihilates
     it exactly.
 
-    Proof that a full result equals the exact ``_Eliminator`` basis:
+    Proof that a full result is the echelon basis over Q, the one with 1 at
+    its free column and 0 at the others:
     - The rank modulo p is at most the rank over Q: a minor nonzero modulo
       p is nonzero over the integers.  So nullity_p >= nullity_Q.
     - The verified v_f lie in the Q-kernel and are independent, each being
@@ -110,10 +115,24 @@ def _modular_nullspace(
       combination of the columns left of it: f is not a Q-pivot.  The free
       sets modulo p and over Q have the same size, so they are equal.
     - A kernel vector that vanishes on every free column is zero, so the
-      basis with 1 at its free column and 0 at the others is unique: it is
-      the basis ``_Eliminator`` returns, entry for entry.
+      echelon basis for that free set is unique: the result is that basis,
+      entry for entry.
+
+    Proof that a large enough p gives a full result:
+    - By Cramer's rule each entry of the echelon basis over Q is, up to
+      sign, a ratio of two minors of the integer rows: the pivot minor, and
+      that minor with one pivot column replaced by the free column.
+    - By Hadamard's inequality every minor is at most H in absolute value,
+      H being the product of the min(rows, cols) largest row norms (each
+      nonzero row has norm >= 1).
+    - Let isqrt(p // 2) >= H.  Then p > H divides no nonzero minor, so every
+      leading set of columns has the same rank modulo p as over Q: the
+      pivots, free columns and basis modulo p are those over Q reduced
+      modulo p.  Each entry is r/s in lowest terms with |r|, s <= H, so it
+      lifts to itself, and every check passes.
     """
-    mod = [{c: v % PRIME for c, v in row.items() if v % PRIME} for row in rows]
+    bound = isqrt(p // 2)
+    mod = [{c: v % p for c, v in row.items() if v % p} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(mod):
         for c in row:
@@ -127,23 +146,23 @@ def _modular_nullspace(
             continue
         pid = min(holders, key=lambda rid: (len(mod[rid]), rid))
         pr = mod[pid]
-        inv = pow(pr.pop(c), -1, PRIME)
+        inv = pow(pr.pop(c), -1, p)
         for k in pr:
-            pr[k] = pr[k] * inv % PRIME
+            pr[k] = pr[k] * inv % p
             col_rows[k].discard(pid)
         for sid in holders - {pid}:
             sr = mod[sid]
-            neg = PRIME - sr.pop(c)
+            neg = p - sr.pop(c)
             for k, v in pr.items():
                 if k in sr:
-                    nv = (sr[k] + neg * v) % PRIME
+                    nv = (sr[k] + neg * v) % p
                     if nv:
                         sr[k] = nv
                     else:
                         del sr[k]
                         col_rows[k].discard(sid)
                 else:
-                    sr[k] = neg * v % PRIME
+                    sr[k] = neg * v % p
                     col_rows[k].add(sid)
         pivots.append((c, pr))
     basis: list[dict[int, Fraction]] = []
@@ -153,10 +172,10 @@ def _modular_nullspace(
         vec = {f: 1}
         for c, pr in reversed(pivots):
             if c < f:
-                total = sum(v * vec[k] for k, v in pr.items() if k in vec) % PRIME
+                total = sum(v * vec[k] for k, v in pr.items() if k in vec) % p
                 if total:
-                    vec[c] = PRIME - total
-        lifted = {k: _lift(v) for k, v in vec.items()}
+                    vec[c] = p - total
+        lifted = {k: _lift(v, p, bound) for k, v in vec.items()}
         if None in lifted.values() or not _annihilates(rows, lifted):
             return None
         basis.append(lifted)
@@ -170,103 +189,26 @@ def _annihilates(rows: Sequence[Mapping[int, int]], vec: Mapping[int, Fraction])
     return not any(sum(v * ints[k] for k, v in row.items() if k in ints) for row in rows)
 
 
-def _reduce_row(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        for c in row:
-            row[c] //= g
-
-
-class _Eliminator:
-    """Fraction-free Gauss-Jordan elimination over sparse integer rows: the
-    fallback of ``_modular_nullspace``."""
-
-    def __init__(self, rows: list[dict[int, int]], ncols: int) -> None:
-        self.ncols = ncols
-        self.rows = rows
-        self.col_rows: dict[int, set[int]] = {}
-        for rid, row in enumerate(self.rows):
-            for c in row:
-                self.col_rows.setdefault(c, set()).add(rid)
-        self.pivot_col_of_row: dict[int, int] = {}
-        self.free_cols: list[int] = []
-        self._run()
-
-    def _rewrite_row(self, sid: int, pid: int, c: int) -> None:
-        """Replace row sid by rows[sid]*pivot - rows[pid]*rows[sid][c]."""
-        sr = self.rows[sid]
-        pr = self.rows[pid]
-        pv = pr[c]
-        sv = sr[c]
-        new: dict[int, int] = {}
-        for k, val in sr.items():
-            if k != c:
-                new[k] = val * pv
-        for k, val in pr.items():
-            if k == c:
-                continue
-            nv = new.get(k, 0) - val * sv
-            if nv == 0:
-                new.pop(k, None)
-            else:
-                new[k] = nv
-        _reduce_row(new)
-        old_cols = set(sr)
-        new_cols = set(new)
-        for k in old_cols - new_cols:
-            self.col_rows.get(k, set()).discard(sid)
-        for k in new_cols - old_cols:
-            self.col_rows.setdefault(k, set()).add(sid)
-        self.rows[sid] = new
-
-    def _run(self) -> None:
-        for c in range(self.ncols):
-            holders = self.col_rows.get(c)
-            if not holders:
-                self.free_cols.append(c)
-                continue
-            candidates = [rid for rid in holders if rid not in self.pivot_col_of_row]
-            if not candidates:
-                self.free_cols.append(c)
-                continue
-            pid = min(candidates, key=lambda rid: (len(self.rows[rid]), rid))
-            for sid in sorted(holders - {pid}):
-                self._rewrite_row(sid, pid, c)
-            self.pivot_col_of_row[pid] = c
-
-    def nullspace_basis(self) -> list[dict[int, Fraction]]:
-        basis: list[dict[int, Fraction]] = []
-        for f in self.free_cols:
-            vec: dict[int, Fraction] = {f: Fraction(1)}
-            holders = self.col_rows.get(f, ())
-            for rid in holders:
-                c = self.pivot_col_of_row.get(rid)
-                if c is None:
-                    continue
-                row = self.rows[rid]
-                vec[c] = Fraction(-row[f], row[c])
-            basis.append(vec)
-        return basis
-
-
 def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, Fraction]]:
     """Exact rational nullspace of the linear map with the given columns.
 
     Each column is a sparse map from an arbitrary hashable row key to a
     Fraction.  Returns one basis vector per free column, as a sparse map
     column-index -> Fraction with coefficient 1 at the free column.  Values
-    may be ``int`` or ``Fraction``.  The basis comes from
-    ``_modular_nullspace``, or from exact elimination when a lift or its
-    check fails.
+    may be ``int`` or ``Fraction``.  The basis is the first full result of
+    ``_modular_nullspace`` modulo 2**e - 1 for e in ``MERSENNE_EXPONENTS``;
+    a block that no modulus decides raises ValueError.
     """
     ncols = len(columns)
     rows = _to_integer_rows(columns)
-    basis = _modular_nullspace(rows, ncols)
-    if basis is None:
-        basis = _Eliminator(rows, ncols).nullspace_basis()
-    return basis
+    for e in MERSENNE_EXPONENTS:
+        basis = _modular_nullspace(rows, ncols, 2**e - 1)
+        if basis is not None:
+            return basis
+    raise ValueError(
+        f"no modulus 2**e - 1 with e in {MERSENNE_EXPONENTS} decides the "
+        f"{len(rows)}x{ncols} block"
+    )
 
 
 def block_nullspace(

@@ -25,6 +25,7 @@ from .ambient import (
     ambient_op_V,
     induce,
     lie_to_ckv,
+    r_polynomial,
     realize_ckt,
     realize_gckt,
     section_polynomial,
@@ -35,6 +36,7 @@ from .exactpoly import (
     Polynomial,
     Rational,
     VarSpace,
+    ambient_space,
     base_space,
     collect,
     exponent_tuples,
@@ -422,9 +424,6 @@ def summand_operator_checks(n: int) -> dict[str, bool]:
 def _scalar_operator_shape(n: int) -> bool:
     """ambient_op_gg(scalar embed of 1) equals
     (x^Q x^R d_Q d_R - r Lap + (n+1) x^R d_R) / (n(n+1)(n+2))."""
-    from .ambient import r_polynomial
-    from .exactpoly import ambient_space
-
     space = ambient_space(n)
     nn = Fraction(1, n * (n + 1) * (n + 2))
     # x^Q x^R d_Q d_R: each coefficient monomial has its derivative's exponents

@@ -346,21 +346,8 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return compose(a, b) - compose(b, a)
-
-
-def multiplier_commutator(op: DiffOp, p: Polynomial) -> DiffOp:
-    """The commutator [op, p] with multiplication by p: the Leibniz terms of
-    op o p that differentiate p, computed without building op o p."""
-
-    def terms():
-        for alpha, coeff in op.terms.items():
-            for gamma, rest, weight in alpha.divisors():
-                dp = _differentiate(p, gamma)
-                if gamma.degree and not dp.is_zero:
-                    yield rest, coeff * dp * weight
-
-    return DiffOp._collect(op.space, terms())
+    """The commutator [a, b] = a o b - b o a, in one ``compose_sum`` pass."""
+    return compose_sum(a.space, ((a, ((b, 1),)), (b, ((a, -1),))))
 
 
 # ---------------------------------------------------------------------------

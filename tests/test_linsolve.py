@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -75,33 +76,52 @@ def test_nullspace_vectors_annihilate(seed):
 
 
 def _exact_nullspace(cols, ncols):
-    """The nullspace by exact elimination alone, without the modular pass."""
-    return linsolve._Eliminator(linsolve._to_integer_rows(cols), ncols).nullspace_basis()
+    """The echelon nullspace basis by dense Gauss-Jordan elimination in
+    Fractions: an independent reference for ``nullspace``."""
+    keys = list(dict.fromkeys(k for col in cols for k in col))
+    matrix = [[Fraction(col.get(k, 0)) for col in cols] for k in keys]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if hit is None:
+            continue
+        matrix[r], matrix[hit] = matrix[hit], matrix[r]
+        lead = matrix[r][c]
+        matrix[r] = [v / lead for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[c]:
+                k = row[c]
+                matrix[i] = [v - k * w for v, w in zip(row, matrix[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = {f: Fraction(1)}
+        vec.update({c: -matrix[i][f] for i, c in enumerate(pivots) if matrix[i][f]})
+        basis.append(vec)
+    return basis
 
 
 def _lifted_nullspace(cols, ncols):
-    """The nullspace by the modular pass alone: None when it falls back."""
-    return linsolve._modular_nullspace(linsolve._to_integer_rows(cols), ncols)
+    """The nullspace by the modular pass modulo PRIME alone: None when it
+    is refused."""
+    return linsolve._modular_nullspace(linsolve._to_integer_rows(cols), ncols, PRIME)
 
 
-def _recording_eliminator(monkeypatch):
-    """Record the column count of every exact elimination."""
-    built = []
-    original = linsolve._Eliminator
+def _recording_moduli(monkeypatch):
+    """Record the modulus of every attempt of the modular pass."""
+    moduli = []
+    original = linsolve._modular_nullspace
 
-    def recording(rows, ncols):
-        built.append(ncols)
-        return original(rows, ncols)
+    def recording(rows, ncols, p):
+        moduli.append(p)
+        return original(rows, ncols, p)
 
-    monkeypatch.setattr(linsolve, "_Eliminator", recording)
-    return built
+    monkeypatch.setattr(linsolve, "_modular_nullspace", recording)
+    return moduli
 
 
-def _refuse_elimination(monkeypatch):
-    def refuse(rows, ncols):
-        raise AssertionError("exact elimination ran")
-
-    monkeypatch.setattr(linsolve, "_Eliminator", refuse)
+M61, M127, M521 = 2**61 - 1, 2**127 - 1, 2**521 - 1
 
 
 @pytest.mark.parametrize(
@@ -116,24 +136,26 @@ def _refuse_elimination(monkeypatch):
     ids=["triangular", "dense", "fractions"],
 )
 def test_singular_mod_prime_falls_back_to_exact(cols, monkeypatch):
-    # column 1 is free modulo PRIME, and its lifted vector fails the check
+    # column 1 is free modulo PRIME, and its lifted vector fails the check;
+    # modulo 2**61 - 1 the determinant PRIME is a unit
     assert _lifted_nullspace(cols, len(cols)) is None
-    built = _recording_eliminator(monkeypatch)
+    moduli = _recording_moduli(monkeypatch)
     assert nullspace(cols) == []
     assert rank(cols) == len(cols)
-    assert built == [len(cols)] * 2
+    assert moduli == [PRIME, M61] * 2
 
 
 def test_rows_are_scaled_before_the_certificate(monkeypatch):
     # the 1x1 matrix [PRIME] is the row [1] after gcd scaling, so the
-    # modular pass decides it without exact elimination
-    monkeypatch.setattr(linsolve, "_Eliminator", None)
+    # first modulus decides it
+    moduli = _recording_moduli(monkeypatch)
     assert linsolve._to_integer_rows([{0: PRIME}]) == [{0: 1}]
     assert nullspace([{0: PRIME}]) == []
+    assert moduli == [PRIME]
 
 
 def test_full_rank_needs_no_exact_elimination(monkeypatch):
-    _refuse_elimination(monkeypatch)
+    moduli = _recording_moduli(monkeypatch)
     cols = [
         {"a": Fraction(1, 2), "b": Fraction(3)},
         {"b": Fraction(-1), "c": Fraction(5, 7)},
@@ -142,6 +164,7 @@ def test_full_rank_needs_no_exact_elimination(monkeypatch):
     assert nullspace(cols) == []
     assert rank(cols) == 3
     assert block_nullspace(range(2), lambda u: u, lambda u: cols[u]) == []
+    assert moduli == [PRIME] * 4
 
 
 def test_fewer_rows_than_columns_is_lifted_without_elimination(monkeypatch):
@@ -150,28 +173,74 @@ def test_fewer_rows_than_columns_is_lifted_without_elimination(monkeypatch):
     expected = [_exact_nullspace(cols, len(cols)) for cols in (wide, wider)]
     assert expected[0] == [{0: Fraction(-2), 1: Fraction(1)}]
     assert [len(basis) for basis in expected] == [1, 3]
-    _refuse_elimination(monkeypatch)
+    moduli = _recording_moduli(monkeypatch)
     assert [nullspace(wide), nullspace(wider)] == expected
+    assert moduli == [PRIME] * 2
 
 
 def test_lift_beyond_the_bound_falls_back_once(monkeypatch):
-    # the entry -100003 has no fraction r/s with |r|, s <= LIFT_BOUND
-    assert 100003 > linsolve.LIFT_BOUND
+    # the entry -100003 has no fraction r/s with |r|, s <= LIFT_BOUND, and
+    # is within the bound isqrt(M61 // 2) = 2**30 - 1
+    assert linsolve.LIFT_BOUND < 100003 <= isqrt(M61 // 2)
     cols = [{0: 1}, {0: 100003}]
     assert _lifted_nullspace(cols, 2) is None
-    built = _recording_eliminator(monkeypatch)
+    moduli = _recording_moduli(monkeypatch)
     assert nullspace(cols) == [{0: Fraction(-100003), 1: Fraction(1)}]
-    assert built == [2]
+    assert moduli == [PRIME, M61]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_modular_pass_lifts_up_to_the_bound_and_no_further(sign):
+    bound = linsolve.LIFT_BOUND
+    assert _lifted_nullspace([{0: 1}, {0: sign * bound}], 2) == [
+        {0: Fraction(-sign * bound), 1: Fraction(1)}
+    ]
+    assert _lifted_nullspace([{0: 1}, {0: sign * (bound + 1)}], 2) is None
 
 
 def test_wrong_lift_is_rejected_by_the_exact_check(monkeypatch):
     # PRIME + 1 is 1 modulo PRIME, so the entry lifts to -1; the exact
-    # product with the row 1 * x0 + (PRIME + 1) * x1 refuses it
-    assert linsolve._lift(PRIME - 1) == -1
+    # product with the row 1 * x0 + (PRIME + 1) * x1 refuses it.  Modulo
+    # M61 the entry is -2**31, beyond the bound 2**30 - 1, so M127 decides.
+    assert linsolve._lift(PRIME - 1, PRIME, linsolve.LIFT_BOUND) == -1
+    assert isqrt(M61 // 2) < PRIME + 1 <= isqrt(M127 // 2)
     cols = [{0: 1}, {0: PRIME + 1}]
-    built = _recording_eliminator(monkeypatch)
+    moduli = _recording_moduli(monkeypatch)
     assert nullspace(cols) == [{0: Fraction(-(PRIME + 1)), 1: Fraction(1)}]
-    assert built == [2]
+    assert moduli == [PRIME, M61, M127]
+
+
+def test_large_entry_is_decided_at_the_fourth_modulus(monkeypatch):
+    # 10**40 is about 2**133: beyond the lift bounds of M31, M61 and M127
+    # (about 2**63), within that of M521 (about 2**260)
+    cols = [{0: 1}, {0: 10**40}]
+    moduli = _recording_moduli(monkeypatch)
+    assert nullspace(cols) == [{0: Fraction(-(10**40)), 1: Fraction(1)}]
+    assert moduli == [PRIME, M61, M127, M521]
+
+
+def test_block_no_modulus_decides_raises(monkeypatch):
+    monkeypatch.setattr(linsolve, "MERSENNE_EXPONENTS", (31,))
+    with pytest.raises(ValueError, match="1x2 block"):
+        nullspace([{0: 1}, {0: 10**40}])
+
+
+def _is_mersenne_prime(e):
+    """The Lucas-Lehmer test: for an odd prime e, 2**e - 1 is prime iff
+    s_(e-2) = 0 modulo it, with s_0 = 4 and s_(i+1) = s_i**2 - 2."""
+    if e < 3 or any(e % d == 0 for d in range(2, isqrt(e) + 1)):
+        return False
+    m, s = 2**e - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_every_listed_modulus_is_prime():
+    assert linsolve.MERSENNE_EXPONENTS[0] == 31 and PRIME == 2**31 - 1
+    assert all(map(_is_mersenne_prime, linsolve.MERSENNE_EXPONENTS))
+    # the test itself tells a Mersenne prime from a composite 2**e - 1
+    assert [e for e in range(3, 64) if _is_mersenne_prime(e)] == [3, 5, 7, 13, 17, 19, 31, 61]
 
 
 @given(st.integers(-linsolve.LIFT_BOUND, linsolve.LIFT_BOUND), st.integers(1, linsolve.LIFT_BOUND))
@@ -179,23 +248,24 @@ def test_wrong_lift_is_rejected_by_the_exact_check(monkeypatch):
 def test_lift_inverts_reduction_within_the_bound(num, den):
     value = Fraction(num, den)
     residue = value.numerator * pow(value.denominator, -1, PRIME) % PRIME
-    assert linsolve._lift(residue) == value
+    assert linsolve._lift(residue, PRIME, linsolve.LIFT_BOUND) == value
 
 
 def test_benchmark_systems_never_fall_back(monkeypatch):
     # every block of the enumeration and of the Killing solvers is decided
-    # by the modular pass alone
-    _refuse_elimination(monkeypatch)
+    # by the first modulus
+    moduli = _recording_moduli(monkeypatch)
     assert len(enumerate_symmetries(3, 2, 6).elements) == 60
     assert len(enumerate_symmetries(4, 2, 4).elements) == 120
     for n in (3, 4):
         assert len(solve_ckt(n, 1, 2).elements) == (n + 1) * (n + 2) // 2
         assert solve_ckt(n, 2, 4).stabilized and solve_gckt(n, 0, 4).stabilized
     assert len(solve_ckt(4, 2, 4).elements) == 84
+    assert moduli and set(moduli) == {PRIME}
 
 
 def _exact_rank(cols, ncols):
-    """The rank by exact elimination alone, without the modular pass."""
+    """The rank by the dense reference elimination."""
     return ncols - len(_exact_nullspace(cols, ncols))
 
 
@@ -240,8 +310,8 @@ def test_rank_equals_exact_elimination(kind, seed):
     lifted = _lifted_nullspace(cols, ncols)
     assert rank(cols) == expected
     assert (expected == ncols) is (kind != "deficient")
-    # the modular pass proves full rank, lifts the deficient nullspace and
-    # falls back only when PRIME divides the determinant
+    # modulo PRIME the pass proves full rank, lifts the deficient nullspace
+    # and is refused only when PRIME divides the determinant
     assert (lifted == []) is (kind == "full")
     assert (lifted is None) is (kind == "mod-prime")
     if lifted is not None:
@@ -255,7 +325,7 @@ def test_nullspace_equals_exact_elimination(seed):
     # at least as many rows as columns are often singular too
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
-    entries = [-2, -1, 0, 0, 1, 2, 3, PRIME, -PRIME, 2 * PRIME, PRIME + 1]
+    entries = [-2, -1, 0, 0, 1, 2, 3, PRIME, -PRIME, 2 * PRIME, PRIME + 1, 10**40, Fraction(1, PRIME)]
     cols: list[dict] = []
     for _ in range(ncols):
         if cols and rng.random() < 0.4:
