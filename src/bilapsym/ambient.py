@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
+from math import factorial, lcm, prod
+from operator import add as _add
 from typing import Iterable
 
 from .exactpoly import (
@@ -29,8 +32,8 @@ from .exactpoly import (
     ambient_space,
     base_space,
     collect,
+    exponent_tuples,
     rat,
-    to_base,
 )
 from .tensorcalc import (
     MultiIndex,
@@ -75,15 +78,44 @@ def base_square(n: int, space: VarSpace | None = None) -> Polynomial:
     return Polynomial(space, terms)
 
 
+@cache
+def _section_power(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(-(x.x)/2)^k as ((exponents of x1..xn, numerator), ...) over 2^k: the
+    multinomial expansion (-1)^k sum_{|j| = k} k!/prod(j_v!) x^(2j)."""
+    return tuple(
+        (tuple(2 * e for e in j), (-1) ** k * factorial(k) // prod(map(factorial, j)))
+        for j in exponent_tuples(n, k)
+    )
+
+
 def section_substitution(p: Polynomial) -> Polynomial:
-    """Restrict an ambient polynomial to the section x0=1, xinf=-(x.x)/2."""
+    """Restrict an ambient polynomial to the section x0=1, xinf=-(x.x)/2.
+
+    Each term restricts directly: x0^a goes to 1 and xinf^k to the cached
+    expansion of (-(x.x)/2)^k, summed as int numerators over the common
+    denominator of p times 2^(top xinf power), one Fraction per output
+    term.  No term is multiplied out as a Polynomial.
+    """
     space = p.space
     if space.kind != "ambient":
         raise ValueError("expected an ambient polynomial")
-    n = space.n
-    binding = base_square(n, space) * Fraction(-1, 2)
-    restricted = p.substitute({0: 1, space.inf: binding})
-    return to_base(restricted)
+    n, inf = space.n, space.inf
+    pad = (0,) * (n + 2)
+    top = max((m.exponent(inf) for m in p.terms), default=0)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    sums: dict[tuple, int] = {}
+    for m, c in p.terms.items():
+        exps = (m.exps + pad)[: n + 2]
+        k = exps[inf]
+        scale = c.numerator * (den // c.denominator) << (top - k)
+        for e, num in _section_power(n, k):
+            key = tuple(map(_add, exps[1:inf], e))
+            sums[key] = sums.get(key, 0) + scale * num
+    den <<= top
+    return Polynomial._make(
+        base_space(n),
+        {Monomial._of_padded((0, *key)): Fraction(t, den) for key, t in sums.items() if t},
+    )
 
 
 def extend_polynomial(f: Polynomial, weight: Rational) -> Polynomial:

@@ -670,7 +670,7 @@ def parity_class(exps: tuple[int, ...], indices: Iterable[int]) -> tuple[int, ..
     return tuple(c % 2 for c in counts)
 
 
-# -- space conversions --------------------------------------------------------
+# -- variable spaces ----------------------------------------------------------
 
 def base_space(n: int) -> VarSpace:
     return VarSpace("base", n)
@@ -679,14 +679,3 @@ def base_space(n: int) -> VarSpace:
 def ambient_space(n: int) -> VarSpace:
     return VarSpace("ambient", n)
 
-
-def to_base(p: Polynomial) -> Polynomial:
-    """Reinterpret an ambient polynomial using only x1..xn in the base space."""
-    if p.space.kind == "base":
-        return p
-    space = base_space(p.space.n)
-    for m in p.terms:
-        for v, _ in m.items():
-            if not space.contains(v):
-                raise ValueError(f"term uses ambient-only variable {p.space.var_name(v)}")
-    return Polynomial._make(space, dict(p.terms))

@@ -723,7 +723,8 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
                     (second[(p3, p4)], coeff)
                     for p3 in pairs
                     for p4 in pairs
-                    if (coeff := x.get(p1 + p2 + p3 + p4))
+                    # four pairs I < J make a canonical key
+                    if (coeff := x.components.get(p1 + p2 + p3 + p4))
                 ],
             )
             for p1 in pairs

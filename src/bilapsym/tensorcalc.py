@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactpoly import (
@@ -375,6 +375,58 @@ def ambient_metric_sym(n: int) -> SymAmbientTensor:
 # paired-skew constant ambient tensors
 
 
+def _pair_canonical(
+    key: MultiIndex, pair_count: int, tail_valency: int = 0
+) -> tuple[MultiIndex, int] | None:
+    """The representative of an ordered key under the flips of its first
+    ``pair_count`` index pairs (and the swap of a trailing pair), with one
+    sign flip per transposed pair; None when a pair repeats an index."""
+    sign = 1
+    parts: list[int] = []
+    for i in range(0, 2 * pair_count, 2):
+        a, b = key[i], key[i + 1]
+        if a < b:
+            parts += (a, b)
+        elif b < a:
+            parts += (b, a)
+            sign = -sign
+        else:
+            return None
+    if tail_valency:
+        a, b = key[-2], key[-1]
+        parts += (a, b) if a <= b else (b, a)
+    return tuple(parts), sign
+
+
+def _numerators(
+    entries: Iterable[tuple[MultiIndex, Fraction]]
+) -> tuple[int, list[tuple[MultiIndex, int]]]:
+    """(den, [(key, numerator)]): the values as int numerators over den, the
+    lcm of their denominators."""
+    entries = list(entries)
+    den = lcm(*(val.denominator for _, val in entries))
+    return den, [(key, val.numerator * (den // val.denominator)) for key, val in entries]
+
+
+def _projected(
+    n: int, pair_count: int, numerators: Iterable[tuple[MultiIndex, int]], den: int
+) -> "PairSkewTensor":
+    """The pair-skew projection of ordered entries given as int numerators
+    over ``den``: the signed numerators are summed per representative, and
+    each nonzero sum becomes one Fraction over den * 2^pair_count."""
+    shape = PairSkewTensor(n, pair_count).shape
+    sums: dict[MultiIndex, int] = {}
+    for key, num in numerators:
+        canon = _pair_canonical(key, pair_count)
+        if canon is not None:
+            ckey, sign = canon
+            sums[ckey] = sums.get(ckey, 0) + (num if sign > 0 else -num)
+    den <<= pair_count
+    return PairSkewTensor._make(
+        shape, {key: Fraction(t, den) for key, t in sums.items() if t}
+    )
+
+
 class PairSkewTensor(LinearCombination):
     """Constant ambient tensor, skew within each of k index pairs.
 
@@ -429,22 +481,7 @@ class PairSkewTensor(LinearCombination):
 
     def canonicalize(self, key: MultiIndex) -> tuple[MultiIndex, int] | None:
         """Canonical representative and sign, or None if a pair repeats."""
-        k = self.pair_count
-        sign = 1
-        parts: list[int] = []
-        for i in range(k):
-            a, b = key[2 * i], key[2 * i + 1]
-            if a == b:
-                return None
-            if a > b:
-                a, b = b, a
-                sign = -sign
-            parts.append(a)
-            parts.append(b)
-        if self.tail_valency:
-            tail = sorted(key[2 * k :])
-            parts.extend(tail)
-        return tuple(parts), sign
+        return _pair_canonical(key, self.pair_count, self.tail_valency)
 
     def get(self, key: MultiIndex) -> Fraction:
         canon = self.canonicalize(tuple(key))
@@ -471,21 +508,15 @@ class PairSkewTensor(LinearCombination):
         (key, value) entries, each key 2 * pair_count ambient indices; keys
         with a repeated pair drop out.
 
-        Each entry adds its value, with the sign of ``canonicalize``, to its
+        Each entry adds its value, as an int numerator over the common
+        denominator and with the sign of ``canonicalize``, to its
         representative, and the sums are scaled once by 1/2^pair_count.  No
         pair flip fixes a key whose pairs have distinct indices, so this is
         the average over the flip orbit.  There is no trailing pair: its
         swap fixes a key with equal trailing indices.
         """
-        proto = cls(n, pair_count)
-
-        def signed():
-            for key, val in entries:
-                canon = proto.canonicalize(key)
-                if canon is not None:
-                    yield canon[0], canon[1] * val
-
-        return cls._collect(proto.shape, signed()) * Fraction(1, 2**pair_count)
+        den, numerators = _numerators((key, rat(val)) for key, val in entries)
+        return _projected(n, pair_count, numerators, den)
 
     def __repr__(self) -> str:
         return (
@@ -518,27 +549,44 @@ def contract_positions(
 ) -> dict[MultiIndex, Fraction]:
     """Contract index-position pairs with the ambient metric.
 
-    Returns a dense map over the remaining (ordered) index positions.
+    Returns the nonzero entries of the map over the remaining (ordered)
+    index positions.  The contracted values of every summand are laid out
+    once; each summand key is canonicalized in place and its component read
+    as an int numerator over the common denominator of x.
     """
-    total_len = 2 * x.pair_count + x.tail_valency
+    k, tail = x.pair_count, x.tail_valency
     used = {p for pair in contractions for p in pair}
     if len(used) != 2 * len(contractions):
         raise ValueError("overlapping contraction positions")
-    free = [p for p in range(total_len) if p not in used]
+    free = [p for p in range(2 * k + tail) if p not in used]
     idx = ambient_indices(x.n)
+    den, nums = _numerators(x.components.items())
+    nums = dict(nums)
+    # the (position, value) assignments of every summand of the contraction
+    summands = [
+        [
+            (p, v)
+            for (pi, pj), a in zip(contractions, sums)
+            for p, v in ((pi, a), (pj, ambient_lower(x.n, a)))
+        ]
+        for sums in itertools.product(idx, repeat=len(contractions))
+    ]
+    key = [0] * (2 * k + tail)
     out: dict[MultiIndex, Fraction] = {}
     for free_vals in itertools.product(idx, repeat=len(free)):
-        total = Fraction(0)
-        for sums in itertools.product(idx, repeat=len(contractions)):
-            key = [0] * total_len
-            for p, v in zip(free, free_vals):
+        for p, v in zip(free, free_vals):
+            key[p] = v
+        total = 0
+        for summand in summands:
+            for p, v in summand:
                 key[p] = v
-            for (pi, pj), a in zip(contractions, sums):
-                key[pi] = a
-                key[pj] = ambient_lower(x.n, a)
-            total += x.get(tuple(key))
-        if total != 0:
-            out[free_vals] = total
+            canon = _pair_canonical(key, k, tail)
+            if canon is not None:
+                num = nums.get(canon[0])
+                if num is not None:
+                    total += num if canon[1] > 0 else -num
+        if total:
+            out[free_vals] = Fraction(total, den)
     return out
 
 
@@ -757,16 +805,20 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
         raise ValueError("tensor must be trace-free")
     n = z.n
     gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
-    gg_entries = _ordered_entries(gg)
-    # Z on the first slots of the pairs and GG on the second, projected
-    return PairSkewTensor.project(
+    # Z on the first slots of the pairs and GG on the second: each of the
+    # ordered products is an int numerator over dz * dg, and each
+    # representative becomes one Fraction after the 1/2^4 scale
+    dz, z_entries = _numerators(_ordered_entries(z))
+    dg, g_entries = _numerators(_ordered_entries(gg))
+    return _projected(
         n,
         4,
         (
-            (tuple(i for pair in zip(zkey, gkey) for i in pair), zval * gval)
-            for zkey, zval in _ordered_entries(z)
-            for gkey, gval in gg_entries
+            ((z0, g0, z1, g1, z2, g2, z3, g3), zn * gn)
+            for (z0, z1, z2, z3), zn in z_entries
+            for (g0, g1, g2, g3), gn in g_entries
         ),
+        dz * dg,
     )
 
 

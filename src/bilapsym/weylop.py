@@ -245,6 +245,12 @@ def compose_sum(
     sum of int products (Fractions only through a fractional x0 exponent)
     turned into one Fraction at the end.
     """
+    return _compose_sum(space, groups, True)
+
+
+def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> DiffOp:
+    """``compose_sum``; without ``with_products`` the gamma = 0 Leibniz
+    terms x^(p+m) d^(alpha+beta), the plain products, are left out."""
     width = space.variables[-1] + 1
     pad = (0,) * width
 
@@ -313,6 +319,8 @@ def compose_sum(
             if scale != 1:
                 ca = [(p, num * scale) for p, num in ca]
             for gamma, rest, weight in alpha.divisors():
+                if not (gamma.degree or with_products):
+                    continue
                 rest = (rest.exps + pad)[:width]
                 low_b = shifted.get(gamma.exps)
                 if low_b is None:
@@ -346,8 +354,12 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """The commutator [a, b] = a o b - b o a, in one ``compose_sum`` pass."""
-    return compose_sum(a.space, ((a, ((b, 1),)), (b, ((a, -1),))))
+    """The commutator [a, b] = a o b - b o a, in one ``compose_sum`` pass.
+
+    The gamma = 0 Leibniz terms c_p c_m x^(p+m) d^(alpha+beta) of a o b and
+    of b o a are equal and cancel, so the pass never forms them.
+    """
+    return _compose_sum(a.space, ((a, ((b, 1),)), (b, ((a, -1),))), False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from bilapsym.ambient import (
     ambient_op_V,
     ambient_op_W,
     ambient_op_gg,
+    base_square,
     extend_polynomial,
     induce,
     lie_to_ckv,
@@ -138,6 +139,40 @@ class TestExtension:
         r = r_polynomial(3)
         x1 = Polynomial.variable(ambient_space(3), 1)
         assert section_substitution(r * x1).is_zero
+
+
+@st.composite
+def ambient_polynomials(draw):
+    """Random ambient polynomials at n = 3..5: x0 exponents that may be
+    negative or fractional, xinf powers up to 4."""
+    n = draw(st.integers(3, 5))
+    x0 = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-7, 7), st.sampled_from([2, 3]))
+    )
+    monomials = st.builds(
+        lambda e0, base, k: Monomial([(0, e0), *enumerate(base, 1), (n + 1, k)]),
+        x0,
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.integers(0, 4),
+    )
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return Polynomial(ambient_space(n), draw(st.dictionaries(monomials, values, max_size=8)))
+
+
+class TestSectionSubstitution:
+    @settings(max_examples=60, deadline=None)
+    @given(ambient_polynomials())
+    def test_matches_polynomial_substitution(self, p):
+        space = p.space
+        binding = base_square(space.n, space) * Fraction(-1, 2)
+        reference = p.substitute({0: 1, space.inf: binding})
+        got = section_substitution(p)
+        assert got.space == base_space(space.n)
+        assert got.terms == reference.terms
+
+    def test_rejects_base_polynomial(self):
+        with pytest.raises(ValueError):
+            section_substitution(Polynomial.one(base_space(3)))
 
 
 @st.composite

@@ -656,6 +656,16 @@ class TestQuarticObstruction:
         assert q.terms.get(Monomial([(1, 4)])) not in (None, 0)
         assert q.homogeneous_degree() == 4
 
+    # the induced operator is q Delta^2 / 16 and the mixed trace of X is
+    # n(n+2)/48 times Z, at each of these seeds and dimensions
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 7), (4, 0)])
+    def test_closed_form_constants(self, n, seed):
+        report = symalg.counterexample_operator_check(n, seed)
+        assert report.all_hold
+        assert report.seed_used == seed
+        assert report.scalar_factor == Fraction(1, 16)
+        assert report.mixed_trace_factor == Fraction(n * (n + 2), 48)
+
 
 # ---------------------------------------------------------------------------
 # the quartic operator and the descent by their former routes: each product

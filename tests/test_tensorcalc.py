@@ -319,13 +319,13 @@ class TestDecomposition:
 
 
 class TestCounterexampleTensor:
-    def build_z(self, seed=1):
+    def build_z(self, seed=1, n=N):
         rng = random.Random(seed)
         raw = {
             key: Fraction(rng.randint(-4, 4))
-            for key in nondecreasing_tuples(ambient_indices(N), 4)
+            for key in nondecreasing_tuples(ambient_indices(n), 4)
         }
-        return SymAmbientTensor(N, 4, raw).tracefree_part()
+        return SymAmbientTensor(n, 4, raw).tracefree_part()
 
     def test_requires_tracefree(self):
         bad = SymAmbientTensor(N, 4, {(1, 1, 1, 1): Fraction(1)})
@@ -339,18 +339,27 @@ class TestCounterexampleTensor:
         assert all(v == 0 for v in counterexample_tail_trace(x).values())
 
     def test_matches_projection_of_raw_tensor(self):
+        self.check_projection(N, 1)
+
+    @pytest.mark.parametrize("n, seed", [(3, 2), (3, 5), (4, 1)])
+    def test_matches_projection_at_more_seeds_and_n4(self, n, seed):
+        self.check_projection(n, seed)
+
+    def check_projection(self, n, seed):
         # the reference projects Z(first slots) GG(second slots) by evaluating
         # it on every orbit arrangement of every canonical key
-        z = self.build_z()
-        gg = ambient_metric_sym(N).sym_outer(ambient_metric_sym(N))
+        z = self.build_z(seed, n)
+        gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
 
         def fn(key):
-            zval = z.get((key[0], key[2], key[4], key[6]))
-            if zval == 0:
+            gval = gg.get((key[1], key[3], key[5], key[7]))
+            if gval == 0:
                 return Fraction(0)
-            return zval * gg.get((key[1], key[3], key[5], key[7]))
+            return gval * z.get((key[0], key[2], key[4], key[6]))
 
-        assert counterexample_tensor(z) == reference_projection(N, 4, 0, fn)
+        x = counterexample_tensor(z)
+        assert x == reference_projection(n, 4, 0, fn)
+        assert all(type(v) is Fraction for v in x.components.values())
 
     def test_mixed_trace_is_nonzero_multiple(self):
         z = self.build_z()
@@ -547,6 +556,69 @@ def test_traces_match_dense_reference(n, data):
     assert type(scalar) is Fraction and scalar == dense_scalar_extract(x)
     assert bullet_extract(x) == dense_bullet_extract(x)
     assert ambient_op_gg(x) == dense_ambient_op_gg(x)
+
+
+def dense_contract_positions(x, contractions):
+    """Reference for ``contract_positions``: at every ordered value of the
+    free positions, the sum of ``x.get`` over every value of the contracted
+    pairs, each contraction (pi, pj) setting a at pi and its lowering at pj."""
+    total_len = 2 * x.pair_count + x.tail_valency
+    used = {p for pair in contractions for p in pair}
+    free = [p for p in range(total_len) if p not in used]
+    idx = ambient_indices(x.n)
+    out = {}
+    for free_vals in itertools.product(idx, repeat=len(free)):
+        total = Fraction(0)
+        for sums in itertools.product(idx, repeat=len(contractions)):
+            key = [0] * total_len
+            for p, v in zip(free, free_vals):
+                key[p] = v
+            for (pi, pj), a in zip(contractions, sums):
+                key[pi] = a
+                key[pj] = ambient_lower(x.n, a)
+            total += x.get(tuple(key))
+        if total != 0:
+            out[free_vals] = total
+    return out
+
+
+# (n, pairs, tail, contractions): inside one pair, across pairs, on the
+# tail and between a pair and the tail; the dense reference reads
+# (n + 2)^(slots - contractions) keys
+CONTRACTION_CASES = [
+    (3, 1, 0, [(0, 1)]),
+    (3, 1, 2, [(2, 3)]),
+    (3, 1, 2, [(1, 2)]),
+    (3, 1, 2, [(0, 1), (2, 3)]),
+    (3, 2, 0, [(1, 3)]),
+    (3, 2, 0, [(0, 2), (1, 3)]),
+    (3, 2, 2, [(0, 1), (2, 4), (3, 5)]),
+    (3, 2, 2, [(4, 5)]),
+    (3, 3, 0, [(1, 3), (2, 5)]),
+    (3, 4, 0, [(1, 3), (5, 7)]),
+    (3, 4, 2, [(0, 8), (2, 4), (7, 9), (1, 5)]),
+    (4, 1, 2, [(0, 3), (1, 2)]),
+    (4, 2, 0, [(0, 1)]),
+    (4, 2, 2, [(1, 3), (4, 5)]),
+    (4, 3, 0, [(0, 4)]),
+    (4, 4, 0, [(0, 2), (1, 3)]),
+]
+
+
+@pytest.mark.parametrize("n, pairs, tail, contractions", CONTRACTION_CASES)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_contract_positions_matches_dense_reference(n, pairs, tail, contractions, data):
+    x = data.draw(pair_skew_tensors(n, pairs, tail))
+    got = contract_positions(x, contractions)
+    assert got == dense_contract_positions(x, contractions)
+    assert all(type(v) is Fraction for v in got.values())
+
+
+def test_contract_positions_rejects_overlap():
+    x = PairSkewTensor(N, 2, 0, {(0, 1, 2, 3): Fraction(1)})
+    with pytest.raises(ValueError):
+        contract_positions(x, [(0, 2), (2, 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilapsym.ambient import ambient_op_V, r_polynomial
 from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space
+from bilapsym.tensorcalc import PairSkewTensor
 from bilapsym.weylop import (
     DiffOp,
     NotDivisibleError,
@@ -101,6 +104,35 @@ class TestApplyCompose:
         p = DiffOp.multiplication(random_poly(rng))
         for x, y in ((a, b), (a, p), (p, a)):
             assert commutator(x, y) == compose(x, y) - compose(y, x)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_commutator_of_a_fourth_order_ambient_operator(self, seed):
+        # V from a random four-pair tensor at n = 3, also with a fractional
+        # x0 power in its coefficients, against the multiplication by r.
+        # The first-order Leibniz terms of [V, r] cancel by the skewness of
+        # the pairs, so a generic fourth-order operator is checked as well
+        rng = random.Random(seed)
+        pairs = list(itertools.combinations(range(5), 2))
+        comps = {
+            tuple(i for pair in rng.choices(pairs, k=4) for i in pair):
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(8)
+        }
+        v = ambient_op_V(PairSkewTensor(3, 4, 0, comps))
+        space = v.space
+        generic = DiffOp(space, {
+            tuple(sorted(rng.choices(space.variables, k=order))): Polynomial(space, {
+                Monomial([(0, Fraction(rng.randint(-3, 3), 2)),
+                          *((u, rng.randint(0, 2)) for u in range(1, 5))]):
+                    Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            })
+            for order in (0, 1, 2, 3, 4, 4)
+        })
+        r = DiffOp.multiplication(r_polynomial(3))
+        assert v.order == 4 and generic.order == 4
+        for op in (v, v * Polynomial.variable(space, 0, Fraction(-1, 2)), generic):
+            assert commutator(op, r) == compose(op, r) - compose(r, op)
+            assert commutator(r, op) == compose(r, op) - compose(op, r)
 
     def test_product_with_operator_raises(self):
         with pytest.raises(TypeError):
