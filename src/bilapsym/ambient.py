@@ -235,53 +235,62 @@ def ambient_op_V(x: PairSkewTensor) -> DiffOp:
 
 
 def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
-    """Exact second-order ambient operator of a two-pair tensor.
+    """The word operator sum X^{p1...pk} V_p1 o ... o V_pk of a k-pair tensor.
 
-    The normal-ordered two-derivative term plus the first-order correction
-    carrying the internal trace, so that on decomposables this equals the
-    composition of the two first-order operators.
+    The sum runs over the stored components, each pair p = (I, J), I < J,
+    naming the first-order operator V_p = ``ambient_op_V(e_p)``; at two
+    pairs this is the exact second-order operator whose normal-ordered part
+    is ``ambient_op_V(x)``.  It is one ``compose_sum`` call: each group is
+    the word of the first ceil(k/2) pairs composed with the sum of the
+    remaining pairs' words weighted by the components, and each V_p and
+    each word is built once.
     """
-    if x.pair_count != 2 or x.tail_valency != 0:
-        raise ValueError("expected a two-pair tensor")
-    n = x.n
+    if x.pair_count == 0 or x.tail_valency != 0:
+        raise ValueError("expected a tensor of at least one pair and no trailing pair")
+    n, head = x.n, 2 * ((x.pair_count + 1) // 2)
     space = ambient_space(n)
+    words = {(): DiffOp.identity(space)}
 
-    def corrections():
-        for (b, q, c, r), val in x.ordered_entries():
-            if c == ambient_lower(n, q):
-                mono = Monomial.of_indices([ambient_lower(n, b)])
-                yield Monomial.of_indices([r]), Polynomial(space, {mono: val})
+    def word(key: MultiIndex) -> DiffOp:
+        op = words.get(key)
+        if op is None:
+            if len(key) == 2:
+                op = ambient_op_V(PairSkewTensor(n, 1, 0, {key: 1}))
+            else:
+                op = compose(word(key[:2]), word(key[2:]))
+            words[key] = op
+        return op
 
-    return DiffOp._collect(space, itertools.chain(ambient_op_V(x).terms.items(), corrections()))
+    groups: dict[MultiIndex, list] = {}
+    for key, val in x.components.items():
+        groups.setdefault(key[:head], []).append((key[head:], val))
+    return compose_sum(
+        space,
+        ((word(h), [(word(t), val) for t, val in tails]) for h, tails in groups.items()),
+    )
 
 
 def ambient_op_W(w: PairSkewTensor) -> DiffOp:
     """Ambient operator of a trailing-pair tensor.
 
     The trailing symmetric pair contributes
-    x_D x_E (ambient Laplacian) - 2 x_D d_E; any leading pairs contribute
-    coordinates and derivatives as in ambient_op_V.  This preserves the cone
-    ideal exactly on functions of the distinguished homogeneity, where it
-    induces the same base operator as the embedded two-pair tensor.
+    x_D x_E (ambient Laplacian) - 2 x_D d_E.  This preserves the cone ideal
+    exactly on functions of the distinguished homogeneity, where it induces
+    the same base operator as the embedded two-pair tensor.
     """
-    if w.tail_valency != 2:
-        raise ValueError("ambient_op_W expects a trailing pair")
-    n, k = w.n, w.pair_count
+    if w.pair_count != 0 or w.tail_valency != 2:
+        raise ValueError("expected a trailing-pair tensor")
+    n = w.n
     space = ambient_space(n)
     lap = ambient_laplacian(n)
 
     def terms():
-        for full, val in w.ordered_entries():
-            d, e = full[2 * k :]
-            prefix_mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
-            prefix_alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
-            xd = prefix_mono * Monomial.of_indices([ambient_lower(n, d)])
+        for (d, e), val in w.ordered_entries():
+            xd = Monomial.of_indices([ambient_lower(n, d)])
             xde = xd * Monomial.of_indices([ambient_lower(n, e)])
             for lalpha, lcoeff in lap.terms.items():
-                coeff = val * lcoeff.constant_value()
-                yield prefix_alpha * lalpha, Polynomial(space, {xde: coeff})
-            d_e = prefix_alpha * Monomial.of_indices([e])
-            yield d_e, Polynomial(space, {xd: -2 * val})
+                yield lalpha, Polynomial(space, {xde: val * lcoeff.constant_value()})
+            yield Monomial.of_indices([e]), Polynomial(space, {xd: -2 * val})
 
     return DiffOp._collect(space, terms())
 

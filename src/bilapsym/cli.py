@@ -179,6 +179,8 @@ def cmd_build_op(args: argparse.Namespace) -> int:
         elif args.kind == "ambient-one-pair":
             op = ambient_op_V(symbol)
         elif args.kind == "ambient-two-pair":
+            if symbol.pair_count != 2:
+                raise ValueError(f"kind ambient-two-pair needs 2 pairs, not {symbol.pair_count}")
             op = ambient_op_gg(symbol)
         else:
             op = ambient_op_W(symbol)

@@ -209,9 +209,14 @@ class LinearCombination:
     __hash__ = None  # type: ignore[assignment]
 
 
+# Exponent vectors are dense, so n bounds the memory of every monomial.
+MAX_DIMENSION = 1000
+
+
 @dataclass(frozen=True)
 class VarSpace:
-    """A variable universe: base (x1..xn) or ambient (x0, x1..xn, xinf)."""
+    """A variable universe: base (x1..xn) or ambient (x0, x1..xn, xinf),
+    3 <= n <= MAX_DIMENSION."""
 
     kind: str  # "base" | "ambient"
     n: int
@@ -223,6 +228,8 @@ class VarSpace:
             raise TypeError(f"dimension n must be an int, got {self.n!r}")
         if self.n < 3:
             raise ValueError("dimension n must be at least 3")
+        if self.n > MAX_DIMENSION:
+            raise ValueError(f"dimension n must be at most {MAX_DIMENSION}")
 
     @property
     def inf(self) -> int:

@@ -40,10 +40,12 @@ from bilapsym.symalg import (
     quartic_boundary_polynomial,
     rotation_element,
     so_basis,
+    so_basis_element,
     special_conformal_element,
     translation_element,
 )
 from bilapsym.tensorcalc import (
+    PairSkewTensor,
     SymAmbientTensor,
     ambient_indices,
     ambient_lower,
@@ -285,6 +287,43 @@ class TestAmbientOperators:
         assert ambient_op_gg(pair_tensor(u, v)) == compose(
             ambient_op_V(u), ambient_op_V(v)
         )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_pair_word_operator_is_the_first_order_operator(self, n):
+        rng = random.Random(n)
+        comps = {
+            p: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for p in itertools.combinations(ambient_indices(n), 2)
+        }
+        x = PairSkewTensor(n, 1, 0, comps)
+        assert ambient_op_gg(x) == ambient_op_V(x)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_three_pair_words_compose_by_hand(self, n):
+        # unit words one at a time, then a weighted sum of them whose words
+        # share their first two pairs in a group
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(ambient_indices(n), 2))
+        heads = [rng.choice(pairs) + rng.choice(pairs) for _ in range(3)]
+        keys = {h + rng.choice(pairs): Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                for h in heads for _ in range(3)}
+        total = DiffOp.zero(ambient_space(n))
+        for key, val in keys.items():
+            by_hand = ambient_op_V(so_basis_element(n, *key[:2]))
+            for i in (2, 4):
+                by_hand = compose(by_hand, ambient_op_V(so_basis_element(n, *key[i : i + 2])))
+            assert ambient_op_gg(PairSkewTensor(n, 3, 0, {key: 1})) == by_hand
+            total = total + by_hand * val
+        assert ambient_op_gg(PairSkewTensor(n, 3, 0, keys)) == total
+
+    def test_word_operator_and_trailing_pair_operator_refuse_other_shapes(self):
+        u = dilation_element(3)
+        with pytest.raises(ValueError):
+            ambient_op_gg(bullet_extract(pair_tensor(u, u)))
+        with pytest.raises(ValueError):
+            ambient_op_gg(PairSkewTensor(3, 0))
+        with pytest.raises(ValueError):
+            ambient_op_W(PairSkewTensor(3, 1, 2, {(0, 1, 2, 2): 1}))
 
     def test_commutes_with_cone_and_laplacian(self):
         r_mult = DiffOp.multiplication(r_polynomial(3))

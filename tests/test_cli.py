@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bilapsym.cli as cli
 from bilapsym.ambient import lie_to_ckv
+from bilapsym.exactpoly import MAX_DIMENSION
 from bilapsym.symalg import canonical_DV, dilation_element
+from bilapsym.tensorcalc import SymTensorField
 from bilapsym.weylop import DiffOp
 
 
@@ -25,6 +31,19 @@ def _dv_symbol(term: str) -> str:
 def _pair_symbol(value: str) -> str:
     """A one-pair tensor symbol file with one component ``value``."""
     return '{"n": 3, "pair_count": 1, "tail_valency": 0, "components": {"0,1": %s}}' % value
+
+
+def _tensor_symbol(pair_count: int, tail_valency: int, n: int = 3) -> str:
+    """A pair tensor symbol file with one unit component."""
+    key = ",".join(map(str, [0, 1, 1, 2, 2, 3][: 2 * pair_count] + [3, 3][:tail_valency]))
+    return json.dumps(
+        {"n": n, "pair_count": pair_count, "tail_valency": tail_valency, "components": {key: 1}}
+    )
+
+
+def _field_symbol(valency: int) -> str:
+    """A symmetric tensor field symbol file with one constant component."""
+    return json.dumps(SymTensorField(3, valency, {(1,) * valency: 1}).to_json_obj())
 
 
 class TestDims:
@@ -282,6 +301,27 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "kind, pair_count, tail_valency, n",
+        [
+            ("ambient-two-pair", 1, 0, 3),
+            ("ambient-two-pair", 3, 0, 3),
+            ("ambient-scalar-symbol", 1, 2, 3),
+            ("ambient-one-pair", 1, 0, MAX_DIMENSION + 1),
+            ("ambient-two-pair", 2, 0, MAX_DIMENSION + 1),
+            ("ambient-scalar-symbol", 0, 2, MAX_DIMENSION + 1),
+        ],
+    )
+    def test_symbol_of_another_shape_or_dimension_exit_four(
+        self, tmp_path, capsys, kind, pair_count, tail_valency, n
+    ):
+        symbol = tmp_path / "symbol.json"
+        symbol.write_text(_tensor_symbol(pair_count, tail_valency, n))
+        assert cli.main(["build-op", "--kind", kind, str(symbol)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "flags, kind",
         [
             (["--w", "5/3"], "bilaplacian"),
@@ -345,6 +385,119 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--w" in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the README exit-code contract over argument combinations: no call below
+# solves anything, since each is refused or builds an n = 3 or 4 operator
+
+BUILD_KINDS = cli.SYMBOL_KINDS + ("laplacian", "bilaplacian")
+# per symbol kind: a valid symbol and one of another shape (pair count,
+# trailing pair or valency) that the kind refuses
+SHAPED_SYMBOLS = {
+    "dv": (_field_symbol(1), _field_symbol(3)),
+    "dw": (_field_symbol(0), _field_symbol(1)),
+    "ambient-one-pair": (_tensor_symbol(1, 0), _tensor_symbol(0, 2)),
+    "ambient-two-pair": (_tensor_symbol(2, 0), _tensor_symbol(3, 0)),
+    "ambient-scalar-symbol": (_tensor_symbol(0, 2), _tensor_symbol(1, 2)),
+}
+SYMBOL_STATES = ("none", "absent", "valid", "malformed", "large-n", "other-shape")
+BAD_DIMENSIONS = (2, MAX_DIMENSION + 1)
+
+
+@pytest.fixture(scope="module")
+def symbol_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("symbols")
+    for kind, (valid, other) in SHAPED_SYMBOLS.items():
+        large = json.dumps(json.loads(valid) | {"n": MAX_DIMENSION + 1})
+        for state, text in (
+            ("valid", valid), ("other-shape", other), ("large-n", large), ("malformed", "{"),
+        ):
+            (root / f"{kind}-{state}.json").write_text(text)
+    return root
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv: list[str], expected: int) -> None:
+    code, out, err = _run(argv)
+    assert code == expected, (argv, err)
+    assert "Traceback" not in err
+    if expected:
+        assert [line for line in err.splitlines() if "error:" in line] == [err.strip()], err
+    else:
+        assert err == "" and out
+
+
+def _build_op_exit(kind: str, w: bool, n: int | None, symbol: str) -> int:
+    builtin = kind in ("laplacian", "bilaplacian")
+    if (w and kind not in ("dv", "dw")) or (n is not None and not builtin):
+        return cli.EXIT_BAD_ARGS
+    if builtin:
+        if symbol != "none":
+            return cli.EXIT_BAD_ARGS
+        return cli.EXIT_PRECONDITION if n in BAD_DIMENSIONS else cli.EXIT_OK
+    if symbol == "absent":
+        return cli.EXIT_IO_ERROR
+    return cli.EXIT_OK if symbol == "valid" else cli.EXIT_PRECONDITION
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(BUILD_KINDS),
+        w=st.booleans(),
+        n=st.sampled_from((None, 3, 4) + BAD_DIMENSIONS),
+        symbol=st.sampled_from(SYMBOL_STATES),
+    )
+    def test_build_op(self, symbol_dir, kind, w, n, symbol):
+        argv = ["build-op", "--kind", kind]
+        if w:
+            argv += ["--w", "1/2"]
+        if n is not None:
+            argv += ["--n", str(n)]
+        if symbol != "none":
+            argv.append(str(symbol_dir / f"{kind}-{symbol}.json"))
+        _assert_contract(argv, _build_op_exit(kind, w, n, symbol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(("dims", "basis")),
+        kind=st.sampled_from(("ckt", "gckt", "symmetries")),
+        flags=st.sets(st.sampled_from(("--s", "--t", "--degree-bound"))),
+    )
+    def test_dims_and_basis(self, command, kind, flags):
+        # n = 2 is refused before any solve, which keeps every accepted call
+        # cheap; n above the bound is not used here, since a broken bound
+        # would start a real solve
+        argv = [command, "--kind", kind, "--n", "2"]
+        for flag in sorted(flags):
+            argv += [flag, "2"]
+        unread = ("--s" in flags and kind == "gckt") or ("--t" in flags and kind != "gckt")
+        _assert_contract(argv, cli.EXIT_BAD_ARGS if unread else cli.EXIT_PRECONDITION)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        suite=st.sampled_from(tuple(cli.SUITES) + ("all",)),
+        w=st.booleans(),
+        seed=st.booleans(),
+    )
+    def test_verify(self, suite, w, seed):
+        argv = ["verify", "--suite", suite, "--n", "2"]
+        argv += ["--w", "1/7"] if w else []
+        argv += ["--seed", "3"] if seed else []
+        unread = (w and suite not in ("all", "composition-identity")) or (
+            seed and suite not in ("all", "quartic-obstruction")
+        )
+        _assert_contract(argv, cli.EXIT_BAD_ARGS if unread else cli.EXIT_PRECONDITION)
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilapsym.exactpoly import (
+    MAX_DIMENSION,
     Monomial,
     Polynomial,
     ambient_space,
@@ -62,6 +63,13 @@ class TestVarSpace:
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             base_space(2)
+
+    def test_large_dimension_rejected(self):
+        # exponent vectors are dense, so n bounds every monomial's memory
+        assert ambient_space(MAX_DIMENSION).inf == MAX_DIMENSION + 1
+        for space in (base_space, ambient_space):
+            with pytest.raises(ValueError, match=f"at most {MAX_DIMENSION}"):
+                space(MAX_DIMENSION + 1)
 
 
 class TestMonomial:

@@ -23,6 +23,7 @@ from bilapsym.ambient import (
     section_substitution,
 )
 from bilapsym.exactpoly import (
+    MAX_DIMENSION,
     Polynomial,
     base_space,
     exponent_tuples,
@@ -665,6 +666,16 @@ class TestQuarticObstruction:
         assert report.seed_used == seed
         assert report.scalar_factor == Fraction(1, 16)
         assert report.mixed_trace_factor == Fraction(n * (n + 2), 48)
+
+    @pytest.mark.parametrize("n", [2, MAX_DIMENSION + 1])
+    def test_dimension_is_checked_before_the_draw(self, n, monkeypatch):
+        # the draw holds (n+2)^4/24 components, so it must not start
+        def draw(n, seed):
+            raise AssertionError("drew a tensor before checking n")
+
+        monkeypatch.setattr(symalg, "_random_tracefree_four_tensor", draw)
+        with pytest.raises(ValueError, match="dimension n"):
+            symalg.counterexample_operator_check(n)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,10 @@ def reference_projection(n, pair_count, tail_valency, fn):
             for arranged, sign in pair_orbit(key, pair_count):
                 for tf in tail_group:
                     tkey = arranged[:-2] + (arranged[-1], arranged[-2]) if tf else arranged
-                    total += sign * rat(fn(tkey))
-            comps[key] = total * norm
+                    if val := fn(tkey):
+                        total += sign * rat(val)
+            if total:
+                comps[key] = total * norm
     return PairSkewTensor(n, pair_count, tail_valency, comps)
 
 
