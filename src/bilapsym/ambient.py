@@ -8,11 +8,13 @@ and the section x0 = 1, xinf = -(x.x)/2 identifies weight-w homogeneous
 functions on the cone with functions on R^n.
 
 Constant skew ambient tensors realize as polynomial vector/tensor fields on
-the section through the lowered position vector and the tangent projectors
-(``realize_ckt``/``realize_gckt``); conversely, homogeneous ambient
-operators that preserve the ideal of the cone descend to exact operators on
-weight-w functions (``induce``): both the ideal test and the descent are
-symbolic operator computations.
+the section through the lowered position vector phi and the tangent
+projector psi(b, Q) = d_b phi[Q] (``realize_ckt``/``realize_gckt``).  phi
+is contracted in one place: each realization collects its ambient sum of
+lowered coordinates and restricts it once by ``section_substitution``.
+Conversely, homogeneous ambient operators that preserve the ideal of the
+cone descend to exact operators on weight-w functions (``induce``): both
+the ideal test and the descent are symbolic operator computations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import add as _add
 from typing import Iterable
 
@@ -28,17 +30,17 @@ from .exactpoly import (
     Monomial,
     Polynomial,
     Rational,
-    VarSpace,
     ambient_space,
     base_space,
-    collect,
     exponent_tuples,
+    numerators,
     rat,
 )
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
     SymTensorField,
+    ambient_indices,
     ambient_lower,
     symmetrize,
 )
@@ -71,13 +73,6 @@ def ambient_bilaplacian(n: int) -> DiffOp:
     return compose(lap, lap)
 
 
-def base_square(n: int, space: VarSpace | None = None) -> Polynomial:
-    """sum_a (x^a)^2 in the given space (default: base)."""
-    space = space or base_space(n)
-    terms = {Monomial([(a, 2)]): Fraction(1) for a in range(1, n + 1)}
-    return Polynomial(space, terms)
-
-
 @cache
 def _section_power(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(-(x.x)/2)^k as ((exponents of x1..xn, numerator), ...) over 2^k: the
@@ -102,15 +97,15 @@ def section_substitution(p: Polynomial) -> Polynomial:
     n, inf = space.n, space.inf
     pad = (0,) * (n + 2)
     top = max((m.exponent(inf) for m in p.terms), default=0)
-    den = lcm(*(c.denominator for c in p.terms.values()))
+    den, nums = numerators(p.terms.items())
     sums: dict[tuple, int] = {}
-    for m, c in p.terms.items():
+    for m, num in nums:
         exps = (m.exps + pad)[: n + 2]
         k = exps[inf]
-        scale = c.numerator * (den // c.denominator) << (top - k)
-        for e, num in _section_power(n, k):
+        scale = num << (top - k)
+        for e, t in _section_power(n, k):
             key = tuple(map(_add, exps[1:inf], e))
-            sums[key] = sums.get(key, 0) + scale * num
+            sums[key] = sums.get(key, 0) + scale * t
     den <<= top
     return Polynomial._make(
         base_space(n),
@@ -118,79 +113,72 @@ def section_substitution(p: Polynomial) -> Polynomial:
     )
 
 
-def extend_polynomial(f: Polynomial, weight: Rational) -> Polynomial:
-    """The canonical weight-w homogeneous extension (x0)^w f(x/x0)."""
-    if f.space.kind != "base":
-        raise ValueError("expected a base-space polynomial")
-    w = rat(weight)
-    space = ambient_space(f.space.n)
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        d = rat(m.degree)
-        terms[Monomial(itertools.chain(m.items(), [(0, w - d)]))] = c
-    return Polynomial(space, terms)
-
-
 # ---------------------------------------------------------------------------
 # the section frame and the realization of constant ambient tensors
+
+
+def section_polynomial(n: int, entries: Iterable[tuple[MultiIndex, Rational]]) -> Polynomial:
+    """The contraction sum val * phi[B1] ... phi[Bk] of constant components
+    (key, val) with the lowered position vector on every slot: the ambient
+    sum of val * x_{lower B1} ... x_{lower Bk}, restricted to the section
+    once."""
+    pad = [0] * (n + 2)
+
+    def terms():
+        for key, val in entries:
+            exps = pad.copy()
+            for b in key:
+                exps[ambient_lower(n, b)] += 1
+            yield Monomial._of_padded(tuple(exps)), val
+
+    return section_substitution(Polynomial._collect(ambient_space(n), terms()))
+
+
+def _tangent(n: int, q: int) -> list[tuple[int, int, MultiIndex]]:
+    """The nonzero entries of the tangent projector psi(b, Q) = d_b phi[Q]
+    as (b, sign, key), psi(b, Q) = sign * phi[key]: -phi[b] for Q = 0, 1
+    for Q = b, and none for Q = n+1."""
+    if q == 0:
+        return [(b, -1, (b,)) for b in range(1, n + 1)]
+    return [(q, 1, ())] if q <= n else []
 
 
 def section_frame(n: int) -> tuple[list[Polynomial], list[list[tuple[int, Polynomial]]]]:
     """The lowered position vector and the tangent projector along the section.
 
     ``phi[B]`` is the lowered position vector of the section point
-    (1, x, -(x.x)/2), and ``psi[Q]`` lists the nonzero entries
-    (b, psi(b, Q)) of the projector of ambient direction Q onto the
-    tangent frame d_b of the section.  All are base-space polynomials.
+    (1, x, -(x.x)/2), the contraction of the key (B,), and ``psi[Q]`` lists
+    the nonzero entries (b, psi(b, Q)) of the projector of ambient direction
+    Q onto the tangent frame d_b of the section, from the table that
+    ``realize_ckt`` contracts with.  All are base-space polynomials.
     """
-    space = base_space(n)
-    xs = [Polynomial.variable(space, b) for b in range(1, n + 1)]
-    one = Polynomial.one(space)
-    phi = [base_square(n) * Fraction(-1, 2), *xs, one]
-    psi = [[(b, -x) for b, x in enumerate(xs, 1)], *([(b, one)] for b in range(1, n + 1)), []]
+    phi = [section_polynomial(n, [((b,), 1)]) for b in ambient_indices(n)]
+    psi = [
+        [(b, section_polynomial(n, [(key, sign)])) for b, sign, key in _tangent(n, q)]
+        for q in ambient_indices(n)
+    ]
     return phi, psi
-
-
-def section_polynomial(n: int, entries: Iterable[tuple[MultiIndex, Rational]]) -> Polynomial:
-    """The contraction sum val * phi[B1] ... phi[Bk] of constant components
-    (key, val) with the lowered position vector on every slot."""
-    phi, _ = section_frame(n)
-    space = base_space(n)
-
-    def terms():
-        for key, val in entries:
-            term = Polynomial.constant(space, val)
-            for b in key:
-                term = term * phi[b]
-            yield term
-
-    return Polynomial._sum(space, terms())
 
 
 def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     """Realize a k-pair tensor as a symmetric k-tensor field on the section.
 
     Each pair contributes the lowered position vector on its first slot and
-    the tangent projector on its second; the result is symmetrized.
+    the tangent projector on its second; each b-tuple of tangent directions
+    collects its ambient sum and restricts it once through
+    ``section_polynomial``, and the result is symmetrized.
     """
     if x.tail_valency != 0:
         raise ValueError("realize_ckt expects no trailing pair")
     n, k = x.n, x.pair_count
-    phi, psi = section_frame(n)
-    space = base_space(n)
-
-    def terms():
-        for full, val in x.ordered_entries():
-            prefix = Polynomial.constant(space, val)
-            for b in full[0::2]:
-                prefix = prefix * phi[b]
-            for choice in itertools.product(*(psi[q] for q in full[1::2])):
-                term = prefix
-                for _, factor in choice:
-                    term = term * factor
-                yield tuple(b for b, _ in choice), term
-
-    return symmetrize(n, k, collect(terms()))
+    tangent = [_tangent(n, q) for q in ambient_indices(n)]
+    sums: dict[MultiIndex, list] = {}
+    for full, val in x.ordered_entries():
+        for choice in itertools.product(*(tangent[q] for q in full[1::2])):
+            key = full[0::2] + tuple(i for _, _, extra in choice for i in extra)
+            sign = prod(s for _, s, _ in choice)
+            sums.setdefault(tuple(b for b, _, _ in choice), []).append((key, sign * val))
+    return symmetrize(n, k, {bs: section_polynomial(n, es) for bs, es in sums.items()})
 
 
 def lie_to_ckv(v: PairSkewTensor) -> SymTensorField:

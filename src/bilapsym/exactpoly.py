@@ -12,7 +12,9 @@ pure functions.
 ``LinearCombination`` is the shared core of every finite linear combination
 in the package: polynomials here, differential operators in ``weylop`` and
 the tensor types in ``tensorcalc`` keep only their own key validation and
-products on top of it.
+products on top of it.  ``numerators`` is the one conversion of rational
+values to int numerators over their common denominator; the integer passes
+of ``weylop``, ``tensorcalc``, ``linsolve`` and ``ambient`` go through it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import add as _add, sub as _sub
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
@@ -58,6 +60,16 @@ def format_rational(value: Scalar) -> str:
     """Render an exact rational as "p/q" (or "p" when integral)."""
     f = rat(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def numerators(pairs: Iterable[tuple[object, Scalar]]) -> tuple[int, list[tuple[object, int]]]:
+    """(den, [(key, numerator)]): each value as an int numerator over den,
+    the lcm of the denominators (an int has denominator 1; den is 1 for no
+    pairs).  The one conversion from rationals to int numerators that the
+    exact layers share."""
+    pairs = list(pairs)
+    den = lcm(*[v.denominator for _, v in pairs])
+    return den, [(key, v.numerator * (den // v.denominator)) for key, v in pairs]
 
 
 # -- sparse linear combinations ------------------------------------------------

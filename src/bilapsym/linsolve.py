@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm, perm, prod
+from math import gcd, isqrt, perm, prod
 from operator import gt, sub
 from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
+
+from .exactpoly import numerators
 
 
 def _to_integer_rows(
@@ -37,7 +39,7 @@ def _to_integer_rows(
     index order, which makes the elimination deterministic.
     """
     row_ids: dict[Hashable, int] = {}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict] = []
     for ci, col in enumerate(columns):
         for key, val in col.items():
             if val == 0:
@@ -48,19 +50,12 @@ def _to_integer_rows(
                 row_ids[key] = rid
                 rows.append({})
             rows[rid][ci] = val
-    out: list[dict[int, int]] = []
-    for row in rows:
-        denom = 1
-        for val in row.values():
-            denom = denom * val.denominator // gcd(denom, val.denominator)
-        ints = {c: int(v * denom) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
-    return out
+    # each row is replaced in place, so its Fractions are freed as it goes
+    for rid, row in enumerate(rows):
+        ints = dict(numerators(row.items())[1])
+        g = gcd(*ints.values())
+        rows[rid] = {c: v // g for c, v in ints.items()} if g > 1 else ints
+    return rows
 
 
 # The exponents e of the Mersenne primes 2**e - 1 that ``nullspace`` tries
@@ -184,8 +179,7 @@ def _modular_nullspace(
 
 def _annihilates(rows: Sequence[Mapping[int, int]], vec: Mapping[int, Fraction]) -> bool:
     """Whether every integer row has zero product with the vector."""
-    scale = lcm(*(v.denominator for v in vec.values()))
-    ints = {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+    ints = dict(numerators(vec.items())[1])
     return not any(sum(v * ints[k] for k, v in row.items() if k in ints) for row in rows)
 
 

@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .exactpoly import (
@@ -30,6 +30,7 @@ from .exactpoly import (
     base_space,
     collect,
     format_rational,
+    numerators,
     rat,
     rational_from_json,
 )
@@ -398,25 +399,15 @@ def _pair_canonical(
     return tuple(parts), sign
 
 
-def _numerators(
-    entries: Iterable[tuple[MultiIndex, Fraction]]
-) -> tuple[int, list[tuple[MultiIndex, int]]]:
-    """(den, [(key, numerator)]): the values as int numerators over den, the
-    lcm of their denominators."""
-    entries = list(entries)
-    den = lcm(*(val.denominator for _, val in entries))
-    return den, [(key, val.numerator * (den // val.denominator)) for key, val in entries]
-
-
 def _projected(
-    n: int, pair_count: int, numerators: Iterable[tuple[MultiIndex, int]], den: int
+    n: int, pair_count: int, nums: Iterable[tuple[MultiIndex, int]], den: int
 ) -> "PairSkewTensor":
     """The pair-skew projection of ordered entries given as int numerators
     over ``den``: the signed numerators are summed per representative, and
     each nonzero sum becomes one Fraction over den * 2^pair_count."""
     shape = PairSkewTensor(n, pair_count).shape
     sums: dict[MultiIndex, int] = {}
-    for key, num in numerators:
+    for key, num in nums:
         canon = _pair_canonical(key, pair_count)
         if canon is not None:
             ckey, sign = canon
@@ -515,8 +506,8 @@ class PairSkewTensor(LinearCombination):
         the average over the flip orbit.  There is no trailing pair: its
         swap fixes a key with equal trailing indices.
         """
-        den, numerators = _numerators((key, rat(val)) for key, val in entries)
-        return _projected(n, pair_count, numerators, den)
+        den, nums = numerators(entries)
+        return _projected(n, pair_count, nums, den)
 
     def __repr__(self) -> str:
         return (
@@ -560,7 +551,7 @@ def contract_positions(
         raise ValueError("overlapping contraction positions")
     free = [p for p in range(2 * k + tail) if p not in used]
     idx = ambient_indices(x.n)
-    den, nums = _numerators(x.components.items())
+    den, nums = numerators(x.components.items())
     nums = dict(nums)
     # the (position, value) assignments of every summand of the contraction
     summands = [
@@ -808,8 +799,8 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
     # Z on the first slots of the pairs and GG on the second: each of the
     # ordered products is an int numerator over dz * dg, and each
     # representative becomes one Fraction after the 1/2^4 scale
-    dz, z_entries = _numerators(_ordered_entries(z))
-    dg, g_entries = _numerators(_ordered_entries(gg))
+    dz, z_entries = numerators(_ordered_entries(z))
+    dg, g_entries = numerators(_ordered_entries(gg))
     return _projected(
         n,
         4,

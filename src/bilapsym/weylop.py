@@ -28,6 +28,7 @@ from .exactpoly import (
     Rational,
     VarSpace,
     base_space,
+    numerators,
     rat,
 )
 
@@ -177,21 +178,6 @@ def apply(op: DiffOp, p: Polynomial) -> Polynomial:
     )
 
 
-def _numerators(op: DiffOp, width: int) -> tuple[int, list]:
-    """The coefficients of op as integer numerators over one common
-    denominator, the lcm of theirs: (den, [(alpha, [(exps, numerator)])]),
-    with each exponent vector padded to ``width`` slots."""
-    den = lcm(*(c.denominator for coeff in op.terms.values() for c in coeff.terms.values()))
-    pad = (0,) * width
-    return den, [
-        (alpha, [
-            ((m.exps + pad)[:width], c.numerator * (den // c.denominator))
-            for m, c in coeff.terms.items()
-        ])
-        for alpha, coeff in op.terms.items()
-    ]
-
-
 def _lowered(m: tuple, gamma: list) -> tuple[Rational, tuple] | None:
     """The falling factorial [m]_gamma = prod_v m_v (m_v - 1) ... (m_v -
     gamma_v + 1) with the exponents m - gamma, for gamma given by its
@@ -254,12 +240,23 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
     width = space.variables[-1] + 1
     pad = (0,) * width
 
-    def numerators(op: DiffOp) -> tuple[int, list]:
+    def operand(op: DiffOp) -> tuple[int, list]:
+        """The coefficients of op as int numerators over one common
+        denominator: (den, [(alpha, [(padded exps, numerator)])])."""
         if type(op) is not DiffOp:
             raise TypeError("expected a DiffOp")
         if op.space != space:
             raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
-        return _numerators(op, width)
+        den, nums = numerators(
+            ((m.exps + pad)[:width], c)
+            for coeff in op.terms.values()
+            for m, c in coeff.terms.items()
+        )
+        out, i = [], 0
+        for alpha, coeff in op.terms.items():
+            out.append((alpha, nums[i : i + len(coeff.terms)]))
+            i += len(coeff.terms)
+        return den, out
 
     # id -> (b, den, terms) for the right factors: holding b keeps its id
     # from being reused by another operand within this call.  Left factors
@@ -269,24 +266,27 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
     def right_numerators(b: DiffOp) -> tuple[int, list]:
         hit = cache.get(id(b))
         if hit is None:
-            hit = cache[id(b)] = (b, *numerators(b))
+            hit = cache[id(b)] = (b, *operand(b))
         return hit[1:]
 
     def right_sum(factors) -> tuple[int, list]:
-        """sum_j c_j b_j as (den, [(padded beta, [(m, numerator)])])."""
-        parts = [(right_numerators(b), rat(c)) for b, c in factors]
-        parts = [(num_b, c) for num_b, c in parts if c and num_b[1]]
-        if len(parts) == 1:
-            (den, terms), c = parts[0]
-            k = c.numerator
-            return den * c.denominator, [
+        """sum_j c_j b_j as (den, [(padded beta, [(m, numerator)])]): with
+        b_j = B_j / den_j for int numerators B_j, it is the sum of
+        (c_j / den_j) B_j, each weight an int over one den."""
+        parts = [(right_numerators(b), c) for b, c in factors]
+        den, weights = numerators(
+            (terms, c if den_b == 1 else rat(c) / den_b)
+            for (den_b, terms), c in parts
+            if c and terms
+        )
+        if len(weights) == 1:
+            terms, k = weights[0]
+            return den, [
                 ((beta.exps + pad)[:width], cb if k == 1 else [(m, num * k) for m, num in cb])
                 for beta, cb in terms
             ]
-        den = lcm(*(den_b * c.denominator for (den_b, _), c in parts))
         acc: dict[tuple, dict] = {}
-        for (den_b, terms), c in parts:
-            k = den // (den_b * c.denominator) * c.numerator
+        for terms, k in weights:
             for beta, cb in terms:
                 coeff = acc.setdefault((beta.exps + pad)[:width], {})
                 for m, num in cb:
@@ -300,7 +300,7 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
     den = 1
     sums: dict[tuple, dict] = {}
     for a, factors in groups:
-        den_a, terms_a = numerators(a)
+        den_a, terms_a = operand(a)
         den_r, right = right_sum(factors)
         if not (terms_a and right):
             continue

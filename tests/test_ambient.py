@@ -17,19 +17,18 @@ from bilapsym.ambient import (
     ambient_op_V,
     ambient_op_W,
     ambient_op_gg,
-    base_square,
-    extend_polynomial,
     induce,
     lie_to_ckv,
     preserves_cone_ideal,
     r_polynomial,
     realize_ckt,
     realize_gckt,
+    section_frame,
     section_polynomial,
     section_substitution,
 )
 from bilapsym.checks import SUITES
-from bilapsym.exactpoly import Monomial, Polynomial, ambient_space, base_space
+from bilapsym.exactpoly import Monomial, Polynomial, ambient_space, base_space, rat
 from bilapsym.symalg import (
     bilaplacian_weight,
     canonical_DV,
@@ -47,10 +46,12 @@ from bilapsym.symalg import (
 from bilapsym.tensorcalc import (
     PairSkewTensor,
     SymAmbientTensor,
+    SymTensorField,
     ambient_indices,
     ambient_lower,
     bullet_extract,
     nondecreasing_tuples,
+    symmetrize,
 )
 from bilapsym.weylop import (
     DiffOp,
@@ -60,6 +61,19 @@ from bilapsym.weylop import (
     laplacian,
     operator_from_action,
 )
+
+
+def base_square(n: int, space=None) -> Polynomial:
+    """sum_a (x^a)^2 in the given space (default: base)."""
+    terms = {Monomial([(a, 2)]): Fraction(1) for a in range(1, n + 1)}
+    return Polynomial(space or base_space(n), terms)
+
+
+def extend_polynomial(f: Polynomial, weight) -> Polynomial:
+    """The canonical weight-w homogeneous extension (x0)^w f(x/x0)."""
+    w = rat(weight)
+    terms = {Monomial([*m.items(), (0, w - m.degree)]): c for m, c in f.terms.items()}
+    return Polynomial(ambient_space(f.space.n), terms)
 
 
 def _ambient_rows(n: int, checks: set[str]) -> list[tuple[str, str, bool]]:
@@ -187,21 +201,84 @@ def constant_entries(draw):
     return n, draw(st.lists(st.tuples(keys, values), max_size=6))
 
 
+def reference_frame(n: int):
+    """The section frame as Polynomials: phi = (-(x.x)/2, x1..xn, 1), and
+    psi[Q] the nonzero (b, psi(b, Q)): -x_b for Q = 0, 1 for Q = b."""
+    space = base_space(n)
+    xs = [Polynomial.variable(space, b) for b in range(1, n + 1)]
+    one = Polynomial.one(space)
+    phi = [base_square(n) * Fraction(-1, 2), *xs, one]
+    psi = [[(b, -x) for b, x in enumerate(xs, 1)], *([(b, one)] for b in range(1, n + 1)), []]
+    return phi, psi
+
+
+def reference_contraction(n: int, entries) -> Polynomial:
+    """sum val * phi[B1] ... phi[Bk] as products of frame Polynomials."""
+    phi, _ = reference_frame(n)
+    total = Polynomial.zero(base_space(n))
+    for key, val in entries:
+        term = Polynomial.constant(base_space(n), val)
+        for b in key:
+            term = term * phi[b]
+        total = total + term
+    return total
+
+
+def reference_realization(x: PairSkewTensor) -> SymTensorField:
+    """The realization as products of frame Polynomials: phi on the first
+    slot of each pair, psi on the second, symmetrized."""
+    n, space = x.n, base_space(x.n)
+    phi, psi = reference_frame(n)
+    raw = {}
+    for full, val in x.ordered_entries():
+        prefix = Polynomial.constant(space, val)
+        for b in full[0::2]:
+            prefix = prefix * phi[b]
+        for choice in itertools.product(*(psi[q] for q in full[1::2])):
+            term = prefix
+            for _, factor in choice:
+                term = term * factor
+            bs = tuple(b for b, _ in choice)
+            raw[bs] = raw.get(bs, Polynomial.zero(space)) + term
+    return symmetrize(n, x.pair_count, raw)
+
+
+@st.composite
+def pair_tensors(draw, tail_valency=0):
+    """Sparse constant tensors at n = 3, 4 with rational components: k = 1..3
+    pairs, or (tail_valency 2) a trailing symmetric pair alone."""
+    n = draw(st.sampled_from([3, 4]))
+    k = 0 if tail_valency else draw(st.integers(1, 3))
+    index = st.integers(0, n + 1)
+    pair = st.tuples(index, index).filter(lambda p: p[0] != p[1]).map(sorted)
+    head = st.lists(pair, min_size=k, max_size=k).map(lambda ps: tuple(i for p in ps for i in p))
+    tail = st.tuples(index, index).map(lambda p: tuple(sorted(p))) if tail_valency else st.just(())
+    keys = st.tuples(head, tail).map(lambda ht: ht[0] + ht[1])
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    return PairSkewTensor(n, k, tail_valency, draw(st.dictionaries(keys, values, max_size=3)))
+
+
 class TestSectionFrame:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_frame_matches_the_polynomial_reference(self, n):
+        assert section_frame(n) == reference_frame(n)
+
     @settings(max_examples=40, deadline=None)
     @given(constant_entries())
-    def test_section_polynomial_restricts_the_ambient_contraction(self, case):
-        # val * x_{B1} ... x_{Bk} with lowered indices, on the section
+    def test_section_polynomial_matches_the_product_reference(self, case):
         n, entries = case
-        space = ambient_space(n)
-        ambient = Polynomial._sum(
-            space,
-            (
-                Polynomial(space, {Monomial.of_indices(ambient_lower(n, b) for b in key): val})
-                for key, val in entries
-            ),
-        )
-        assert section_polynomial(n, entries) == section_substitution(ambient)
+        assert section_polynomial(n, entries) == reference_contraction(n, entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_tensors())
+    def test_realize_ckt_matches_the_product_reference(self, x):
+        assert realize_ckt(x) == reference_realization(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pair_tensors(tail_valency=2))
+    def test_realize_gckt_matches_the_product_reference(self, w):
+        expected = reference_contraction(w.n, w.ordered_entries())
+        assert realize_gckt(w) == SymTensorField(w.n, 0, {(): expected})
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_quartic_contracts_every_ordering(self, n):

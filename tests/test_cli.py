@@ -305,6 +305,7 @@ class TestExitCodes:
         [
             ("ambient-two-pair", 1, 0, 3),
             ("ambient-two-pair", 3, 0, 3),
+            ("ambient-one-pair", 2, 0, 3),
             ("ambient-scalar-symbol", 1, 2, 3),
             ("ambient-one-pair", 1, 0, MAX_DIMENSION + 1),
             ("ambient-two-pair", 2, 0, MAX_DIMENSION + 1),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from bilapsym.exactpoly import (
     ambient_space,
     base_space,
     format_rational,
+    numerators,
     parse_rational,
     rat,
 )
@@ -47,6 +49,20 @@ def polynomials(draw, space=SPACE, max_terms=4, max_exp=3):
                 pairs.append((v, e))
         terms[Monomial(tuple(pairs))] = draw(rationals)
     return Polynomial(space, terms)
+
+
+class TestNumerators:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-50, 50), rationals)))
+    @example([])
+    @example([3, -4])
+    @example([Fraction(1, 2), Fraction(-5, 6), 7])
+    def test_lcm_denominator_gives_back_each_value(self, values):
+        den, nums = numerators(enumerate(values))
+        assert den == math.lcm(*(Fraction(v).denominator for v in values))
+        assert [key for key, _ in nums] == list(range(len(values)))
+        assert all(type(num) is int for _, num in nums)
+        assert [Fraction(num, den) for _, num in nums] == values
 
 
 class TestVarSpace:
