@@ -12,9 +12,13 @@ the section through the lowered position vector phi and the tangent
 projector psi(b, Q) = d_b phi[Q] (``realize_ckt``/``realize_gckt``).  phi
 is contracted in one place: each realization collects its ambient sum of
 lowered coordinates and restricts it once by ``section_substitution``.
-Conversely, homogeneous ambient operators that preserve the ideal of the
-cone descend to exact operators on weight-w functions (``induce``): both
-the ideal test and the descent are symbolic operator computations.
+A pair p = (I, J) names the first-order operator V_p = x_{lower I} d_J -
+x_{lower J} d_I, built in one place: a one-pair tensor gives a sum of them
+(``ambient_op_V``) and a k-pair tensor a sum of words in them
+(``ambient_op_gg``).  Conversely, homogeneous ambient operators that
+preserve the ideal of the cone descend to exact operators on weight-w
+functions (``induce``): both the ideal test and the descent are symbolic
+operator computations.
 """
 
 from __future__ import annotations
@@ -199,39 +203,36 @@ def realize_gckt(w: PairSkewTensor) -> SymTensorField:
 # ambient operators of constant tensors
 
 
-def ambient_op_V(x: PairSkewTensor) -> DiffOp:
-    """Normal-ordered ambient operator of a k-pair tensor.
-
-    Each pair contributes one lowered coordinate (on its first slot) and one
-    derivative (on its second).  For totally trace-free tensors this is also
-    the composition of the corresponding first-order operators.
-    """
-    if x.tail_valency != 0:
-        raise ValueError("ambient_op_V expects no trailing pair")
-    n, k = x.n, x.pair_count
+def _first_order(n: int, entries: Iterable[tuple[MultiIndex, Fraction]]) -> DiffOp:
+    """The operator sum val * V_p over (p, val), each p = (I, J) a pair with
+    I < J and V_p = x_{lower I} d_J - x_{lower J} d_I."""
     space = ambient_space(n)
-    if k == 0:
-        raise ValueError("need at least one pair")
 
     def terms():
-        for full, val in x.ordered_entries():
-            mono = Monomial.of_indices(ambient_lower(n, full[2 * i]) for i in range(k))
-            alpha = Monomial.of_indices(full[2 * i + 1] for i in range(k))
-            yield alpha, Polynomial(space, {mono: val})
+        for (i, j), val in entries:
+            xi = Monomial.of_indices([ambient_lower(n, i)])
+            xj = Monomial.of_indices([ambient_lower(n, j)])
+            yield Monomial.of_indices([j]), Polynomial._make(space, {xi: val})
+            yield Monomial.of_indices([i]), Polynomial._make(space, {xj: -val})
 
     return DiffOp._collect(space, terms())
+
+
+def ambient_op_V(x: PairSkewTensor) -> DiffOp:
+    """The first-order ambient operator sum_p x^p V_p of a one-pair tensor."""
+    if x.pair_count != 1 or x.tail_valency != 0:
+        raise ValueError("expected a one-pair tensor")
+    return _first_order(x.n, x.components.items())
 
 
 def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
     """The word operator sum X^{p1...pk} V_p1 o ... o V_pk of a k-pair tensor.
 
     The sum runs over the stored components, each pair p = (I, J), I < J,
-    naming the first-order operator V_p = ``ambient_op_V(e_p)``; at two
-    pairs this is the exact second-order operator whose normal-ordered part
-    is ``ambient_op_V(x)``.  It is one ``compose_sum`` call: each group is
-    the word of the first ceil(k/2) pairs composed with the sum of the
-    remaining pairs' words weighted by the components, and each V_p and
-    each word is built once.
+    naming the first-order operator V_p of ``ambient_op_V``.  It is one
+    ``compose_sum`` call: each group is the word of the first ceil(k/2)
+    pairs composed with the sum of the remaining pairs' words weighted by
+    the components, and each V_p and each word is built once.
     """
     if x.pair_count == 0 or x.tail_valency != 0:
         raise ValueError("expected a tensor of at least one pair and no trailing pair")
@@ -243,7 +244,7 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
         op = words.get(key)
         if op is None:
             if len(key) == 2:
-                op = ambient_op_V(PairSkewTensor(n, 1, 0, {key: 1}))
+                op = _first_order(n, ((key, Fraction(1)),))
             else:
                 op = compose(word(key[:2]), word(key[2:]))
             words[key] = op

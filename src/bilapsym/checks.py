@@ -348,7 +348,7 @@ def ambient_identities(n: int, seed: int, weight):
     for label, u, v in (("t1*k1", t1, k1), ("d*r12", d, r12), ("k2*k1", k2, k1)):
         cartan = decompose_gg(pair_tensor(u, v)).cartan
         if not cartan.is_zero:
-            op = ambient_op_V(cartan)
+            op = ambient_op_gg(cartan)
             yield "top_summand_operator_commutes", label, (
                 commutator(op, mult_r).is_zero and commutator(op, bilap).is_zero
             )

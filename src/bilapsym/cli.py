@@ -177,8 +177,6 @@ def cmd_build_op(args: argparse.Namespace) -> int:
         elif args.kind == "dw":
             op = canonical_DW(symbol, w)
         elif args.kind == "ambient-one-pair":
-            if symbol.pair_count != 1:
-                raise ValueError(f"kind ambient-one-pair needs 1 pair, not {symbol.pair_count}")
             op = ambient_op_V(symbol)
         elif args.kind == "ambient-two-pair":
             if symbol.pair_count != 2:

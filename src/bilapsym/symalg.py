@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ambient import (
@@ -73,6 +72,8 @@ from .weylop import (
     NotDivisibleError,
     bilaplacian,
     compose,
+    constant_symbol,
+    divide_by_constant,
     euler_op,
     right_factor_through_bilaplacian,
     right_factor_through_laplacian,
@@ -247,19 +248,12 @@ def canonical_DV(v: SymTensorField, weight: Rational) -> DiffOp:
     raise NotImplementedError("closed forms are provided for valency <= 2")
 
 
-def canonical_DW(w_field: SymTensorField | Polynomial, weight: Rational) -> DiffOp:
+def canonical_DW(w_field: SymTensorField, weight: Rational) -> DiffOp:
     """The canonical operator of a scalar symbol:
     W Lap - ((n+2w-2)/2)(d^a W) d_a + (w(n+2w-2)/(2(n+2)))(Lap W)."""
-    if isinstance(w_field, SymTensorField):
-        if w_field.valency != 0:
-            raise ValueError("expected a scalar symbol")
-        wpoly = w_field.get(())
-        n = w_field.n
-    else:
-        if w_field.space.kind != "base":
-            raise ValueError("expected a base-space polynomial")
-        wpoly = w_field
-        n = w_field.space.n
+    if w_field.valency != 0:
+        raise ValueError("expected a scalar symbol")
+    wpoly, n = w_field.get(()), w_field.n
     w = rat(weight)
     space = base_space(n)
     c1 = -(n + 2 * w - 2) / 2
@@ -401,10 +395,10 @@ def summand_operator_cases(n: int) -> Iterator[tuple[str, str, bool]]:
     for label in ("d*d", "t1*k2"):
         bullet = parts[label].bullet_W
         if not bullet.is_zero:
-            w_poly = realize_gckt(bullet).get(())
+            field = realize_gckt(bullet)
             try:
-                delta = right_factor_through_laplacian(canonical_DW(w_poly, wl))
-                ok = delta == DiffOp.multiplication(w_poly)
+                delta = right_factor_through_laplacian(canonical_DW(field, wl))
+                ok = delta == DiffOp.multiplication(field.get(()))
             except NotDivisibleError:
                 ok = False
             yield "bullet_factors_through_laplacian_at_special_weight", (
@@ -446,41 +440,27 @@ def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
     The rows are the entries of the remainder of the symbol of bilap o gen
     modulo the symbol of bilap, the squared Laplacian, keyed by the
     derivative monomial's ``Monomial.exps``.  bilap = sum_beta c_beta d^beta
-    has constant integer coefficients, and the part of x^(m-gamma) is
-    NF(P_gamma d^alpha), P_gamma = sum_beta c_beta binomial(beta, gamma)
-    d^(beta-gamma).  NF(delta) = -sum_{beta != lead} c_beta NF((delta/lead)
-    beta) when the leading term ``max`` (as in ``weylop.symbol_division``)
-    divides delta, and delta otherwise; it is monic, so entries are ints.
+    has constant integer coefficients, and the part of x^(m-gamma) is the
+    remainder of P_gamma d^alpha, P_gamma = sum_beta c_beta binomial(beta,
+    gamma) d^(beta-gamma), by ``weylop.divide_by_constant``; bilap is monic,
+    so the entries are ints.
     """
-    coeffs = {beta: c.constant_value() for beta, c in bilap.terms.items()}
-    lead = max(coeffs)
-    tail = [(beta, int(c)) for beta, c in coeffs.items() if beta != lead]
-    parts: dict[Monomial, dict[Monomial, int]] = {}
-    for beta, c in coeffs.items():
+    divisor = constant_symbol(bilap)
+    pairs: dict[Monomial, list] = {}
+    for beta, c in divisor.items():
         for gamma, rest, weight in beta.divisors():
-            part = parts.setdefault(gamma, {})
-            part[rest] = part.get(rest, 0) + int(c) * weight
+            pairs.setdefault(gamma, []).append((rest, c * weight))
+    parts = {gamma: collect(ps) for gamma, ps in pairs.items()}
     n = bilap.space.n
-
-    @cache
-    def normal_form(delta: Monomial) -> dict[Monomial, int]:
-        shift = delta.divide(lead)
-        if shift is None:
-            return {delta: 1}
-        return collect(
-            (rho, -c * k) for beta, c in tail for rho, k in normal_form(shift * beta).items()
-        )
 
     def constants(alpha: tuple[int, ...]) -> list:
         alpha_key = Monomial.of_indices(alpha)
         out = []
         for gamma, part in parts.items():
-            reduced = collect(
-                (rho.exps, c * k)
-                for rest, c in part.items()
-                for rho, k in normal_form(rest * alpha_key).items()
-            )
-            out.append((tuple(gamma.exponent(v) for v in range(1, n + 1)), reduced))
+            terms = {rest * alpha_key: c for rest, c in part.items()}
+            _, rem = divide_by_constant(terms, divisor)
+            gamma_exps = tuple(gamma.exponent(v) for v in range(1, n + 1))
+            out.append((gamma_exps, {rho.exps: k for rho, k in rem.items()}))
         return out
 
     return leibniz_columns(constants)

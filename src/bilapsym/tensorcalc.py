@@ -446,8 +446,12 @@ class PairSkewTensor(LinearCombination):
         def valid():
             for key, val in (components or {}).items():
                 key = tuple(key)
-                if key != self._canonical_or_fail(n, pair_count, tail_valency, key):
-                    raise ValueError(f"non-canonical key {key}")
+                if not (
+                    len(key) == 2 * pair_count + tail_valency
+                    and all(0 <= i <= n + 1 for i in key)
+                    and _pair_canonical(key, pair_count, tail_valency) == (key, 1)
+                ):
+                    raise ValueError(f"key {key} is not a canonical ambient key of this shape")
                 yield key, rat(val)
 
         self._fill((n, pair_count, tail_valency), valid())
@@ -456,19 +460,6 @@ class PairSkewTensor(LinearCombination):
     pair_count = property(lambda self: self.shape[1])
     tail_valency = property(lambda self: self.shape[2])
     components = property(lambda self: self.terms)
-
-    @staticmethod
-    def _canonical_or_fail(n: int, k: int, t: int, key: MultiIndex) -> MultiIndex:
-        if len(key) != 2 * k + t:
-            raise ValueError(f"key {key} has wrong length")
-        if any(not 0 <= i <= n + 1 for i in key):
-            raise ValueError(f"key {key} out of ambient index range")
-        for i in range(k):
-            if not key[2 * i] < key[2 * i + 1]:
-                raise ValueError(f"key {key} not canonical in pair {i}")
-        if t == 2 and key[-2] > key[-1]:
-            raise ValueError(f"key {key} not canonical in trailing pair")
-        return key
 
     def canonicalize(self, key: MultiIndex) -> tuple[MultiIndex, int] | None:
         """Canonical representative and sign, or None if a pair repeats."""

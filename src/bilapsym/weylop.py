@@ -10,7 +10,9 @@ multivariate polynomial division of the full symbol: composing with a
 constant-coefficient right factor produces no derivative corrections, so
 ``d = delta o r`` holds iff the symbol of ``d`` is divisible by the symbol
 of ``r``.  A single divisor is a Groebner basis of its principal ideal, so
-the division remainder decides membership exactly.
+the division remainder decides membership exactly.  ``divide_by_constant``
+is that one division loop, on ``Polynomial`` values for ``symbol_division``
+and on int values for the rows of ``symalg.enumerate_symmetries``.
 """
 
 from __future__ import annotations
@@ -390,46 +392,70 @@ def euler_op(space: VarSpace) -> DiffOp:
 # right factorization through constant-coefficient operators
 
 
+def constant_symbol(r: DiffOp) -> dict[Monomial, Rational]:
+    """The symbol of a nonzero constant-coefficient operator r: derivative
+    key -> coefficient, an int when integral."""
+    symbol: dict[Monomial, Rational] = {}
+    for alpha, coeff in r.terms.items():
+        if not coeff.is_constant:
+            raise ValueError("right factor must have constant coefficients")
+        c = coeff.constant_value()
+        symbol[alpha] = c.numerator if c.denominator == 1 else c
+    if not symbol:
+        raise ValueError("right factor must be nonzero")
+    return symbol
+
+
+def divide_by_constant(
+    terms: Mapping[Monomial, Polynomial | int], divisor: Mapping[Monomial, Rational]
+) -> tuple[dict[Monomial, Polynomial | int], dict[Monomial, Polynomial | int]]:
+    """Divide a symbol by a ``constant_symbol``.
+
+    ``terms`` maps derivative keys to nonzero values, ``Polynomial``s or
+    ints; returns (quotient, remainder) in the same form, with terms =
+    quotient * divisor + remainder and no remainder key divisible by the
+    leading key (``max``) of the divisor.  A single divisor is a Groebner
+    basis of the ideal it generates, so the remainder is unique and depends
+    linearly on terms.  A monic divisor needs no division by its leading
+    coefficient, so with an integer divisor int values stay ints.
+    """
+    lead = max(divisor)
+    tail = dict(divisor)
+    lead_coeff = tail.pop(lead)
+    inverse = None if lead_coeff == 1 else 1 / rat(lead_coeff)
+    work = dict(terms)
+    quotient: dict = {}
+    remainder: dict = {}
+    while work:
+        alpha = max(work)
+        coeff = work.pop(alpha)
+        shift = alpha.divide(lead)
+        if shift is None:
+            remainder[alpha] = coeff
+            continue
+        if inverse is not None:
+            coeff = coeff * inverse
+        # work only gains keys below alpha, so each key is divided once
+        quotient[shift] = coeff
+        for beta, k in tail.items():
+            key = shift * beta
+            cur = work.get(key)
+            nv = -(coeff * k) if cur is None else cur - coeff * k
+            if nv:
+                work[key] = nv
+            else:
+                work.pop(key, None)
+    return quotient, remainder
+
+
 def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Divide the full symbol of d by a constant-coefficient operator r.
 
     Returns (quotient, remainder) with d = quotient o r + remainder, where
-    no remainder term is divisible by the leading term of r.  A single
-    divisor is a Groebner basis of the ideal it generates, so the remainder
-    is unique and depends linearly on d.
+    no remainder term is divisible by the leading term of r, by
+    ``divide_by_constant``.
     """
-    divisor: dict[Monomial, Fraction] = {}
-    for alpha, coeff in r.terms.items():
-        if not coeff.is_constant:
-            raise ValueError("right factor must have constant coefficients")
-        divisor[alpha] = coeff.constant_value()
-    if not divisor:
-        raise ValueError("right factor must be nonzero")
-    lead = max(divisor)
-    lead_coeff = divisor[lead]
-
-    work = dict(d.terms)
-    quotient: dict[Monomial, Polynomial] = {}
-    remainder: dict[Monomial, Polynomial] = {}
-    while work:
-        alpha = max(work)
-        shift = alpha.divide(lead)
-        if shift is not None:
-            coeff = work.pop(alpha) * (1 / lead_coeff)
-            # work only gains keys below alpha, so each key is divided once
-            quotient[shift] = coeff
-            for beta, k in divisor.items():
-                if beta == lead:
-                    continue
-                key = shift * beta
-                cur = work.get(key)
-                nv = -(coeff * k) if cur is None else cur - coeff * k
-                if nv.is_zero:
-                    work.pop(key, None)
-                else:
-                    work[key] = nv
-        else:
-            remainder[alpha] = work.pop(alpha)
+    quotient, remainder = divide_by_constant(d.terms, constant_symbol(r))
     return DiffOp._make(d.space, quotient), DiffOp._make(d.space, remainder)
 
 

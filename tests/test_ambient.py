@@ -402,6 +402,17 @@ class TestAmbientOperators:
         with pytest.raises(ValueError):
             ambient_op_W(PairSkewTensor(3, 1, 2, {(0, 1, 2, 2): 1}))
 
+    def test_first_order_operator_takes_one_pair(self):
+        u = dilation_element(3)
+        for x in (
+            PairSkewTensor(3, 0),
+            pair_tensor(u, u),
+            PairSkewTensor(3, 3, 0, {(0, 1, 1, 2, 2, 3): 1}),
+            PairSkewTensor(3, 1, 2, {(0, 1, 2, 2): 1}),
+        ):
+            with pytest.raises(ValueError):
+                ambient_op_V(x)
+
     def test_commutes_with_cone_and_laplacian(self):
         r_mult = DiffOp.multiplication(r_polynomial(3))
         lap = ambient_laplacian(3)

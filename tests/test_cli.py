@@ -28,9 +28,12 @@ def _dv_symbol(term: str) -> str:
     return '{"n": 3, "valency": 1, "components": {"1": [%s]}}' % term
 
 
-def _pair_symbol(value: str) -> str:
-    """A one-pair tensor symbol file with one component ``value``."""
-    return '{"n": 3, "pair_count": 1, "tail_valency": 0, "components": {"0,1": %s}}' % value
+def _pair_symbol(value: str, key: str = "0,1", pair_count: int = 1, tail_valency: int = 0) -> str:
+    """A pair tensor symbol file at n = 3 with one component ``value`` at
+    ``key``."""
+    return '{"n": 3, "pair_count": %d, "tail_valency": %d, "components": {"%s": %s}}' % (
+        pair_count, tail_valency, key, value
+    )
 
 
 def _tensor_symbol(pair_count: int, tail_valency: int, n: int = 3) -> str:
@@ -288,6 +291,12 @@ class TestExitCodes:
             ("dv", _dv_symbol('{"coeff": "1", "exps": {"x1": 2.0}}')),
             ("ambient-one-pair", _pair_symbol("0.5")),
             ("ambient-one-pair", _pair_symbol("false")),
+            # keys other than the canonical representative of their shape
+            ("ambient-one-pair", _pair_symbol("1", key="1,0")),
+            ("ambient-one-pair", _pair_symbol("1", key="1,1")),
+            ("ambient-scalar-symbol", _pair_symbol("1", key="4,0", pair_count=0, tail_valency=2)),
+            ("ambient-one-pair", _pair_symbol("1", key="0,5")),
+            ("ambient-one-pair", _pair_symbol("1", key="0,1,2")),
         ],
     )
     def test_malformed_symbol_file_exit_four(self, tmp_path, capsys, kind, content):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.ambient import ambient_op_gg, ambient_op_V
+from bilapsym.ambient import ambient_op_gg
 from bilapsym.exactpoly import Monomial, Polynomial, ambient_space, base_space, rat
 from bilapsym.linsolve import rank
 from bilapsym.tensorcalc import (
@@ -528,12 +528,28 @@ def dense_bullet_extract(x):
     return PairSkewTensor(n, 0, 2, dict(tensor.components))
 
 
-def dense_ambient_op_gg(x):
-    """Reference for ``ambient_op_gg``: the internal-trace correction summed
-    at every (B, R) over every Q."""
+def normal_ordered_op(x):
+    """The normal-ordered ambient operator of a k-pair tensor: each pair
+    contributes one lowered coordinate (on its first slot) and one
+    derivative (on its second)."""
     n = x.n
     space = ambient_space(n)
-    op = ambient_op_V(x)
+
+    def terms():
+        for full, val in x.ordered_entries():
+            mono = Monomial.of_indices(ambient_lower(n, b) for b in full[0::2])
+            yield Monomial.of_indices(full[1::2]), Polynomial(space, {mono: val})
+
+    return DiffOp._collect(space, terms())
+
+
+def dense_ambient_op_gg(x):
+    """Reference for ``ambient_op_gg`` of a two-pair tensor: the
+    normal-ordered operator plus the internal-trace correction summed at
+    every (B, R) over every Q."""
+    n = x.n
+    space = ambient_space(n)
+    op = normal_ordered_op(x)
     for b in ambient_indices(n):
         mono = Monomial.of_indices([ambient_lower(n, b)])
         for r in ambient_indices(n):
@@ -558,6 +574,22 @@ def test_traces_match_dense_reference(n, data):
     assert type(scalar) is Fraction and scalar == dense_scalar_extract(x)
     assert bullet_extract(x) == dense_bullet_extract(x)
     assert ambient_op_gg(x) == dense_ambient_op_gg(x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_word_operator_of_a_cartan_part_is_normal_ordered(n):
+    # a Cartan part is trace-free, so the internal-trace correction of
+    # its word operator vanishes: the three named pairs of the
+    # ambient-identities suite and three random basis pairs
+    rng = random.Random(n)
+    named = [
+        (translation_element(n, 1), special_conformal_element(n, 1)),
+        (dilation_element(n), rotation_element(n, 1, 2)),
+        (special_conformal_element(n, 2), special_conformal_element(n, 1)),
+    ]
+    for u, v in named + [tuple(rng.sample(so_basis(n), 2)) for _ in range(3)]:
+        cartan = decompose_gg(pair_tensor(u, v)).cartan
+        assert ambient_op_gg(cartan) == normal_ordered_op(cartan)
 
 
 def dense_contract_positions(x, contractions):

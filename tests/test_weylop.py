@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym.ambient import ambient_op_V, r_polynomial
-from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space
+from bilapsym.ambient import r_polynomial
+from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space, collect
 from bilapsym.tensorcalc import PairSkewTensor
 from bilapsym.weylop import (
     DiffOp,
@@ -23,6 +23,8 @@ from bilapsym.weylop import (
     commutator,
     compose,
     compose_sum,
+    constant_symbol,
+    divide_by_constant,
     euler_op,
     is_symmetry,
     laplacian,
@@ -32,6 +34,7 @@ from bilapsym.weylop import (
     right_factor_through_laplacian,
     symbol_division,
 )
+from test_tensorcalc import normal_ordered_op
 
 N = 3
 SPACE = base_space(N)
@@ -107,8 +110,9 @@ class TestApplyCompose:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_commutator_of_a_fourth_order_ambient_operator(self, seed):
-        # V from a random four-pair tensor at n = 3, also with a fractional
-        # x0 power in its coefficients, against the multiplication by r.
+        # V, the normal-ordered operator of a random four-pair tensor at
+        # n = 3, also with a fractional x0 power in its coefficients,
+        # against the multiplication by r.
         # The first-order Leibniz terms of [V, r] cancel by the skewness of
         # the pairs, so a generic fourth-order operator is checked as well
         rng = random.Random(seed)
@@ -118,7 +122,7 @@ class TestApplyCompose:
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             for _ in range(8)
         }
-        v = ambient_op_V(PairSkewTensor(3, 4, 0, comps))
+        v = normal_ordered_op(PairSkewTensor(3, 4, 0, comps))
         space = v.space
         generic = DiffOp(space, {
             tuple(sorted(rng.choices(space.variables, k=order))): Polynomial(space, {
@@ -160,6 +164,32 @@ class TestFactorization:
         d = random_op(rng, order=2)
         q, rem = symbol_division(d, laplacian(N))
         assert compose(q, laplacian(N)) + rem == d
+
+    @given(st.integers(0, 2**30), st.sampled_from([laplacian, bilaplacian]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_division_by_a_constant_symbol(self, seed, operator, integral):
+        # the one division loop, on int values (the symmetry rows) and on
+        # Polynomial values (symbol_division)
+        rng = random.Random(seed)
+        r = operator(N)
+        lead = max(r.terms)
+        terms = {}
+        for _ in range(6):
+            key = Monomial.of_indices(sorted(rng.choices(SPACE.variables, k=rng.randint(0, 7))))
+            value = rng.randint(-9, 9) if integral else random_poly(rng)
+            if value:
+                terms[key] = value
+        divisor = constant_symbol(r)
+        quotient, remainder = divide_by_constant(terms, divisor)
+        product = (
+            (shift * beta, value * c)
+            for shift, value in quotient.items()
+            for beta, c in divisor.items()
+        )
+        assert collect(itertools.chain(product, remainder.items())) == terms
+        assert all(key.divide(lead) is None for key in remainder)
+        if integral:
+            assert all(type(v) is int for v in (*quotient.values(), *remainder.values()))
 
     def test_not_divisible(self):
         d = DiffOp.partial_op(SPACE, 1)
