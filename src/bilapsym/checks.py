@@ -39,6 +39,7 @@ from .cktsolve import (
 from .exactpoly import Monomial, Polynomial, ambient_space, base_space, format_rational
 from .symalg import (
     LieElement,
+    _composition_reports,
     bilaplacian_weight,
     canonical_DV,
     canonical_DW,
@@ -55,7 +56,6 @@ from .symalg import (
     special_conformal_element,
     summand_operator_cases,
     translation_element,
-    verify_generalstory,
 )
 from .tensorcalc import ambient_indices, ambient_lower, base_indices, decompose_gg
 from .weylop import (
@@ -255,9 +255,11 @@ def composition_identity(n: int, seed: int, weight):
     for i, (a, u) in enumerate(basis):
         for b, v in basis[i:]:
             pairing = killing_form(u, v)
+            # X, Y and the products are realized once for the pair
+            report_at = _composition_reports(u, v)
             for w in weights:
                 case = f"{a}*{b} w={format_rational(w)}"
-                report = verify_generalstory(u, v, w)
+                report = report_at(w)
                 yield "composition_identity_on_basis_pairs", case, report.holds
                 yield "scalar_term_is_killing_form_multiple", case, (
                     report.lhs - report.summands == identity * (pairing * w * (n + w) * scale)

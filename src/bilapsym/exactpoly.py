@@ -15,6 +15,10 @@ the tensor types in ``tensorcalc`` keep only their own key validation and
 products on top of it.  ``numerators`` is the one conversion of rational
 values to int numerators over their common denominator; the integer passes
 of ``weylop``, ``tensorcalc``, ``linsolve`` and ``ambient`` go through it.
+``padded_numerators`` writes polynomials that way, with exponent vectors of
+one length; ``product_sum``, the one polynomial product (``Polynomial``
+multiplication is its one-triple case), and ``weylop.compose_sum``, the one
+operator product, multiply on those numerators.
 """
 
 from __future__ import annotations
@@ -494,13 +498,7 @@ class Polynomial(LinearCombination):
             return super().__mul__(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_like(other)
-        products = (
-            (m1 * m2, c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        )
-        return self._collect(self.space, products)
+        return product_sum(self.space, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -653,6 +651,73 @@ class Polynomial(LinearCombination):
             return Monomial(pairs), rational_from_json(item["coeff"])
 
         return cls._collect(space, (term(item) for item in data))
+
+
+# -- products on int numerators -----------------------------------------------
+
+def padded_numerators(
+    polynomials: Iterable[Polynomial], width: int
+) -> tuple[int, list[list[tuple[tuple, int]]]]:
+    """(den, [[(exps, numerator)] per polynomial]): the terms of the
+    polynomials as int numerators over one common denominator, each
+    exponent vector padded with zeros to ``width`` slots, so that the
+    exponents of a product are the slot-wise sum of two such tuples."""
+    polynomials = list(polynomials)
+    pad = (0,) * width
+    den, nums = numerators(
+        ((m.exps + pad)[:width], c) for p in polynomials for m, c in p.terms.items()
+    )
+    out, i = [], 0
+    for p in polynomials:
+        out.append(nums[i : i + len(p.terms)])
+        i += len(p.terms)
+    return den, out
+
+
+def product_sum(
+    space: VarSpace, triples: Iterable[tuple[Scalar, Polynomial, Polynomial]]
+) -> Polynomial:
+    """The polynomial sum_i c_i p_i q_i of the triples (c_i, p_i, q_i).
+
+    Each operand is written once as int numerators over its common
+    denominator (an operand passed again is found by identity), and the
+    weights c_i / (den(p_i) den(q_i)) as ints over one denominator.  So
+    every output coefficient is one sum of int products (Fractions only
+    through a fractional x0 exponent) turned into one Fraction at the end.
+    """
+    width = space.variables[-1] + 1
+    # id -> (p, den, terms): holding p keeps its id from being reused by
+    # another operand within this call
+    cache: dict[int, tuple] = {}
+
+    def operand(p: Polynomial) -> tuple[int, list]:
+        hit = cache.get(id(p))
+        if hit is None:
+            if type(p) is not Polynomial:
+                raise TypeError("expected a Polynomial")
+            if p.shape != space:
+                raise ValueError(f"Polynomial shape mismatch: {p.shape} vs {space}")
+            den, (terms,) = padded_numerators((p,), width)
+            hit = cache[id(p)] = (p, den, terms)
+        return hit[1:]
+
+    parts = []
+    for c, p, q in triples:
+        (den_p, terms_p), (den_q, terms_q) = operand(p), operand(q)
+        if c and terms_p and terms_q:
+            d = den_p * den_q
+            parts.append(((terms_p, terms_q), c if d == 1 else rat(c) / d))
+    den, weights = numerators(parts)
+    acc: dict[tuple, int] = {}
+    for (terms_p, terms_q), k in weights:
+        for e_p, num_p in terms_p:
+            f = num_p * k
+            for e_q, num_q in terms_q:
+                e = tuple(map(_add, e_p, e_q))
+                acc[e] = acc.get(e, 0) + f * num_q
+    return Polynomial._make(
+        space, {Monomial._of_padded(e): Fraction(t, den) for e, t in acc.items() if t}
+    )
 
 
 # -- exponent vectors of base-space monomials ---------------------------------

@@ -42,6 +42,7 @@ from .exactpoly import (
     format_rational,
     monomial_from_exponents,
     parity_class,
+    product_sum,
     rat,
 )
 from .linsolve import block_nullspace, leibniz_columns, rank, stabilized_by_closure
@@ -209,8 +210,9 @@ def bullet_product(x: SymTensorField, y: SymTensorField) -> SymTensorField:
     if x.valency != 1 or y.valency != 1 or x.n != y.n:
         raise ValueError("expected vector fields of the same dimension")
     n = x.n
-    total = Polynomial._sum(x.space, (x.get((a,)) * y.get((a,)) for a in base_indices(n)))
-    return SymTensorField(n, 0, {(): total * Fraction(1, n)})
+    scale = Fraction(1, n)
+    total = product_sum(x.space, ((scale, x.get((a,)), y.get((a,))) for a in base_indices(n)))
+    return SymTensorField(n, 0, {(): total})
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +300,39 @@ def verify_generalstory(u: LieElement, v: LieElement, weight: Rational) -> Compo
     term is w(n+w)/(n(n+1)(n+2)) times the ambient invariant pairing of u
     and v.  All operators act on weight-w functions; the identity is exact.
     """
+    return _composition_reports(u, v)(weight)
+
+
+def _composition_reports(
+    u: LieElement, v: LieElement
+) -> Callable[[Rational], CompositionReport]:
+    """The report of ``verify_generalstory`` for u, v as a function of the
+    weight.  Only the canonical operators depend on the weight, so X, Y,
+    their Cartan and bullet products, the bracket field and the pairing are
+    built once for every weight."""
     if u.n != v.n:
         raise ValueError("dimension mismatch")
     n = u.n
-    w = rat(weight)
     x, y = lie_to_ckv(u), lie_to_ckv(v)
-    lhs = compose(canonical_DV(x, w), canonical_DV(y, w))
     cart = cartan_product(x, y)
     bull = bullet_product(x, y)
     product = pair_tensor(u, v)
     br = lie_to_ckv(adjoint_extract(product))
     pairing = scalar_extract(product)
-    c_scalar = w * (n + w) / (n * (n + 1) * (n + 2)) * pairing
-    summands = (
-        canonical_DV(cart, w) + canonical_DW(bull, w) + canonical_DV(br, w) * Fraction(1, 2)
-    )
-    rhs = summands + DiffOp.identity(base_space(n)) * c_scalar
-    return CompositionReport(
-        holds=(lhs == rhs), lhs=lhs, rhs=rhs, summands=summands, scalar_coefficient=c_scalar
-    )
+
+    def report(weight: Rational) -> CompositionReport:
+        w = rat(weight)
+        lhs = compose(canonical_DV(x, w), canonical_DV(y, w))
+        c_scalar = w * (n + w) / (n * (n + 1) * (n + 2)) * pairing
+        summands = (
+            canonical_DV(cart, w) + canonical_DW(bull, w) + canonical_DV(br, w) * Fraction(1, 2)
+        )
+        rhs = summands + DiffOp.identity(base_space(n)) * c_scalar
+        return CompositionReport(
+            holds=(lhs == rhs), lhs=lhs, rhs=rhs, summands=summands, scalar_coefficient=c_scalar
+        )
+
+    return report
 
 
 # ---------------------------------------------------------------------------

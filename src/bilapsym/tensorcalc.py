@@ -31,6 +31,7 @@ from .exactpoly import (
     collect,
     format_rational,
     numerators,
+    product_sum,
     rat,
     rational_from_json,
 )
@@ -113,19 +114,32 @@ def _sym_outer_components(
     """Components of the symmetrized product of two symmetric tensors.
 
     Each stored pair (ka, kb) lands on sorted(ka + kb) once for each choice
-    of the positions of ka there, prod_i C(mult(i), mult_ka(i)) times.
+    of the positions of ka there, prod_i C(mult(i), mult_ka(i)) times.  With
+    polynomial values on both sides, each output component is one
+    ``product_sum`` with that weight and the prefactor folded into each
+    product.
     """
     prefactor = Fraction(factorial(p) * factorial(q), factorial(p + q))
-
-    def products():
-        for ka, av in a.items():
-            for kb, bv in b.items():
-                key = tuple(sorted(ka + kb))
-                weight = prod(comb(key.count(i), ka.count(i)) for i in set(ka))
-                val = av * bv
-                yield key, val if weight == 1 else val * weight
-
-    return {key: val * prefactor for key, val in collect(products()).items()}
+    groups: dict[MultiIndex, list] = {}
+    for ka, av in a.items():
+        for kb, bv in b.items():
+            key = tuple(sorted(ka + kb))
+            weight = prod(comb(key.count(i), ka.count(i)) for i in set(ka))
+            groups.setdefault(key, []).append((weight, av, bv))
+    first = [next(iter(c.values()), None) for c in (a, b)]
+    if all(isinstance(v, Polynomial) for v in first):
+        space = first[0].space
+        sums = (
+            (key, product_sum(space, ((prefactor * w, av, bv) for w, av, bv in triples)))
+            for key, triples in groups.items()
+        )
+        return {key: val for key, val in sums if val}
+    products = (
+        (key, av * bv if w == 1 else av * bv * w)
+        for key, triples in groups.items()
+        for w, av, bv in triples
+    )
+    return {key: val * prefactor for key, val in collect(products).items()}
 
 
 def _trace_components(

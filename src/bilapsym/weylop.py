@@ -11,8 +11,14 @@ constant-coefficient right factor produces no derivative corrections, so
 ``d = delta o r`` holds iff the symbol of ``d`` is divisible by the symbol
 of ``r``.  A single divisor is a Groebner basis of its principal ideal, so
 the division remainder decides membership exactly.  ``divide_by_constant``
-is that one division loop, on ``Polynomial`` values for ``symbol_division``
-and on int values for the rows of ``symalg.enumerate_symmetries``.
+is that one division loop, on scalar values: ``symbol_division`` runs it on
+the int numerators of one x-monomial at a time, and the rows of
+``symalg.enumerate_symmetries`` on int values.  ``is_symmetry`` divides the
+commutator [bilap, d] rather than the product bilap o d.
+
+``compose_sum`` is the one operator product, on the padded int numerators
+of ``exactpoly.padded_numerators`` that ``exactpoly.product_sum`` also
+multiplies on.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .exactpoly import (
     VarSpace,
     base_space,
     numerators,
+    padded_numerators,
     rat,
 )
 
@@ -249,16 +256,8 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
             raise TypeError("expected a DiffOp")
         if op.space != space:
             raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
-        den, nums = numerators(
-            ((m.exps + pad)[:width], c)
-            for coeff in op.terms.values()
-            for m, c in coeff.terms.items()
-        )
-        out, i = [], 0
-        for alpha, coeff in op.terms.items():
-            out.append((alpha, nums[i : i + len(coeff.terms)]))
-            i += len(coeff.terms)
-        return den, out
+        den, coeffs = padded_numerators(op.terms.values(), width)
+        return den, list(zip(op.terms, coeffs))
 
     # id -> (b, den, terms) for the right factors: holding b keeps its id
     # from being reused by another operand within this call.  Left factors
@@ -407,17 +406,17 @@ def constant_symbol(r: DiffOp) -> dict[Monomial, Rational]:
 
 
 def divide_by_constant(
-    terms: Mapping[Monomial, Polynomial | int], divisor: Mapping[Monomial, Rational]
-) -> tuple[dict[Monomial, Polynomial | int], dict[Monomial, Polynomial | int]]:
-    """Divide a symbol by a ``constant_symbol``.
+    terms: Mapping[Monomial, Rational], divisor: Mapping[Monomial, Rational]
+) -> tuple[dict[Monomial, Rational], dict[Monomial, Rational]]:
+    """Divide a constant symbol by a ``constant_symbol``.
 
-    ``terms`` maps derivative keys to nonzero values, ``Polynomial``s or
-    ints; returns (quotient, remainder) in the same form, with terms =
-    quotient * divisor + remainder and no remainder key divisible by the
-    leading key (``max``) of the divisor.  A single divisor is a Groebner
-    basis of the ideal it generates, so the remainder is unique and depends
-    linearly on terms.  A monic divisor needs no division by its leading
-    coefficient, so with an integer divisor int values stay ints.
+    ``terms`` maps derivative keys to nonzero ints or Fractions; returns
+    (quotient, remainder) in the same form, with terms = quotient * divisor
+    + remainder and no remainder key divisible by the leading key (``max``)
+    of the divisor.  A single divisor is a Groebner basis of the ideal it
+    generates, so the remainder is unique and depends linearly on terms.  A
+    monic divisor needs no division by its leading coefficient, so with an
+    integer divisor int values stay ints.
     """
     lead = max(divisor)
     tail = dict(divisor)
@@ -452,11 +451,33 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Divide the full symbol of d by a constant-coefficient operator r.
 
     Returns (quotient, remainder) with d = quotient o r + remainder, where
-    no remainder term is divisible by the leading term of r, by
-    ``divide_by_constant``.
+    no remainder term is divisible by the leading term of r.  r has
+    constant coefficients, so the division never mixes two x-monomials:
+    the symbol of d is written as int numerators over one common
+    denominator and split into one constant symbol per x-monomial, each
+    slice is divided by ``divide_by_constant``, and each output coefficient
+    becomes one Fraction.
     """
-    quotient, remainder = divide_by_constant(d.terms, constant_symbol(r))
-    return DiffOp._make(d.space, quotient), DiffOp._make(d.space, remainder)
+    divisor = constant_symbol(r)
+    den, nums = numerators(
+        ((alpha, m), c) for alpha, coeff in d.terms.items() for m, c in coeff.terms.items()
+    )
+    slices: dict[Monomial, dict] = {}
+    for (alpha, m), num in nums:
+        slices.setdefault(m, {})[alpha] = num
+    quotient: dict[Monomial, dict] = {}
+    remainder: dict[Monomial, dict] = {}
+    for m, terms in slices.items():
+        for out, part in zip((quotient, remainder), divide_by_constant(terms, divisor)):
+            for alpha, num in part.items():
+                out.setdefault(alpha, {})[m] = Fraction(num, den)
+
+    def op(out: dict) -> DiffOp:
+        return DiffOp._make(
+            d.space, {alpha: Polynomial._make(d.space, coeff) for alpha, coeff in out.items()}
+        )
+
+    return op(quotient), op(remainder)
 
 
 def right_factor(d: DiffOp, r: DiffOp) -> DiffOp:
@@ -489,10 +510,17 @@ def right_factor_through_laplacian(d: DiffOp) -> DiffOp:
 
 def is_symmetry(d: DiffOp) -> DiffOp | None:
     """Certificate delta with (squared Laplacian) o d = delta o (squared
-    Laplacian), or None when d is not a higher symmetry."""
+    Laplacian), or None when d is not a higher symmetry.
+
+    bilap o d = d o bilap + [bilap, d], so delta = d + epsilon with
+    [bilap, d] = epsilon o bilap.  The commutator pass never forms the
+    gamma = 0 Leibniz terms, and epsilon has lower order than delta, so its
+    recomposition in ``right_factor`` is cheaper too.  Right division by
+    bilap is unique, so delta is the factor of bilap o d itself.
+    """
     bilap = bilaplacian(d.space.n)
     try:
-        return right_factor(compose(bilap, d), bilap)
+        return d + right_factor(commutator(bilap, d), bilap)
     except NotDivisibleError:
         return None
 

@@ -20,6 +20,7 @@ from bilapsym.exactpoly import (
     format_rational,
     numerators,
     parse_rational,
+    product_sum,
     rat,
 )
 
@@ -303,6 +304,69 @@ def ambient_polynomials(draw):
         exps = [(v, draw(x0_exps if v == 0 else st.integers(0, 3))) for v in space.variables]
         terms[Monomial(exps)] = draw(rationals)
     return Polynomial(space, terms)
+
+
+def product_sum_reference(space, triples) -> Polynomial:
+    """sum c p q term by term in Fractions, as Polynomial products were
+    once computed: one Monomial and one Fraction product per pair of terms."""
+    products = (
+        (m1 * m2, c * c1 * c2)
+        for c, p, q in triples
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    )
+    return Polynomial._collect(space, products)
+
+
+@st.composite
+def product_cases(draw):
+    """(space, triples) on a base or ambient space; the operands come from a
+    pool of up to three polynomials (possibly empty; x0 exponents negative
+    or fractional), so one object may be passed several times."""
+    space = draw(st.sampled_from([SPACE, AMB, ambient_space(4)]))
+    x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = [
+                (v, draw(x0_exps if v == 0 else st.integers(0, 3))) for v in space.variables
+            ]
+            terms[Monomial(exps)] = draw(rationals)
+        pool.append(Polynomial(space, terms))
+    weights = st.one_of(st.just(0), st.integers(-5, 5), rationals)
+    picks = st.tuples(weights, st.sampled_from(pool), st.sampled_from(pool))
+    return space, draw(st.lists(picks, max_size=5))
+
+
+class TestProductSum:
+    @given(product_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_fractions(self, case):
+        space, triples = case
+        got = product_sum(space, triples)
+        assert got == product_sum_reference(space, triples)
+        for m, c in got.terms.items():
+            assert type(c) is Fraction
+            assert m.exps == Monomial(m.items()).exps  # trimmed, x0 normalized
+
+    def test_zero_weight_empty_operand_and_repeated_operand(self):
+        x1, x0 = Polynomial.variable(AMB, 1), Polynomial.variable(AMB, 0, Fraction(-1, 2))
+        p = x1 * Fraction(2, 3) + x0 * Fraction(5, 7)
+        zero = Polynomial.zero(AMB)
+        triples = [(Fraction(1, 2), p, p), (0, p, x1), (3, zero, p), (-1, x0, p)]
+        got = product_sum(AMB, triples)
+        assert got == p * p * Fraction(1, 2) - x0 * p
+        assert got == product_sum_reference(AMB, triples)
+        assert product_sum(AMB, []).is_zero
+
+    def test_operands_must_share_the_space(self):
+        with pytest.raises(ValueError):
+            product_sum(SPACE, [(1, Polynomial.one(SPACE), Polynomial.one(AMB))])
+        with pytest.raises(ValueError):
+            Polynomial.one(SPACE) * Polynomial.one(AMB)
+        with pytest.raises(TypeError):
+            product_sum(SPACE, [(1, Polynomial.one(SPACE), 2)])
 
 
 class TestSerialization:

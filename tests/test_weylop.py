@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilapsym import checks
 from bilapsym.ambient import r_polynomial
 from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space, collect
 from bilapsym.tensorcalc import PairSkewTensor
@@ -63,6 +64,37 @@ def random_op(rng, order=2):
         if len(alpha) <= order and rng.random() < 0.5:
             terms[alpha] = random_poly(rng)
     return DiffOp(SPACE, terms)
+
+
+def non_monic_divisor(n):
+    """3/5 Lap + d_1: leading coefficient 3/5, and a first-order tail."""
+    return laplacian(n) * Fraction(3, 5) + DiffOp.partial_op(base_space(n), 1)
+
+
+def divide_polynomial_values(terms, divisor):
+    """The division loop by a constant symbol on Polynomial values, one
+    polynomial per derivative key: the reference for ``symbol_division``,
+    which divides one x-monomial slice of int numerators at a time."""
+    lead = max(divisor)
+    tail = dict(divisor)
+    inverse = 1 / Fraction(tail.pop(lead))
+    work, quotient, remainder = dict(terms), {}, {}
+    while work:
+        alpha = max(work)
+        coeff = work.pop(alpha)
+        shift = alpha.divide(lead)
+        if shift is None:
+            remainder[alpha] = coeff
+            continue
+        quotient[shift] = coeff = coeff * inverse
+        for beta, k in tail.items():
+            key = shift * beta
+            value = work.get(key, Polynomial.zero(SPACE)) - coeff * k
+            if value:
+                work[key] = value
+            else:
+                work.pop(key, None)
+    return quotient, remainder
 
 
 class TestApplyCompose:
@@ -165,21 +197,35 @@ class TestFactorization:
         q, rem = symbol_division(d, laplacian(N))
         assert compose(q, laplacian(N)) + rem == d
 
-    @given(st.integers(0, 2**30), st.sampled_from([laplacian, bilaplacian]), st.booleans())
-    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**30),
+        st.sampled_from([laplacian, bilaplacian, non_monic_divisor]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
     def test_division_by_a_constant_symbol(self, seed, operator, integral):
-        # the one division loop, on int values (the symmetry rows) and on
-        # Polynomial values (symbol_division)
+        # the one division loop on int values (the symmetry rows), and
+        # symbol_division on int slices against the loop on Polynomial values
         rng = random.Random(seed)
         r = operator(N)
         lead = max(r.terms)
-        terms = {}
-        for _ in range(6):
-            key = Monomial.of_indices(sorted(rng.choices(SPACE.variables, k=rng.randint(0, 7))))
-            value = rng.randint(-9, 9) if integral else random_poly(rng)
-            if value:
-                terms[key] = value
         divisor = constant_symbol(r)
+        keys = [
+            Monomial.of_indices(sorted(rng.choices(SPACE.variables, k=rng.randint(0, 7))))
+            for _ in range(6)
+        ]
+        if not integral:
+            d = DiffOp(SPACE, {
+                key.indices(): random_poly(rng) * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for key in keys
+            })
+            quotient, remainder = symbol_division(d, r)
+            expected = divide_polynomial_values(d.terms, divisor)
+            assert (quotient.terms, remainder.terms) == expected
+            assert compose(quotient, r) + remainder == d
+            assert all(key.divide(lead) is None for key in remainder.terms)
+            return
+        terms = {key: value for key in keys if (value := rng.randint(-9, 9))}
         quotient, remainder = divide_by_constant(terms, divisor)
         product = (
             (shift * beta, value * c)
@@ -188,8 +234,26 @@ class TestFactorization:
         )
         assert collect(itertools.chain(product, remainder.items())) == terms
         assert all(key.divide(lead) is None for key in remainder)
-        if integral:
+        if divisor[lead] == 1:
             assert all(type(v) is int for v in (*quotient.values(), *remainder.values()))
+
+    def test_is_symmetry_matches_the_full_product_route(self):
+        # the certificate through the commutator is the right factor of
+        # bilap o D itself, on every canonical operator at n = 3
+        bilap = bilaplacian(N)
+        operators = [op for _, op in checks._canonical_operators(N)]
+        assert len(operators) == 59
+        for op in operators:
+            assert is_symmetry(op) == right_factor(compose(bilap, op), bilap)
+
+    @pytest.mark.parametrize(
+        "alpha, exps", [((1, 1), [(1, 1)]), ((), [(1, 2)])], ids=["x1d1d1", "x1^2"]
+    )
+    def test_is_symmetry_rejects_non_symmetries(self, alpha, exps):
+        op = DiffOp(SPACE, {alpha: Polynomial(SPACE, {Monomial(exps): 1})})
+        assert is_symmetry(op) is None
+        with pytest.raises(NotDivisibleError):
+            right_factor(compose(bilaplacian(N), op), bilaplacian(N))
 
     def test_not_divisible(self):
         d = DiffOp.partial_op(SPACE, 1)
