@@ -15,10 +15,11 @@ the tensor types in ``tensorcalc`` keep only their own key validation and
 products on top of it.  ``numerators`` is the one conversion of rational
 values to int numerators over their common denominator; the integer passes
 of ``weylop``, ``tensorcalc``, ``linsolve`` and ``ambient`` go through it.
-``padded_numerators`` writes polynomials that way, with exponent vectors of
-one length; ``product_sum``, the one polynomial product (``Polynomial``
-multiplication is its one-triple case), and ``weylop.compose_sum``, the one
-operator product, multiply on those numerators.
+``ExponentLayout`` writes polynomials that way for one product call, with
+each exponent vector packed into one int key; ``product_sum``, the one
+polynomial product (``Polynomial`` multiplication is its one-triple case),
+and ``weylop.compose_sum``, the one operator product, multiply on those
+numerators and add those keys.
 """
 
 from __future__ import annotations
@@ -655,23 +656,91 @@ class Polynomial(LinearCombination):
 
 # -- products on int numerators -----------------------------------------------
 
-def padded_numerators(
-    polynomials: Iterable[Polynomial], width: int
-) -> tuple[int, list[list[tuple[tuple, int]]]]:
-    """(den, [[(exps, numerator)] per polynomial]): the terms of the
-    polynomials as int numerators over one common denominator, each
-    exponent vector padded with zeros to ``width`` slots, so that the
-    exponents of a product are the slot-wise sum of two such tuples."""
-    polynomials = list(polynomials)
-    pad = (0,) * width
-    den, nums = numerators(
-        ((m.exps + pad)[:width], c) for p in polynomials for m, c in p.terms.items()
-    )
-    out, i = [], 0
-    for p in polynomials:
-        out.append(nums[i : i + len(p.terms)])
-        i += len(p.terms)
-    return den, out
+class ExponentLayout:
+    """Exponent vectors of one product call packed into ints.
+
+    Slot v holds the exponent of x_v, for v below ``width``.  Slots 1.. are
+    ``bits`` wide, x_1 the most significant of them; slot 0 sits above them
+    all and holds ``den`` * e_0, with ``den`` the lcm of the call's x0
+    denominators, so it is an int of any size and sign.  A key is linear in
+    its vector, so the key of a product's exponents is the sum of the keys
+    of its factors, and m - gamma is a difference of keys, as long as each
+    slot 1.. of the result lies in [0, 2**bits).  ``fitting`` makes it so
+    for every sum of two vectors it sees.  The low slots are then the
+    non-negative remainder below slot 0, and slot 0 is a floor shift, so a
+    negative or fractional x0 exponent needs no bias.  The derivative keys
+    of operators use the same layout: their exponents are counts.
+    """
+
+    __slots__ = ("width", "bits", "den", "_shift", "_low", "_mask")
+
+    def __init__(self, width: int, bits: int, den: int) -> None:
+        self.width, self.bits, self.den = width, bits, den
+        self._shift = bits * (width - 1)
+        self._low = (1 << self._shift) - 1
+        self._mask = (1 << bits) - 1
+
+    @classmethod
+    def fitting(cls, space: VarSpace, monomials: Iterable[Monomial]) -> "ExponentLayout":
+        """The layout of ``space`` whose slots hold the sum of any two of
+        the monomials, coefficient and derivative keys alike."""
+        top, den = 0, 1
+        for m in monomials:
+            exps = m.exps
+            if len(exps) > 1:
+                top = max(top, *exps[1:])
+            if type(exps[0]) is Fraction:
+                den = lcm(den, exps[0].denominator)
+        return cls(space.variables[-1] + 1, max(1, (2 * top).bit_length()), den)
+
+    def pack(self, m: Monomial) -> int:
+        exps, bits = m.exps, self.bits
+        e0 = exps[0]
+        key = e0 * self.den if type(e0) is int else e0.numerator * (self.den // e0.denominator)
+        for e in exps[1:]:
+            key = (key << bits) + e
+        return key << bits * (self.width - len(exps))
+
+    def exponent(self, key: int, v: int) -> Exponent:
+        """The exponent of x_v in a key."""
+        if v:
+            return (key >> self.bits * (self.width - 1 - v)) & self._mask
+        return self._x0(key >> self._shift)
+
+    def _x0(self, slot: int) -> Exponent:
+        if self.den == 1:
+            return slot
+        e0 = Fraction(slot, self.den)
+        return e0.numerator if e0.denominator == 1 else e0
+
+    def unpack(self, key: int) -> Monomial:
+        e0 = key >> self._shift
+        if self.den != 1:
+            e0 = self._x0(e0)
+        low = key & self._low
+        if not low:
+            return Monomial._of((e0,), e0)
+        # the slots below the lowest set bit are zeros that a Monomial drops
+        bits, mask = self.bits, self._mask
+        stop = ((low & -low).bit_length() - 1) // bits * bits - 1
+        exps = (e0, *[(low >> s) & mask for s in range(self._shift - bits, stop, -bits)])
+        return Monomial._of(exps, sum(exps))
+
+    def numerators(
+        self, polynomials: Iterable[Polynomial]
+    ) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(den, [[(key, numerator)] per polynomial]): the terms of the
+        polynomials as int numerators over one common denominator, each
+        monomial packed."""
+        polynomials = list(polynomials)
+        den, nums = numerators(
+            (self.pack(m), c) for p in polynomials for m, c in p.terms.items()
+        )
+        out, i = [], 0
+        for p in polynomials:
+            out.append(nums[i : i + len(p.terms)])
+            i += len(p.terms)
+        return den, out
 
 
 def product_sum(
@@ -679,44 +748,43 @@ def product_sum(
 ) -> Polynomial:
     """The polynomial sum_i c_i p_i q_i of the triples (c_i, p_i, q_i).
 
-    Each operand is written once as int numerators over its common
-    denominator (an operand passed again is found by identity), and the
-    weights c_i / (den(p_i) den(q_i)) as ints over one denominator.  So
-    every output coefficient is one sum of int products (Fractions only
-    through a fractional x0 exponent) turned into one Fraction at the end.
+    Each operand is written once (an operand passed again is found by
+    identity) as int numerators over its common denominator, with packed
+    monomials in one ``ExponentLayout`` that fits every operand; the
+    weights c_i / (den(p_i) den(q_i)) become ints over one denominator.  So
+    each product term is one int addition of keys and one int product
+    (Fractions only through a fractional x0 exponent), and each output term
+    becomes one Monomial and one Fraction at the end.
     """
-    width = space.variables[-1] + 1
-    # id -> (p, den, terms): holding p keeps its id from being reused by
-    # another operand within this call
-    cache: dict[int, tuple] = {}
-
-    def operand(p: Polynomial) -> tuple[int, list]:
-        hit = cache.get(id(p))
-        if hit is None:
-            if type(p) is not Polynomial:
+    triples = list(triples)
+    # id -> p: holding p keeps its id from being reused within this call
+    operands: dict[int, Polynomial] = {}
+    for _, p, q in triples:
+        for x in (p, q):
+            if type(x) is not Polynomial:
                 raise TypeError("expected a Polynomial")
-            if p.shape != space:
-                raise ValueError(f"Polynomial shape mismatch: {p.shape} vs {space}")
-            den, (terms,) = padded_numerators((p,), width)
-            hit = cache[id(p)] = (p, den, terms)
-        return hit[1:]
+            if x.shape != space:
+                raise ValueError(f"Polynomial shape mismatch: {x.shape} vs {space}")
+            operands[id(x)] = x
+    layout = ExponentLayout.fitting(space, (m for p in operands.values() for m in p.terms))
+    packed = {key: layout.numerators((p,)) for key, p in operands.items()}
 
     parts = []
     for c, p, q in triples:
-        (den_p, terms_p), (den_q, terms_q) = operand(p), operand(q)
+        (den_p, (terms_p,)), (den_q, (terms_q,)) = packed[id(p)], packed[id(q)]
         if c and terms_p and terms_q:
             d = den_p * den_q
             parts.append(((terms_p, terms_q), c if d == 1 else rat(c) / d))
     den, weights = numerators(parts)
-    acc: dict[tuple, int] = {}
+    acc: dict[int, int] = {}
     for (terms_p, terms_q), k in weights:
         for e_p, num_p in terms_p:
             f = num_p * k
             for e_q, num_q in terms_q:
-                e = tuple(map(_add, e_p, e_q))
+                e = e_p + e_q
                 acc[e] = acc.get(e, 0) + f * num_q
     return Polynomial._make(
-        space, {Monomial._of_padded(e): Fraction(t, den) for e, t in acc.items() if t}
+        space, {layout.unpack(e): Fraction(t, den) for e, t in acc.items() if t}
     )
 
 

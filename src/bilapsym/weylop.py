@@ -16,9 +16,10 @@ the int numerators of one x-monomial at a time, and the rows of
 ``symalg.enumerate_symmetries`` on int values.  ``is_symmetry`` divides the
 commutator [bilap, d] rather than the product bilap o d.
 
-``compose_sum`` is the one operator product, on the padded int numerators
-of ``exactpoly.padded_numerators`` that ``exactpoly.product_sum`` also
-multiplies on.
+``compose_sum`` is the one operator product, on the int numerators and
+packed exponent keys of one ``exactpoly.ExponentLayout`` per call, as
+``exactpoly.product_sum`` multiplies.  ``bilaplacian`` is written out
+term by term, not composed.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import add as _add
 from typing import Callable, Iterable, Mapping
 
 from .exactpoly import (
+    ExponentLayout,
     LinearCombination,
     Monomial,
     Polynomial,
@@ -37,7 +38,6 @@ from .exactpoly import (
     VarSpace,
     base_space,
     numerators,
-    padded_numerators,
     rat,
 )
 
@@ -187,39 +187,21 @@ def apply(op: DiffOp, p: Polynomial) -> Polynomial:
     )
 
 
-def _lowered(m: tuple, gamma: list) -> tuple[Rational, tuple] | None:
+def _lowered(layout: ExponentLayout, m: int, gamma: int, moves: list) -> tuple[Rational, int] | None:
     """The falling factorial [m]_gamma = prod_v m_v (m_v - 1) ... (m_v -
-    gamma_v + 1) with the exponents m - gamma, for gamma given by its
-    nonzero (v, gamma_v), or None when it vanishes.  It vanishes only on a
-    nonnegative integer m_v < gamma_v; a negative or fractional x0 exponent
-    never does, and gives a Fraction when fractional."""
+    gamma_v + 1) with the key of the exponents m - gamma, for packed m and
+    gamma, the latter also given by its nonzero (v, gamma_v), or None when
+    it vanishes.  It vanishes only on a nonnegative integer m_v < gamma_v;
+    a negative or fractional x0 exponent never does, and gives a Fraction
+    when fractional."""
     ff = 1
-    low = list(m)
-    for v, g in gamma:
-        e = m[v]
+    for v, g in moves:
+        e = layout.exponent(m, v)
         if type(e) is int and 0 <= e < g:
             return None
         for i in range(g):
             ff *= e - i
-        low[v] = e - g
-    return ff, tuple(low)
-
-
-def _lowered_terms(terms: list, gamma: Monomial) -> list:
-    """The terms [(beta, [(m, numerator)])] of a right factor with
-    [m]_gamma folded into each numerator and x^m lowered to x^(m - gamma);
-    the terms that vanish are dropped."""
-    moves = list(gamma.items())
-    out = []
-    for beta, cb in terms:
-        low = []
-        for m, num in cb:
-            hit = _lowered(m, moves)
-            if hit is not None:
-                low.append((hit[1], num * hit[0]))
-        if low:
-            out.append((beta, low))
-    return out
+    return ff, m - gamma
 
 
 def compose_sum(
@@ -231,14 +213,17 @@ def compose_sum(
         x^p d^alpha o x^m d^beta
             = sum_{gamma <= alpha} C(alpha, gamma) [m]_gamma x^(p+m-gamma) d^(alpha-gamma+beta).
 
-    Each operand is written as integer numerators over a common
-    denominator: a left factor once per group, a right factor once per
-    call.  The right factors of a group are summed as ints, and each group
-    is expanded once into buckets over one running denominator.  Groups are
-    streamed: a group whose denominator does not divide the running one
-    rescales the buckets filled so far.  So every output coefficient is one
-    sum of int products (Fractions only through a fractional x0 exponent)
-    turned into one Fraction at the end.
+    The groups are held for the call: one ``exactpoly.ExponentLayout`` fits
+    every operand, and each operand is written once as integer numerators
+    over a common denominator, with packed monomials and derivative keys.
+    The right factors of a group are summed as ints, and each group is
+    expanded once into buckets over one running denominator: a group whose
+    denominator does not divide the running one rescales the buckets filled
+    so far.  Each distinct (gamma, m) is lowered once per call, through a
+    table of falling factorials and lowered keys.  So every output term is
+    one sum of int products (Fractions only through a fractional x0
+    exponent) under int keys, turned into one Monomial and one Fraction at
+    the end.
     """
     return _compose_sum(space, groups, True)
 
@@ -246,35 +231,34 @@ def compose_sum(
 def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> DiffOp:
     """``compose_sum``; without ``with_products`` the gamma = 0 Leibniz
     terms x^(p+m) d^(alpha+beta), the plain products, are left out."""
-    width = space.variables[-1] + 1
-    pad = (0,) * width
+    groups = [(a, list(factors)) for a, factors in groups]
+    # id -> op: holding op keeps its id from being reused within this call
+    operands: dict[int, DiffOp] = {}
+    for a, factors in groups:
+        for op in (a, *(b for b, _ in factors)):
+            if type(op) is not DiffOp:
+                raise TypeError("expected a DiffOp")
+            if op.space != space:
+                raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
+            operands[id(op)] = op
+    layout = ExponentLayout.fitting(
+        space,
+        (m for op in operands.values() for alpha, c in op.terms.items() for m in (alpha, *c.terms)),
+    )
 
-    def operand(op: DiffOp) -> tuple[int, list]:
-        """The coefficients of op as int numerators over one common
-        denominator: (den, [(alpha, [(padded exps, numerator)])])."""
-        if type(op) is not DiffOp:
-            raise TypeError("expected a DiffOp")
-        if op.space != space:
-            raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
-        den, coeffs = padded_numerators(op.terms.values(), width)
-        return den, list(zip(op.terms, coeffs))
+    def written(op: DiffOp) -> tuple[int, list]:
+        """(den, [(alpha, key of alpha, [(key of m, numerator)])]): the
+        coefficients of op as int numerators over one common denominator."""
+        den, coeffs = layout.numerators(op.terms.values())
+        return den, [(alpha, layout.pack(alpha), ca) for alpha, ca in zip(op.terms, coeffs)]
 
-    # id -> (b, den, terms) for the right factors: holding b keeps its id
-    # from being reused by another operand within this call.  Left factors
-    # are not kept, so a stream of fresh groups holds one at a time.
-    cache: dict[int, tuple] = {}
-
-    def right_numerators(b: DiffOp) -> tuple[int, list]:
-        hit = cache.get(id(b))
-        if hit is None:
-            hit = cache[id(b)] = (b, *operand(b))
-        return hit[1:]
+    packed = {key: written(op) for key, op in operands.items()}
 
     def right_sum(factors) -> tuple[int, list]:
-        """sum_j c_j b_j as (den, [(padded beta, [(m, numerator)])]): with
-        b_j = B_j / den_j for int numerators B_j, it is the sum of
+        """sum_j c_j b_j as (den, [(key of beta, [(key of m, numerator)])]):
+        with b_j = B_j / den_j for int numerators B_j, it is the sum of
         (c_j / den_j) B_j, each weight an int over one den."""
-        parts = [(right_numerators(b), c) for b, c in factors]
+        parts = [(packed[id(b)], c) for b, c in factors]
         den, weights = numerators(
             (terms, c if den_b == 1 else rat(c) / den_b)
             for (den_b, terms), c in parts
@@ -283,13 +267,13 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
         if len(weights) == 1:
             terms, k = weights[0]
             return den, [
-                ((beta.exps + pad)[:width], cb if k == 1 else [(m, num * k) for m, num in cb])
-                for beta, cb in terms
+                (beta, cb if k == 1 else [(m, num * k) for m, num in cb])
+                for _, beta, cb in terms
             ]
-        acc: dict[tuple, dict] = {}
+        acc: dict[int, dict] = {}
         for terms, k in weights:
-            for beta, cb in terms:
-                coeff = acc.setdefault((beta.exps + pad)[:width], {})
+            for _, beta, cb in terms:
+                coeff = acc.setdefault(beta, {})
                 for m, num in cb:
                     coeff[m] = coeff.get(m, 0) + num * k
         return den, [
@@ -298,10 +282,32 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
             if (nonzero := [(m, t) for m, t in coeff.items() if t])
         ]
 
+    # key of alpha -> [(key of gamma, nonzero (v, gamma_v), C(alpha, gamma))]
+    leibniz: dict[int, list] = {}
+    # key of gamma -> {key of m: _lowered(m, gamma)}, filled on demand
+    lowered: dict[int, dict] = {}
+
+    def lowered_sum(right: list, gamma: int, moves: list) -> list:
+        """The right sum with [m]_gamma folded into each numerator and x^m
+        lowered to x^(m - gamma); the terms that vanish are dropped."""
+        table = lowered.setdefault(gamma, {})
+        out = []
+        for beta, cb in right:
+            low = []
+            for m, num in cb:
+                hit = table.get(m, False)
+                if hit is False:
+                    hit = table[m] = _lowered(layout, m, gamma, moves)
+                if hit is not None:
+                    low.append((hit[1], num * hit[0]))
+            if low:
+                out.append((beta, low))
+        return out
+
     den = 1
-    sums: dict[tuple, dict] = {}
+    sums: dict[int, dict] = {}
     for a, factors in groups:
-        den_a, terms_a = operand(a)
+        den_a, terms_a = packed[id(a)]
         den_r, right = right_sum(factors)
         if not (terms_a and right):
             continue
@@ -314,27 +320,33 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
                     bucket[e] *= k
             den = grown
         scale = den // den_g
-        # the right factor lowered by each gamma, once per gamma in this group
-        shifted = {(0,): right}
-        for alpha, ca in terms_a:
+        # the right sum lowered by each gamma, once per gamma in this group
+        shifted = {0: right}
+        for alpha, key, ca in terms_a:
             if scale != 1:
                 ca = [(p, num * scale) for p, num in ca]
-            for gamma, rest, weight in alpha.divisors():
-                if not (gamma.degree or with_products):
+            divisors = leibniz.get(key)
+            if divisors is None:
+                divisors = leibniz[key] = [
+                    (layout.pack(gamma), list(gamma.items()), weight)
+                    for gamma, _, weight in alpha.divisors()
+                ]
+            for gamma, moves, weight in divisors:
+                if not (moves or with_products):
                     continue
-                rest = (rest.exps + pad)[:width]
-                low_b = shifted.get(gamma.exps)
+                low_b = shifted.get(gamma)
                 if low_b is None:
-                    low_b = shifted[gamma.exps] = _lowered_terms(right, gamma)
+                    low_b = shifted[gamma] = lowered_sum(right, gamma, moves)
+                rest = key - gamma
                 for beta, cb in low_b:
-                    bucket = sums.setdefault(tuple(map(_add, rest, beta)), {})
+                    bucket = sums.setdefault(rest + beta, {})
                     for low, num_b in cb:
                         f = num_b * weight
                         for p, num_a in ca:
-                            e = tuple(map(_add, p, low))
+                            e = p + low
                             bucket[e] = bucket.get(e, 0) + num_a * f
 
-    monomials: dict[tuple, Monomial] = {}
+    monomials: dict[int, Monomial] = {}
     terms = {}
     for d, bucket in sums.items():
         coeff = {}
@@ -342,10 +354,10 @@ def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> Diff
             if t:
                 m = monomials.get(e)
                 if m is None:
-                    m = monomials[e] = Monomial._of_padded(e)
+                    m = monomials[e] = layout.unpack(e)
                 coeff[m] = Fraction(t, den)
         if coeff:
-            terms[Monomial._of_padded(d)] = Polynomial._make(space, coeff)
+            terms[layout.unpack(d)] = Polynomial._make(space, coeff)
     return DiffOp._make(space, terms)
 
 
@@ -374,9 +386,12 @@ def laplacian(n: int) -> DiffOp:
 
 
 def bilaplacian(n: int) -> DiffOp:
-    """The squared Laplacian on R^n."""
-    lap = laplacian(n)
-    return compose(lap, lap)
+    """The squared Laplacian sum_a d_a^4 + 2 sum_{a<b} d_a^2 d_b^2 on R^n."""
+    space = base_space(n)
+    one, two = Polynomial.constant(space, 1), Polynomial.constant(space, 2)
+    return DiffOp(space, {
+        (a, a, b, b): one if a == b else two for a in range(1, n + 1) for b in range(a, n + 1)
+    })
 
 
 def euler_op(space: VarSpace) -> DiffOp:

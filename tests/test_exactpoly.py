@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bilapsym.exactpoly import (
     MAX_DIMENSION,
+    ExponentLayout,
     Monomial,
     Polynomial,
     ambient_space,
@@ -367,6 +368,46 @@ class TestProductSum:
             Polynomial.one(SPACE) * Polynomial.one(AMB)
         with pytest.raises(TypeError):
             product_sum(SPACE, [(1, Polynomial.one(SPACE), 2)])
+
+
+class TestExponentLayout:
+    @given(product_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_keys_add_like_exponent_vectors(self, case):
+        space, triples = case
+        monomials = [m for _, p, q in triples for m in (*p.terms, *q.terms)]
+        layout = ExponentLayout.fitting(space, monomials)
+        for m in monomials:
+            assert layout.unpack(layout.pack(m)) == m
+            assert all(layout.exponent(layout.pack(m), v) == m.exponent(v) for v in space.variables)
+        for m1 in monomials:
+            for m2 in monomials:
+                assert layout.unpack(layout.pack(m1) + layout.pack(m2)) == m1 * m2
+
+    @pytest.mark.parametrize("e", [2**16, 2**40])
+    def test_large_exponents_on_x1(self, e):
+        big = Polynomial.variable(SPACE, 1, e) * Fraction(2, 3) + Polynomial.variable(SPACE, 2)
+        other = Polynomial.variable(SPACE, 1, e - 1) - Polynomial.variable(SPACE, 3, 2)
+        triples = [(1, big, other), (Fraction(-1, 5), big, big)]
+        got = product_sum(SPACE, triples)
+        assert got == product_sum_reference(SPACE, triples)
+        assert Monomial([(1, 2 * e)]) in got.terms
+        assert Monomial([(1, 2 * e - 1)]) in got.terms
+
+    def test_negative_and_fractional_x0_exponents(self):
+        x0 = [Polynomial.variable(AMB, 0, e) for e in (-2, Fraction(-3, 2), Fraction(1, 3))]
+        x1, xinf = Polynomial.variable(AMB, 1), Polynomial.variable(AMB, AMB.inf, 2)
+        p = x0[0] * x1 + x0[1] * xinf * Fraction(1, 2)
+        q = x0[2] - x0[1] * x1 * 3
+        assert ExponentLayout.fitting(AMB, [*p.terms, *q.terms]).den == 6
+        triples = [(1, p, q), (Fraction(2, 7), q, q)]
+        got = product_sum(AMB, triples)
+        assert got == product_sum_reference(AMB, triples)
+        assert {m.exponent(0) for m in got.terms} == {
+            Fraction(-5, 3), Fraction(-7, 2), -3, Fraction(-7, 6), Fraction(2, 3)
+        }
+        for m in got.terms:
+            assert m.exps == Monomial(m.items()).exps  # x0 normalized
 
 
 class TestSerialization:

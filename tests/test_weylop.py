@@ -177,7 +177,8 @@ class TestApplyCompose:
 
 class TestFactorization:
     def test_bilaplacian_is_laplacian_squared(self):
-        assert bilaplacian(N) == compose(laplacian(N), laplacian(N))
+        for n in range(3, 7):
+            assert bilaplacian(n) == compose(laplacian(n), laplacian(n))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
@@ -504,6 +505,57 @@ class TestComposeSum:
             compose(laplacian(N), DiffOp.identity(base_space(4)))
         with pytest.raises(TypeError):
             compose(laplacian(N), var(1))
+
+
+class TestPackedKeys:
+    """compose and compose_sum pack coefficient exponents and derivative
+    keys into ints of one layout per call; these cases pin that layout
+    against the Polynomial-level references."""
+
+    @pytest.mark.parametrize("space", [SPACE, VarSpace("ambient", N)])
+    def test_derivative_keys_set_the_slot_width(self, space):
+        # constant coefficients alone would fit one bit per slot, which
+        # d_1^5 would overflow into the next slot
+        c = DiffOp.multiplication(Polynomial.constant(space, Fraction(3, 2)))
+        d15 = DiffOp(space, {(1,) * 5: 1, (2, 2): -1})
+        for a, b in ((c, d15), (d15, c), (d15, d15)):
+            assert_composes_like_reference(a, b)
+        assert compose(c, d15) == d15 * Fraction(3, 2)
+        groups = [(c, [(d15, 1)]), (d15, [(c, Fraction(1, 3)), (d15, -1)])]
+        assert compose_sum(space, groups) == compose_sum_reference(space, groups)
+
+    def test_identity_times_bilaplacian(self):
+        ident = DiffOp.identity(SPACE)
+        assert compose(ident, bilaplacian(N)) == bilaplacian(N)
+        assert compose(bilaplacian(N), ident) == bilaplacian(N)
+
+    @pytest.mark.parametrize("e", [2**16, 2**40])
+    def test_large_exponents_on_x1(self, e):
+        a = DiffOp(SPACE, {(1, 1): Polynomial.variable(SPACE, 1, e) * Fraction(1, 3), (2,): var(3)})
+        b = DiffOp(SPACE, {(1,): Polynomial.variable(SPACE, 1, e + 1), (): var(2)})
+        for left, right in ((a, b), (b, a), (a, a)):
+            assert_composes_like_reference(left, right)
+        out = compose(a, b)
+        # d_1^2 past x_1^(e+1): the falling factorial (e+1) e
+        assert out.coefficient((1,)).terms[Monomial([(1, 2 * e - 1)])] == Fraction((e + 1) * e, 3)
+        groups = [(a, [(b, Fraction(2, 5)), (a, 1)]), (b, [(b, -1)])]
+        assert compose_sum(SPACE, groups) == compose_sum_reference(SPACE, groups)
+
+    def test_negative_and_fractional_x0_exponents(self):
+        space = VarSpace("ambient", N)
+        x0 = [Polynomial.variable(space, 0, e) for e in (-3, Fraction(-3, 2), Fraction(2, 3))]
+        xinf = Polynomial.variable(space, space.inf)
+        a = DiffOp(space, {(0, 0): x0[0] * xinf, (0, 1): x0[2], (): x0[1]})
+        b = DiffOp(space, {(0,): x0[1] * Polynomial.variable(space, 1), (space.inf,): x0[2] * 5})
+        for left, right in ((a, b), (b, a), (a, a)):
+            assert_composes_like_reference(left, right)
+        groups = [(a, [(b, 1), (a, Fraction(-1, 4))]), (b, [(a, 2)])]
+        out = compose_sum(space, groups)
+        assert out == compose_sum_reference(space, groups)
+        x0_exps = {m.exponent(0) for coeff in out.terms.values() for m in coeff.terms}
+        assert any(type(e) is int and e < 0 for e in x0_exps)
+        assert any(type(e) is Fraction and e < 0 for e in x0_exps)
+        assert commutator(a, b) == compose(a, b) - compose(b, a)
 
 
 class TestSerialization:
