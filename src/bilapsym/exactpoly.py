@@ -15,11 +15,12 @@ the tensor types in ``tensorcalc`` keep only their own key validation and
 products on top of it.  ``numerators`` is the one conversion of rational
 values to int numerators over their common denominator; the integer passes
 of ``weylop``, ``tensorcalc``, ``linsolve`` and ``ambient`` go through it.
-``ExponentLayout`` writes polynomials that way for one product call, with
-each exponent vector packed into one int key; ``product_sum``, the one
-polynomial product (``Polynomial`` multiplication is its one-triple case),
-and ``weylop.compose_sum``, the one operator product, multiply on those
-numerators and add those keys.
+``weyl_sum`` is the one product kernel, of operators in the Weyl algebra
+and of polynomials, their derivative-free case.  It writes its operands
+as those numerators, with each exponent vector packed into one int key of
+an ``ExponentLayout``; no other module knows that format.  ``product_sum``
+(``Polynomial`` multiplication is its one-triple case) and
+``weylop.compose_sum`` wrap it.
 """
 
 from __future__ import annotations
@@ -726,66 +727,196 @@ class ExponentLayout:
         exps = (e0, *[(low >> s) & mask for s in range(self._shift - bits, stop, -bits)])
         return Monomial._of(exps, sum(exps))
 
-    def numerators(
-        self, polynomials: Iterable[Polynomial]
-    ) -> tuple[int, list[list[tuple[int, int]]]]:
-        """(den, [[(key, numerator)] per polynomial]): the terms of the
-        polynomials as int numerators over one common denominator, each
-        monomial packed."""
-        polynomials = list(polynomials)
+
+def weyl_sum(
+    space: VarSpace,
+    groups: Iterable[tuple[Mapping[Monomial, Polynomial], Iterable[tuple[Mapping, Scalar]]]],
+    with_products: bool = True,
+) -> dict[Monomial, Polynomial]:
+    """The operator sum_i a_i o (sum_j c_ij b_ij) for the groups
+    (a_i, [(b_ij, c_ij), ...]) on ``space``, as the map of its nonzero
+    coefficients.  An operator is given as its map derivative key ->
+    coefficient, a polynomial p as the map {1: p}, and each product is
+    normal-ordered term by term:
+
+        x^p d^alpha o x^m d^beta
+            = sum_{gamma <= alpha} C(alpha, gamma) [m]_gamma x^(p+m-gamma) d^(alpha-gamma+beta).
+
+    Without ``with_products`` the gamma = 0 terms x^(p+m) d^(alpha+beta),
+    the plain products, are left out.  The one product kernel: polynomial
+    products are its derivative-free case.
+
+    The groups are held for the call: one ``ExponentLayout`` fits every
+    operand, and each operand (an operand passed again is found by
+    identity) is written once as int numerators over a common
+    denominator, with packed monomials and derivative keys.  The right
+    factors of a group are summed as ints, and each group is expanded once
+    into buckets over one running denominator: a group whose denominator
+    does not divide the running one rescales the buckets filled so far.
+    Each distinct (gamma, m) is lowered once per call, through a table of
+    falling factorials.  So every output term is one sum
+    of int products (Fractions only through a fractional x0 exponent)
+    under int keys, turned into one Monomial and one Fraction at the end.
+    """
+    groups = [(a, list(factors)) for a, factors in groups]
+    # id -> terms: holding them keeps their id from being reused in this call
+    operands = {id(t): t for a, factors in groups for t in (a, *(b for b, _ in factors))}
+    layout = ExponentLayout.fitting(
+        space,
+        (m for t in operands.values() for alpha, c in t.items() for m in (alpha, *c.terms)),
+    )
+
+    def written(t: Mapping) -> tuple[int, list]:
+        """(den, [(alpha, key of alpha, [(key of m, numerator)])]): the
+        coefficients of t as int numerators over one common denominator."""
         den, nums = numerators(
-            (self.pack(m), c) for p in polynomials for m, c in p.terms.items()
+            (layout.pack(m), c) for cf in t.values() for m, c in cf.terms.items()
         )
         out, i = [], 0
-        for p in polynomials:
-            out.append(nums[i : i + len(p.terms)])
-            i += len(p.terms)
+        for alpha, cf in t.items():
+            out.append((alpha, layout.pack(alpha), nums[i : i + len(cf.terms)]))
+            i += len(cf.terms)
         return den, out
+
+    packed = {key: written(t) for key, t in operands.items()}
+
+    def right_sum(factors) -> tuple[int, list]:
+        """sum_j c_j b_j as (den, [(key of beta, [(key of m, numerator)])]):
+        with b_j = B_j / den_j for int numerators B_j, it is the sum of
+        (c_j / den_j) B_j, each weight an int over one den."""
+        parts = [(packed[id(b)], c) for b, c in factors]
+        den, weights = numerators(
+            (terms, c if den_b == 1 else rat(c) / den_b)
+            for (den_b, terms), c in parts
+            if c and terms
+        )
+        if len(weights) == 1:
+            terms, k = weights[0]
+            return den, [
+                (beta, cb if k == 1 else [(m, num * k) for m, num in cb])
+                for _, beta, cb in terms
+            ]
+        acc: dict[int, dict] = {}
+        for terms, k in weights:
+            for _, beta, cb in terms:
+                coeff = acc.setdefault(beta, {})
+                for m, num in cb:
+                    coeff[m] = coeff.get(m, 0) + num * k
+        return den, [
+            (beta, nonzero)
+            for beta, coeff in acc.items()
+            if (nonzero := [(m, t) for m, t in coeff.items() if t])
+        ]
+
+    # key of alpha -> [(key of gamma, nonzero (v, gamma_v), C(alpha, gamma))];
+    # d^0, the one key of a polynomial, has the one divisor gamma = 0
+    leibniz: dict[int, list] = {0: [(0, [], 1)]}
+    # key of gamma -> {key of m: [m]_gamma}, filled on demand
+    lowered: dict[int, dict] = {}
+
+    def lowered_sum(right: list, gamma: int, moves: list) -> list:
+        """The right sum with the falling factorial [m]_gamma = prod_v m_v
+        (m_v - 1) ... (m_v - gamma_v + 1) folded into each numerator and x^m
+        lowered to x^(m - gamma), for gamma also given by its nonzero
+        (v, gamma_v).  [m]_gamma vanishes only on a nonnegative integer m_v
+        < gamma_v, and those terms are dropped; a negative or fractional x0
+        exponent never does, and gives a Fraction when fractional."""
+        table = lowered.setdefault(gamma, {})
+        out = []
+        for beta, cb in right:
+            low = []
+            for m, num in cb:
+                ff = table.get(m)
+                if ff is None:
+                    ff = 1
+                    for v, g in moves:
+                        e = layout.exponent(m, v)
+                        for i in range(g):
+                            ff *= e - i
+                    table[m] = ff
+                if ff:
+                    low.append((m - gamma, num * ff))
+            if low:
+                out.append((beta, low))
+        return out
+
+    den = 1
+    sums: dict[int, dict] = {}
+    for a, factors in groups:
+        den_a, terms_a = packed[id(a)]
+        den_r, right = right_sum(factors)
+        if not (terms_a and right):
+            continue
+        den_g = den_a * den_r
+        if den % den_g:
+            grown = lcm(den, den_g)
+            k = grown // den
+            for bucket in sums.values():
+                for e in bucket:
+                    bucket[e] *= k
+            den = grown
+        scale = den // den_g
+        # the right sum lowered by each gamma, once per gamma in this group
+        shifted = {0: right}
+        for alpha, key, ca in terms_a:
+            if scale != 1:
+                ca = [(p, num * scale) for p, num in ca]
+            divisors = leibniz.get(key)
+            if divisors is None:
+                divisors = leibniz[key] = [
+                    (layout.pack(gamma), list(gamma.items()), weight)
+                    for gamma, _, weight in alpha.divisors()
+                ]
+            for gamma, moves, weight in divisors:
+                if not (moves or with_products):
+                    continue
+                low_b = shifted.get(gamma)
+                if low_b is None:
+                    low_b = shifted[gamma] = lowered_sum(right, gamma, moves)
+                rest = key - gamma
+                for beta, cb in low_b:
+                    bucket = sums.setdefault(rest + beta, {})
+                    for low, num_b in cb:
+                        f = num_b * weight
+                        for p, num_a in ca:
+                            e = p + low
+                            bucket[e] = bucket.get(e, 0) + num_a * f
+
+    monomials: dict[int, Monomial] = {}
+    terms = {}
+    for d, bucket in sums.items():
+        coeff = {}
+        for e, t in bucket.items():
+            if t:
+                m = monomials.get(e)
+                if m is None:
+                    m = monomials[e] = layout.unpack(e)
+                coeff[m] = Fraction(t, den)
+        if coeff:
+            terms[layout.unpack(d)] = Polynomial._make(space, coeff)
+    return terms
 
 
 def product_sum(
     space: VarSpace, triples: Iterable[tuple[Scalar, Polynomial, Polynomial]]
 ) -> Polynomial:
-    """The polynomial sum_i c_i p_i q_i of the triples (c_i, p_i, q_i).
-
-    Each operand is written once (an operand passed again is found by
-    identity) as int numerators over its common denominator, with packed
-    monomials in one ``ExponentLayout`` that fits every operand; the
-    weights c_i / (den(p_i) den(q_i)) become ints over one denominator.  So
-    each product term is one int addition of keys and one int product
-    (Fractions only through a fractional x0 exponent), and each output term
-    becomes one Monomial and one Fraction at the end.
-    """
-    triples = list(triples)
-    # id -> p: holding p keeps its id from being reused within this call
-    operands: dict[int, Polynomial] = {}
-    for _, p, q in triples:
-        for x in (p, q):
-            if type(x) is not Polynomial:
-                raise TypeError("expected a Polynomial")
-            if x.shape != space:
-                raise ValueError(f"Polynomial shape mismatch: {x.shape} vs {space}")
-            operands[id(x)] = x
-    layout = ExponentLayout.fitting(space, (m for p in operands.values() for m in p.terms))
-    packed = {key: layout.numerators((p,)) for key, p in operands.items()}
-
-    parts = []
+    """The polynomial sum_i c_i p_i q_i of the triples (c_i, p_i, q_i): the
+    derivative-free case of ``weyl_sum``, with one group per distinct left
+    operand and each distinct operand wrapped once."""
+    # id -> {1: p}: holding p keeps its id from being reused within this call
+    wrapped: dict[int, dict] = {}
+    groups: dict[int, tuple] = {}
     for c, p, q in triples:
-        (den_p, (terms_p,)), (den_q, (terms_q,)) = packed[id(p)], packed[id(q)]
-        if c and terms_p and terms_q:
-            d = den_p * den_q
-            parts.append(((terms_p, terms_q), c if d == 1 else rat(c) / d))
-    den, weights = numerators(parts)
-    acc: dict[int, int] = {}
-    for (terms_p, terms_q), k in weights:
-        for e_p, num_p in terms_p:
-            f = num_p * k
-            for e_q, num_q in terms_q:
-                e = e_p + e_q
-                acc[e] = acc.get(e, 0) + f * num_q
-    return Polynomial._make(
-        space, {layout.unpack(e): Fraction(t, den) for e, t in acc.items() if t}
-    )
+        for x in (p, q):
+            if id(x) not in wrapped:
+                if type(x) is not Polynomial:
+                    raise TypeError("expected a Polynomial")
+                if x.shape != space:
+                    raise ValueError(f"Polynomial shape mismatch: {x.shape} vs {space}")
+                wrapped[id(x)] = {_ONE: x}
+        groups.setdefault(id(p), (wrapped[id(p)], []))[1].append((wrapped[id(q)], c))
+    out = weyl_sum(space, groups.values())
+    return out[_ONE] if out else Polynomial.zero(space)
 
 
 # -- exponent vectors of base-space monomials ---------------------------------

@@ -16,21 +16,20 @@ the int numerators of one x-monomial at a time, and the rows of
 ``symalg.enumerate_symmetries`` on int values.  ``is_symmetry`` divides the
 commutator [bilap, d] rather than the product bilap o d.
 
-``compose_sum`` is the one operator product, on the int numerators and
-packed exponent keys of one ``exactpoly.ExponentLayout`` per call, as
-``exactpoly.product_sum`` multiplies.  ``bilaplacian`` is written out
-term by term, not composed.
+``compose_sum`` and ``commutator`` check their operands and run
+``exactpoly.weyl_sum``, the one product kernel; ``apply`` is the d^0
+coefficient of a product.  ``bilaplacian`` is written out term by term,
+not composed.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from .exactpoly import (
-    ExponentLayout,
     LinearCombination,
     Monomial,
     Polynomial,
@@ -39,6 +38,7 @@ from .exactpoly import (
     base_space,
     numerators,
     rat,
+    weyl_sum,
 )
 
 Alpha = tuple[int, ...]
@@ -46,19 +46,6 @@ Alpha = tuple[int, ...]
 
 class NotDivisibleError(ValueError):
     """Raised when an operator admits no exact right factorization."""
-
-
-# ---------------------------------------------------------------------------
-# derivative multi-index helpers
-
-
-def _differentiate(p: Polynomial, gamma: Monomial) -> Polynomial:
-    """d^gamma p, for gamma the key of a derivative."""
-    for v in gamma.indices():
-        if p.is_zero:
-            return p
-        p = p.partial(v)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -178,187 +165,32 @@ class DiffOp(LinearCombination):
 
 
 def apply(op: DiffOp, p: Polynomial) -> Polynomial:
-    """Apply the operator to a polynomial, exactly."""
-    if p.space != op.space:
-        raise ValueError("polynomial in wrong variable space")
-    return Polynomial._sum(
-        op.space,
-        (coeff * _differentiate(p, alpha) for alpha, coeff in op.terms.items()),
-    )
-
-
-def _lowered(layout: ExponentLayout, m: int, gamma: int, moves: list) -> tuple[Rational, int] | None:
-    """The falling factorial [m]_gamma = prod_v m_v (m_v - 1) ... (m_v -
-    gamma_v + 1) with the key of the exponents m - gamma, for packed m and
-    gamma, the latter also given by its nonzero (v, gamma_v), or None when
-    it vanishes.  It vanishes only on a nonnegative integer m_v < gamma_v;
-    a negative or fractional x0 exponent never does, and gives a Fraction
-    when fractional."""
-    ff = 1
-    for v, g in moves:
-        e = layout.exponent(m, v)
-        if type(e) is int and 0 <= e < g:
-            return None
-        for i in range(g):
-            ff *= e - i
-    return ff, m - gamma
+    """Apply the operator to a polynomial: the d^0 coefficient of op o p."""
+    return compose(op, DiffOp.multiplication(p)).coefficient(())
 
 
 def compose_sum(
     space: VarSpace, groups: Iterable[tuple[DiffOp, Iterable[tuple[DiffOp, Rational]]]]
 ) -> DiffOp:
     """The operator sum_i a_i o (sum_j c_ij b_ij) for the groups
-    (a_i, [(b_ij, c_ij), ...]), normal-ordered term by term:
-
-        x^p d^alpha o x^m d^beta
-            = sum_{gamma <= alpha} C(alpha, gamma) [m]_gamma x^(p+m-gamma) d^(alpha-gamma+beta).
-
-    The groups are held for the call: one ``exactpoly.ExponentLayout`` fits
-    every operand, and each operand is written once as integer numerators
-    over a common denominator, with packed monomials and derivative keys.
-    The right factors of a group are summed as ints, and each group is
-    expanded once into buckets over one running denominator: a group whose
-    denominator does not divide the running one rescales the buckets filled
-    so far.  Each distinct (gamma, m) is lowered once per call, through a
-    table of falling factorials and lowered keys.  So every output term is
-    one sum of int products (Fractions only through a fractional x0
-    exponent) under int keys, turned into one Monomial and one Fraction at
-    the end.
-    """
-    return _compose_sum(space, groups, True)
+    (a_i, [(b_ij, c_ij), ...]), normal-ordered term by term in one
+    ``exactpoly.weyl_sum`` pass."""
+    return _weyl_sum(space, groups, True)
 
 
-def _compose_sum(space: VarSpace, groups: Iterable, with_products: bool) -> DiffOp:
-    """``compose_sum``; without ``with_products`` the gamma = 0 Leibniz
-    terms x^(p+m) d^(alpha+beta), the plain products, are left out."""
-    groups = [(a, list(factors)) for a, factors in groups]
-    # id -> op: holding op keeps its id from being reused within this call
-    operands: dict[int, DiffOp] = {}
-    for a, factors in groups:
-        for op in (a, *(b for b, _ in factors)):
-            if type(op) is not DiffOp:
-                raise TypeError("expected a DiffOp")
-            if op.space != space:
-                raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
-            operands[id(op)] = op
-    layout = ExponentLayout.fitting(
-        space,
-        (m for op in operands.values() for alpha, c in op.terms.items() for m in (alpha, *c.terms)),
-    )
+def _weyl_sum(space: VarSpace, groups: Iterable, with_products: bool) -> DiffOp:
+    """``exactpoly.weyl_sum`` of the groups of operators, each checked to be
+    a DiffOp on ``space``."""
 
-    def written(op: DiffOp) -> tuple[int, list]:
-        """(den, [(alpha, key of alpha, [(key of m, numerator)])]): the
-        coefficients of op as int numerators over one common denominator."""
-        den, coeffs = layout.numerators(op.terms.values())
-        return den, [(alpha, layout.pack(alpha), ca) for alpha, ca in zip(op.terms, coeffs)]
+    def terms(op: DiffOp) -> Mapping[Monomial, Polynomial]:
+        if type(op) is not DiffOp:
+            raise TypeError("expected a DiffOp")
+        if op.space != space:
+            raise ValueError(f"DiffOp shape mismatch: {op.space} vs {space}")
+        return op.terms
 
-    packed = {key: written(op) for key, op in operands.items()}
-
-    def right_sum(factors) -> tuple[int, list]:
-        """sum_j c_j b_j as (den, [(key of beta, [(key of m, numerator)])]):
-        with b_j = B_j / den_j for int numerators B_j, it is the sum of
-        (c_j / den_j) B_j, each weight an int over one den."""
-        parts = [(packed[id(b)], c) for b, c in factors]
-        den, weights = numerators(
-            (terms, c if den_b == 1 else rat(c) / den_b)
-            for (den_b, terms), c in parts
-            if c and terms
-        )
-        if len(weights) == 1:
-            terms, k = weights[0]
-            return den, [
-                (beta, cb if k == 1 else [(m, num * k) for m, num in cb])
-                for _, beta, cb in terms
-            ]
-        acc: dict[int, dict] = {}
-        for terms, k in weights:
-            for _, beta, cb in terms:
-                coeff = acc.setdefault(beta, {})
-                for m, num in cb:
-                    coeff[m] = coeff.get(m, 0) + num * k
-        return den, [
-            (beta, nonzero)
-            for beta, coeff in acc.items()
-            if (nonzero := [(m, t) for m, t in coeff.items() if t])
-        ]
-
-    # key of alpha -> [(key of gamma, nonzero (v, gamma_v), C(alpha, gamma))]
-    leibniz: dict[int, list] = {}
-    # key of gamma -> {key of m: _lowered(m, gamma)}, filled on demand
-    lowered: dict[int, dict] = {}
-
-    def lowered_sum(right: list, gamma: int, moves: list) -> list:
-        """The right sum with [m]_gamma folded into each numerator and x^m
-        lowered to x^(m - gamma); the terms that vanish are dropped."""
-        table = lowered.setdefault(gamma, {})
-        out = []
-        for beta, cb in right:
-            low = []
-            for m, num in cb:
-                hit = table.get(m, False)
-                if hit is False:
-                    hit = table[m] = _lowered(layout, m, gamma, moves)
-                if hit is not None:
-                    low.append((hit[1], num * hit[0]))
-            if low:
-                out.append((beta, low))
-        return out
-
-    den = 1
-    sums: dict[int, dict] = {}
-    for a, factors in groups:
-        den_a, terms_a = packed[id(a)]
-        den_r, right = right_sum(factors)
-        if not (terms_a and right):
-            continue
-        den_g = den_a * den_r
-        if den % den_g:
-            grown = lcm(den, den_g)
-            k = grown // den
-            for bucket in sums.values():
-                for e in bucket:
-                    bucket[e] *= k
-            den = grown
-        scale = den // den_g
-        # the right sum lowered by each gamma, once per gamma in this group
-        shifted = {0: right}
-        for alpha, key, ca in terms_a:
-            if scale != 1:
-                ca = [(p, num * scale) for p, num in ca]
-            divisors = leibniz.get(key)
-            if divisors is None:
-                divisors = leibniz[key] = [
-                    (layout.pack(gamma), list(gamma.items()), weight)
-                    for gamma, _, weight in alpha.divisors()
-                ]
-            for gamma, moves, weight in divisors:
-                if not (moves or with_products):
-                    continue
-                low_b = shifted.get(gamma)
-                if low_b is None:
-                    low_b = shifted[gamma] = lowered_sum(right, gamma, moves)
-                rest = key - gamma
-                for beta, cb in low_b:
-                    bucket = sums.setdefault(rest + beta, {})
-                    for low, num_b in cb:
-                        f = num_b * weight
-                        for p, num_a in ca:
-                            e = p + low
-                            bucket[e] = bucket.get(e, 0) + num_a * f
-
-    monomials: dict[int, Monomial] = {}
-    terms = {}
-    for d, bucket in sums.items():
-        coeff = {}
-        for e, t in bucket.items():
-            if t:
-                m = monomials.get(e)
-                if m is None:
-                    m = monomials[e] = layout.unpack(e)
-                coeff[m] = Fraction(t, den)
-        if coeff:
-            terms[layout.unpack(d)] = Polynomial._make(space, coeff)
-    return DiffOp._make(space, terms)
+    groups = [(terms(a), [(terms(b), c) for b, c in factors]) for a, factors in groups]
+    return DiffOp._make(space, weyl_sum(space, groups, with_products))
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -367,12 +199,12 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """The commutator [a, b] = a o b - b o a, in one ``compose_sum`` pass.
+    """The commutator [a, b] = a o b - b o a, in one ``exactpoly.weyl_sum`` pass.
 
     The gamma = 0 Leibniz terms c_p c_m x^(p+m) d^(alpha+beta) of a o b and
     of b o a are equal and cancel, so the pass never forms them.
     """
-    return _compose_sum(a.space, ((a, ((b, 1),)), (b, ((a, -1),))), False)
+    return _weyl_sum(a.space, ((a, ((b, 1),)), (b, ((a, -1),))), False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +305,7 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     slice is divided by ``divide_by_constant``, and each output coefficient
     becomes one Fraction.
     """
+    d._check_like(r)
     divisor = constant_symbol(r)
     den, nums = numerators(
         ((alpha, m), c) for alpha, coeff in d.terms.items() for m, c in coeff.terms.items()
@@ -566,20 +399,18 @@ def operator_from_action(
             key = Monomial.of_indices(alpha)
             yield key, Polynomial(space, {key: 1})
 
-    # the coefficient of d^alpha is keyed by the exponent vector of x^alpha
-    coeffs: dict[Monomial, Polynomial] = {}
+    # the coefficient of d^alpha is keyed by the exponent vector of x^alpha;
+    # no other derivative of degree deg acts on x^alpha, so besides d^alpha
+    # only the terms read off below degree deg do
+    op = DiffOp.zero(space)
     for deg in range(order + 1):
+        found = {}
         for alpha, mono in monomials(deg):
-            value = action(mono)
-            for gamma, cg in coeffs.items():
-                dmono = _differentiate(mono, gamma)
-                if not dmono.is_zero:
-                    value = value - cg * dmono
             fact = prod(factorial(e) for _, e in alpha.items())
-            coeff = value * Fraction(1, fact)
-            if not coeff.is_zero:
-                coeffs[alpha] = coeff
-    op = DiffOp(space, {alpha.indices(): c for alpha, c in coeffs.items()})
+            coeff = (action(mono) - apply(op, mono)) * Fraction(1, fact)
+            if coeff:
+                found[alpha] = coeff
+        op = op + DiffOp._make(space, found)
     for deg in range(order + 1, order + 3):
         for _, mono in monomials(deg):
             if apply(op, mono) != action(mono):

@@ -9,11 +9,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilapsym import checks
-from bilapsym.ambient import r_polynomial
+from bilapsym.ambient import ambient_laplacian, r_polynomial
 from bilapsym.exactpoly import Monomial, Polynomial, VarSpace, base_space, collect
 from bilapsym.tensorcalc import PairSkewTensor
 from bilapsym.weylop import (
@@ -35,6 +35,7 @@ from bilapsym.weylop import (
     right_factor_through_laplacian,
     symbol_division,
 )
+from test_exactpoly import product_sum_reference
 from test_tensorcalc import normal_ordered_op
 
 N = 3
@@ -113,7 +114,9 @@ class TestApplyCompose:
         rng = random.Random(seed)
         a, b = random_op(rng), random_op(rng)
         p = random_poly(rng)
-        assert apply(compose(a, b), p) == apply(a, apply(b, p))
+        expected = apply_by_partials(a, apply_by_partials(b, p))
+        assert apply_by_partials(compose(a, b), p) == expected
+        assert apply(compose(a, b), p) == expected
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
@@ -261,6 +264,16 @@ class TestFactorization:
         with pytest.raises(NotDivisibleError):
             right_factor_through_laplacian(d)
 
+    @pytest.mark.parametrize("d, r", [
+        (bilaplacian(3), ambient_laplacian(3)),
+        (ambient_laplacian(3), laplacian(3)),
+        (bilaplacian(3), laplacian(4)),
+    ], ids=["base-by-ambient", "ambient-by-base", "n3-by-n4"])
+    def test_divisor_from_another_space_raises(self, d, r):
+        for divide in (symbol_division, right_factor):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                divide(d, r)
+
     def test_right_factor_requires_constant_coefficients(self):
         r = DiffOp(SPACE, {(1,): var(1)})
         with pytest.raises(ValueError):
@@ -358,15 +371,26 @@ def cancelling_pairs(draw):
     return DiffOp(space, {(v,): q}), b, cancelled
 
 
-def compose_by_polynomials(a: DiffOp, b: DiffOp) -> DiffOp:
-    """The Leibniz product built from Polynomial products: C(alpha, gamma)
-    ca d^gamma(cb) d^(alpha - gamma + beta) for each pair of terms."""
-    a._check_like(b)
+def differentiate(p: Polynomial, gamma: Monomial) -> Polynomial:
+    """d^gamma p as a chain of ``Polynomial.partial``."""
+    for v in gamma.indices():
+        p = p.partial(v)
+    return p
 
-    def differentiate(p, gamma):
-        for v in gamma.indices():
-            p = p.partial(v)
-        return p
+
+def apply_by_partials(op: DiffOp, p: Polynomial) -> Polynomial:
+    """op applied to p: sum_alpha c_alpha d^alpha(p), with each product
+    taken term by term in Fractions."""
+    return product_sum_reference(
+        op.space, [(1, c, differentiate(p, alpha)) for alpha, c in op.terms.items()]
+    )
+
+
+def compose_by_polynomials(a: DiffOp, b: DiffOp) -> DiffOp:
+    """The Leibniz product built from Polynomial derivatives: C(alpha, gamma)
+    ca d^gamma(cb) d^(alpha - gamma + beta) for each pair of terms, with each
+    product taken term by term in Fractions."""
+    a._check_like(b)
 
     def terms():
         for alpha, ca in a.terms.items():
@@ -375,7 +399,7 @@ def compose_by_polynomials(a: DiffOp, b: DiffOp) -> DiffOp:
                 for gamma, rest, weight in leibniz:
                     dcb = differentiate(cb, gamma)
                     if not dcb.is_zero:
-                        yield rest * beta, ca * dcb * weight
+                        yield rest * beta, product_sum_reference(a.space, [(weight, ca, dcb)])
 
     return DiffOp._collect(a.space, terms())
 
@@ -403,6 +427,22 @@ class TestComposeReference:
         out = assert_composes_like_reference(a, b)
         assert out.coefficient(cancelled).is_zero
         assert out.terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(spaces.flatmap(lambda s: st.tuples(operators_on(s), polynomials_on(s))))
+    @example((
+        DiffOp(VarSpace("ambient", 3), {
+            (0, 0): Polynomial.variable(VarSpace("ambient", 3), 0, Fraction(-3, 2)),
+            (0, 1): Polynomial.variable(VarSpace("ambient", 3), 4, 2),
+        }),
+        Polynomial(VarSpace("ambient", 3), {
+            Monomial([(0, Fraction(1, 3)), (1, 2)]): Fraction(2, 5),
+            Monomial([(0, -2), (4, 1)]): 3,
+        }),
+    ))
+    def test_apply_matches_the_chain_of_partials(self, case):
+        op, p = case
+        assert apply(op, p) == apply_by_partials(op, p)
 
     @pytest.mark.parametrize("w", [-2, Fraction(-3, 2), 0, Fraction(1, 2), 2])
     def test_d0_past_a_power_of_x0(self, w):
