@@ -8,7 +8,9 @@ coefficients and homogeneous in polynomial degree, so the solution space
 splits into independent blocks by (degree, per-variable parity), each a
 small exact nullspace, and d_i maps solutions of degree d + 1 to solutions
 of degree d, with only the constants killed by every d_i: the setting of
-``linsolve.leibniz_columns`` and ``linsolve.stabilized_by_closure``.
+``linsolve.leibniz_columns`` and ``linsolve.solve_by_grade``.  The degrees
+are solved in ascending order, and the first empty one proves every higher
+one empty and ends the solve, so the work does not grow with the bound.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .exactpoly import (
     monomial_from_exponents,
     parity_class,
 )
-from .linsolve import block_nullspace, leibniz_columns, stabilized_by_closure
+from .linsolve import block_nullspace, leibniz_columns, solve_by_grade
 from .tensorcalc import (
     MultiIndex,
     SymTensorField,
@@ -162,36 +164,30 @@ class SolutionBasis:
 
 
 def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> SolutionBasis:
-    """Solve block by block; unknowns are (multi-index, exponent vector)
-    coordinates, blocked by (degree, parity class)."""
+    """Solve one degree at a time by ``linsolve.solve_by_grade``; unknowns
+    are (multi-index, exponent vector) coordinates, blocked by (degree,
+    parity class).  Every degree is complete, so the first empty one ends
+    the solve, and otherwise degree_bound + 1 is the probe."""
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
     space = base_space(n)
     column = _residual_column_builder(n, valency, residual_fn)
+    keys = nondecreasing_tuples(base_indices(n), valency)
 
-    def solve(degrees):
-        unknowns = [
-            (key, exps)
-            for d in degrees
-            for key in nondecreasing_tuples(base_indices(n), valency)
-            for exps in exponent_tuples(n, d)
-        ]
-        return block_nullspace(
-            unknowns, lambda u: (sum(u[1]), parity_class(u[1], u[0])), column
-        )
+    def solve(degree: int, complete: bool) -> list:
+        unknowns = [(key, exps) for key in keys for exps in exponent_tuples(n, degree)]
+        return block_nullspace(unknowns, lambda u: (degree, parity_class(u[1], u[0])), column)
 
+    solved, stabilized = solve_by_grade(0, degree_bound + 1, degree_bound, solve)
     elements: list[SymTensorField] = []
     degrees: list[int] = []
-    for (d, _), vec in solve(range(degree_bound + 1)):
+    for (d, _), vec in solved:
         comps: dict[MultiIndex, dict] = {}
         for (key, exps), coeff in vec.items():
             comps.setdefault(key, {})[monomial_from_exponents(exps)] = coeff
         fields = {key: Polynomial(space, terms) for key, terms in comps.items()}
         elements.append(SymTensorField(n, valency, fields))
         degrees.append(d)
-    stabilized = stabilized_by_closure(
-        set(degrees), degree_bound + 1, lambda: solve([degree_bound + 1])
-    )
     return SolutionBasis(
         n=n,
         valency=valency,
@@ -206,7 +202,9 @@ def solve_ckt(n: int, s: int, degree_bound: int) -> SolutionBasis:
     """Exact basis of trace-free symmetric s-tensors killed by ckt_residual,
     of polynomial degree <= degree_bound.  ``stabilized`` is True exactly
     when no solution of higher degree exists: an empty degree up to
-    degree_bound proves it, and otherwise degree_bound + 1 is solved once.
+    degree_bound proves it and ends the solve, and otherwise degree_bound
+    + 1 is solved once.  Solutions have degree <= 2s, so degree 2s + 1 is
+    empty and every bound beyond it costs the same.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

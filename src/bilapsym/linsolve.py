@@ -15,8 +15,12 @@ check retries at the next Mersenne prime 2**e - 1 of
 ``MERSENNE_EXPONENTS``, from 2**31 - 1 up to 2**4423 - 1.  Once
 isqrt(p // 2) reaches the Hadamard bound of the integer rows the answer is
 certain to lift, so the ladder decides every block whose bound is below
-about 2**2211 (both proofs are in ``_modular_nullspace``).  The graded
-solvers share ``leibniz_columns`` and ``stabilized_by_closure``.
+about 2**2211 (both proofs are in ``_modular_nullspace``).  Each block's
+rows are first made primitive integer rows, each distinct row kept once.
+
+The graded solvers share ``leibniz_columns`` and ``solve_by_grade``, which
+solves one grade at a time in ascending order and stops at the first grade
+that proves every higher one empty.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, perm, prod
 from operator import gt, sub
-from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .exactpoly import numerators
 
@@ -33,29 +37,36 @@ from .exactpoly import numerators
 def _to_integer_rows(
     columns: Sequence[Mapping[Hashable, Fraction]],
 ) -> list[dict[int, int]]:
-    """Transpose column dicts into integer-scaled sparse rows.
+    """Transpose column dicts into distinct primitive integer rows.
 
     Row keys are assigned in first-seen order while scanning columns in
-    index order, which makes the elimination deterministic.
+    index order, which makes the elimination deterministic.  A row of
+    ``int`` values skips the conversion to numerators.  Each row is divided
+    by the gcd of its entries, signed so that its entry at its lowest
+    column is positive, and a row equal to an earlier one after that is
+    dropped: neither step changes the row space, hence the kernel.
     """
-    row_ids: dict[Hashable, int] = {}
-    rows: list[dict] = []
+    rows: dict[Hashable, dict] = {}
     for ci, col in enumerate(columns):
         for key, val in col.items():
-            if val == 0:
-                continue
-            rid = row_ids.get(key)
-            if rid is None:
-                rid = len(rows)
-                row_ids[key] = rid
-                rows.append({})
-            rows[rid][ci] = val
-    # each row is replaced in place, so its Fractions are freed as it goes
-    for rid, row in enumerate(rows):
-        ints = dict(numerators(row.items())[1])
-        g = gcd(*ints.values())
-        rows[rid] = {c: v // g for c, v in ints.items()} if g > 1 else ints
-    return rows
+            if val:
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {ci: val}
+                else:
+                    row[ci] = val
+    distinct: dict[tuple, dict[int, int]] = {}
+    for row in rows.values():
+        if not set(map(type, row.values())) <= {int}:
+            row = dict(numerators(row.items())[1])
+        # a row's columns were added in ascending order
+        g = gcd(*row.values())
+        if next(iter(row.values())) < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        distinct.setdefault((tuple(row), tuple(row.values())), row)
+    return list(distinct.values())
 
 
 # The exponents e of the Mersenne primes 2**e - 1 that ``nullspace`` tries
@@ -98,6 +109,10 @@ def _modular_nullspace(
     v_f modulo p with 1 at f and 0 at the other free columns; its entries
     are lifted to fractions, and v_f is kept only if every row annihilates
     it exactly.
+
+    The rows need only have the kernel of the columns: ``_to_integer_rows``
+    scales rows by nonzero rationals and drops repeats, which keeps the row
+    space, hence the kernel, so the proofs below hold for the columns too.
 
     Proof that a full result is the echelon basis over Q, the one with 1 at
     its free column and 0 at the others:
@@ -259,24 +274,39 @@ def leibniz_columns(constants: Callable[[Hashable], Parts]) -> Callable[[tuple],
     return column
 
 
-def stabilized_by_closure(solved_grades: Container, first_open: int, probe: Callable) -> bool:
-    """Whether no solution exists above the solved grades, by a proof.
+def solve_by_grade(
+    first: int, first_open: int, last: int, solve: Callable[[int, bool], list]
+) -> tuple[list, bool]:
+    """The solutions of a graded system, grade by grade in ascending order,
+    and whether no solution exists above them, by a proof.
+
+    ``solve(g, complete)`` returns the solutions of grade g, with all its
+    unknowns when complete and with those the caller's bound allows
+    otherwise.  Grades first .. first_open - 1 are complete and grades
+    first_open .. last truncated.
 
     Let each d_i map solutions of grade g + 1 to solutions of grade g, and
     let every solution killed by all d_i have grade <= 0.  Then an empty
-    grade g >= 0 proves every grade above it empty: a solution of grade
-    g + 1 is killed by all d_i.  Grades 0 .. first_open - 1 are complete
-    (solved with all their unknowns), and ``solved_grades`` holds those
-    with a solution.  An empty one makes the flag True; failing that,
-    ``probe()`` solves grade first_open completely, once, and the flag is
-    whether it returned no solution.  With first_open < 1 no grade is
-    complete, and the flag is False.
+    complete grade g >= 0 proves every grade above it empty: a solution of
+    grade g + 1 is killed by all d_i.  A solution of a truncated grade is
+    one of that grade complete.  So the first empty complete grade >= 0
+    ends the solve with the flag True.  Failing that, with first_open >= 1,
+    grade first_open is solved completely, as a probe, before the truncated
+    grades: when it is empty the flag is True and they are skipped,
+    otherwise they are solved and the flag is False.  With first_open < 1
+    no grade >= 0 is complete, and the flag is False.
     """
-    if first_open < 1:
-        return False
-    if any(g not in solved_grades for g in range(first_open)):
-        return True
-    return not probe()
+    found: list = []
+    for g in range(first, first_open):
+        solutions = solve(g, True)
+        if not solutions and g >= 0:
+            return found, True
+        found.extend(solutions)
+    if first_open >= 1 and not solve(first_open, True):
+        return found, True
+    for g in range(first_open, last + 1):
+        found.extend(solve(g, False))
+    return found, False
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]]) -> int:

@@ -45,7 +45,7 @@ from .exactpoly import (
     product_sum,
     rat,
 )
-from .linsolve import block_nullspace, leibniz_columns, rank, stabilized_by_closure
+from .linsolve import block_nullspace, leibniz_columns, rank, solve_by_grade
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
@@ -458,8 +458,11 @@ def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
     derivative monomial's ``Monomial.exps``.  bilap = sum_beta c_beta d^beta
     has constant integer coefficients, and the part of x^(m-gamma) is the
     remainder of P_gamma d^alpha, P_gamma = sum_beta c_beta binomial(beta,
-    gamma) d^(beta-gamma), by ``weylop.divide_by_constant``; bilap is monic,
-    so the entries are ints.
+    gamma) d^(beta-gamma).  The remainder is linear, so it is summed from
+    the remainders of the derivative monomials d^(beta-gamma) d^alpha, each
+    divided once by ``weylop.divide_by_constant`` and kept in a dict of the
+    builder's own, shared across alpha and gamma; bilap is monic, so the
+    entries are ints.
     """
     divisor = constant_symbol(bilap)
     pairs: dict[Monomial, list] = {}
@@ -468,15 +471,25 @@ def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
             pairs.setdefault(gamma, []).append((rest, c * weight))
     parts = {gamma: collect(ps) for gamma, ps in pairs.items()}
     n = bilap.space.n
+    remainders: dict[Monomial, dict[Monomial, int]] = {}
+
+    def remainder(delta: Monomial) -> dict[Monomial, int]:
+        rem = remainders.get(delta)
+        if rem is None:
+            rem = remainders[delta] = divide_by_constant({delta: 1}, divisor)[1]
+        return rem
 
     def constants(alpha: tuple[int, ...]) -> list:
         alpha_key = Monomial.of_indices(alpha)
         out = []
         for gamma, part in parts.items():
-            terms = {rest * alpha_key: c for rest, c in part.items()}
-            _, rem = divide_by_constant(terms, divisor)
+            reduced = collect(
+                (rho.exps, c * k)
+                for rest, c in part.items()
+                for rho, k in remainder(rest * alpha_key).items()
+            )
             gamma_exps = tuple(gamma.exponent(v) for v in range(1, n + 1))
-            out.append((gamma_exps, {rho.exps: k for rho, k in rem.items()}))
+            out.append((gamma_exps, reduced))
         return out
 
     return leibniz_columns(constants)
@@ -486,28 +499,20 @@ def _solve_symmetry_blocks(
     space: VarSpace,
     rows: Callable[[tuple], dict],
     order: int,
-    degree_bound: int,
-    min_shift: int,
-    max_shift: int,
-) -> list[tuple[int, DiffOp]]:
-    """Solve block by block; unknowns are generators (alpha, m_exps) of
-    x^m d^alpha, blocked by (homogeneity shift, parity class).  Only blocks
-    of shift in min_shift .. max_shift are solved; returns (shift, solution)
-    pairs."""
+    shift: int,
+    top_degree: int,
+) -> list[DiffOp]:
+    """The solutions of one shift, by one ``block_nullspace`` call.  The
+    unknowns are the generators (alpha, m_exps) of x^m d^alpha with
+    |m| - |alpha| = shift, |alpha| <= order and |m| <= top_degree, so only
+    the degrees max(shift, 0) .. min(shift + order, top_degree) are
+    visited; they are blocked by parity class."""
     n = space.n
-    alphas: list[tuple[int, ...]] = []
-    for length in range(order + 1):
-        alphas.extend(nondecreasing_tuples(base_indices(n), length))
-    gens = [
-        (alpha, m_exps)
-        for degree in range(max(min_shift, 0), degree_bound + 1)
-        for m_exps in exponent_tuples(n, degree)
-        for alpha in alphas
-        if min_shift <= degree - len(alpha) <= max_shift
-    ]
-    solutions = block_nullspace(
-        gens, lambda g: (sum(g[1]) - len(g[0]), parity_class(g[1], g[0])), rows
-    )
+    gens = []
+    for degree in range(max(shift, 0), min(shift + order, top_degree) + 1):
+        alphas = nondecreasing_tuples(base_indices(n), degree - shift)
+        gens.extend((alpha, m_exps) for m_exps in exponent_tuples(n, degree) for alpha in alphas)
+    solutions = block_nullspace(gens, lambda g: (shift, parity_class(g[1], g[0])), rows)
 
     def element(vec: dict) -> DiffOp:
         return DiffOp._collect(
@@ -518,7 +523,7 @@ def _solve_symmetry_blocks(
             ),
         )
 
-    return [(key[0], element(vec)) for key, vec in solutions]
+    return [element(vec) for _, vec in solutions]
 
 
 @dataclass(frozen=True)
@@ -545,15 +550,20 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     """All symmetries of the squared Laplacian with derivative order <= order
     and coefficient degree <= degree_bound, by exact block-wise elimination.
 
-    ``stabilized`` is ``linsolve.stabilized_by_closure`` graded by the shift
-    |m| - |alpha| of x^m d^alpha.  Since d_i commutes with the squared
-    Laplacian L, L o D = delta o L gives L o [d_i, D] = [d_i, delta] o L,
-    so [d_i, .] maps shift s + 1 into shift s; only constant-coefficient
-    operators, of shift <= 0, commute with every d_i.  With degree_bound
-    < order the flag is False, and rightly: the order-th power of the
-    dilation x.d is a symmetry of shift 0 outside the basis.  At order >= 4
-    the operators A o L are solutions at every shift, so the flag is never
-    True there.
+    The shifts |m| - |alpha| of x^m d^alpha are solved in ascending order
+    by ``linsolve.solve_by_grade``, which also gives ``stabilized``; shift s
+    is complete when s + order <= degree_bound.  Since d_i commutes with the
+    squared Laplacian L, L o D = delta o L gives L o [d_i, D] = [d_i, delta]
+    o L, so [d_i, .] maps shift s + 1 into shift s; only
+    constant-coefficient operators, of shift <= 0, commute with every d_i.
+    So the first empty complete shift >= 0 ends the solve with the flag
+    True, and up to order 3, where shift order + 1 is empty, the work does
+    not grow with degree_bound.  With degree_bound < order the flag is
+    False, and rightly: the order-th power of the dilation x.d is a
+    symmetry of shift 0 outside the basis.  At order >= 4 the operators A o
+    L are solutions at every shift, so no shift is empty, the flag is never
+    True, and every shift up to degree_bound is solved: a large bound there
+    waits for a basis modulo those operators.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -561,21 +571,17 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
         raise ValueError("order and degree_bound must be nonnegative")
     space = base_space(n)
     rows = _symbol_row_builder(bilaplacian(n))
-    solved = _solve_symmetry_blocks(space, rows, order, degree_bound, -order, degree_bound)
-    # shift s is complete when s + order <= degree_bound
-    first_open = degree_bound - order + 1
-    stabilized = stabilized_by_closure(
-        {shift for shift, _ in solved},
-        first_open,
-        lambda: _solve_symmetry_blocks(
-            space, rows, order, first_open + order, first_open, first_open
-        ),
-    )
+
+    def solve(shift: int, complete: bool) -> list[DiffOp]:
+        top = shift + order if complete else degree_bound
+        return _solve_symmetry_blocks(space, rows, order, shift, top)
+
+    elements, stabilized = solve_by_grade(-order, degree_bound - order + 1, degree_bound, solve)
     return SymmetryBasis(
         n=n,
         order=order,
         degree_bound=degree_bound,
-        elements=tuple(op for _, op in solved),
+        elements=tuple(elements),
         stabilized=stabilized,
     )
 

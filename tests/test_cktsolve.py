@@ -283,21 +283,70 @@ class TestStabilization:
                 assert gckt_residual(dw).is_zero
 
     def test_empty_degree_needs_no_probe(self, monkeypatch):
-        # solve_ckt(3, 1, 3) has no solution of degree 3: one solve, no probe
+        # one solve per degree in ascending order, and no degree above an
+        # empty one; (solve_ckt arguments, degrees solved, flag)
+        cases = [
+            # solve_ckt(3, 1, 3) has no solution of degree 3: it ends the solve
+            ((3, 1, 3), [0, 1, 2, 3], True),
+            ((3, 1, 10**6), [0, 1, 2, 3], True),
+            # every degree up to the bound has solutions: bound + 1 is the probe
+            ((3, 1, 2), [0, 1, 2, 3], True),
+            ((3, 1, 1), [0, 1, 2], False),
+        ]
         calls = []
         original = cktsolve.block_nullspace
 
         def recording(unknowns, block_of, column_of):
             unknowns = list(unknowns)
-            calls.append({block_of(u)[0] for u in unknowns})
+            (degree,) = {block_of(u)[0] for u in unknowns}
+            assert {sum(u[1]) for u in unknowns} == {degree}
+            calls.append(degree)
             return original(unknowns, block_of, column_of)
 
         monkeypatch.setattr(cktsolve, "block_nullspace", recording)
-        assert solve_ckt(3, 1, 3).stabilized
-        assert calls == [{0, 1, 2, 3}]
-        calls.clear()
-        assert solve_ckt(3, 1, 2).stabilized
-        assert calls == [{0, 1, 2}, {3}]
+        for args, degrees, stabilized in cases:
+            calls.clear()
+            assert solve_ckt(*args).stabilized is stabilized
+            assert calls == degrees
+
+    @pytest.mark.parametrize(
+        "solver, residual, n, valency, degree_bound",
+        FLAG_CASES,
+        ids=[f"{f.__name__}{args}" for f, _, *args in FLAG_CASES],
+    )
+    def test_matches_every_block_reference(self, solver, residual, n, valency, degree_bound):
+        # every degree up to degree_bound in one block_nullspace call, then
+        # the flag from the empty degrees among them or from one probe
+        column = _residual_column_builder(n, valency, residual)
+        unknowns = [
+            (key, exps)
+            for d in range(degree_bound + 1)
+            for key in nondecreasing_tuples(base_indices(n), valency)
+            for exps in exponent_tuples(n, d)
+        ]
+        solved = linsolve.block_nullspace(
+            unknowns, lambda u: (sum(u[1]), parity_class(u[1], u[0])), column
+        )
+        if any(d not in {key[0] for key, _ in solved} for d in range(degree_bound + 1)):
+            flag = True
+        else:
+            flag = not any(
+                block_solution_counts(n, valency, residual, [degree_bound + 1]).values()
+            )
+        basis = solver(n, valency, degree_bound)
+        assert basis.degrees == tuple(key[0] for key, _ in solved)
+        assert [
+            {(k, m): c for k, p in e.components.items() for m, c in p.terms.items()}
+            for e in basis.elements
+        ] == [
+            {(k, monomial_from_exponents(m)): c for (k, m), c in vec.items()} for _, vec in solved
+        ]
+        assert basis.stabilized is flag
+
+    def test_huge_degree_bound_stops_at_the_empty_degree(self):
+        basis = solve_ckt(3, 2, 10**6)
+        assert basis.dimension == 35
+        assert basis.stabilized
 
     @pytest.mark.parametrize(
         "solver, residual, n, valency, degree_bound",

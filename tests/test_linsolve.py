@@ -18,7 +18,7 @@ from bilapsym.linsolve import (
     leibniz_columns,
     nullspace,
     rank,
-    stabilized_by_closure,
+    solve_by_grade,
 )
 from bilapsym.symalg import enumerate_symmetries
 
@@ -152,6 +152,37 @@ def test_rows_are_scaled_before_the_certificate(monkeypatch):
     assert linsolve._to_integer_rows([{0: PRIME}]) == [{0: 1}]
     assert nullspace([{0: PRIME}]) == []
     assert moduli == [PRIME]
+
+
+def test_integer_rows_are_primitive_and_kept_once():
+    # rows a, b, c are one row up to sign and scale; e has a fraction
+    cols = [
+        {"a": 2, "b": -2, "c": 1, "d": 1, "e": Fraction(-3, 2), "f": 0},
+        {"a": 4, "b": -4, "c": 2, "d": 3, "e": 3},
+    ]
+    assert linsolve._to_integer_rows(cols) == [{0: 1, 1: 2}, {0: 1, 1: 3}, {0: 1, 1: -2}]
+    # a row that starts at a later column is signed there
+    assert linsolve._to_integer_rows([{"a": 1}, {"a": 2, "b": -3}]) == [{0: 1, 1: 2}, {1: 1}]
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_copies_of_rows_change_neither_rows_nor_nullspace(seed):
+    # every row again under a new key, negated, scaled by an int or a
+    # fraction, or repeated: the distinct rows and the nullspace stay
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    entries = [-3, -1, 0, 0, 1, 2, 4, Fraction(1, 3), Fraction(-5, 2)]
+    cols = [{r: v for r in range(nrows) if (v := rng.choice(entries))} for _ in range(ncols)]
+    scales = [1, -1, 2, -6, Fraction(3, 7), Fraction(-1, 2)]
+    copies = [(rng.randrange(nrows), rng.choice(scales)) for _ in range(rng.randint(1, 8))]
+    copied = [dict(col) for col in cols]
+    for key, (r, k) in enumerate(copies):
+        for col, new in zip(cols, copied):
+            if r in col:
+                new[("copy", key)] = col[r] * k
+    assert linsolve._to_integer_rows(copied) == linsolve._to_integer_rows(cols)
+    assert nullspace(copied) == nullspace(cols) == _exact_nullspace(cols, ncols)
 
 
 def test_full_rank_needs_no_exact_elimination(monkeypatch):
@@ -396,7 +427,7 @@ def test_leibniz_columns_build_constants_once_per_label():
 @pytest.mark.parametrize(
     "solved, first_open, probe_result, expected, probed",
     [
-        # no complete grade: False without a probe
+        # no complete grade >= 0: False without a probe
         ({0, 1}, 0, [], False, False),
         (set(), -2, [], False, False),
         # an empty complete grade is the witness: True without a probe
@@ -411,11 +442,63 @@ def test_leibniz_columns_build_constants_once_per_label():
     ],
 )
 def test_stabilized_by_closure(solved, first_open, probe_result, expected, probed):
+    # the complete grades -1 .. first_open - 1 have a solution when in
+    # solved, the probe returns probe_result and the truncated grades none
+    probes = []
+
+    def solve(grade, complete):
+        if not complete:
+            return []
+        if grade == first_open:
+            probes.append(grade)
+            return probe_result
+        return [grade] if grade in solved else []
+
+    _, flag = solve_by_grade(-1, first_open, first_open + 1, solve)
+    assert flag is expected
+    assert probes == ([first_open] if probed else [])
+
+
+@pytest.mark.parametrize(
+    "first, first_open, last, empty, schedule, expected",
+    [
+        # no complete grade >= 0: every grade solved, no probe, False
+        (-1, 0, 1, set(), [(-1, True), (0, False), (1, False)], False),
+        (-2, -1, 0, {(0, False)}, [(-2, True), (-1, False), (0, False)], False),
+        # the first empty complete grade >= 0 ends the solve: True
+        (0, 3, 5, {(1, True)}, [(0, True), (1, True)], True),
+        (0, 3, 5, {(0, True), (1, True)}, [(0, True)], True),
+        # an empty negative grade is no witness
+        (
+            -2, 2, 4, {(-1, True)},
+            [(-2, True), (-1, True), (0, True), (1, True), (2, True), (2, False), (3, False),
+             (4, False)],
+            False,
+        ),
+        # every complete grade has a solution: the empty probe skips the
+        # truncated grades, a nonempty one is followed by them
+        (0, 3, 5, {(3, True)}, [(0, True), (1, True), (2, True), (3, True)], True),
+        (
+            0, 3, 5, set(),
+            [(0, True), (1, True), (2, True), (3, True), (3, False), (4, False), (5, False)],
+            False,
+        ),
+        (0, 1, 0, set(), [(0, True), (1, True)], False),
+        (0, 1, 0, {(1, True)}, [(0, True), (1, True)], True),
+        # an empty truncated grade is no witness
+        (0, 1, 3, {(2, False)}, [(0, True), (1, True), (1, False), (2, False), (3, False)], False),
+    ],
+)
+def test_solve_by_grade(first, first_open, last, empty, schedule, expected):
     calls = []
 
-    def probe():
-        calls.append(first_open)
-        return probe_result
+    def solve(grade, complete):
+        calls.append((grade, complete))
+        return [] if (grade, complete) in empty else [(grade, complete)]
 
-    assert stabilized_by_closure(solved, first_open, probe) is expected
-    assert calls == ([first_open] if probed else [])
+    found, flag = solve_by_grade(first, first_open, last, solve)
+    assert calls == schedule
+    assert flag is expected
+    # every solution of every solved grade but the probe, in order
+    probe = (first_open, True)
+    assert found == [c for c in schedule if c not in empty and c != probe]

@@ -25,6 +25,7 @@ from bilapsym.ambient import (
 )
 from bilapsym.exactpoly import (
     MAX_DIMENSION,
+    Monomial,
     Polynomial,
     base_space,
     exponent_tuples,
@@ -175,14 +176,53 @@ def stabilized_by_counts(n: int, order: int, degree_bound: int) -> bool:
     """The former heuristic flag, kept as a reference: solve the shifts that
     degree_bound truncates again at degree_bound + 2 and compare the
     solution counts."""
+    shifts = range(degree_bound - order + 1, degree_bound + 3)
+    raised = block_solution_counts(n, order, degree_bound + 2, shifts)
+    solved = block_solution_counts(n, order, degree_bound, shifts)
+    return sum(raised.values()) == sum(solved.values())
+
+
+def enumerate_by_every_block(n: int, order: int, degree_bound: int) -> tuple[list, bool]:
+    """The former schedule, kept as a reference: every block of every shift
+    -order .. degree_bound up to coefficient degree degree_bound in one
+    ``block_nullspace`` call, then the flag from the empty complete shifts
+    among them or, failing that, from one probe of the first open shift."""
     space = base_space(n)
     rows = symalg._symbol_row_builder(bilaplacian(n))
-    solved = symalg._solve_symmetry_blocks(space, rows, order, degree_bound, -order, degree_bound)
+    alphas = [a for k in range(order + 1) for a in nondecreasing_tuples(base_indices(n), k)]
+
+    def solve(top_degree: int, shifts) -> list:
+        gens = [
+            (a, m)
+            for d in range(top_degree + 1)
+            for m in exponent_tuples(n, d)
+            for a in alphas
+            if d - len(a) in shifts
+        ]
+        solutions = linsolve.block_nullspace(
+            gens, lambda g: (sum(g[1]) - len(g[0]), parity_class(g[1], g[0])), rows
+        )
+        return [(key[0], vec) for key, vec in solutions]
+
+    solved = solve(degree_bound, range(-order, degree_bound + 1))
     first_open = degree_bound - order + 1
-    raised = symalg._solve_symmetry_blocks(
-        space, rows, order, degree_bound + 2, first_open, degree_bound + 2
-    )
-    return len(raised) == sum(1 for shift, _ in solved if shift >= first_open)
+    if first_open < 1:
+        flag = False
+    elif any(g not in {shift for shift, _ in solved} for g in range(first_open)):
+        flag = True
+    else:
+        flag = not solve(first_open + order, [first_open])
+    elements = [
+        DiffOp._collect(
+            space,
+            (
+                (Monomial.of_indices(a), Polynomial(space, {monomial_from_exponents(m): c}))
+                for (a, m), c in vec.items()
+            ),
+        )
+        for _, vec in solved
+    ]
+    return elements, flag
 
 
 def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict:
@@ -241,6 +281,11 @@ def accept_truncated_shift(counts, complete):
 
 def accept_empty_class(counts, complete):
     return complete and not all(counts.values())
+
+
+# the (shift, lowest, highest coefficient degree) of each solve of an
+# order-2 enumeration at n = 3 that ends at shift 3, complete
+UP_TO_SHIFT_3 = [(-2, 0, 0), (-1, 0, 1), (0, 0, 2), (1, 1, 3), (2, 2, 4), (3, 3, 5)]
 
 
 # (n, order, degree_bound) where the closure flag is compared with the count
@@ -497,6 +542,24 @@ class TestEnumerator:
                     expected = symbol_rows_by_division(bilap, m_exps, alpha)
                     assert rows((alpha, m_exps)) == expected, (m_exps, alpha)
 
+    def test_row_builder_divides_each_monomial_once(self, monkeypatch):
+        # the builder keeps the remainder of each derivative monomial, so the
+        # P_gamma d^alpha of all alpha and gamma share their divisions
+        dividends = []
+        original = symalg.divide_by_constant
+
+        def recording(terms, divisor):
+            dividends.extend(terms)
+            return original(terms, divisor)
+
+        monkeypatch.setattr(symalg, "divide_by_constant", recording)
+        bilap = bilaplacian(3)
+        rows = symalg._symbol_row_builder(bilap)
+        alphas = [a for k in range(4) for a in nondecreasing_tuples(base_indices(3), k)]
+        for alpha in alphas:
+            assert rows((alpha, (2, 1, 1))) == symbol_rows_by_division(bilap, (2, 1, 1), alpha)
+        assert dividends and len(dividends) == len(set(dividends))
+
     def test_first_order_count(self):
         basis = enumerate_symmetries(3, 1, 2)
         assert basis.dimension == 11
@@ -516,31 +579,58 @@ class TestEnumerator:
             assert compose(bilap, op) == compose(delta, bilap)
 
     @pytest.mark.parametrize(
-        "args, solved_shifts",
+        "args, schedule, stabilized",
         [
-            # no empty complete shift: one probe of shift 3 with its 181
-            # generators, up to coefficient degree 5, decides the flag
-            ((3, 2, 4), [range(-2, 5), range(3, 4)]),
-            # the complete shift 3 is empty: no further solve
-            ((3, 2, 6), [range(-2, 7)]),
+            # every complete shift has a solution: the probe of shift 3, with
+            # its 181 generators up to coefficient degree 5, is empty, so the
+            # truncated shifts 3 and 4 are never solved
+            ((3, 2, 4), UP_TO_SHIFT_3, True),
+            # the complete shift 3 is empty: shifts 4 .. 6 are never solved
+            ((3, 2, 6), UP_TO_SHIFT_3, True),
+            ((3, 2, 10**6), UP_TO_SHIFT_3, True),
+            # the probe of shift 1 has solutions: then the truncated shifts
+            # 1 and 2 are solved up to coefficient degree 2
+            (
+                (3, 2, 2),
+                [(-2, 0, 0), (-1, 0, 1), (0, 0, 2), (1, 1, 3), (1, 1, 2), (2, 2, 2)],
+                False,
+            ),
+            # no complete shift >= 0: no probe
+            ((3, 2, 1), [(-2, 0, 0), (-1, 0, 1), (0, 0, 1), (1, 1, 1)], False),
         ],
-        ids=["probe-3-2-4", "witness-3-2-6"],
+        ids=["probe-3-2-4", "witness-3-2-6", "witness-huge-bound", "probe-3-2-2", "no-probe-3-2-1"],
     )
-    def test_stabilization_solves_one_probe_at_most(self, monkeypatch, args, solved_shifts):
+    def test_stabilization_solves_one_probe_at_most(self, monkeypatch, args, schedule, stabilized):
+        # one solve per shift in ascending order, each visiting the coefficient
+        # degrees max(s, 0) .. min(s + order, top) only: (shift, low, top)
         calls = []
         original = symalg.block_nullspace
 
         def recording(unknowns, block_of, column_of):
             unknowns = list(unknowns)
-            calls.append((unknowns, {block_of(u)[0] for u in unknowns}))
+            (shift,) = {block_of(u)[0] for u in unknowns}
+            degrees = {sum(m) for _, m in unknowns}
+            calls.append(((shift, min(degrees), max(degrees)), len(unknowns)))
             return original(unknowns, block_of, column_of)
 
         monkeypatch.setattr(symalg, "block_nullspace", recording)
         basis = enumerate_symmetries(*args)
+        assert basis.stabilized is stabilized
+        assert [call for call, _ in calls] == schedule
+        if args == (3, 2, 4):
+            assert calls[-1][1] == 181
+
+    @pytest.mark.parametrize("args", FLAG_CASES + [(3, 3, 7)], ids=str)
+    def test_matches_every_block_reference(self, args):
+        elements, flag = enumerate_by_every_block(*args)
+        basis = enumerate_symmetries(*args)
+        assert basis.elements == tuple(elements)
+        assert basis.stabilized is flag
+
+    def test_huge_degree_bound_stops_at_the_empty_shift(self):
+        basis = enumerate_symmetries(3, 2, 10**6)
+        assert basis.dimension == 60
         assert basis.stabilized
-        assert [shifts for _, shifts in calls] == [set(r) for r in solved_shifts]
-        if len(calls) == 2:
-            assert len(calls[1][0]) == 181
 
     @pytest.mark.parametrize("args", FLAG_CASES, ids=str)
     def test_flag_matches_count_reference(self, args):
