@@ -8,9 +8,10 @@ coefficients and homogeneous in polynomial degree, so the solution space
 splits into independent blocks by (degree, per-variable parity), each a
 small exact nullspace, and d_i maps solutions of degree d + 1 to solutions
 of degree d, with only the constants killed by every d_i: the setting of
-``linsolve.leibniz_columns`` and ``linsolve.solve_by_grade``.  The degrees
-are solved in ascending order, and the first empty one proves every higher
-one empty and ends the solve, so the work does not grow with the bound.
+``linsolve.solve_graded``, which takes the unknowns of each degree and the
+residual's constants of each multi-index.  The degrees are solved in
+ascending order, and the first empty one proves every higher one empty and
+ends the solve, so the work does not grow with the bound.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .exactpoly import (
     collect,
     exponent_tuples,
     monomial_from_exponents,
-    parity_class,
 )
-from .linsolve import block_nullspace, leibniz_columns, solve_by_grade
+from .linsolve import solve_graded
 from .tensorcalc import (
     MultiIndex,
     SymTensorField,
@@ -111,8 +111,8 @@ TRACEFREE_FROM_VALENCY = 2
 
 
 def _residual_column_builder(n: int, valency: int, residual_fn):
-    """The residual and trace rows of one unknown (key, exponents) at a time,
-    by ``linsolve.leibniz_columns``.
+    """The ``linsolve.leibniz_columns`` constants of one multi-index key:
+    the residual and trace rows of the unknowns e_key x^m.
 
     The residual R has constant coefficients and order r (its valency
     minus the input's), so R(e_K x^gamma) is constant for |gamma| = r and
@@ -138,7 +138,7 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
             parts.append(((0,) * n, {("t", k): p.constant_value() for k, p in comps.items()}))
         return parts
 
-    return leibniz_columns(constants)
+    return constants
 
 
 @dataclass(frozen=True)
@@ -164,36 +164,27 @@ class SolutionBasis:
 
 
 def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> SolutionBasis:
-    """Solve one degree at a time by ``linsolve.solve_by_grade``; unknowns
-    are (multi-index, exponent vector) coordinates, blocked by (degree,
-    parity class).  Every degree is complete, so the first empty one ends
-    the solve, and otherwise degree_bound + 1 is the probe."""
+    """Solve by ``linsolve.solve_graded``, one degree at a time; the
+    unknowns of degree d are (multi-index, exponent vector) coordinates.
+    Every degree is complete, so the first empty one ends the solve, and
+    otherwise degree_bound + 1 is the probe."""
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
-    space = base_space(n)
-    column = _residual_column_builder(n, valency, residual_fn)
     keys = nondecreasing_tuples(base_indices(n), valency)
 
-    def solve(degree: int, complete: bool) -> list:
-        unknowns = [(key, exps) for key in keys for exps in exponent_tuples(n, degree)]
-        return block_nullspace(unknowns, lambda u: (degree, parity_class(u[1], u[0])), column)
+    def unknowns(degree: int, complete: bool) -> list:
+        return [(key, exps) for key in keys for exps in exponent_tuples(n, degree)]
 
-    solved, stabilized = solve_by_grade(0, degree_bound + 1, degree_bound, solve)
-    elements: list[SymTensorField] = []
-    degrees: list[int] = []
-    for (d, _), vec in solved:
-        comps: dict[MultiIndex, dict] = {}
-        for (key, exps), coeff in vec.items():
-            comps.setdefault(key, {})[monomial_from_exponents(exps)] = coeff
-        fields = {key: Polynomial(space, terms) for key, terms in comps.items()}
-        elements.append(SymTensorField(n, valency, fields))
-        degrees.append(d)
+    constants = _residual_column_builder(n, valency, residual_fn)
+    solved, stabilized = solve_graded(
+        base_space(n), unknowns, constants, 0, degree_bound + 1, degree_bound
+    )
     return SolutionBasis(
         n=n,
         valency=valency,
         degree_bound=degree_bound,
-        elements=tuple(elements),
-        degrees=tuple(degrees),
+        elements=tuple(SymTensorField(n, valency, fields) for _, fields in solved),
+        degrees=tuple(d for d, _ in solved),
         stabilized=stabilized,
     )
 

@@ -254,7 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--s", type=int, default=None, help="valency (ckt) or order (symmetries) (1)"
         )
         p.add_argument("--t", type=int, default=None, help="valency for gckt (0)")
-        p.add_argument("--degree-bound", type=int, default=None)
+        p.add_argument(
+            "--degree-bound",
+            type=int,
+            default=None,
+            help="largest coefficient degree (2s for ckt, else 4); at symmetry order >= 4 "
+            "every shift up to it is solved, so the time grows with it and stabilized "
+            "is False",
+        )
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("build-op", help="construct an operator from a symbol")

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Exposes exact nullspace bases, block-by-block nullspaces of graded systems
-and ranks.  Nullspace bases are normalized reduced-row-echelon style: each
-basis vector carries coefficient 1 at its free column and zeros at all
-other free columns, so output is deterministic for a fixed column order.
+Exposes exact nullspace bases, ranks and one solver of graded systems
+with constant coefficients.  Nullspace bases are normalized
+reduced-row-echelon style: each basis vector carries coefficient 1 at its
+free column and zeros at all other free columns, so output is
+deterministic for a fixed column order.
 
 Every block is solved modulo a prime p: elimination finds the free
 columns, back-substitution gives each basis vector modulo p, rational
@@ -18,9 +19,10 @@ certain to lift, so the ladder decides every block whose bound is below
 about 2**2211 (both proofs are in ``_modular_nullspace``).  Each block's
 rows are first made primitive integer rows, each distinct row kept once.
 
-The graded solvers share ``leibniz_columns`` and ``solve_by_grade``, which
-solves one grade at a time in ascending order and stops at the first grade
-that proves every higher one empty.
+``solve_graded`` solves the graded systems of the Killing solvers and of
+the symmetry enumerator through ``leibniz_columns`` and ``solve_by_grade``,
+which solves one grade at a time in ascending order and stops at the first
+grade that proves every higher one empty.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import gcd, isqrt, perm, prod
 from operator import gt, sub
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .exactpoly import numerators
+from .exactpoly import Polynomial, VarSpace, monomial_from_exponents, numerators, parity_class
 
 
 def _to_integer_rows(
@@ -220,30 +222,6 @@ def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, 
     )
 
 
-def block_nullspace(
-    unknowns: Iterable[Hashable],
-    block_of: Callable[[Hashable], Hashable],
-    column_of: Callable[[Hashable], Mapping[Hashable, Fraction]],
-) -> list[tuple[Hashable, dict[Hashable, Fraction]]]:
-    """Exact nullspace of a linear system that splits into independent blocks.
-
-    ``block_of(u)`` keys the block of unknown u; unknowns of different
-    blocks must never share a row.  Unknowns are grouped in first-seen order
-    and the blocks solved in sorted key order, each by one ``nullspace``
-    call on the columns ``column_of(u)`` of its members.  Returns one
-    ``(block key, {unknown: coefficient})`` pair per basis vector.
-    """
-    blocks: dict[Hashable, list[Hashable]] = {}
-    for u in unknowns:
-        blocks.setdefault(block_of(u), []).append(u)
-    out = []
-    for key in sorted(blocks):
-        members = blocks[key]
-        for vec in nullspace([column_of(u) for u in members]):
-            out.append((key, {members[pos]: coeff for pos, coeff in vec.items()}))
-    return out
-
-
 # The constant parts of one label: (gamma, {row: value}) per distinct gamma.
 Parts = Sequence[tuple[tuple[int, ...], Mapping[Hashable, Fraction]]]
 
@@ -307,6 +285,48 @@ def solve_by_grade(
     for g in range(first_open, last + 1):
         found.extend(solve(g, False))
     return found, False
+
+
+def solve_graded(
+    space: VarSpace,
+    unknowns: Callable[[int, bool], Iterable[tuple]],
+    constants: Callable[[tuple[int, ...]], Parts],
+    first: int,
+    first_open: int,
+    last: int,
+) -> tuple[list[tuple[int, dict[tuple[int, ...], Polynomial]]], bool]:
+    """The solutions of a graded system with constant coefficients, grade
+    by grade, and whether no solution exists above them.
+
+    ``unknowns(g, complete)`` lists the unknowns (label, m) of grade g,
+    each the basis element ``label``, a multi-index, times x^m, as
+    ``solve_by_grade`` asks for them with ``first``, ``first_open`` and
+    ``last``; their columns come from ``leibniz_columns(constants)``.  The
+    map must be even in each reflection x_v -> -x_v, with the label's
+    indices counted as factors x_v, so it never mixes two parity classes:
+    each grade's unknowns are split by ``parity_class(m, label)``, in
+    first-seen order, and the blocks solved in sorted order, one
+    ``nullspace`` call each.  Returns one (g, {label: polynomial in
+    space}) per basis vector, and the flag of ``solve_by_grade``.
+    """
+    column = leibniz_columns(constants)
+
+    def solve(grade: int, complete: bool) -> list:
+        blocks: dict[tuple[int, ...], list[tuple]] = {}
+        for label, m in unknowns(grade, complete):
+            blocks.setdefault(parity_class(m, label), []).append((label, m))
+        out = []
+        for key in sorted(blocks):
+            members = blocks[key]
+            for vec in nullspace([column(u) for u in members]):
+                terms: dict[tuple[int, ...], dict] = {}
+                for pos, coeff in vec.items():
+                    label, m = members[pos]
+                    terms.setdefault(label, {})[monomial_from_exponents(m)] = coeff
+                out.append((grade, {k: Polynomial(space, t) for k, t in terms.items()}))
+        return out
+
+    return solve_by_grade(first, first_open, last, solve)
 
 
 def rank(columns: Sequence[Mapping[Hashable, Fraction]]) -> int:

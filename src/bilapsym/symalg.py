@@ -34,18 +34,15 @@ from .exactpoly import (
     Monomial,
     Polynomial,
     Rational,
-    VarSpace,
     ambient_space,
     base_space,
     collect,
     exponent_tuples,
     format_rational,
-    monomial_from_exponents,
-    parity_class,
     product_sum,
     rat,
 )
-from .linsolve import block_nullspace, leibniz_columns, rank, solve_by_grade
+from .linsolve import rank, solve_graded
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
@@ -449,9 +446,9 @@ def _scalar_operator_shape(n: int) -> bool:
 # brute-force enumeration of low-order symmetries
 
 
-def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
-    """Rows of the linear symmetry condition, one generator (alpha, m) of
-    x^m d^alpha at a time, by ``linsolve.leibniz_columns``.
+def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], list]:
+    """The ``linsolve.leibniz_columns`` constants of one alpha: the rows of
+    the linear symmetry condition for the generators x^m d^alpha.
 
     The rows are the entries of the remainder of the symbol of bilap o gen
     modulo the symbol of bilap, the squared Laplacian, keyed by the
@@ -492,38 +489,7 @@ def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], dict]:
             out.append((gamma_exps, reduced))
         return out
 
-    return leibniz_columns(constants)
-
-
-def _solve_symmetry_blocks(
-    space: VarSpace,
-    rows: Callable[[tuple], dict],
-    order: int,
-    shift: int,
-    top_degree: int,
-) -> list[DiffOp]:
-    """The solutions of one shift, by one ``block_nullspace`` call.  The
-    unknowns are the generators (alpha, m_exps) of x^m d^alpha with
-    |m| - |alpha| = shift, |alpha| <= order and |m| <= top_degree, so only
-    the degrees max(shift, 0) .. min(shift + order, top_degree) are
-    visited; they are blocked by parity class."""
-    n = space.n
-    gens = []
-    for degree in range(max(shift, 0), min(shift + order, top_degree) + 1):
-        alphas = nondecreasing_tuples(base_indices(n), degree - shift)
-        gens.extend((alpha, m_exps) for m_exps in exponent_tuples(n, degree) for alpha in alphas)
-    solutions = block_nullspace(gens, lambda g: (shift, parity_class(g[1], g[0])), rows)
-
-    def element(vec: dict) -> DiffOp:
-        return DiffOp._collect(
-            space,
-            (
-                (Monomial.of_indices(alpha), Polynomial(space, {monomial_from_exponents(m): c}))
-                for (alpha, m), c in vec.items()
-            ),
-        )
-
-    return [element(vec) for _, vec in solutions]
+    return constants
 
 
 @dataclass(frozen=True)
@@ -551,7 +517,7 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     and coefficient degree <= degree_bound, by exact block-wise elimination.
 
     The shifts |m| - |alpha| of x^m d^alpha are solved in ascending order
-    by ``linsolve.solve_by_grade``, which also gives ``stabilized``; shift s
+    by ``linsolve.solve_graded``, which also gives ``stabilized``; shift s
     is complete when s + order <= degree_bound.  Since d_i commutes with the
     squared Laplacian L, L o D = delta o L gives L o [d_i, D] = [d_i, delta]
     o L, so [d_i, .] maps shift s + 1 into shift s; only
@@ -570,18 +536,29 @@ def enumerate_symmetries(n: int, order: int, degree_bound: int) -> SymmetryBasis
     if order < 0 or degree_bound < 0:
         raise ValueError("order and degree_bound must be nonnegative")
     space = base_space(n)
-    rows = _symbol_row_builder(bilaplacian(n))
 
-    def solve(shift: int, complete: bool) -> list[DiffOp]:
+    def unknowns(shift: int, complete: bool) -> Iterator[tuple]:
+        # the generators (alpha, m_exps) with |m| - |alpha| = shift,
+        # |alpha| <= order and |m| <= top
         top = shift + order if complete else degree_bound
-        return _solve_symmetry_blocks(space, rows, order, shift, top)
+        for degree in range(max(shift, 0), min(shift + order, top) + 1):
+            alphas = nondecreasing_tuples(base_indices(n), degree - shift)
+            for m_exps in exponent_tuples(n, degree):
+                for alpha in alphas:
+                    yield alpha, m_exps
 
-    elements, stabilized = solve_by_grade(-order, degree_bound - order + 1, degree_bound, solve)
+    constants = _symbol_row_builder(bilaplacian(n))
+    solved, stabilized = solve_graded(
+        space, unknowns, constants, -order, degree_bound - order + 1, degree_bound
+    )
     return SymmetryBasis(
         n=n,
         order=order,
         degree_bound=degree_bound,
-        elements=tuple(elements),
+        elements=tuple(
+            DiffOp._make(space, {Monomial.of_indices(a): p for a, p in fields.items()})
+            for _, fields in solved
+        ),
         stabilized=stabilized,
     )
 

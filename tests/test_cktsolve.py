@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym import cktsolve, linsolve
+from block_reference import block_nullspace
+
+from bilapsym import cktsolve
 from bilapsym.cktsolve import (
     TRACEFREE_FROM_VALENCY,
     _residual_column_builder,
@@ -30,6 +32,7 @@ from bilapsym.exactpoly import (
     monomial_from_exponents,
     parity_class,
 )
+from bilapsym.linsolve import leibniz_columns
 from bilapsym.symalg import lie_to_ckv, so_basis, special_conformal_element
 from bilapsym.tensorcalc import (
     SymTensorField,
@@ -66,7 +69,7 @@ def column_by_residual(n, valency, residual_fn):
 
 def block_solution_counts(n, valency, residual_fn, degrees) -> dict:
     """Solutions per (degree, parity class) block of the given degrees."""
-    column = _residual_column_builder(n, valency, residual_fn)
+    column = leibniz_columns(_residual_column_builder(n, valency, residual_fn))
     unknowns = [
         (key, exps)
         for d in degrees
@@ -78,7 +81,7 @@ def block_solution_counts(n, valency, residual_fn, degrees) -> dict:
         return (sum(u[1]), parity_class(u[1], u[0]))
 
     counts = {block(u): 0 for u in unknowns}
-    for key, _ in linsolve.block_nullspace(unknowns, block, column):
+    for key, _ in block_nullspace(unknowns, block, column):
         counts[key] += 1
     return counts
 
@@ -126,7 +129,7 @@ COLUMN_CASES = [
     ids=[f"{r.__name__}-s{s}-n{n}" for r, s, n, _ in COLUMN_CASES],
 )
 def test_closed_form_columns_match_residual(residual, valency, n, top):
-    closed = _residual_column_builder(n, valency, residual)
+    closed = leibniz_columns(_residual_column_builder(n, valency, residual))
     reference = column_by_residual(n, valency, residual)
     for d in range(top + 1):
         for key in nondecreasing_tuples(base_indices(n), valency):
@@ -294,16 +297,18 @@ class TestStabilization:
             ((3, 1, 1), [0, 1, 2], False),
         ]
         calls = []
-        original = cktsolve.block_nullspace
+        original = cktsolve.solve_graded
 
-        def recording(unknowns, block_of, column_of):
-            unknowns = list(unknowns)
-            (degree,) = {block_of(u)[0] for u in unknowns}
-            assert {sum(u[1]) for u in unknowns} == {degree}
-            calls.append(degree)
-            return original(unknowns, block_of, column_of)
+        def recording(space, unknowns, constants, *grades):
+            def listed(degree, complete):
+                found = list(unknowns(degree, complete))
+                assert {sum(u[1]) for u in found} == {degree}
+                calls.append(degree)
+                return found
 
-        monkeypatch.setattr(cktsolve, "block_nullspace", recording)
+            return original(space, listed, constants, *grades)
+
+        monkeypatch.setattr(cktsolve, "solve_graded", recording)
         for args, degrees, stabilized in cases:
             calls.clear()
             assert solve_ckt(*args).stabilized is stabilized
@@ -317,14 +322,14 @@ class TestStabilization:
     def test_matches_every_block_reference(self, solver, residual, n, valency, degree_bound):
         # every degree up to degree_bound in one block_nullspace call, then
         # the flag from the empty degrees among them or from one probe
-        column = _residual_column_builder(n, valency, residual)
+        column = leibniz_columns(_residual_column_builder(n, valency, residual))
         unknowns = [
             (key, exps)
             for d in range(degree_bound + 1)
             for key in nondecreasing_tuples(base_indices(n), valency)
             for exps in exponent_tuples(n, d)
         ]
-        solved = linsolve.block_nullspace(
+        solved = block_nullspace(
             unknowns, lambda u: (sum(u[1]), parity_class(u[1], u[0])), column
         )
         if any(d not in {key[0] for key, _ in solved} for d in range(degree_bound + 1)):
@@ -347,6 +352,15 @@ class TestStabilization:
         basis = solve_ckt(3, 2, 10**6)
         assert basis.dimension == 35
         assert basis.stabilized
+
+    @pytest.mark.parametrize("args, dimension", [((4, 3, 6), 300), ((5, 2, 4), 168)], ids=str)
+    def test_every_element_solves_the_equation(self, args, dimension):
+        # soundness without a reference: each element is trace-free with
+        # zero residual, and no solution of higher degree exists
+        basis = solve_ckt(*args)
+        assert basis.dimension == dimension
+        assert basis.stabilized
+        assert all(v.is_tracefree() and ckt_residual(v).is_zero for v in basis.elements)
 
     @pytest.mark.parametrize(
         "solver, residual, n, valency, degree_bound",

@@ -10,15 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from block_reference import block_nullspace
+
 from bilapsym import linsolve
 from bilapsym.cktsolve import solve_ckt, solve_gckt
+from bilapsym.exactpoly import (
+    Polynomial,
+    base_space,
+    exponent_tuples,
+    monomial_from_exponents,
+    parity_class,
+)
 from bilapsym.linsolve import (
     PRIME,
-    block_nullspace,
     leibniz_columns,
     nullspace,
     rank,
     solve_by_grade,
+    solve_graded,
 )
 from bilapsym.symalg import enumerate_symmetries
 
@@ -369,38 +378,60 @@ def test_nullspace_equals_exact_elimination(seed):
     assert nullspace(cols) == _exact_nullspace(cols, ncols)
 
 
+# the labels of the random graded systems in three variables, and their
+# unknowns (label, m) with |m| = 2 or 3: with constants at every gamma of
+# degree 2, many unknowns share a row, so the kernel vectors mix labels and
+# give polynomials of several terms
+LABELS = [(), (1,), (3,), (1, 2), (2, 2)]
+GAMMAS = exponent_tuples(3, 2)
+UNKNOWNS = [(label, m) for label in LABELS for d in (2, 3) for m in exponent_tuples(3, d)]
+
+
 @given(st.integers(0, 2**30))
 @settings(max_examples=25, deadline=None)
-def test_block_nullspace_matches_per_block_nullspace(seed):
+def test_solve_graded_matches_per_block_nullspace(seed):
     rng = random.Random(seed)
-    nblocks = rng.randint(1, 4)
-    unknowns = [f"u{i}" for i in range(rng.randint(1, 14))]
-    block = {u: rng.randrange(nblocks) for u in unknowns}
-    # rows carry their block, so unknowns of different blocks share none
-    columns = {
-        u: {
-            (block[u], r): Fraction(rng.randint(-3, 3))
-            for r in range(rng.randint(1, 4))
-            if rng.random() < 0.5
-        }
-        for u in unknowns
+    space = base_space(3)
+    # each row carries the parity class of gamma and the label, so the
+    # unknowns (label, m) of two parity classes share no row
+    parts = {
+        label: [(gamma, {parity_class(gamma, label): rng.randint(-2, 2)}) for gamma in GAMMAS]
+        for label in LABELS
     }
-    got = block_nullspace(unknowns, block.__getitem__, columns.__getitem__)
+    chosen = {g: rng.sample(UNKNOWNS, rng.randint(1, 16)) for g in range(3)}
+    # grades 0 .. 2, all truncated: each solved once, and no flag
+    got, flag = solve_graded(space, lambda g, _: chosen[g], parts.__getitem__, 0, 0, 2)
+    assert flag is False
 
+    column = leibniz_columns(parts.__getitem__)
     expected = []
-    for key in sorted(set(block.values())):
-        members = [u for u in unknowns if block[u] == key]
-        for vec in nullspace([columns[u] for u in members]):
-            expected.append((key, {members[pos]: c for pos, c in vec.items()}))
+    for g in range(3):
+        for key in sorted({parity_class(m, label) for label, m in chosen[g]}):
+            members = [(label, m) for label, m in chosen[g] if parity_class(m, label) == key]
+            for vec in nullspace([column(u) for u in members]):
+                fields: dict = {}
+                for pos, c in vec.items():
+                    label, m = members[pos]
+                    term = Polynomial(space, {monomial_from_exponents(m): c})
+                    fields[label] = fields.get(label, Polynomial.zero(space)) + term
+                expected.append((g, fields))
     assert got == expected
 
-    for key, vec in got:
-        assert all(block[u] == key for u in vec)
+    # every solution lies in one parity class of its grade and in the
+    # kernel of the whole grade
+    for g, fields in got:
+        unknowns = [
+            ((label, tuple(map(mono.exponent, (1, 2, 3)))), c)
+            for label, poly in fields.items()
+            for mono, c in poly.terms.items()
+        ]
+        assert all(u in chosen[g] for u, _ in unknowns)
+        assert len({parity_class(m, label) for (label, m), _ in unknowns}) == 1
         combo: dict = {}
-        for u, coeff in vec.items():
-            for row, val in columns[u].items():
-                combo[row] = combo.get(row, Fraction(0)) + coeff * val
-        assert all(v == 0 for v in combo.values())
+        for u, c in unknowns:
+            for row, val in column(u).items():
+                combo[row] = combo.get(row, 0) + c * val
+        assert not any(combo.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilapsym import ambient, checks, linsolve, symalg
+from block_reference import block_nullspace
+
+from bilapsym import ambient, checks, symalg
 from bilapsym.ambient import (
     ambient_op_V,
     ambient_op_W,
@@ -32,6 +34,7 @@ from bilapsym.exactpoly import (
     monomial_from_exponents,
     parity_class,
 )
+from bilapsym.linsolve import leibniz_columns
 from bilapsym.symalg import (
     LieElement,
     bilaplacian_weight,
@@ -188,7 +191,7 @@ def enumerate_by_every_block(n: int, order: int, degree_bound: int) -> tuple[lis
     ``block_nullspace`` call, then the flag from the empty complete shifts
     among them or, failing that, from one probe of the first open shift."""
     space = base_space(n)
-    rows = symalg._symbol_row_builder(bilaplacian(n))
+    rows = leibniz_columns(symalg._symbol_row_builder(bilaplacian(n)))
     alphas = [a for k in range(order + 1) for a in nondecreasing_tuples(base_indices(n), k)]
 
     def solve(top_degree: int, shifts) -> list:
@@ -199,7 +202,7 @@ def enumerate_by_every_block(n: int, order: int, degree_bound: int) -> tuple[lis
             for a in alphas
             if d - len(a) in shifts
         ]
-        solutions = linsolve.block_nullspace(
+        solutions = block_nullspace(
             gens, lambda g: (sum(g[1]) - len(g[0]), parity_class(g[1], g[0])), rows
         )
         return [(key[0], vec) for key, vec in solutions]
@@ -228,7 +231,7 @@ def enumerate_by_every_block(n: int, order: int, degree_bound: int) -> tuple[lis
 def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict:
     """Solutions per (shift, parity class) block, over every block that has
     generators x^m d^alpha with |m| <= degree_bound in the given shifts."""
-    rows = symalg._symbol_row_builder(bilaplacian(n))
+    rows = leibniz_columns(symalg._symbol_row_builder(bilaplacian(n)))
     alphas = [a for k in range(order + 1) for a in nondecreasing_tuples(base_indices(n), k)]
     gens = [
         (a, m)
@@ -242,7 +245,7 @@ def block_solution_counts(n: int, order: int, degree_bound: int, shifts) -> dict
         return (sum(g[1]) - len(g[0]), parity_class(g[1], g[0]))
 
     counts = {block(g): 0 for g in gens}
-    for key, _ in linsolve.block_nullspace(gens, block, rows):
+    for key, _ in block_nullspace(gens, block, rows):
         counts[key] += 1
     return counts
 
@@ -527,14 +530,14 @@ class TestEnumerator:
             m_exps[rng.randrange(n)] += 1
         m_exps = tuple(m_exps)
         bilap = bilaplacian(n)
-        got = symalg._symbol_row_builder(bilap)((alpha, m_exps))
+        got = leibniz_columns(symalg._symbol_row_builder(bilap))((alpha, m_exps))
         assert got == symbol_rows_by_division(bilap, m_exps, alpha)
         assert all(type(v) is int and v for v in got.values())
 
     def test_closed_form_rows_on_enumerated_generators(self):
         # every generator of order <= 2 at n = 3 up to coefficient degree 6
         bilap = bilaplacian(3)
-        rows = symalg._symbol_row_builder(bilap)
+        rows = leibniz_columns(symalg._symbol_row_builder(bilap))
         alphas = [(), (1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
         for degree in range(7):
             for m_exps in exponent_tuples(3, degree):
@@ -554,7 +557,7 @@ class TestEnumerator:
 
         monkeypatch.setattr(symalg, "divide_by_constant", recording)
         bilap = bilaplacian(3)
-        rows = symalg._symbol_row_builder(bilap)
+        rows = leibniz_columns(symalg._symbol_row_builder(bilap))
         alphas = [a for k in range(4) for a in nondecreasing_tuples(base_indices(3), k)]
         for alpha in alphas:
             assert rows((alpha, (2, 1, 1))) == symbol_rows_by_division(bilap, (2, 1, 1), alpha)
@@ -604,16 +607,19 @@ class TestEnumerator:
         # one solve per shift in ascending order, each visiting the coefficient
         # degrees max(s, 0) .. min(s + order, top) only: (shift, low, top)
         calls = []
-        original = symalg.block_nullspace
+        original = symalg.solve_graded
 
-        def recording(unknowns, block_of, column_of):
-            unknowns = list(unknowns)
-            (shift,) = {block_of(u)[0] for u in unknowns}
-            degrees = {sum(m) for _, m in unknowns}
-            calls.append(((shift, min(degrees), max(degrees)), len(unknowns)))
-            return original(unknowns, block_of, column_of)
+        def recording(space, unknowns, constants, *grades):
+            def listed(shift, complete):
+                found = list(unknowns(shift, complete))
+                assert {sum(m) - len(alpha) for alpha, m in found} == {shift}
+                degrees = {sum(m) for _, m in found}
+                calls.append(((shift, min(degrees), max(degrees)), len(found)))
+                return found
 
-        monkeypatch.setattr(symalg, "block_nullspace", recording)
+            return original(space, listed, constants, *grades)
+
+        monkeypatch.setattr(symalg, "solve_graded", recording)
         basis = enumerate_symmetries(*args)
         assert basis.stabilized is stabilized
         assert [call for call, _ in calls] == schedule
@@ -631,6 +637,21 @@ class TestEnumerator:
         basis = enumerate_symmetries(3, 2, 10**6)
         assert basis.dimension == 60
         assert basis.stabilized
+
+    @pytest.mark.parametrize("args, dimension", [((3, 3, 7), 225), ((4, 2, 4), 120)], ids=str)
+    def test_every_element_is_a_symmetry(self, args, dimension):
+        # soundness without a reference: each element has a certificate
+        basis = enumerate_symmetries(*args)
+        assert basis.dimension == dimension
+        assert basis.stabilized
+        assert all(is_symmetry(op) is not None for op in basis.elements)
+
+    def test_fourth_order_never_stabilizes(self):
+        # the operators A o (squared Laplacian) fill every shift, so every
+        # shift up to the degree bound is solved and none is empty
+        basis = enumerate_symmetries(3, 4, 4)
+        assert basis.dimension == 455
+        assert basis.stabilized is False
 
     @pytest.mark.parametrize("args", FLAG_CASES, ids=str)
     def test_flag_matches_count_reference(self, args):
