@@ -117,7 +117,7 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
     The residual R has constant coefficients and order r (its valency
     minus the input's), so R(e_K x^gamma) is constant for |gamma| = r and
     C[K, gamma] = R(e_K x^gamma) / gamma!.  The trace tr(e_K) is the
-    gamma = 0 part.  Rows are keyed ("r" or "t", multi-index).
+    gamma = 0 part.  Rows ("r" or "t", multi-index) get int ids in the columns.
     """
     space = base_space(n)
     r = residual_fn(SymTensorField(n, valency)).valency - valency
@@ -170,15 +170,14 @@ def _solve_graded(n: int, valency: int, degree_bound: int, residual_fn) -> Solut
     otherwise degree_bound + 1 is the probe."""
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
+    space = base_space(n)
     keys = nondecreasing_tuples(base_indices(n), valency)
 
     def unknowns(degree: int, complete: bool) -> list:
         return [(key, exps) for key in keys for exps in exponent_tuples(n, degree)]
 
     constants = _residual_column_builder(n, valency, residual_fn)
-    solved, stabilized = solve_graded(
-        base_space(n), unknowns, constants, 0, degree_bound + 1, degree_bound
-    )
+    solved, stabilized = solve_graded(space, unknowns, constants, 0, degree_bound + 1, degree_bound)
     return SolutionBasis(
         n=n,
         valency=valency,

@@ -30,7 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, perm, prod
-from operator import gt, sub
+from itertools import repeat
+from operator import gt, mul, sub
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .exactpoly import Polynomial, VarSpace, monomial_from_exponents, numerators, parity_class
@@ -234,19 +235,33 @@ def leibniz_columns(constants: Callable[[Hashable], Parts]) -> Callable[[tuple],
     sum_{gamma <= m} m!/(m-gamma)! x^(m-gamma) C[gamma], with constants
     C[gamma] of the label alone.  ``constants(label)`` lists the pairs
     (gamma, C[gamma]), each C[gamma] a map row -> value, and is called
-    once per label; the entry of row at x^(m-gamma) is keyed
-    (row, m - gamma).
+    once per label.  Each row and x^(m-gamma) gets an int id in first-seen
+    order; the entry is keyed (row id, m - gamma id), after earlier gammas.
+    Per m, every label with the same gammas shares their weights and ids.
     """
-    parts_of = cache(constants)
+    row_id, rest_id, list_id_of, lowered = {}, {}, {}, {}
+
+    @cache
+    def parts_of(label: Hashable) -> tuple:
+        parts = constants(label)
+        gammas = tuple(gamma for gamma, _ in parts)
+        rows = [([row_id.setdefault(r, len(row_id)) for r in c], [*c.values()]) for _, c in parts]
+        return gammas, list_id_of.setdefault(gammas, len(list_id_of)), rows
 
     def column(unknown: tuple) -> dict:
         label, m = unknown
+        gammas, list_id, rows = parts_of(label)
+        shared = lowered.get((m, list_id))
+        if shared is None:
+            shared = lowered[m, list_id] = [
+                (i, rest_id.setdefault(tuple(map(sub, m, g)), len(rest_id)), prod(map(perm, m, g)))
+                for i, g in enumerate(gammas)
+                if not any(map(gt, g, m))
+            ]
         col = {}
-        for gamma, const in parts_of(label):
-            if not any(map(gt, gamma, m)):
-                weight = prod(map(perm, m, gamma))
-                rest = tuple(map(sub, m, gamma))
-                col.update(((row, rest), value * weight) for row, value in const.items())
+        for i, rest, weight in shared:
+            ids, values = rows[i]
+            col.update(zip(zip(ids, repeat(rest)), map(mul, values, repeat(weight))))
         return col
 
     return column

@@ -452,14 +452,14 @@ def _symbol_row_builder(bilap: DiffOp) -> Callable[[tuple], list]:
 
     The rows are the entries of the remainder of the symbol of bilap o gen
     modulo the symbol of bilap, the squared Laplacian, keyed by the
-    derivative monomial's ``Monomial.exps``.  bilap = sum_beta c_beta d^beta
-    has constant integer coefficients, and the part of x^(m-gamma) is the
-    remainder of P_gamma d^alpha, P_gamma = sum_beta c_beta binomial(beta,
-    gamma) d^(beta-gamma).  The remainder is linear, so it is summed from
-    the remainders of the derivative monomials d^(beta-gamma) d^alpha, each
-    divided once by ``weylop.divide_by_constant`` and kept in a dict of the
-    builder's own, shared across alpha and gamma; bilap is monic, so the
-    entries are ints.
+    derivative monomial's ``Monomial.exps`` (int ids in the columns).
+    bilap = sum_beta c_beta d^beta has constant integer coefficients, and
+    the part of x^(m-gamma) is the remainder of P_gamma d^alpha, P_gamma =
+    sum_beta c_beta binomial(beta, gamma) d^(beta-gamma).  The remainder
+    is linear, so it is summed from the remainders of the derivative
+    monomials d^(beta-gamma) d^alpha, each divided once by
+    ``weylop.divide_by_constant`` and kept in a dict of the builder's own,
+    shared across alpha and gamma; bilap is monic, so the entries are ints.
     """
     divisor = constant_symbol(bilap)
     pairs: dict[Monomial, list] = {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from block_reference import block_nullspace
+from block_reference import block_nullspace, with_reference_keys
 
 from bilapsym import cktsolve
 from bilapsym.cktsolve import (
@@ -129,7 +129,7 @@ COLUMN_CASES = [
     ids=[f"{r.__name__}-s{s}-n{n}" for r, s, n, _ in COLUMN_CASES],
 )
 def test_closed_form_columns_match_residual(residual, valency, n, top):
-    closed = leibniz_columns(_residual_column_builder(n, valency, residual))
+    closed = with_reference_keys(_residual_column_builder(n, valency, residual))
     reference = column_by_residual(n, valency, residual)
     for d in range(top + 1):
         for key in nondecreasing_tuples(base_indices(n), valency):
@@ -347,6 +347,17 @@ class TestStabilization:
             {(k, monomial_from_exponents(m)): c for (k, m), c in vec.items()} for _, vec in solved
         ]
         assert basis.stabilized is flag
+
+    @pytest.mark.parametrize("solver", [solve_ckt, solve_gckt])
+    def test_huge_dimension_is_refused_before_the_keys(self, solver, monkeypatch):
+        # the keys of valency 1 are the n indices: n = 10**9 must be refused
+        # before they are listed
+        def listing(indices, valency):
+            raise AssertionError("listed the keys before checking n")
+
+        monkeypatch.setattr(cktsolve, "nondecreasing_tuples", listing)
+        with pytest.raises(ValueError, match="dimension n must be at most"):
+            solver(10**9, 1, 0)
 
     def test_huge_degree_bound_stops_at_the_empty_degree(self):
         basis = solve_ckt(3, 2, 10**6)

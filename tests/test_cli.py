@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bilapsym.cli as cli
+from bilapsym import cktsolve
 from bilapsym.ambient import lie_to_ckv
 from bilapsym.exactpoly import MAX_DIMENSION
 from bilapsym.symalg import canonical_DV, dilation_element
@@ -274,6 +275,17 @@ class TestExitCodes:
 
     def test_symbolless_tensor_kind_exit_four(self, capsys):
         assert cli.main(["build-op", "--kind", "dv"]) == 4
+
+    @pytest.mark.parametrize("command", ["dims", "basis"])
+    @pytest.mark.parametrize("kind", [("ckt", "--s", "1"), ("gckt", "--t", "0")])
+    def test_huge_dimension_exit_four(self, capsys, monkeypatch, command, kind):
+        # n = 10**9 is refused before the solver lists its 10**9 unknowns
+        def listing(indices, valency):
+            raise AssertionError("listed the unknowns before checking n")
+
+        monkeypatch.setattr(cktsolve, "nondecreasing_tuples", listing)
+        assert cli.main([command, "--kind", *kind, "--n", str(10**9)]) == 4
+        assert capsys.readouterr().err == f"error: dimension n must be at most {MAX_DIMENSION}\n"
 
     @pytest.mark.parametrize(
         "kind, content",

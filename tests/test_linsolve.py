@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from block_reference import block_nullspace
+from block_reference import block_nullspace, reference_leibniz_columns
+from test_bench_hooks import tracer as bench_tracer
 
 from bilapsym import linsolve
 from bilapsym.cktsolve import solve_ckt, solve_gckt
@@ -448,11 +449,63 @@ def test_leibniz_columns_build_constants_once_per_label():
         return [((2, 0), {"row": Fraction(label)}), ((0, 0), {"row": Fraction(3 * label)})]
 
     column = leibniz_columns(constants)
-    assert column((2, (3, 1))) == {("row", (1, 1)): 12, ("row", (3, 1)): 6}
+    # "row" is row 0, and x^(1, 1), x^(3, 1), x^(0, 4) are 0, 1, 2 in the
+    # order they are first met: the entries at ("row", x1 x2) share (0, 0)
+    assert column((2, (3, 1))) == {(0, 0): 12, (0, 1): 6}
     # gamma = (2, 0) does not divide x1 x2: only the gamma = 0 part is left
-    assert column((5, (1, 1))) == {("row", (1, 1)): 15}
-    assert column((2, (0, 4))) == {("row", (0, 4)): 6}
+    assert column((5, (1, 1))) == {(0, 0): 15}
+    assert column((2, (0, 4))) == {(0, 2): 6}
+    assert list(column((2, (3, 1)))) == [(0, 0), (0, 1)]
     assert calls == [2, 5]
+
+
+# every gamma of degree <= 2 in three variables
+SMALL_GAMMAS = [g for d in range(3) for g in exponent_tuples(3, d)]
+
+
+def _constant(rng: random.Random) -> Fraction | int:
+    # zeros, ints and fractions, so that some rows are all zero and others
+    # go through the conversion to numerators
+    return rng.choice([0, 0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_leibniz_columns_give_the_reference_integer_rows(seed):
+    rng = random.Random(seed)
+    # each label has its own gammas in its own order, some labels the same
+    # list; its rows carry the parity class of gamma and the label, so the
+    # blocks by (|m|, parity class) share no row
+    lists = [rng.sample(SMALL_GAMMAS, rng.randint(1, len(SMALL_GAMMAS))) for _ in range(2)]
+    parts = {
+        label: [
+            (g, {(parity_class(g, label), k): _constant(rng) for k in range(rng.randint(0, 2))})
+            for g in rng.choice(lists)
+        ]
+        for label in LABELS
+    }
+    # one label whose every constant is zero
+    parts[LABELS[-1]] = [(gamma, dict.fromkeys(const, 0)) for gamma, const in parts[LABELS[-1]]]
+    # several labels at each m
+    ms = rng.sample([m for d in range(4) for m in exponent_tuples(3, d)], rng.randint(1, 8))
+    unknowns = [(label, m) for m in ms for label in rng.sample(LABELS, rng.randint(2, len(LABELS)))]
+    rng.shuffle(unknowns)
+    blocks: dict = {}
+    for label, m in unknowns:
+        blocks.setdefault((sum(m), parity_class(m, label)), []).append((label, m))
+
+    column = leibniz_columns(parts.__getitem__)
+    reference = reference_leibniz_columns(parts.__getitem__)
+    traced = bench_tracer.Tracer()
+    counted = traced._nullspace("linsolve.nullspace", nullspace)
+    for key in sorted(blocks):
+        got = [column(u) for u in blocks[key]]
+        expected = [reference(u) for u in blocks[key]]
+        assert linsolve._to_integer_rows(got) == linsolve._to_integer_rows(expected)
+        # the same basis, and the same columns, row keys, nnz and nullity
+        # in the benchmark's block statistics
+        assert counted(got) == counted(expected)
+        assert traced.blocks[-1] == traced.blocks[-2]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from block_reference import block_nullspace
+from block_reference import block_nullspace, with_reference_keys
 
 from bilapsym import ambient, checks, symalg
 from bilapsym.ambient import (
@@ -530,14 +530,14 @@ class TestEnumerator:
             m_exps[rng.randrange(n)] += 1
         m_exps = tuple(m_exps)
         bilap = bilaplacian(n)
-        got = leibniz_columns(symalg._symbol_row_builder(bilap))((alpha, m_exps))
+        got = with_reference_keys(symalg._symbol_row_builder(bilap))((alpha, m_exps))
         assert got == symbol_rows_by_division(bilap, m_exps, alpha)
         assert all(type(v) is int and v for v in got.values())
 
     def test_closed_form_rows_on_enumerated_generators(self):
         # every generator of order <= 2 at n = 3 up to coefficient degree 6
         bilap = bilaplacian(3)
-        rows = leibniz_columns(symalg._symbol_row_builder(bilap))
+        rows = with_reference_keys(symalg._symbol_row_builder(bilap))
         alphas = [(), (1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
         for degree in range(7):
             for m_exps in exponent_tuples(3, degree):
@@ -557,7 +557,7 @@ class TestEnumerator:
 
         monkeypatch.setattr(symalg, "divide_by_constant", recording)
         bilap = bilaplacian(3)
-        rows = leibniz_columns(symalg._symbol_row_builder(bilap))
+        rows = with_reference_keys(symalg._symbol_row_builder(bilap))
         alphas = [a for k in range(4) for a in nondecreasing_tuples(base_indices(3), k)]
         for alpha in alphas:
             assert rows((alpha, (2, 1, 1))) == symbol_rows_by_division(bilap, (2, 1, 1), alpha)
