@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .ambient import ambient_op_gg, ambient_op_V, ambient_op_W
 from .checks import SUITES
@@ -29,25 +28,18 @@ EXIT_IO_ERROR = 3
 EXIT_PRECONDITION = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str
-    out_path: str | None
-
-    def emit(self, payload: dict, text_lines: list[str]) -> None:
-        if self.fmt == "json":
-            rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            rendered = "\n".join(text_lines) + "\n"
-        if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        else:
-            sys.stdout.write(rendered)
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(fmt=args.format, out_path=args.out)
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Write the payload as JSON or the lines as text, per ``--format``, to
+    ``--out`` or stdout."""
+    if args.format == "json":
+        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        rendered = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+    else:
+        sys.stdout.write(rendered)
 
 
 # the kinds (or suites) that read each optional argument; the others ignore it
@@ -113,13 +105,9 @@ def cmd_dims(args: argparse.Namespace) -> int:
         f"dimension: {basis.dimension}",
         f"stabilized: {basis.stabilized}",
     ]
-    if args.kind == "ckt":
-        payload["s"] = args.s
-        payload["by_degree"] = {
-            str(d): c for d, c in sorted(basis.dimension_by_degree().items())
-        }
-    elif args.kind == "gckt":
-        payload["t"] = args.t
+    if args.kind in ("ckt", "gckt"):
+        valency = "s" if args.kind == "ckt" else "t"
+        payload[valency] = getattr(args, valency)
         payload["by_degree"] = {
             str(d): c for d, c in sorted(basis.dimension_by_degree().items())
         }
@@ -128,7 +116,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
         payload["closed_form"] = second_order_symmetry_dimension(args.n) if args.s == 2 else None
         if args.s == 2:
             lines.append(f"closed form: {payload['closed_form']}")
-    _config(args).emit(payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -147,7 +135,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     lines = [f"{args.kind} basis, n={args.n}, dimension {basis.dimension}"]
     for i, el in enumerate(basis.elements):
         lines.append(f"[{i}] {el.text() if hasattr(el, 'text') else json.dumps(el.to_json_obj())}")
-    _config(args).emit(payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -185,7 +173,7 @@ def cmd_build_op(args: argparse.Namespace) -> int:
         else:
             op = ambient_op_W(symbol)
     payload = {"kind": args.kind, "operator": op.to_json_obj()}
-    _config(args).emit(payload, [op.text()])
+    _emit(args, payload, [op.text()])
     return EXIT_OK
 
 
@@ -219,7 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             line += " failed: " + "; ".join(row["failed"])
         lines.append(line)
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _config(args).emit(payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if all_ok else EXIT_IDENTITY_FAILURE
 
 

@@ -68,7 +68,7 @@ def _to_integer_rows(
             g = -g
         if g != 1:
             row = {c: v // g for c, v in row.items()}
-        distinct.setdefault((tuple(row), tuple(row.values())), row)
+        distinct.setdefault(tuple(row.items()), row)
     return list(distinct.values())
 
 
@@ -106,7 +106,7 @@ def _modular_nullspace(
     modulo the prime p and rational reconstruction, or None when a lift
     fails or its exact check does.
 
-    Elimination runs column by column with the sparsest holder as the pivot
+    Elimination runs column by column with a sparsest holder as the pivot
     row, normalized to 1; a column with no holder is free.  For each free
     column f, back-substitution over the pivots in reverse gives the vector
     v_f modulo p with 1 at f and 0 at the other free columns; its entries
@@ -145,7 +145,7 @@ def _modular_nullspace(
       lifts to itself, and every check passes.
     """
     bound = isqrt(p // 2)
-    mod = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    mod = [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(mod):
         for c in row:
@@ -157,7 +157,7 @@ def _modular_nullspace(
         if not holders:
             free.append(c)
             continue
-        pid = min(holders, key=lambda rid: (len(mod[rid]), rid))
+        pid = min(holders, key=lambda rid: len(mod[rid]))
         pr = mod[pid]
         inv = pow(pr.pop(c), -1, p)
         for k in pr:
@@ -338,7 +338,8 @@ def solve_graded(
                 for pos, coeff in vec.items():
                     label, m = members[pos]
                     terms.setdefault(label, {})[monomial_from_exponents(m)] = coeff
-                out.append((grade, {k: Polynomial(space, t) for k, t in terms.items()}))
+                # distinct base monomials, nonzero Fractions from the lift
+                out.append((grade, {k: Polynomial._make(space, t) for k, t in terms.items()}))
         return out
 
     return solve_by_grade(first, first_open, last, solve)

@@ -73,8 +73,8 @@ from .weylop import (
     constant_symbol,
     divide_by_constant,
     euler_op,
-    right_factor_through_bilaplacian,
-    right_factor_through_laplacian,
+    laplacian,
+    right_factor,
 )
 
 # A Lie algebra element is a constant skew one-pair ambient tensor.
@@ -410,7 +410,7 @@ def summand_operator_cases(n: int) -> Iterator[tuple[str, str, bool]]:
         if not bullet.is_zero:
             field = realize_gckt(bullet)
             try:
-                delta = right_factor_through_laplacian(canonical_DW(field, wl))
+                delta = right_factor(canonical_DW(field, wl), laplacian(n))
                 ok = delta == DiffOp.multiplication(field.get(()))
             except NotDivisibleError:
                 ok = False
@@ -635,7 +635,7 @@ def _random_tracefree_four_tensor(n: int, seed: int) -> SymAmbientTensor:
         key: Fraction(rng.randint(-5, 5))
         for key in nondecreasing_tuples(ambient_indices(n), 4)
     }
-    return SymAmbientTensor(n, 4, raw).tracefree_part()
+    return tracefree_part(SymAmbientTensor(n, 4, raw))
 
 
 def quartic_boundary_polynomial(z: SymAmbientTensor) -> Polynomial:
@@ -695,7 +695,7 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
     scalar_factor = Fraction(0)
     quartic_matches = False
     try:
-        certificate = right_factor_through_bilaplacian(induced)
+        certificate = right_factor(induced, bilaplacian(n))
     except NotDivisibleError:
         pass
     else:

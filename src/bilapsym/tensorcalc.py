@@ -4,9 +4,10 @@ Base-space tensors (``SymTensorField``) carry polynomial components indexed
 by nondecreasing multi-indices over 1..n; the flat metric is the identity.
 Constant ambient tensors use indices 0..n+1, where the ambient metric pairs
 0 with n+1 (the null directions) and is the identity on 1..n — so raising
-and lowering is the index involution 0 <-> n+1.  Trace-free projections
-use the closed form in powers of the metric and of the trace, one
-implementation for both metrics.  ``PairSkewTensor`` stores constant ambient
+and lowering is the index involution 0 <-> n+1.  ``metric_trace``,
+``tracefree_part`` (the closed form in powers of the metric and of the
+trace) and ``sym_outer`` serve both types, each of which supplies only its
+metric.  ``PairSkewTensor`` stores constant ambient
 tensors that are skew in each of k index pairs (optionally with a trailing
 symmetric pair), one canonical representative per sign orbit;
 ``PairSkewTensor.project`` builds one from the nonzero entries of an
@@ -20,6 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -167,21 +169,41 @@ def _trace_components(
     return collect(traces())
 
 
-def _metric_components(n: int, kind: str) -> dict[MultiIndex, Fraction]:
-    """Inverse-metric components: identity (base) or 0<->n+1 pairing (ambient)."""
-    if kind == "base":
-        return {(a, a): Fraction(1) for a in base_indices(n)}
-    comps = {(a, a): Fraction(1) for a in base_indices(n)}
-    comps[(0, n + 1)] = Fraction(1)
-    return comps
+# ---------------------------------------------------------------------------
+# symmetric tensors and their trace calculus
 
 
-def _tracefree_components(
-    comps: Mapping[MultiIndex, object],
-    valency: int,
-    n: int,
-    kind: str,
-) -> dict[MultiIndex, object]:
+class _SymTensor(LinearCombination):
+    """A symmetric tensor of shape (n, valency), keyed by nondecreasing
+    multi-indices.  Each subclass fixes its metric by its index range
+    ``indices(n)`` and ``lower(n, a)``, the metric as an index involution;
+    the trace calculus below reads nothing else."""
+
+    __slots__ = ()
+
+    n = property(lambda self: self.shape[0])
+    valency = property(lambda self: self.shape[1])
+    components = property(lambda self: self.terms)
+
+    @classmethod
+    def metric(cls, n: int) -> dict[MultiIndex, Fraction]:
+        """The inverse metric's components: 1 at each (a, lower(a))."""
+        return {tuple(sorted((a, cls.lower(n, a)))): Fraction(1) for a in cls.indices(n)}
+
+    def is_tracefree(self) -> bool:
+        return self.valency < 2 or not _trace_components(
+            self.components, self.valency, partial(self.lower, self.n)
+        )
+
+
+def metric_trace(t: _SymTensor) -> _SymTensor:
+    """Exact contraction of two slots with the metric (all slot pairs give
+    the same trace of a symmetric tensor)."""
+    comps = _trace_components(t.components, t.valency, partial(t.lower, t.n))
+    return type(t)(t.n, t.valency - 2, comps)
+
+
+def tracefree_part(t: _SymTensor) -> _SymTensor:
     """The trace-free part sum_k c_k g^k (.) tr^k T of a symmetric s-tensor T
     in dimension N, with c_0 = 1 and
     c_k / c_{k-1} = -(s-2k+2)(s-2k+1) / (2k (N+2s-2-2k)).
@@ -189,11 +211,10 @@ def _tracefree_components(
     T = TF(T) + g (.) A splits T uniquely for N >= 3, and every denominator
     N+2s-2-2k >= N-2 is positive, so the closed form is exact.
     """
-    lower = (lambda a: a) if kind == "base" else (lambda a: ambient_lower(n, a))
-    g = _metric_components(n, kind)
-    s, dim = valency, n if kind == "base" else n + 2
-    terms = [comps.items()]
-    trace, g_power, coeff = comps, {(): Fraction(1)}, Fraction(1)
+    lower, g = partial(t.lower, t.n), t.metric(t.n)
+    s, dim = t.valency, len(t.indices(t.n))
+    terms = [t.components.items()]
+    trace, g_power, coeff = t.components, {(): Fraction(1)}, Fraction(1)
     for k in range(1, s // 2 + 1):
         trace = _trace_components(trace, s - 2 * k + 2, lower)
         if not trace:
@@ -203,17 +224,29 @@ def _tracefree_components(
         # scaling the trace first costs one product per trace entry
         scaled = {key: val * coeff for key, val in trace.items()}
         terms.append(_sym_outer_components(g_power, 2 * k, scaled, s - 2 * k).items())
-    return collect(itertools.chain.from_iterable(terms))
+    return type(t)(t.n, s, collect(itertools.chain.from_iterable(terms)))
+
+
+def sym_outer(a: _SymTensor, b: _SymTensor) -> _SymTensor:
+    """Symmetrized outer product of two symmetric tensors of one type and
+    dimension."""
+    if type(a) is not type(b) or a.n != b.n:
+        raise ValueError("sym_outer needs two tensors of one type and dimension")
+    comps = _sym_outer_components(a.components, a.valency, b.components, b.valency)
+    return type(a)(a.n, a.valency + b.valency, comps)
 
 
 # ---------------------------------------------------------------------------
 # base-space symmetric tensor fields (polynomial components)
 
 
-class SymTensorField(LinearCombination):
-    """Symmetric tensor of valency s on R^n with polynomial components."""
+class SymTensorField(_SymTensor):
+    """Symmetric tensor of valency s on R^n with polynomial components; the
+    flat metric is the identity."""
 
     __slots__ = ()
+    indices = staticmethod(base_indices)
+    lower = staticmethod(lambda n, a: a)
 
     def __init__(
         self,
@@ -240,10 +273,6 @@ class SymTensorField(LinearCombination):
 
         self._fill((n, valency), valid())
 
-    n = property(lambda self: self.shape[0])
-    valency = property(lambda self: self.shape[1])
-    components = property(lambda self: self.terms)
-
     @property
     def space(self):
         return base_space(self.n)
@@ -256,11 +285,6 @@ class SymTensorField(LinearCombination):
         return SymTensorField(
             self.n, self.valency, {k: fn(v) for k, v in self.components.items()}
         )
-
-    def is_tracefree(self) -> bool:
-        if self.valency < 2:
-            return True
-        return not _trace_components(self.components, self.valency, lambda a: a)
 
     def __repr__(self) -> str:
         return f"<SymTensorField n={self.n} valency={self.valency} nnz={len(self.components)}>"
@@ -288,10 +312,7 @@ class SymTensorField(LinearCombination):
 
 def metric_tensor(n: int) -> SymTensorField:
     """The flat metric delta_ab as a symmetric 2-tensor field."""
-    space = base_space(n)
-    return SymTensorField(
-        n, 2, {(a, a): Polynomial.one(space) for a in base_indices(n)}
-    )
+    return SymTensorField(n, 2, SymTensorField.metric(n))
 
 
 def symmetrize(
@@ -307,35 +328,16 @@ def symmetrize(
     return SymTensorField(n, valency, comps)
 
 
-def metric_trace(t: SymTensorField) -> SymTensorField:
-    """Exact contraction of two slots with the flat metric (all slot pairs
-    give the same trace of a symmetric tensor)."""
-    comps = _trace_components(t.components, t.valency, lambda a: a)
-    return SymTensorField(t.n, t.valency - 2, comps)
-
-
-def tracefree_part(t: SymTensorField) -> SymTensorField:
-    """The metric-trace-free part of a symmetric tensor field."""
-    comps = _tracefree_components(t.components, t.valency, t.n, "base")
-    return SymTensorField(t.n, t.valency, comps)
-
-
-def sym_outer(a: SymTensorField, b: SymTensorField) -> SymTensorField:
-    """Symmetrized outer product of two symmetric tensor fields."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    comps = _sym_outer_components(a.components, a.valency, b.components, b.valency)
-    return SymTensorField(a.n, a.valency + b.valency, comps)
-
-
 # ---------------------------------------------------------------------------
 # constant ambient symmetric tensors
 
 
-class SymAmbientTensor(LinearCombination):
+class SymAmbientTensor(_SymTensor):
     """Constant symmetric tensor on the ambient space (indices 0..n+1)."""
 
     __slots__ = ()
+    indices = staticmethod(ambient_indices)
+    lower = staticmethod(ambient_lower)
 
     def __init__(
         self, n: int, valency: int, components: Mapping[MultiIndex, Rational] | None = None
@@ -351,31 +353,8 @@ class SymAmbientTensor(LinearCombination):
 
         self._fill((n, valency), valid())
 
-    n = property(lambda self: self.shape[0])
-    valency = property(lambda self: self.shape[1])
-    components = property(lambda self: self.terms)
-
     def get(self, key: MultiIndex) -> Fraction:
         return self.components.get(tuple(sorted(key)), Fraction(0))
-
-    def trace(self) -> "SymAmbientTensor":
-        comps = _trace_components(
-            self.components, self.valency, lambda a: ambient_lower(self.n, a)
-        )
-        return SymAmbientTensor(self.n, self.valency - 2, comps)
-
-    def is_tracefree(self) -> bool:
-        return self.valency < 2 or self.trace().is_zero
-
-    def tracefree_part(self) -> "SymAmbientTensor":
-        comps = _tracefree_components(self.components, self.valency, self.n, "ambient")
-        return SymAmbientTensor(self.n, self.valency, comps)
-
-    def sym_outer(self, other: "SymAmbientTensor") -> "SymAmbientTensor":
-        comps = _sym_outer_components(
-            self.components, self.valency, other.components, other.valency
-        )
-        return SymAmbientTensor(self.n, self.valency + other.valency, comps)
 
     def __repr__(self) -> str:
         return f"<SymAmbientTensor n={self.n} valency={self.valency} nnz={len(self.components)}>"
@@ -383,7 +362,7 @@ class SymAmbientTensor(LinearCombination):
 
 def ambient_metric_sym(n: int) -> SymAmbientTensor:
     """The inverse ambient metric as a symmetric 2-tensor."""
-    return SymAmbientTensor(n, 2, _metric_components(n, "ambient"))
+    return SymAmbientTensor(n, 2, SymAmbientTensor.metric(n))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +694,7 @@ def bullet_extract(x: PairSkewTensor) -> PairSkewTensor:
         if r == ambient_lower(n, q)
     )
     sym = _symmetrize_components(traced, 2)
-    tensor = SymAmbientTensor(n, 2, sym).tracefree_part() * Fraction(1, n)
+    tensor = tracefree_part(SymAmbientTensor(n, 2, sym)) * Fraction(1, n)
     return PairSkewTensor(n, 0, 2, dict(tensor.components))
 
 
@@ -800,7 +779,7 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
     if not z.is_tracefree():
         raise ValueError("tensor must be trace-free")
     n = z.n
-    gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
+    gg = sym_outer(ambient_metric_sym(n), ambient_metric_sym(n))
     # Z on the first slots of the pairs and GG on the second: each of the
     # ordered products is an int numerator over dz * dg, and each
     # representative becomes one Fraction after the 1/2^4 scale

@@ -17,9 +17,10 @@ the int numerators of one x-monomial at a time, and the rows of
 commutator [bilap, d] rather than the product bilap o d.
 
 ``compose_sum`` and ``commutator`` check their operands and run
-``exactpoly.weyl_sum``, the one product kernel; ``apply`` is the d^0
-coefficient of a product.  ``bilaplacian`` is written out term by term,
-not composed.
+``exactpoly.weyl_sum``, the one product kernel; ``apply`` takes its
+derivatives by ``Polynomial.partial`` and its products through
+``exactpoly.product_sum``, the derivative-free case of that kernel.
+``bilaplacian`` is written out term by term, not composed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .exactpoly import (
     VarSpace,
     base_space,
     numerators,
+    product_sum,
     rat,
     weyl_sum,
 )
@@ -165,8 +167,19 @@ class DiffOp(LinearCombination):
 
 
 def apply(op: DiffOp, p: Polynomial) -> Polynomial:
-    """Apply the operator to a polynomial: the d^0 coefficient of op o p."""
-    return compose(op, DiffOp.multiplication(p)).coefficient(())
+    """Apply the operator to a polynomial: sum_alpha c_alpha d^alpha p, the
+    d^0 coefficient of op o p, with each d^alpha p a chain of
+    ``Polynomial.partial`` and the products one ``product_sum``."""
+    if p.space != op.space:
+        raise ValueError(f"Polynomial shape mismatch: {p.space} vs {op.space}")
+
+    def derivative(alpha: Alpha) -> Polynomial:
+        out = p
+        for v in alpha:
+            out = out.partial(v)
+        return out
+
+    return product_sum(op.space, ((1, c, derivative(a.indices())) for a, c in op.terms.items()))
 
 
 def compose_sum(
@@ -344,16 +357,6 @@ def right_factor(d: DiffOp, r: DiffOp) -> DiffOp:
     if compose(delta, r) != d:
         raise AssertionError("internal error: factor failed recomposition check")
     return delta
-
-
-def right_factor_through_bilaplacian(d: DiffOp) -> DiffOp:
-    """Exact delta with d = delta o (squared Laplacian)."""
-    return right_factor(d, bilaplacian(d.space.n))
-
-
-def right_factor_through_laplacian(d: DiffOp) -> DiffOp:
-    """Exact delta with d = delta o (Laplacian)."""
-    return right_factor(d, laplacian(d.space.n))
 
 
 def is_symmetry(d: DiffOp) -> DiffOp | None:

@@ -1,17 +1,20 @@
-"""Every imported name is used, and the library imports only the standard
-library.
+"""Every imported name is used, the library imports only the standard
+library, and each library module imports on its own.
 
-Each module of the library (except the package ``__init__``, whose imports
-are its exports) and of the tests is parsed with ``ast``; a name that an
-import statement binds but the module never references is dead weight that
-keeps a removed function looking used.  Every library module, ``__init__``
-included, may import only relative modules and those of
-``sys.stdlib_module_names``: the package declares no dependencies.
+Each module of the library and of the tests is parsed with ``ast``; a name
+that an import statement binds but the module never references is dead
+weight that keeps a removed function looking used.  Every library module
+may import only relative modules and those of ``sys.stdlib_module_names``:
+the package declares no dependencies.  The package ``__init__`` imports no
+module, so each module is imported alone in a fresh interpreter, where an
+import-order dependency would show.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,8 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "bilapsym").glob("*.py"), key=lambda p: p.name)
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "bilapsym").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
+    LIBRARY + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT).as_posix(),
 )
 
@@ -73,3 +75,14 @@ def test_scan_finds_a_nonstandard_module():
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
 def test_library_imports_only_the_standard_library(path):
     assert nonstandard_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "name", [p.stem for p in LIBRARY if p.name != "__init__.py"]
+)
+def test_module_imports_alone(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import bilapsym.{name}"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -766,7 +766,7 @@ class TestQuarticObstruction:
     def test_boundary_polynomial_of_simple_tensor(self):
         n = 3
         comp = {(1, 1, 1, 1): Fraction(1)}
-        z = SymAmbientTensor(n, 4, comp).tracefree_part()
+        z = tracefree_part(SymAmbientTensor(n, 4, comp))
         q = quartic_boundary_polynomial(z)
         from bilapsym.exactpoly import Monomial
 

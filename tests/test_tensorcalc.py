@@ -191,7 +191,11 @@ class TestSymTensorField:
 class TestSymAmbientTensor:
     def test_metric_trace(self):
         g = ambient_metric_sym(N)
-        assert g.trace() == SymAmbientTensor(N, 0, {(): Fraction(N + 2)})
+        assert metric_trace(g) == SymAmbientTensor(N, 0, {(): Fraction(N + 2)})
+
+    def test_sym_outer_refuses_a_base_field(self):
+        with pytest.raises(ValueError):
+            sym_outer(ambient_metric_sym(N), metric_tensor(N))
 
     def test_tracefree_part(self):
         rng = random.Random(2)
@@ -200,7 +204,7 @@ class TestSymAmbientTensor:
             for key in nondecreasing_tuples(ambient_indices(N), 4)
         }
         t = SymAmbientTensor(N, 4, raw)
-        tf = t.tracefree_part()
+        tf = tracefree_part(t)
         assert tf.is_tracefree()
         assert not tf.is_zero
 
@@ -327,7 +331,7 @@ class TestCounterexampleTensor:
             key: Fraction(rng.randint(-4, 4))
             for key in nondecreasing_tuples(ambient_indices(n), 4)
         }
-        return SymAmbientTensor(n, 4, raw).tracefree_part()
+        return tracefree_part(SymAmbientTensor(n, 4, raw))
 
     def test_requires_tracefree(self):
         bad = SymAmbientTensor(N, 4, {(1, 1, 1, 1): Fraction(1)})
@@ -351,7 +355,7 @@ class TestCounterexampleTensor:
         # the reference projects Z(first slots) GG(second slots) by evaluating
         # it on every orbit arrangement of every canonical key
         z = self.build_z(seed, n)
-        gg = ambient_metric_sym(n).sym_outer(ambient_metric_sym(n))
+        gg = sym_outer(ambient_metric_sym(n), ambient_metric_sym(n))
 
         def fn(key):
             gval = gg.get((key[1], key[3], key[5], key[7]))
@@ -524,7 +528,7 @@ def dense_bullet_extract(x):
         val = (raw.get((b, c), Fraction(0)) + raw.get((c, b), Fraction(0))) / 2
         if val != 0:
             sym[key] = val
-    tensor = SymAmbientTensor(n, 2, sym).tracefree_part() * Fraction(1, n)
+    tensor = tracefree_part(SymAmbientTensor(n, 2, sym)) * Fraction(1, n)
     return PairSkewTensor(n, 0, 2, dict(tensor.components))
 
 
@@ -716,21 +720,18 @@ def tracefree_tensor(kind, n, valency, data):
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_tracefree_projection_characterized(kind, n, valency, data):
-    if kind == "base":
-        project, metric_times = tracefree_part, lambda a: sym_outer(metric_tensor(n), a)
-    else:
-        project, metric_times = SymAmbientTensor.tracefree_part, ambient_metric_sym(n).sym_outer
+    metric = metric_tensor(n) if kind == "base" else ambient_metric_sym(n)
     t = data.draw(sym_tensors(kind, n, valency))
     other = data.draw(sym_tensors(kind, n, valency))
     c = data.draw(rationals)
-    assert project(t).is_tracefree()
-    assert project(t + other * c) == project(t) + project(other) * c
+    assert tracefree_part(t).is_tracefree()
+    assert tracefree_part(t + other * c) == tracefree_part(t) + tracefree_part(other) * c
     h = tracefree_tensor(kind, n, valency, data)
     assert h.is_tracefree() and not h.is_zero
-    assert project(h) == h
+    assert tracefree_part(h) == h
     if valency >= 2:
         a = data.draw(sym_tensors(kind, n, valency - 2))
-        assert project(metric_times(a)).is_zero
+        assert tracefree_part(sym_outer(metric, a)).is_zero
 
 
 # ---------------------------------------------------------------------------
