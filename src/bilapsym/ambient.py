@@ -9,13 +9,16 @@ functions on the cone with functions on R^n.
 
 Constant skew ambient tensors realize as polynomial vector/tensor fields on
 the section through the lowered position vector phi and the tangent
-projector psi(b, Q) = d_b phi[Q] (``realize_ckt``/``realize_gckt``).  phi
-is contracted in one place: each realization collects its ambient sum of
+projector psi(b, Q) = d_b phi[Q] (``realize_ckt``), and a constant
+symmetric ambient tensor realizes as the scalar field of its contraction
+with phi on every slot (``realize_gckt``).  phi is contracted in one place,
+``section_polynomial``: each realization collects its ambient sum of
 lowered coordinates and restricts it once by ``section_substitution``.
 A pair p = (I, J) names the first-order operator V_p = x_{lower I} d_J -
 x_{lower J} d_I, built in one place: a one-pair tensor gives a sum of them
 (``ambient_op_V``) and a k-pair tensor a sum of words in them
-(``ambient_op_gg``).  Conversely, homogeneous ambient operators that
+(``ambient_op_gg``), and a symmetric 2-tensor W gives the scalar-symbol
+operator (``ambient_op_W``).  Conversely, homogeneous ambient operators that
 preserve the ideal of the cone descend to exact operators on weight-w
 functions (``induce``): both the ideal test and the descent are symbolic
 operator computations.
@@ -43,9 +46,11 @@ from .exactpoly import (
 from .tensorcalc import (
     MultiIndex,
     PairSkewTensor,
+    SymAmbientTensor,
     SymTensorField,
     ambient_indices,
     ambient_lower,
+    distinct_orderings,
     symmetrize,
 )
 from .weylop import DiffOp, commutator, compose, compose_sum, euler_op
@@ -172,8 +177,6 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
     collects its ambient sum and restricts it once through
     ``section_polynomial``, and the result is symmetrized.
     """
-    if x.tail_valency != 0:
-        raise ValueError("realize_ckt expects no trailing pair")
     n, k = x.n, x.pair_count
     tangent = [_tangent(n, q) for q in ambient_indices(n)]
     sums: dict[MultiIndex, list] = {}
@@ -187,16 +190,21 @@ def realize_ckt(x: PairSkewTensor) -> SymTensorField:
 
 def lie_to_ckv(v: PairSkewTensor) -> SymTensorField:
     """Realize a one-pair tensor as a degree-<=2 vector field."""
-    if v.pair_count != 1 or v.tail_valency != 0:
+    if v.pair_count != 1:
         raise ValueError("expected a one-pair tensor")
     return realize_ckt(v)
 
 
-def realize_gckt(w: PairSkewTensor) -> SymTensorField:
-    """Realize a trailing-pair tensor as a scalar field on the section."""
-    if w.pair_count != 0 or w.tail_valency != 2:
-        raise ValueError("expected a trailing-pair tensor")
-    return SymTensorField(w.n, 0, {(): section_polynomial(w.n, w.ordered_entries())})
+def realize_gckt(w: SymAmbientTensor) -> SymTensorField:
+    """Realize a symmetric ambient tensor of any valency as the scalar field
+    W^{B1...Bs} phi[B1] ... phi[Bs] on the section.
+
+    The product of phi over a key does not depend on the order of its
+    slots, so each stored key is contracted once, weighted by its number of
+    distinct orderings.
+    """
+    entries = ((key, val * distinct_orderings(key)) for key, val in w.components.items())
+    return SymTensorField(w.n, 0, {(): section_polynomial(w.n, entries)})
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ def _first_order(n: int, entries: Iterable[tuple[MultiIndex, Fraction]]) -> Diff
 
 def ambient_op_V(x: PairSkewTensor) -> DiffOp:
     """The first-order ambient operator sum_p x^p V_p of a one-pair tensor."""
-    if x.pair_count != 1 or x.tail_valency != 0:
+    if x.pair_count != 1:
         raise ValueError("expected a one-pair tensor")
     return _first_order(x.n, x.components.items())
 
@@ -234,8 +242,8 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
     pairs composed with the sum of the remaining pairs' words weighted by
     the components, and each V_p and each word is built once.
     """
-    if x.pair_count == 0 or x.tail_valency != 0:
-        raise ValueError("expected a tensor of at least one pair and no trailing pair")
+    if x.pair_count == 0:
+        raise ValueError("expected a tensor of at least one pair")
     n, head = x.n, 2 * ((x.pair_count + 1) // 2)
     space = ambient_space(n)
     words = {(): DiffOp.identity(space)}
@@ -259,16 +267,16 @@ def ambient_op_gg(x: PairSkewTensor) -> DiffOp:
     )
 
 
-def ambient_op_W(w: PairSkewTensor) -> DiffOp:
-    """Ambient operator of a trailing-pair tensor.
+def ambient_op_W(w: SymAmbientTensor) -> DiffOp:
+    """Ambient operator of a symmetric 2-tensor W.
 
-    The trailing symmetric pair contributes
+    Each ordered entry W^{DE} contributes
     x_D x_E (ambient Laplacian) - 2 x_D d_E.  This preserves the cone ideal
     exactly on functions of the distinguished homogeneity, where it induces
     the same base operator as the embedded two-pair tensor.
     """
-    if w.pair_count != 0 or w.tail_valency != 2:
-        raise ValueError("expected a trailing-pair tensor")
+    if w.valency != 2:
+        raise ValueError(f"expected a valency-2 symmetric tensor, not valency {w.valency}")
     n = w.n
     space = ambient_space(n)
     lap = ambient_laplacian(n)

@@ -18,7 +18,7 @@ from .checks import SUITES
 from .cktsolve import second_order_symmetry_dimension, solve_ckt, solve_gckt
 from .exactpoly import parse_rational
 from .symalg import canonical_DV, canonical_DW, enumerate_symmetries
-from .tensorcalc import PairSkewTensor, SymTensorField
+from .tensorcalc import PairSkewTensor, SymAmbientTensor, SymTensorField
 from .weylop import bilaplacian, laplacian
 
 EXIT_OK = 0
@@ -44,7 +44,15 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
 
 # the kinds (or suites) that read each optional argument; the others ignore it
 SOLVE_FLAG_READERS = {"--s": ("ckt", "symmetries"), "--t": ("gckt",)}
-SYMBOL_KINDS = ("dv", "dw", "ambient-one-pair", "ambient-two-pair", "ambient-scalar-symbol")
+# the symbol kinds and the tensor type that each reads from its symbol file
+SYMBOL_TYPES = {
+    "dv": SymTensorField,
+    "dw": SymTensorField,
+    "ambient-one-pair": PairSkewTensor,
+    "ambient-two-pair": PairSkewTensor,
+    "ambient-scalar-symbol": SymAmbientTensor,
+}
+SYMBOL_KINDS = tuple(SYMBOL_TYPES)
 BUILD_OP_FLAG_READERS = {
     "--w": ("dv", "dw"), "--n": ("laplacian", "bilaplacian"), "symbol": SYMBOL_KINDS,
 }
@@ -154,9 +162,8 @@ def cmd_build_op(args: argparse.Namespace) -> int:
             raise ValueError(f"kind {args.kind!r} requires a symbol file")
         with open(args.symbol, "r", encoding="utf-8") as handle:
             text = handle.read()
-        cls = SymTensorField if args.kind in ("dv", "dw") else PairSkewTensor
         try:
-            symbol = cls.from_json_obj(json.loads(text))
+            symbol = SYMBOL_TYPES[args.kind].from_json_obj(json.loads(text))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed symbol file {args.symbol}: {exc!r}") from None
         w = 0 if args.w is None else args.w

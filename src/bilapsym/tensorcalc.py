@@ -7,12 +7,14 @@ Constant ambient tensors use indices 0..n+1, where the ambient metric pairs
 and lowering is the index involution 0 <-> n+1.  ``metric_trace``,
 ``tracefree_part`` (the closed form in powers of the metric and of the
 trace) and ``sym_outer`` serve both types, each of which supplies only its
-metric.  ``PairSkewTensor`` stores constant ambient
-tensors that are skew in each of k index pairs (optionally with a trailing
-symmetric pair), one canonical representative per sign orbit;
+metric and its value type; the two share their key validation and their
+``{"n", "valency", "components"}`` JSON.  ``PairSkewTensor`` stores
+constant ambient tensors of shape (n, k) that are skew in each of k index
+pairs, one canonical representative per sign orbit;
 ``PairSkewTensor.project`` builds one from the nonzero entries of an
 unsymmetrized tensor.  ``decompose_gg`` splits a two-pair tensor into its
-six invariant summands.
+six invariant summands, one of them the symmetric trace-free 2-tensor W
+of the scalar-symbol operators, stored as a ``SymAmbientTensor``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .exactpoly import (
     LinearCombination,
     Polynomial,
     Rational,
+    ambient_space,
     base_space,
     collect,
     format_rational,
@@ -74,9 +77,9 @@ def distinct_orderings(key: MultiIndex) -> int:
 
 
 def pair_orbit(key: MultiIndex, pair_count: int) -> Iterator[tuple[MultiIndex, int]]:
-    """The key with every subset of its first ``pair_count`` index pairs
+    """The key with every subset of its ``pair_count`` index pairs
     transposed, as (arranged key, sign) with one sign flip per transposed
-    pair.  Later indices, such as a trailing pair, are left in place."""
+    pair."""
     for flip in itertools.product((0, 1), repeat=pair_count):
         sign = 1
         arranged = list(key)
@@ -176,14 +179,67 @@ def _trace_components(
 class _SymTensor(LinearCombination):
     """A symmetric tensor of shape (n, valency), keyed by nondecreasing
     multi-indices.  Each subclass fixes its metric by its index range
-    ``indices(n)`` and ``lower(n, a)``, the metric as an index involution;
-    the trace calculus below reads nothing else."""
+    ``indices(n)`` and ``lower(n, a)``, the metric as an index involution,
+    and its value type by ``space_of(n)``, which checks n, and by ``_value``,
+    ``_value_to_json`` and ``_value_from_json``, which coerce a value in
+    that space and convert it to and from JSON; the key validation, the JSON
+    form and the trace calculus below read nothing else."""
 
     __slots__ = ()
+
+    def __init__(
+        self, n: int, valency: int, components: Mapping[MultiIndex, object] | None = None
+    ) -> None:
+        if valency < 0:
+            raise ValueError("valency must be >= 0")
+        space, indices = self.space_of(n), self.indices(n)
+        first, last = indices[0], indices[-1]
+
+        def valid():
+            for key, val in (components or {}).items():
+                key = tuple(key)
+                if len(key) != valency or any(not first <= i <= last for i in key):
+                    raise ValueError(f"bad multi-index {key} for valency {valency}, n={n}")
+                if tuple(sorted(key)) != key:
+                    raise ValueError(f"multi-index {key} is not nondecreasing")
+                yield key, self._value(space, val)
+
+        self._fill((n, valency), valid())
 
     n = property(lambda self: self.shape[0])
     valency = property(lambda self: self.shape[1])
     components = property(lambda self: self.terms)
+    space = property(lambda self: self.space_of(self.n))
+
+    def get(self, key: MultiIndex):
+        val = self.components.get(tuple(sorted(key)))
+        return self._value(self.space, 0) if val is None else val
+
+    def __repr__(self) -> str:
+        return (
+            f"<{type(self).__name__} n={self.n} valency={self.valency}"
+            f" nnz={len(self.components)}>"
+        )
+
+    def to_json_obj(self) -> dict:
+        return {
+            "n": self.n,
+            "valency": self.valency,
+            "components": {
+                ",".join(map(str, k)): self._value_to_json(v)
+                for k, v in sorted(self.components.items())
+            },
+        }
+
+    @classmethod
+    def from_json_obj(cls, data: dict):
+        n = data["n"]
+        space = cls.space_of(n)
+        comps = {
+            _key_from_json(key): cls._value_from_json(space, val)
+            for key, val in data["components"].items()
+        }
+        return cls(n, data["valency"], comps)
 
     @classmethod
     def metric(cls, n: int) -> dict[MultiIndex, Fraction]:
@@ -247,67 +303,22 @@ class SymTensorField(_SymTensor):
     __slots__ = ()
     indices = staticmethod(base_indices)
     lower = staticmethod(lambda n, a: a)
+    space_of = staticmethod(base_space)
+    _value_to_json = staticmethod(Polynomial.to_json_obj)
+    _value_from_json = staticmethod(Polynomial.from_json_obj)
 
-    def __init__(
-        self,
-        n: int,
-        valency: int,
-        components: Mapping[MultiIndex, Polynomial] | None = None,
-    ) -> None:
-        if valency < 0:
-            raise ValueError("valency must be >= 0")
-        space = base_space(n)
-
-        def valid():
-            for key, val in (components or {}).items():
-                key = tuple(key)
-                if len(key) != valency or any(not 1 <= i <= n for i in key):
-                    raise ValueError(f"bad multi-index {key} for valency {valency}, n={n}")
-                if tuple(sorted(key)) != key:
-                    raise ValueError(f"multi-index {key} is not nondecreasing")
-                if not isinstance(val, Polynomial):
-                    val = Polynomial.constant(space, val)
-                if val.space != space:
-                    raise ValueError("component in wrong variable space")
-                yield key, val
-
-        self._fill((n, valency), valid())
-
-    @property
-    def space(self):
-        return base_space(self.n)
-
-    def get(self, key: MultiIndex) -> Polynomial:
-        val = self.components.get(tuple(sorted(key)))
-        return Polynomial.zero(self.space) if val is None else val
+    @staticmethod
+    def _value(space, val) -> Polynomial:
+        if not isinstance(val, Polynomial):
+            val = Polynomial.constant(space, val)
+        if val.space != space:
+            raise ValueError("component in wrong variable space")
+        return val
 
     def map_components(self, fn: Callable[[Polynomial], Polynomial]) -> "SymTensorField":
         return SymTensorField(
             self.n, self.valency, {k: fn(v) for k, v in self.components.items()}
         )
-
-    def __repr__(self) -> str:
-        return f"<SymTensorField n={self.n} valency={self.valency} nnz={len(self.components)}>"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "valency": self.valency,
-            "components": {
-                ",".join(map(str, k)): v.to_json_obj()
-                for k, v in sorted(self.components.items())
-            },
-        }
-
-    @classmethod
-    def from_json_obj(cls, data: dict) -> "SymTensorField":
-        n = data["n"]
-        space = base_space(n)
-        comps = {
-            _key_from_json(key): Polynomial.from_json_obj(space, val)
-            for key, val in data["components"].items()
-        }
-        return cls(n, data["valency"], comps)
 
 
 def metric_tensor(n: int) -> SymTensorField:
@@ -333,31 +344,22 @@ def symmetrize(
 
 
 class SymAmbientTensor(_SymTensor):
-    """Constant symmetric tensor on the ambient space (indices 0..n+1)."""
+    """Constant symmetric tensor on the ambient space (indices 0..n+1) with
+    rational components."""
 
     __slots__ = ()
     indices = staticmethod(ambient_indices)
     lower = staticmethod(ambient_lower)
+    space_of = staticmethod(ambient_space)
+    _value = staticmethod(lambda space, val: rat(val))
+    _value_to_json = staticmethod(format_rational)
+    _value_from_json = staticmethod(lambda space, val: rational_from_json(val))
 
-    def __init__(
-        self, n: int, valency: int, components: Mapping[MultiIndex, Rational] | None = None
-    ) -> None:
-        def valid():
-            for key, val in (components or {}).items():
-                key = tuple(key)
-                if len(key) != valency or any(not 0 <= i <= n + 1 for i in key):
-                    raise ValueError(f"bad ambient multi-index {key}")
-                if tuple(sorted(key)) != key:
-                    raise ValueError(f"multi-index {key} is not nondecreasing")
-                yield key, rat(val)
-
-        self._fill((n, valency), valid())
-
-    def get(self, key: MultiIndex) -> Fraction:
-        return self.components.get(tuple(sorted(key)), Fraction(0))
-
-    def __repr__(self) -> str:
-        return f"<SymAmbientTensor n={self.n} valency={self.valency} nnz={len(self.components)}>"
+    def ordered_entries(self) -> Iterator[tuple[MultiIndex, Fraction]]:
+        """Every ordered key with a nonzero component, with its value."""
+        for key, val in self.components.items():
+            for arranged in dict.fromkeys(itertools.permutations(key)):
+                yield arranged, val
 
 
 def ambient_metric_sym(n: int) -> SymAmbientTensor:
@@ -369,12 +371,10 @@ def ambient_metric_sym(n: int) -> SymAmbientTensor:
 # paired-skew constant ambient tensors
 
 
-def _pair_canonical(
-    key: MultiIndex, pair_count: int, tail_valency: int = 0
-) -> tuple[MultiIndex, int] | None:
-    """The representative of an ordered key under the flips of its first
-    ``pair_count`` index pairs (and the swap of a trailing pair), with one
-    sign flip per transposed pair; None when a pair repeats an index."""
+def _pair_canonical(key: MultiIndex, pair_count: int) -> tuple[MultiIndex, int] | None:
+    """The representative of an ordered key under the flips of its
+    ``pair_count`` index pairs, with one sign flip per transposed pair; None
+    when a pair repeats an index."""
     sign = 1
     parts: list[int] = []
     for i in range(0, 2 * pair_count, 2):
@@ -386,9 +386,6 @@ def _pair_canonical(
             sign = -sign
         else:
             return None
-    if tail_valency:
-        a, b = key[-2], key[-1]
-        parts += (a, b) if a <= b else (b, a)
     return tuple(parts), sign
 
 
@@ -412,12 +409,12 @@ def _projected(
 
 
 class PairSkewTensor(LinearCombination):
-    """Constant ambient tensor, skew within each of k index pairs.
+    """Constant ambient tensor of shape (n, k), skew within each of its k
+    index pairs.
 
-    With ``tail_valency`` 2 a trailing symmetric index pair is appended.
-    Storage keeps one representative per orbit of the structural group
-    (pair-internal transpositions and the trailing swap) with sign
-    bookkeeping; a pair with equal indices is identically zero.
+    Storage keeps one representative per orbit of the pair-internal
+    transpositions with sign bookkeeping; a pair with equal indices is
+    identically zero.
     """
 
     __slots__ = ()
@@ -426,11 +423,8 @@ class PairSkewTensor(LinearCombination):
         self,
         n: int,
         pair_count: int,
-        tail_valency: int = 0,
         components: Mapping[MultiIndex, Rational] | None = None,
     ) -> None:
-        if tail_valency not in (0, 2):
-            raise ValueError("tail_valency must be 0 or 2")
         if pair_count < 0:
             raise ValueError("pair_count must be >= 0")
         if not isinstance(n, int):
@@ -440,23 +434,22 @@ class PairSkewTensor(LinearCombination):
             for key, val in (components or {}).items():
                 key = tuple(key)
                 if not (
-                    len(key) == 2 * pair_count + tail_valency
+                    len(key) == 2 * pair_count
                     and all(0 <= i <= n + 1 for i in key)
-                    and _pair_canonical(key, pair_count, tail_valency) == (key, 1)
+                    and _pair_canonical(key, pair_count) == (key, 1)
                 ):
                     raise ValueError(f"key {key} is not a canonical ambient key of this shape")
                 yield key, rat(val)
 
-        self._fill((n, pair_count, tail_valency), valid())
+        self._fill((n, pair_count), valid())
 
     n = property(lambda self: self.shape[0])
     pair_count = property(lambda self: self.shape[1])
-    tail_valency = property(lambda self: self.shape[2])
     components = property(lambda self: self.terms)
 
     def canonicalize(self, key: MultiIndex) -> tuple[MultiIndex, int] | None:
         """Canonical representative and sign, or None if a pair repeats."""
-        return _pair_canonical(key, self.pair_count, self.tail_valency)
+        return _pair_canonical(key, self.pair_count)
 
     def get(self, key: MultiIndex) -> Fraction:
         canon = self.canonicalize(tuple(key))
@@ -468,12 +461,9 @@ class PairSkewTensor(LinearCombination):
 
     def ordered_entries(self) -> Iterator[tuple[MultiIndex, Fraction]]:
         """Every ordered key with a nonzero component, with its value."""
-        k = self.pair_count
         for key, val in self.components.items():
-            head, tail = key[: 2 * k], key[2 * k :]
-            for arranged, sign in pair_orbit(head, k):
-                for t in dict.fromkeys((tail, tail[::-1])):
-                    yield arranged + t, sign * val
+            for arranged, sign in pair_orbit(key, self.pair_count):
+                yield arranged, sign * val
 
     @classmethod
     def project(
@@ -487,23 +477,18 @@ class PairSkewTensor(LinearCombination):
         denominator and with the sign of ``canonicalize``, to its
         representative, and the sums are scaled once by 1/2^pair_count.  No
         pair flip fixes a key whose pairs have distinct indices, so this is
-        the average over the flip orbit.  There is no trailing pair: its
-        swap fixes a key with equal trailing indices.
+        the average over the flip orbit.
         """
         den, nums = numerators(entries)
         return _projected(n, pair_count, nums, den)
 
     def __repr__(self) -> str:
-        return (
-            f"<PairSkewTensor n={self.n} pairs={self.pair_count}"
-            f" tail={self.tail_valency} nnz={len(self.components)}>"
-        )
+        return f"<PairSkewTensor n={self.n} pairs={self.pair_count} nnz={len(self.components)}>"
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "pair_count": self.pair_count,
-            "tail_valency": self.tail_valency,
             "components": {
                 ",".join(map(str, k)): format_rational(v)
                 for k, v in sorted(self.components.items())
@@ -516,7 +501,7 @@ class PairSkewTensor(LinearCombination):
             _key_from_json(key): rational_from_json(val)
             for key, val in data["components"].items()
         }
-        return cls(data["n"], data["pair_count"], data["tail_valency"], comps)
+        return cls(data["n"], data["pair_count"], comps)
 
 
 def contract_positions(
@@ -529,11 +514,11 @@ def contract_positions(
     once; each summand key is canonicalized in place and its component read
     as an int numerator over the common denominator of x.
     """
-    k, tail = x.pair_count, x.tail_valency
+    k = x.pair_count
     used = {p for pair in contractions for p in pair}
     if len(used) != 2 * len(contractions):
         raise ValueError("overlapping contraction positions")
-    free = [p for p in range(2 * k + tail) if p not in used]
+    free = [p for p in range(2 * k) if p not in used]
     idx = ambient_indices(x.n)
     den, nums = numerators(x.components.items())
     nums = dict(nums)
@@ -546,7 +531,7 @@ def contract_positions(
         ]
         for sums in itertools.product(idx, repeat=len(contractions))
     ]
-    key = [0] * (2 * k + tail)
+    key = [0] * (2 * k)
     out: dict[MultiIndex, Fraction] = {}
     for free_vals in itertools.product(idx, repeat=len(free)):
         for p, v in zip(free, free_vals):
@@ -555,7 +540,7 @@ def contract_positions(
         for summand in summands:
             for p, v in summand:
                 key[p] = v
-            canon = _pair_canonical(key, k, tail)
+            canon = _pair_canonical(key, k)
             if canon is not None:
                 num = nums.get(canon[0])
                 if num is not None:
@@ -567,14 +552,14 @@ def contract_positions(
 
 def pair_swap(x: PairSkewTensor) -> PairSkewTensor:
     """Exchange the two pairs of a two-pair tensor."""
-    if x.pair_count != 2 or x.tail_valency != 0:
+    if x.pair_count != 2:
         raise ValueError("pair_swap needs exactly two pairs")
     return PairSkewTensor._make(x.shape, {k[2:] + k[:2]: v for k, v in x.components.items()})
 
 
 def fully_skew_part(x: PairSkewTensor) -> PairSkewTensor:
     """Total antisymmetrization of a two-pair tensor over all four slots."""
-    if x.pair_count != 2 or x.tail_valency != 0:
+    if x.pair_count != 2:
         raise ValueError("fully_skew_part needs exactly two pairs")
     # the average over the 24 signed slot orders meets each stored key in
     # its 4 flip arrangements, so each stored key scatters its signed slot
@@ -648,7 +633,7 @@ def scalar_extract(x: PairSkewTensor) -> Fraction:
 
 def adjoint_embed(v: PairSkewTensor) -> PairSkewTensor:
     """Embed a one-pair tensor as the adjoint summand (bracket-normalized)."""
-    if v.pair_count != 1 or v.tail_valency != 0:
+    if v.pair_count != 1:
         raise ValueError("adjoint_embed expects a one-pair tensor")
     n = v.n
     return PairSkewTensor.project(
@@ -672,17 +657,17 @@ def adjoint_extract(x: PairSkewTensor) -> PairSkewTensor:
     return PairSkewTensor.project(n, 1, traced())
 
 
-def bullet_embed(w: PairSkewTensor) -> PairSkewTensor:
+def bullet_embed(w: SymAmbientTensor) -> PairSkewTensor:
     """Embed a symmetric trace-free 2-tensor as the two-row-symmetric summand:
     W^BC g^QR - W^QC g^BR - W^BR g^QC + W^QR g^BC."""
-    if w.pair_count != 0 or w.tail_valency != 2:
-        raise ValueError("bullet_embed expects a trailing-pair tensor")
+    if w.valency != 2:
+        raise ValueError("bullet_embed expects a valency-2 symmetric tensor")
     return PairSkewTensor.project(
         w.n, 2, _metric_insertions(w.n, w.ordered_entries(), Fraction(-1))
     )
 
 
-def bullet_extract(x: PairSkewTensor) -> PairSkewTensor:
+def bullet_extract(x: PairSkewTensor) -> SymAmbientTensor:
     """Second-slot trace, symmetrized and trace-freed; inverts bullet_embed.
 
     Before symmetrizing, the component at (B, C) is X^{BQC}_Q.
@@ -694,8 +679,7 @@ def bullet_extract(x: PairSkewTensor) -> PairSkewTensor:
         if r == ambient_lower(n, q)
     )
     sym = _symmetrize_components(traced, 2)
-    tensor = tracefree_part(SymAmbientTensor(n, 2, sym)) * Fraction(1, n)
-    return PairSkewTensor(n, 0, 2, dict(tensor.components))
+    return tracefree_part(SymAmbientTensor(n, 2, sym)) * Fraction(1, n)
 
 
 @dataclass(frozen=True)
@@ -703,7 +687,7 @@ class GGDecomposition:
     """The six invariant components of a two-pair ambient tensor."""
 
     cartan: PairSkewTensor
-    bullet_W: PairSkewTensor  # pair_count 0, trailing symmetric pair
+    bullet_W: SymAmbientTensor  # valency 2
     scalar: Fraction
     hook: PairSkewTensor
     adjoint: PairSkewTensor  # pair_count 1
@@ -730,7 +714,7 @@ def decompose_gg(x: PairSkewTensor) -> GGDecomposition:
     Five parts come from explicit embeddings/extractions; the top summand is
     the exact remainder.  The embedded parts recombine to the input exactly.
     """
-    if x.pair_count != 2 or x.tail_valency != 0:
+    if x.pair_count != 2:
         raise ValueError("decompose_gg expects a two-pair tensor")
     n = x.n
     scalar = scalar_extract(x)
@@ -757,15 +741,6 @@ def decompose_gg(x: PairSkewTensor) -> GGDecomposition:
 # the quartic counterexample tensor
 
 
-def _ordered_entries(t: SymAmbientTensor) -> list[tuple[MultiIndex, Fraction]]:
-    """Every ordered index tuple with a nonzero component, with its value."""
-    return [
-        (key, val)
-        for ckey, val in t.components.items()
-        for key in dict.fromkeys(itertools.permutations(ckey))
-    ]
-
-
 def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
     """Skew a symmetric trace-free 4-tensor against the squared metric.
 
@@ -783,8 +758,8 @@ def counterexample_tensor(z: SymAmbientTensor) -> PairSkewTensor:
     # Z on the first slots of the pairs and GG on the second: each of the
     # ordered products is an int numerator over dz * dg, and each
     # representative becomes one Fraction after the 1/2^4 scale
-    dz, z_entries = numerators(_ordered_entries(z))
-    dg, g_entries = numerators(_ordered_entries(gg))
+    dz, z_entries = numerators(z.ordered_entries())
+    dg, g_entries = numerators(gg.ordered_entries())
     return _projected(
         n,
         4,

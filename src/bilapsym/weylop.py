@@ -168,15 +168,20 @@ class DiffOp(LinearCombination):
 
 def apply(op: DiffOp, p: Polynomial) -> Polynomial:
     """Apply the operator to a polynomial: sum_alpha c_alpha d^alpha p, the
-    d^0 coefficient of op o p, with each d^alpha p a chain of
-    ``Polynomial.partial`` and the products one ``product_sum``."""
+    d^0 coefficient of op o p, with the products one ``product_sum``.
+
+    Each d^alpha p is one ``Polynomial.partial`` of the derivative of its
+    prefix alpha[:-1]; the nondecreasing alpha of one operator share their
+    prefixes, so each prefix is differentiated once per call.
+    """
     if p.space != op.space:
         raise ValueError(f"Polynomial shape mismatch: {p.space} vs {op.space}")
+    derivatives: dict[Alpha, Polynomial] = {(): p}
 
     def derivative(alpha: Alpha) -> Polynomial:
-        out = p
-        for v in alpha:
-            out = out.partial(v)
+        out = derivatives.get(alpha)
+        if out is None:
+            out = derivatives[alpha] = derivative(alpha[:-1]).partial(alpha[-1])
         return out
 
     return product_sum(op.space, ((1, c, derivative(a.indices())) for a, c in op.terms.items()))

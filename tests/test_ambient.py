@@ -36,7 +36,6 @@ from bilapsym.symalg import (
     dilation_element,
     laplacian_weight,
     pair_tensor,
-    quartic_boundary_polynomial,
     rotation_element,
     so_basis,
     so_basis_element,
@@ -61,6 +60,7 @@ from bilapsym.weylop import (
     laplacian,
     operator_from_action,
 )
+from test_tensorcalc import sym_tensors
 
 
 def base_square(n: int, space=None) -> Polynomial:
@@ -244,18 +244,22 @@ def reference_realization(x: PairSkewTensor) -> SymTensorField:
 
 
 @st.composite
-def pair_tensors(draw, tail_valency=0):
-    """Sparse constant tensors at n = 3, 4 with rational components: k = 1..3
-    pairs, or (tail_valency 2) a trailing symmetric pair alone."""
+def pair_tensors(draw):
+    """Sparse constant k-pair tensors, k = 1..3, at n = 3, 4 with rational
+    components."""
     n = draw(st.sampled_from([3, 4]))
-    k = 0 if tail_valency else draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
     index = st.integers(0, n + 1)
     pair = st.tuples(index, index).filter(lambda p: p[0] != p[1]).map(sorted)
-    head = st.lists(pair, min_size=k, max_size=k).map(lambda ps: tuple(i for p in ps for i in p))
-    tail = st.tuples(index, index).map(lambda p: tuple(sorted(p))) if tail_valency else st.just(())
-    keys = st.tuples(head, tail).map(lambda ht: ht[0] + ht[1])
+    keys = st.lists(pair, min_size=k, max_size=k).map(lambda ps: tuple(i for p in ps for i in p))
     values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
-    return PairSkewTensor(n, k, tail_valency, draw(st.dictionaries(keys, values, max_size=3)))
+    return PairSkewTensor(n, k, draw(st.dictionaries(keys, values, max_size=3)))
+
+
+def every_ordering(w: SymAmbientTensor):
+    """(key, w.get(key)) at every ordered key with a nonzero component."""
+    keys = itertools.product(ambient_indices(w.n), repeat=w.valency)
+    return [(key, w.get(key)) for key in keys if w.get(key)]
 
 
 class TestSectionFrame:
@@ -275,18 +279,22 @@ class TestSectionFrame:
         assert realize_ckt(x) == reference_realization(x)
 
     @settings(max_examples=20, deadline=None)
-    @given(pair_tensors(tail_valency=2))
+    @given(st.tuples(st.sampled_from([3, 4]), st.integers(0, 4)).flatmap(
+        lambda shape: sym_tensors("ambient", *shape)
+    ))
     def test_realize_gckt_matches_the_product_reference(self, w):
-        expected = reference_contraction(w.n, w.ordered_entries())
+        expected = reference_contraction(w.n, every_ordering(w))
         assert realize_gckt(w) == SymTensorField(w.n, 0, {(): expected})
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_quartic_contracts_every_ordering(self, n):
+        # dense tensors of valency 2 and 4, each ordered key contracted once
         rng = random.Random(n)
-        keys = nondecreasing_tuples(ambient_indices(n), 4)
-        z = SymAmbientTensor(n, 4, {key: Fraction(rng.randint(-3, 3)) for key in keys})
-        every = ((key, z.get(key)) for key in itertools.product(ambient_indices(n), repeat=4))
-        assert quartic_boundary_polynomial(z) == section_polynomial(n, every)
+        for valency in (2, 4):
+            keys = nondecreasing_tuples(ambient_indices(n), valency)
+            z = SymAmbientTensor(n, valency, {key: Fraction(rng.randint(-3, 3)) for key in keys})
+            every = section_polynomial(n, every_ordering(z))
+            assert realize_gckt(z) == SymTensorField(n, 0, {(): every})
 
 
 class TestRealization:
@@ -372,7 +380,7 @@ class TestAmbientOperators:
             p: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             for p in itertools.combinations(ambient_indices(n), 2)
         }
-        x = PairSkewTensor(n, 1, 0, comps)
+        x = PairSkewTensor(n, 1, comps)
         assert ambient_op_gg(x) == ambient_op_V(x)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -389,26 +397,26 @@ class TestAmbientOperators:
             by_hand = ambient_op_V(so_basis_element(n, *key[:2]))
             for i in (2, 4):
                 by_hand = compose(by_hand, ambient_op_V(so_basis_element(n, *key[i : i + 2])))
-            assert ambient_op_gg(PairSkewTensor(n, 3, 0, {key: 1})) == by_hand
+            assert ambient_op_gg(PairSkewTensor(n, 3, {key: 1})) == by_hand
             total = total + by_hand * val
-        assert ambient_op_gg(PairSkewTensor(n, 3, 0, keys)) == total
+        assert ambient_op_gg(PairSkewTensor(n, 3, keys)) == total
 
     def test_word_operator_and_trailing_pair_operator_refuse_other_shapes(self):
-        u = dilation_element(3)
-        with pytest.raises(ValueError):
-            ambient_op_gg(bullet_extract(pair_tensor(u, u)))
         with pytest.raises(ValueError):
             ambient_op_gg(PairSkewTensor(3, 0))
-        with pytest.raises(ValueError):
-            ambient_op_W(PairSkewTensor(3, 1, 2, {(0, 1, 2, 2): 1}))
+        for w in (
+            SymAmbientTensor(3, 1, {(2,): 1}),
+            SymAmbientTensor(3, 4, {(0, 1, 2, 2): 1}),
+        ):
+            with pytest.raises(ValueError):
+                ambient_op_W(w)
 
     def test_first_order_operator_takes_one_pair(self):
         u = dilation_element(3)
         for x in (
             PairSkewTensor(3, 0),
             pair_tensor(u, u),
-            PairSkewTensor(3, 3, 0, {(0, 1, 1, 2, 2, 3): 1}),
-            PairSkewTensor(3, 1, 2, {(0, 1, 2, 2): 1}),
+            PairSkewTensor(3, 3, {(0, 1, 1, 2, 2, 3): 1}),
         ):
             with pytest.raises(ValueError):
                 ambient_op_V(x)

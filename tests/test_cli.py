@@ -29,20 +29,22 @@ def _dv_symbol(term: str) -> str:
     return '{"n": 3, "valency": 1, "components": {"1": [%s]}}' % term
 
 
-def _pair_symbol(value: str, key: str = "0,1", pair_count: int = 1, tail_valency: int = 0) -> str:
-    """A pair tensor symbol file at n = 3 with one component ``value`` at
-    ``key``."""
-    return '{"n": 3, "pair_count": %d, "tail_valency": %d, "components": {"%s": %s}}' % (
-        pair_count, tail_valency, key, value
-    )
+def _pair_symbol(value: str, key: str = "0,1") -> str:
+    """A one-pair tensor symbol file at n = 3 with one component ``value``
+    at ``key``."""
+    return '{"n": 3, "pair_count": 1, "components": {"%s": %s}}' % (key, value)
 
 
-def _tensor_symbol(pair_count: int, tail_valency: int, n: int = 3) -> str:
+def _tensor_symbol(pair_count: int, n: int = 3) -> str:
     """A pair tensor symbol file with one unit component."""
-    key = ",".join(map(str, [0, 1, 1, 2, 2, 3][: 2 * pair_count] + [3, 3][:tail_valency]))
-    return json.dumps(
-        {"n": n, "pair_count": pair_count, "tail_valency": tail_valency, "components": {key: 1}}
-    )
+    key = ",".join(map(str, [0, 1, 1, 2, 2, 3][: 2 * pair_count]))
+    return json.dumps({"n": n, "pair_count": pair_count, "components": {key: 1}})
+
+
+def _scalar_symbol(valency: int, n: int = 3, key: str | None = None) -> str:
+    """A symmetric ambient tensor symbol file with one unit component."""
+    key = ",".join(["3"] * valency) if key is None else key
+    return json.dumps({"n": n, "valency": valency, "components": {key: 1}})
 
 
 def _field_symbol(valency: int) -> str:
@@ -293,7 +295,7 @@ class TestExitCodes:
             ("dv", "{}"),
             ("ambient-one-pair", "{}"),
             ("dv", '{"n": "3", "valency": 1, "components": {}}'),
-            ("ambient-one-pair", '{"n": "3", "pair_count": 1, "tail_valency": 0, "components": {}}'),
+            ("ambient-one-pair", '{"n": "3", "pair_count": 1, "components": {}}'),
             ("dw", "[1, 2]"),
             ("dv", '{"n": 3, "valency": 1, "components": []}'),
             ("dv", "not json"),
@@ -306,7 +308,12 @@ class TestExitCodes:
             # keys other than the canonical representative of their shape
             ("ambient-one-pair", _pair_symbol("1", key="1,0")),
             ("ambient-one-pair", _pair_symbol("1", key="1,1")),
-            ("ambient-scalar-symbol", _pair_symbol("1", key="4,0", pair_count=0, tail_valency=2)),
+            # the scalar symbol W in the pair tensor form of earlier releases
+            (
+                "ambient-scalar-symbol",
+                '{"n": 3, "pair_count": 0, "tail_valency": 2, "components": {"0,4": 1}}',
+            ),
+            ("ambient-scalar-symbol", _scalar_symbol(2, key="4,0")),
             ("ambient-one-pair", _pair_symbol("1", key="0,5")),
             ("ambient-one-pair", _pair_symbol("1", key="0,1,2")),
         ],
@@ -322,22 +329,24 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "kind, pair_count, tail_valency, n",
+        "kind, shape, n",
         [
-            ("ambient-two-pair", 1, 0, 3),
-            ("ambient-two-pair", 3, 0, 3),
-            ("ambient-one-pair", 2, 0, 3),
-            ("ambient-scalar-symbol", 1, 2, 3),
-            ("ambient-one-pair", 1, 0, MAX_DIMENSION + 1),
-            ("ambient-two-pair", 2, 0, MAX_DIMENSION + 1),
-            ("ambient-scalar-symbol", 0, 2, MAX_DIMENSION + 1),
+            ("ambient-two-pair", 1, 3),
+            ("ambient-two-pair", 3, 3),
+            ("ambient-one-pair", 2, 3),
+            ("ambient-scalar-symbol", 4, 3),
+            ("ambient-one-pair", 1, MAX_DIMENSION + 1),
+            ("ambient-two-pair", 2, MAX_DIMENSION + 1),
+            ("ambient-scalar-symbol", 2, MAX_DIMENSION + 1),
         ],
     )
     def test_symbol_of_another_shape_or_dimension_exit_four(
-        self, tmp_path, capsys, kind, pair_count, tail_valency, n
+        self, tmp_path, capsys, kind, shape, n
     ):
+        # shape is the pair count of a pair tensor and the valency of a scalar symbol
         symbol = tmp_path / "symbol.json"
-        symbol.write_text(_tensor_symbol(pair_count, tail_valency, n))
+        scalar = kind == "ambient-scalar-symbol"
+        symbol.write_text(_scalar_symbol(shape, n) if scalar else _tensor_symbol(shape, n))
         assert cli.main(["build-op", "--kind", kind, str(symbol)]) == 4
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
@@ -414,14 +423,14 @@ class TestExitCodes:
 # solves anything, since each is refused or builds an n = 3 or 4 operator
 
 BUILD_KINDS = cli.SYMBOL_KINDS + ("laplacian", "bilaplacian")
-# per symbol kind: a valid symbol and one of another shape (pair count,
-# trailing pair or valency) that the kind refuses
+# per symbol kind: a valid symbol and one of another shape (pair count or
+# valency) that the kind refuses
 SHAPED_SYMBOLS = {
     "dv": (_field_symbol(1), _field_symbol(3)),
     "dw": (_field_symbol(0), _field_symbol(1)),
-    "ambient-one-pair": (_tensor_symbol(1, 0), _tensor_symbol(0, 2)),
-    "ambient-two-pair": (_tensor_symbol(2, 0), _tensor_symbol(3, 0)),
-    "ambient-scalar-symbol": (_tensor_symbol(0, 2), _tensor_symbol(1, 2)),
+    "ambient-one-pair": (_tensor_symbol(1), _tensor_symbol(0)),
+    "ambient-two-pair": (_tensor_symbol(2), _tensor_symbol(3)),
+    "ambient-scalar-symbol": (_scalar_symbol(2), _scalar_symbol(4)),
 }
 SYMBOL_STATES = ("none", "absent", "valid", "malformed", "large-n", "other-shape")
 BAD_DIMENSIONS = (2, MAX_DIMENSION + 1)

@@ -77,16 +77,16 @@ def test_decomposition_and_bracket_digests():
     assert len(pairs) == 100
     assert (
         digest([decompose_gg(pair_tensor(u, v)) for u, v in pairs])
-        == "6a5b10a111d9592eeb1ed75806b4ef6cf0ae0f11ba27e92bb9b648ec5532a0e9"
+        == "e4818bcc5d37709a8a9f468539c5f51cdd7b531f4b656073621a551a7e4a5900"
     )
     assert (
         digest([bracket(u, v) for u, v in pairs])
-        == "8a1ba1444fa0e0860a516a1e1fc66b197ec20eb1b5d44a0a876455816cc4ce60"
+        == "66ab877af8f1b2054a63c494122fce1b449451cffbe83e0617b75eda85cd24b7"
     )
 
 
 def test_counterexample_tensor_digest():
     assert (
         digest(counterexample_tensor(_random_tracefree_four_tensor(3, 0)))
-        == "83c328338667b30f3f6d9ce963587298313fd48f2f34ce135bba959f2596fb07"
+        == "7414eb248d02369f10ab852b5283c0376fbfed2c89b3c9f3c4c4a87c661e0511"
     )

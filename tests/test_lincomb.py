@@ -68,8 +68,8 @@ TYPES = {
         SymAmbientTensor(N, 3, {(0, 1, 2): 1}),
     ),
     "PairSkewTensor": (
-        sparse(pair_keys, rationals).map(lambda comps: PairSkewTensor(N, 1, 0, comps)),
-        PairSkewTensor(N, 2, 0, {(0, 1, 2, 3): 1}),
+        sparse(pair_keys, rationals).map(lambda comps: PairSkewTensor(N, 1, comps)),
+        PairSkewTensor(N, 2, {(0, 1, 2, 3): 1}),
     ),
 }
 

@@ -43,6 +43,11 @@ GOLDEN = [
 
 DV_FROM_BASIS = "64ec3674785bf2491f89047ccb442f619ae1f773d2fa4d7b81757c70000e5a2a"
 
+# the README's scalar-symbol file, which CI writes as tail.json; the digest
+# is that of the same operator built from the pair tensor form of W
+SCALAR_SYMBOL = {"n": 3, "valency": 2, "components": {"0,4": 1, "2,2": -1}}
+SCALAR_SYMBOL_OPERATOR = "c2d49cccd9e9e76ac27b7ba0cad1149d79d5a94a67111f1512b0f25acbadb9d4"
+
 
 def _json_output(args: list[str], path) -> bytes:
     assert cli.main(args + ["--format", "json", "--out", str(path)]) == 0
@@ -70,6 +75,13 @@ def test_build_op_dv_on_basis_symbols(tmp_path):
         outputs += _json_output(args, tmp_path / f"op{i}.json")
     assert len(basis["elements"]) == 10
     assert _digest(outputs) == DV_FROM_BASIS
+
+
+def test_build_op_scalar_symbol_digest(tmp_path):
+    symbol = tmp_path / "tail.json"
+    symbol.write_text(json.dumps(SCALAR_SYMBOL))
+    args = ["build-op", "--kind", "ambient-scalar-symbol", str(symbol)]
+    assert _digest(_json_output(args, tmp_path / "op.json")) == SCALAR_SYMBOL_OPERATOR
 
 
 # ``--format text`` renders operator terms in (order, index tuple) order; a

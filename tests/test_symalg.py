@@ -50,7 +50,6 @@ from bilapsym.symalg import (
     lie_element,
     operator_span_dimension,
     pair_tensor,
-    quartic_boundary_polynomial,
     rotation_element,
     so_basis,
     so_basis_element,
@@ -98,7 +97,7 @@ class LieBlocks:
 
 def lie_blocks(v: LieElement) -> LieBlocks:
     """Read the grading blocks back from a one-pair tensor."""
-    if v.pair_count != 1 or v.tail_valency != 0:
+    if v.pair_count != 1:
         raise ValueError("expected a one-pair tensor")
     n = v.n
     return LieBlocks(
@@ -767,7 +766,7 @@ class TestQuarticObstruction:
         n = 3
         comp = {(1, 1, 1, 1): Fraction(1)}
         z = tracefree_part(SymAmbientTensor(n, 4, comp))
-        q = quartic_boundary_polynomial(z)
+        q = realize_gckt(z).get(())
         from bilapsym.exactpoly import Monomial
 
         # The trace-free projection keeps a nonzero x1^4 coefficient.
@@ -882,11 +881,11 @@ class TestQuarticRoutes:
                 return SymAmbientTensor(n, 4, {})
             return no_quartic if seed == 1 else draw(n, seed)
 
-        quartic = symalg.quartic_boundary_polynomial
+        realize = symalg.realize_gckt
         monkeypatch.setattr(symalg, "_random_tracefree_four_tensor", degenerate_first)
         monkeypatch.setattr(
-            symalg, "quartic_boundary_polynomial",
-            lambda z: Polynomial.zero(base_space(z.n)) if z is no_quartic else quartic(z),
+            symalg, "realize_gckt",
+            lambda z: SymTensorField(z.n, 0) if z is no_quartic else realize(z),
         )
         reports = []
 

@@ -155,7 +155,7 @@ class TestApplyCompose:
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             for _ in range(8)
         }
-        v = normal_ordered_op(PairSkewTensor(3, 4, 0, comps))
+        v = normal_ordered_op(PairSkewTensor(3, 4, comps))
         space = v.space
         generic = DiffOp(space, {
             tuple(sorted(rng.choices(space.variables, k=order))): Polynomial(space, {
@@ -444,6 +444,25 @@ class TestComposeReference:
         out = apply(op, p)
         assert out == apply_by_partials(op, p)
         assert out == compose(op, DiffOp.multiplication(p)).coefficient(())
+
+    def test_apply_differentiates_each_prefix_once(self, monkeypatch):
+        # the ten alpha of the squared Laplacian at n = 4 have 28 distinct
+        # nonempty prefixes, where a chain of partials per alpha takes 40
+        op, space = bilaplacian(4), base_space(4)
+        rng = random.Random(4)
+        p = Polynomial(space, {
+            Monomial([(v, rng.randint(1, 5)) for v in rng.sample(range(1, 5), 3)]):
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(8)
+        })
+        expected = apply_by_partials(op, p)
+        calls = []
+        partial = Polynomial.partial
+        monkeypatch.setattr(
+            Polynomial, "partial", lambda self, v: calls.append(v) or partial(self, v)
+        )
+        assert apply(op, p) == expected
+        assert len(calls) == 28
 
     @pytest.mark.parametrize("w", [-2, Fraction(-3, 2), 0, Fraction(1, 2), 2])
     def test_d0_past_a_power_of_x0(self, w):
