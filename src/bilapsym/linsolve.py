@@ -6,10 +6,11 @@ reduced-row-echelon style: each basis vector carries coefficient 1 at its
 free column and zeros at all other free columns, so output is
 deterministic for a fixed column order.
 
-Every block is solved modulo a prime p: elimination finds the free
-columns, back-substitution gives each basis vector modulo p, rational
-reconstruction lifts its entries to fractions, and an exact product with
-the integer rows checks it.  The rank modulo p never exceeds the rank over
+Every block is solved modulo a prime p: elimination, sparsest column
+first, finds a kernel basis modulo p, one k x cols step brings it to the
+echelon basis of the caller's column order, rational reconstruction lifts
+its entries to fractions, and an exact product with the integer rows
+checks it.  The rank modulo p never exceeds the rank over
 Q, so checked vectors prove the nullity, the free columns and the basis;
 a block with no free column modulo p has none over Q.  A failed lift or
 check retries at the next Mersenne prime 2**e - 1 of
@@ -22,7 +23,11 @@ rows are first made primitive integer rows, each distinct row kept once.
 ``solve_graded`` solves the graded systems of the Killing solvers and of
 the symmetry enumerator through ``leibniz_columns`` and ``solve_by_grade``,
 which solves one grade at a time in ascending order and stops at the first
-grade that proves every higher one empty.
+grade that proves every higher one empty.  Each grade splits into blocks
+by parity class, and one block per orbit of classes under the
+permutations of the variables is eliminated; the same k x cols step
+brings its basis, mapped by each permutation, to the echelon basis of the
+other blocks of the orbit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import cache
 from math import gcd, isqrt, perm, prod
 from itertools import repeat
 from operator import gt, mul, sub
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .exactpoly import Polynomial, VarSpace, monomial_from_exponents, numerators, parity_class
 
@@ -106,12 +111,16 @@ def _modular_nullspace(
     modulo the prime p and rational reconstruction, or None when a lift
     fails or its exact check does.
 
-    Elimination runs column by column with a sparsest holder as the pivot
-    row, normalized to 1; a column with no holder is free.  For each free
-    column f, back-substitution over the pivots in reverse gives the vector
-    v_f modulo p with 1 at f and 0 at the other free columns; its entries
-    are lifted to fractions, and v_f is kept only if every row annihilates
-    it exactly.
+    The columns are eliminated in ascending order of their number of
+    nonzero entries modulo p, ties by index: a sparse column has few
+    holders, so eliminating it first makes little fill-in.  Each step takes
+    a sparsest holder as the pivot row, normalized to 1; a column with no
+    holder is free.  For each free column f, back-substitution over the
+    pivots in reverse gives a kernel vector modulo p with 1 at f and 0 at
+    the other free columns.  ``_checked_echelon`` turns these into the
+    echelon basis of the caller's column order, lifts its entries to
+    fractions and keeps it only if every row annihilates each vector
+    exactly.
 
     The rows need only have the kernel of the columns: ``_to_integer_rows``
     scales rows by nonzero rationals and drops repeats, which keeps the row
@@ -119,17 +128,20 @@ def _modular_nullspace(
 
     Proof that a full result is the echelon basis over Q, the one with 1 at
     its free column and 0 at the others:
-    - The rank modulo p is at most the rank over Q: a minor nonzero modulo
-      p is nonzero over the integers.  So nullity_p >= nullity_Q.
-    - The verified v_f lie in the Q-kernel and are independent, each being
-      the only one nonzero at its free column.  So nullity_Q >= nullity_p,
-      and the two are equal.  With no free column, nullity_Q is 0.
-    - v_f is nonzero only at f and at pivots left of f, so column f is a
-      combination of the columns left of it: f is not a Q-pivot.  The free
-      sets modulo p and over Q have the same size, so they are equal.
-    - A kernel vector that vanishes on every free column is zero, so the
-      echelon basis for that free set is unique: the result is that basis,
-      entry for entry.
+    - The rank modulo p is at most the rank over Q, in any column order: a
+      minor nonzero modulo p is nonzero over the integers.  So nullity_p >=
+      nullity_Q.
+    - The back-substituted vectors are independent modulo p, each the only
+      one nonzero at its own free column, so they span the kernel modulo p,
+      and ``_checked_echelon`` returns nullity_p vectors.  These lie in the
+      Q-kernel and are independent, each being the only one nonzero at its
+      free column.  So nullity_Q >= nullity_p, and the two are equal.  With
+      no free column, nullity_Q is 0.
+    - So the result is a basis of the Q-kernel that has, in the caller's
+      order, 1 at its free column, 0 at the others and nothing right of
+      it, and by the proof in ``_checked_echelon`` it is the echelon basis
+      of that order: the free set and the basis do not depend on the order
+      of elimination.
 
     Proof that a large enough p gives a full result:
     - By Cramer's rule each entry of the echelon basis over Q is, up to
@@ -139,20 +151,21 @@ def _modular_nullspace(
       H being the product of the min(rows, cols) largest row norms (each
       nonzero row has norm >= 1).
     - Let isqrt(p // 2) >= H.  Then p > H divides no nonzero minor, so every
-      leading set of columns has the same rank modulo p as over Q: the
-      pivots, free columns and basis modulo p are those over Q reduced
-      modulo p.  Each entry is r/s in lowest terms with |r|, s <= H, so it
-      lifts to itself, and every check passes.
+      set of columns has the same rank modulo p as over Q: the kernel
+      modulo p is the Q-kernel reduced modulo p, and its echelon basis is
+      the one over Q reduced modulo p.  Each entry is r/s in lowest terms
+      with |r|, s <= H, so it lifts to itself, and every check passes.
     """
-    bound = isqrt(p // 2)
     mod = [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for rid, row in enumerate(mod):
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
+    order = sorted(range(ncols), key=lambda c: len(col_rows.get(c, ())))
+    place = dict(zip(order, range(ncols)))
     pivots: list[tuple[int, dict[int, int]]] = []
     free: list[int] = []
-    for c in range(ncols):
+    for c in order:
         holders = col_rows.pop(c, None)
         if not holders:
             free.append(c)
@@ -178,27 +191,109 @@ def _modular_nullspace(
                     sr[k] = neg * v % p
                     col_rows[k].add(sid)
         pivots.append((c, pr))
-    basis: list[dict[int, Fraction]] = []
+    kernel = []
     for f in free:
-        # a pivot row holds only columns right of its pivot, so the pivots
-        # right of f stay 0
+        # a pivot row holds only columns eliminated after its pivot, so the
+        # pivots eliminated after f stay 0
         vec = {f: 1}
         for c, pr in reversed(pivots):
-            if c < f:
+            if place[c] < place[f]:
                 total = sum(v * vec[k] for k, v in pr.items() if k in vec) % p
                 if total:
                     vec[c] = p - total
-        lifted = {k: _lift(v, p, bound) for k, v in vec.items()}
-        if None in lifted.values() or not _annihilates(rows, lifted):
+        kernel.append(vec)
+    return _checked_echelon(kernel, p, rows)
+
+
+def _checked_echelon(
+    vectors: Sequence[Mapping[int, int]], p: int, rows: Sequence[Mapping[int, int]]
+) -> list[dict[int, Fraction]] | None:
+    """The echelon basis of the span of the vectors modulo the prime p,
+    lifted to fractions and checked exactly against the integer rows; None
+    when the vectors are dependent modulo p, or a lift or a check fails.
+
+    The echelon basis has one vector per free column f, in ascending f,
+    with 1 at f, 0 at the other free columns and no entry right of f; each
+    vector lists f first and then its other columns in descending order.
+    The k vectors are taken in turn: one is reduced by the vectors kept so
+    far, at their free columns, and its last nonzero column becomes its
+    free column f, where it is normalized to 1 and cleared from the others.
+
+    Proof that the result is the echelon basis of the span: each reduced
+    vector lies in the span and is 0 at the earlier free columns, so the k
+    free columns are distinct last nonzero columns of vectors of the span.
+    The span has exactly k such columns, since its part inside the first j
+    columns grows by at most one with each j.  A vector of the span that is
+    0 at all of them is 0, so the vector with 1 at f and 0 at the other
+    free columns is unique.  Both hold over Q for the lifted vectors: when
+    every check passes and the Q-kernel has dimension k, they are the
+    echelon basis of the Q-kernel.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        vec = dict(vec)
+        for f, kept in echelon.items():
+            if f in vec:
+                _subtract(vec, vec[f], kept, p)
+        if not vec:
+            return None
+        f = max(vec)
+        inv = pow(vec[f], -1, p)
+        vec = {k: v * inv % p for k, v in vec.items()}
+        for kept in echelon.values():
+            if f in kept:
+                _subtract(kept, kept[f], vec, p)
+        echelon[f] = vec
+    bound = isqrt(p // 2)
+    basis: list[dict[int, Fraction]] = []
+    for f in sorted(echelon):
+        vec = echelon[f]
+        lifted = {k: _lift(vec[k], p, bound) for k in sorted(vec, reverse=True)}
+        if None in lifted.values():
             return None
         basis.append(lifted)
-    return basis
+    return basis if _annihilates(rows, basis) else None
 
 
-def _annihilates(rows: Sequence[Mapping[int, int]], vec: Mapping[int, Fraction]) -> bool:
-    """Whether every integer row has zero product with the vector."""
-    ints = dict(numerators(vec.items())[1])
-    return not any(sum(v * ints[k] for k, v in row.items() if k in ints) for row in rows)
+def _subtract(target: dict[int, int], scale: int, vec: Mapping[int, int], p: int) -> None:
+    """target -= scale * vec modulo p, in place, dropping the zeros."""
+    for k, v in vec.items():
+        nv = (target.get(k, 0) - scale * v) % p
+        if nv:
+            target[k] = nv
+        else:
+            del target[k]
+
+
+def _annihilates(rows: Sequence[Mapping[int, int]], vectors: Sequence[Mapping[int, Fraction]]) -> bool:
+    """Whether every integer row has zero product with each vector.  The
+    products are summed column by column over each vector's entries, so a
+    sparse vector meets only the entries of its own columns."""
+    if not vectors:
+        return True
+    entries: dict[int, list[tuple[int, int]]] = {}
+    for rid, row in enumerate(rows):
+        for c, v in row.items():
+            entries.setdefault(c, []).append((rid, v))
+    for vec in vectors:
+        products: dict[int, int] = {}
+        for c, x in numerators(vec.items())[1]:
+            for rid, v in entries.get(c, ()):
+                products[rid] = products.get(rid, 0) + v * x
+        if any(products.values()):
+            return False
+    return True
+
+
+def _first_decided(attempt: Callable[[int], list | None], block: str) -> list:
+    """The first result of ``attempt(2**e - 1)`` that is not None, for e in
+    ``MERSENNE_EXPONENTS`` in turn; ValueError naming the block when no
+    modulus decides it."""
+    for e in MERSENNE_EXPONENTS:
+        basis = attempt(2**e - 1)
+        if basis is not None:
+            return basis
+    raise ValueError(f"no modulus 2**e - 1 with e in {MERSENNE_EXPONENTS} decides the {block} block")
 
 
 def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, Fraction]]:
@@ -213,14 +308,7 @@ def nullspace(columns: Sequence[Mapping[Hashable, Fraction]]) -> list[dict[int, 
     """
     ncols = len(columns)
     rows = _to_integer_rows(columns)
-    for e in MERSENNE_EXPONENTS:
-        basis = _modular_nullspace(rows, ncols, 2**e - 1)
-        if basis is not None:
-            return basis
-    raise ValueError(
-        f"no modulus 2**e - 1 with e in {MERSENNE_EXPONENTS} decides the "
-        f"{len(rows)}x{ncols} block"
-    )
+    return _first_decided(lambda p: _modular_nullspace(rows, ncols, p), f"{len(rows)}x{ncols}")
 
 
 # The constant parts of one label: (gamma, {row: value}) per distinct gamma.
@@ -302,6 +390,93 @@ def solve_by_grade(
     return found, False
 
 
+def _permutation(source: tuple[int, ...], target: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The action on unknowns (label, m) of a permutation sigma of the
+    variables that takes the parity class ``source`` to ``target``, of the
+    same weight: sigma sends the k-th variable of class bit b in ``source``
+    to the k-th of bit b in ``target``.  It moves the exponent m[v] to
+    sigma(v), and sends each index v of the label to sigma(v), sorted."""
+    src = sorted(range(len(source)), key=source.__getitem__)
+    dst = sorted(range(len(target)), key=target.__getitem__)
+    sigma = [0] * len(src)
+    for v, w in zip(src, dst):
+        sigma[v] = w
+    back = [v for _, v in sorted(zip(dst, src))]
+
+    def act(unknown: tuple) -> tuple:
+        label, m = unknown
+        return tuple(sorted(sigma[v - 1] + 1 for v in label)), tuple(m[v] for v in back)
+
+    return act
+
+
+def _mapped_basis(
+    source: tuple[int, ...],
+    source_members: Sequence[tuple],
+    basis: Sequence[Mapping[int, Fraction]],
+    target: tuple[int, ...],
+    members: Sequence[tuple],
+    column: Callable[[tuple], dict],
+) -> list[dict[int, Fraction]]:
+    """The nullspace basis of the block of class ``target``, from the basis
+    of the block of class ``source`` in its orbit.
+
+    Each vector is mapped by ``_permutation(source, target)`` and scaled to
+    int entries, which keeps the span.  ``_checked_echelon`` brings the
+    vectors to the echelon basis of the block's own column order and checks
+    each against the integer rows of the columns the vectors touch, the
+    only columns in its product with the block.  The first modulus of
+    ``MERSENNE_EXPONENTS`` that decides it is kept.  As in
+    ``_modular_nullspace``, the echelon entries are ratios of k x k minors
+    of the scaled vectors, so a modulus whose lift bound reaches their
+    Hadamard bound decides it.
+    """
+    act = _permutation(source, target)
+    index = {u: i for i, u in enumerate(members)}
+    vectors = [
+        dict(numerators((index[act(source_members[pos])], c) for pos, c in vec.items())[1])
+        for vec in basis
+    ]
+    support = set().union(*vectors)
+    rows = _to_integer_rows([column(u) if i in support else {} for i, u in enumerate(members)])
+
+    def attempt(p: int) -> list | None:
+        residues = [{k: r for k, v in vec.items() if (r := v % p)} for vec in vectors]
+        return _checked_echelon(residues, p, rows)
+
+    return _first_decided(attempt, f"mapped {len(vectors)}x{len(members)}")
+
+
+def _block_kernels(
+    unknowns: Iterable[tuple], column: Callable[[tuple], dict]
+) -> Iterator[tuple[list[tuple], list[dict[int, Fraction]]]]:
+    """The members and the nullspace basis of each parity block of one
+    grade, in sorted order of the class ``parity_class(m, label)``, each
+    block's members in first-seen order.
+
+    The classes of one Hamming weight form one orbit under the permutations
+    of the variables.  The first class of each orbit in sorted order is
+    solved by ``nullspace``.  Every other class of the orbit has the same
+    nullity: with a nullity of 0 it builds no column, and otherwise its
+    basis is ``_mapped_basis`` of the first.
+    """
+    blocks: dict[tuple[int, ...], list[tuple]] = {}
+    for label, m in unknowns:
+        blocks.setdefault(parity_class(m, label), []).append((label, m))
+    solved: dict[int, tuple] = {}
+    for key in sorted(blocks):
+        members = blocks[key]
+        orbit = solved.get(sum(key))
+        if orbit is None:
+            basis = nullspace([column(u) for u in members])
+            solved[sum(key)] = key, members, basis
+        elif orbit[2]:
+            basis = _mapped_basis(*orbit, key, members, column)
+        else:
+            basis = []
+        yield members, basis
+
+
 def solve_graded(
     space: VarSpace,
     unknowns: Callable[[int, bool], Iterable[tuple]],
@@ -314,26 +489,32 @@ def solve_graded(
     by grade, and whether no solution exists above them.
 
     ``unknowns(g, complete)`` lists the unknowns (label, m) of grade g,
-    each the basis element ``label``, a multi-index, times x^m, as
-    ``solve_by_grade`` asks for them with ``first``, ``first_open`` and
-    ``last``; their columns come from ``leibniz_columns(constants)``.  The
-    map must be even in each reflection x_v -> -x_v, with the label's
-    indices counted as factors x_v, so it never mixes two parity classes:
-    each grade's unknowns are split by ``parity_class(m, label)``, in
-    first-seen order, and the blocks solved in sorted order, one
-    ``nullspace`` call each.  Returns one (g, {label: polynomial in
-    space}) per basis vector, and the flag of ``solve_by_grade``.
+    each the basis element ``label``, a tuple of variable indices 1..n,
+    times x^m, as ``solve_by_grade`` asks for them with ``first``,
+    ``first_open`` and ``last``; their columns come from
+    ``leibniz_columns(constants)``.  Two hypotheses on the map:
+    - It is even in each reflection x_v -> -x_v, with the label's indices
+      counted as factors x_v, so it never mixes two parity classes: each
+      grade's unknowns are split by ``parity_class(m, label)`` into blocks,
+      and the kernel of the grade is the sum of the blocks' kernels.
+    - The unknowns of each grade are closed under the permutations sigma
+      of the variables, acting on m and on the label's indices, and the
+      kernel is invariant under them.  sigma takes the block of class c
+      onto the block of class sigma c, so kernel(sigma c) = sigma
+      kernel(c): ``_block_kernels`` solves one block per orbit of classes,
+      at most n + 1 per grade, and maps its basis to the others.
+    The blocks come in sorted order of their class, and the basis of each
+    is the echelon basis of its members in first-seen order, as
+    ``nullspace`` of its own columns gives it.  Returns one (g, {label:
+    polynomial in space}) per basis vector, and the flag of
+    ``solve_by_grade``.
     """
     column = leibniz_columns(constants)
 
     def solve(grade: int, complete: bool) -> list:
-        blocks: dict[tuple[int, ...], list[tuple]] = {}
-        for label, m in unknowns(grade, complete):
-            blocks.setdefault(parity_class(m, label), []).append((label, m))
         out = []
-        for key in sorted(blocks):
-            members = blocks[key]
-            for vec in nullspace([column(u) for u in members]):
+        for members, basis in _block_kernels(unknowns(grade, complete), column):
+            for vec in basis:
                 terms: dict[tuple[int, ...], dict] = {}
                 for pos, coeff in vec.items():
                     label, m = members[pos]

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, permutations
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -293,9 +297,17 @@ def test_lift_inverts_reduction_within_the_bound(num, den):
 
 
 def test_benchmark_systems_never_fall_back(monkeypatch):
-    # every block of the enumeration and of the Killing solvers is decided
-    # by the first modulus
+    # every block of the enumeration and of the Killing solvers, eliminated
+    # or mapped from its orbit's first block, is decided by the first modulus
     moduli = _recording_moduli(monkeypatch)
+    echelon_moduli = []
+    original = linsolve._checked_echelon
+
+    def recording(vectors, p, rows):
+        echelon_moduli.append(p)
+        return original(vectors, p, rows)
+
+    monkeypatch.setattr(linsolve, "_checked_echelon", recording)
     assert len(enumerate_symmetries(3, 2, 6).elements) == 60
     assert len(enumerate_symmetries(4, 2, 4).elements) == 120
     for n in (3, 4):
@@ -303,6 +315,7 @@ def test_benchmark_systems_never_fall_back(monkeypatch):
         assert solve_ckt(n, 2, 4).stabilized and solve_gckt(n, 0, 4).stabilized
     assert len(solve_ckt(4, 2, 4).elements) == 84
     assert moduli and set(moduli) == {PRIME}
+    assert len(echelon_moduli) > len(moduli) and set(echelon_moduli) == {PRIME}
 
 
 def _exact_rank(cols, ncols):
@@ -379,34 +392,35 @@ def test_nullspace_equals_exact_elimination(seed):
     assert nullspace(cols) == _exact_nullspace(cols, ncols)
 
 
-# the labels of the random graded systems in three variables, and their
-# unknowns (label, m) with |m| = 2 or 3: with constants at every gamma of
-# degree 2, many unknowns share a row, so the kernel vectors mix labels and
-# give polynomials of several terms
-LABELS = [(), (1,), (3,), (1, 2), (2, 2)]
+# the labels of the random graded systems in three variables, every index
+# tuple of length <= 2 so that they are closed under the permutations of
+# the variables, and their unknowns (label, m) with |m| = 2 or 3: with
+# constants at every gamma of degree 2, many unknowns share a row, so the
+# kernel vectors mix labels and give polynomials of several terms
+LABELS = [label for k in range(3) for label in combinations_with_replacement((1, 2, 3), k)]
 GAMMAS = exponent_tuples(3, 2)
 UNKNOWNS = [(label, m) for label in LABELS for d in (2, 3) for m in exponent_tuples(3, d)]
+PERMUTATIONS = list(permutations(range(3)))
 
 
-@given(st.integers(0, 2**30))
-@settings(max_examples=25, deadline=None)
-def test_solve_graded_matches_per_block_nullspace(seed):
-    rng = random.Random(seed)
-    space = base_space(3)
-    # each row carries the parity class of gamma and the label, so the
-    # unknowns (label, m) of two parity classes share no row
-    parts = {
-        label: [(gamma, {parity_class(gamma, label): rng.randint(-2, 2)}) for gamma in GAMMAS]
-        for label in LABELS
-    }
-    chosen = {g: rng.sample(UNKNOWNS, rng.randint(1, 16)) for g in range(3)}
-    # grades 0 .. 2, all truncated: each solved once, and no flag
-    got, flag = solve_graded(space, lambda g, _: chosen[g], parts.__getitem__, 0, 0, 2)
-    assert flag is False
+def _permuted(sigma, label, exps):
+    """The unknown (label, x^exps) with variable v + 1 renamed sigma[v] + 1."""
+    moved = [0] * len(exps)
+    for v, e in enumerate(exps):
+        moved[sigma[v]] = e
+    return tuple(sorted(sigma[v - 1] + 1 for v in label)), tuple(moved)
 
-    column = leibniz_columns(parts.__getitem__)
+
+# the S_3 orbits of the unknowns, each in sorted order
+ORBITS = sorted({tuple(sorted({_permuted(s, *u) for s in PERMUTATIONS})) for u in UNKNOWNS})
+
+
+def _per_block_reference(space, chosen, column):
+    """The solutions of ``solve_graded`` over the grades of ``chosen``, all
+    truncated, by one ``nullspace`` call per parity block, in sorted order
+    of the class."""
     expected = []
-    for g in range(3):
+    for g in sorted(chosen):
         for key in sorted({parity_class(m, label) for label, m in chosen[g]}):
             members = [(label, m) for label, m in chosen[g] if parity_class(m, label) == key]
             for vec in nullspace([column(u) for u in members]):
@@ -416,7 +430,37 @@ def test_solve_graded_matches_per_block_nullspace(seed):
                     term = Polynomial(space, {monomial_from_exponents(m): c})
                     fields[label] = fields.get(label, Polynomial.zero(space)) + term
                 expected.append((g, fields))
-    assert got == expected
+    return expected
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=25, deadline=None)
+def test_solve_graded_matches_per_block_nullspace(seed):
+    rng = random.Random(seed)
+    space = base_space(3)
+    # each row carries the parity class of gamma and the label, so the
+    # unknowns (label, m) of two parity classes share no row; each constant
+    # is a sum over S_3 of random values, so the map commutes with every
+    # permutation of the variables, and each grade's unknowns are whole
+    # orbits, as solve_graded requires
+    raw = {(label, gamma): rng.randint(-2, 2) for label in LABELS for gamma in GAMMAS}
+    parts = {
+        label: [
+            (gamma, {parity_class(gamma, label): sum(raw[_permuted(s, label, gamma)] for s in PERMUTATIONS)})
+            for gamma in GAMMAS
+        ]
+        for label in LABELS
+    }
+    chosen = {}
+    for g in range(3):
+        chosen[g] = [u for orbit in rng.sample(ORBITS, rng.randint(1, 5)) for u in orbit]
+        rng.shuffle(chosen[g])
+    # grades 0 .. 2, all truncated: each solved once, and no flag
+    got, flag = solve_graded(space, lambda g, _: chosen[g], parts.__getitem__, 0, 0, 2)
+    assert flag is False
+
+    column = leibniz_columns(parts.__getitem__)
+    assert got == _per_block_reference(space, chosen, column)
 
     # every solution lies in one parity class of its grade and in the
     # kernel of the whole grade
@@ -433,6 +477,144 @@ def test_solve_graded_matches_per_block_nullspace(seed):
             for row, val in column(u).items():
                 combo[row] = combo.get(row, 0) + c * val
         assert not any(combo.values())
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=100, deadline=None)
+def test_sparse_order_nullspace_equals_dense_reference(seed):
+    # columns of very different numbers of entries, ints and fractions,
+    # some of them combinations of others, so that the elimination order
+    # by ascending count is far from the caller's order
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    entries = [-3, -1, 1, 2, 5, Fraction(1, 3), Fraction(-7, 2), Fraction(4, 9)]
+    cols: list[dict] = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.3:
+            combo = [(rng.choice(entries), rng.choice(cols)) for _ in range(2)]
+            col = {r: sum(k * c.get(r, 0) for k, c in combo) for r in range(nrows)}
+        else:
+            density = rng.random()
+            col = {r: rng.choice(entries) for r in range(nrows) if rng.random() < density}
+        cols.append({r: v for r, v in col.items() if v})
+    expected = _exact_nullspace(cols, ncols)
+    got = nullspace(cols)
+    assert got == expected
+    # each vector lists its free column first and the rest in descending order
+    assert all(list(vec) == sorted(vec, reverse=True) for vec in got)
+    # the echelon basis comes back, modulo a prime that lifts every entry,
+    # from random combinations of it that span the kernel, that is, are
+    # independent; more vectors than the nullity are refused as dependent
+    rows = linsolve._to_integer_rows(cols)
+    mixed = []
+    for _ in expected:
+        combo = [(rng.randint(-5, 5), rng.choice(expected)) for _ in range(3)]
+        mixed.append({k: v for k in range(ncols) if (v := sum(c * vec.get(k, 0) for c, vec in combo))})
+    residues = [{k: v.numerator * pow(v.denominator, -1, M521) % M521 for k, v in vec.items()}
+                for vec in mixed + expected]
+    spans = _exact_rank(mixed, len(mixed)) == len(expected)
+    assert (linsolve._checked_echelon(residues[: len(mixed)], M521, rows) == expected) is spans
+    assert linsolve._checked_echelon(residues[len(mixed):], M521, rows) == expected
+    if expected:
+        assert linsolve._checked_echelon(residues, M521, rows) is None
+
+
+def _captured_system(solver, *args):
+    """The unknowns and the constants that ``solver`` hands to
+    ``solve_graded``, captured without solving."""
+    captured = []
+
+    def capture(space, unknowns, constants, *grades):
+        captured.append((unknowns, constants))
+        return [], False
+
+    with mock.patch.object(sys.modules[solver.__module__], "solve_graded", capture):
+        solver(*args)
+    return captured[0]
+
+
+@cache
+def _system_grade(solver, n, k, grade):
+    """The complete unknowns of one grade of a solver's system, and its
+    columns."""
+    unknowns, constants = _captured_system(solver, n, k, 2 * k + 2)
+    return list(unknowns(grade, True)), leibniz_columns(constants)
+
+
+# (solver, n, order or valency, grade): every complete grade that has a
+# nonempty block, up to order 3 at n = 3 and order 2 at n = 4
+SYSTEM_GRADES = (
+    [(enumerate_symmetries, n, s, g) for n, top in ((3, 3), (4, 2)) for s in range(1, top + 1)
+     for g in range(-s, s + 2)]
+    + [(solve_ckt, n, s, d) for n, top in ((3, 3), (4, 2)) for s in range(1, top + 1)
+       for d in range(2 * s + 2)]
+    + [(solve_gckt, n, t, d) for n in (3, 4) for t in range(3) for d in range(t + 5)]
+)
+
+
+@given(st.sampled_from(SYSTEM_GRADES))
+@settings(max_examples=40, deadline=None)
+def test_each_block_basis_is_nullspace_of_its_own_columns(case):
+    # the bases mapped from an orbit's first block equal the echelon bases
+    # of each block's own columns, for the enumerator's constants and the
+    # Killing constants
+    unknowns, column = _system_grade(*case)
+    blocks: dict = {}
+    for label, m in unknowns:
+        blocks.setdefault(parity_class(m, label), []).append((label, m))
+    got = list(linsolve._block_kernels(unknowns, column))
+    assert [members for members, _ in got] == [blocks[key] for key in sorted(blocks)]
+    for members, basis in got:
+        assert basis == nullspace([column(u) for u in members])
+
+
+@pytest.mark.parametrize(
+    "solver, args",
+    [(enumerate_symmetries, (4, 2, 4)), (enumerate_symmetries, (5, 2, 4)),
+     (solve_ckt, (4, 2, 4)), (solve_gckt, (4, 0, 4))],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_one_nullspace_call_per_orbit_and_no_column_for_an_empty_orbit(solver, args, monkeypatch):
+    # per grade: one nullspace call per Hamming weight of the classes present,
+    # at most n + 1, and no column built for a class whose orbit's first
+    # block has nullity 0
+    n = args[0]
+    grades = []
+    original_kernels, original_nullspace = linsolve._block_kernels, linsolve.nullspace
+
+    def recording_kernels(unknowns, column):
+        grade = {"calls": 0, "built": set(), "blocks": []}
+        grades.append(grade)
+
+        def recording_column(u):
+            grade["built"].add(u)
+            return column(u)
+
+        for members, basis in original_kernels(unknowns, recording_column):
+            grade["blocks"].append((members, basis))
+            yield members, basis
+
+    def counting_nullspace(columns):
+        grades[-1]["calls"] += 1
+        return original_nullspace(columns)
+
+    monkeypatch.setattr(linsolve, "_block_kernels", recording_kernels)
+    monkeypatch.setattr(linsolve, "nullspace", counting_nullspace)
+    solver(*args)
+    skipped = 0
+    for grade in grades:
+        first_of_orbit: dict = {}
+        for members, basis in grade["blocks"]:
+            label, m = members[0]
+            weight = sum(parity_class(m, label))
+            if weight not in first_of_orbit:
+                first_of_orbit[weight] = basis
+            elif not first_of_orbit[weight]:
+                assert basis == [] and grade["built"].isdisjoint(members)
+                skipped += 1
+        assert grade["calls"] == len(first_of_orbit) <= n + 1
+    # blocks after the first of an orbit of nullity 0 do occur
+    assert skipped
 
 
 # ---------------------------------------------------------------------------
