@@ -68,6 +68,16 @@ def format_rational(value: Scalar) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def multi_index_from_json(text: str) -> tuple[int, ...]:
+    """The multi-index of a JSON key such as "0,4"; "" is the empty index."""
+    return tuple(int(i) for i in text.split(",")) if text else ()
+
+
+def format_multi_index(key: Iterable[int]) -> str:
+    """Render a multi-index as a JSON key: "0,4", or "" when empty."""
+    return ",".join(map(str, key))
+
+
 def numerators(pairs: Iterable[tuple[object, Scalar]]) -> tuple[int, list[tuple[object, int]]]:
     """(den, [(key, numerator)]): each value as an int numerator over den,
     the lcm of the denominators (an int has denominator 1; den is 1 for no

@@ -78,14 +78,11 @@ def _to_integer_rows(
 
 
 # The exponents e of the Mersenne primes 2**e - 1 that ``nullspace`` tries
-# in turn.  The last lift bound, isqrt((2**4423 - 1) // 2), is about 2**2211.
+# in turn, from the word-size prime 2**31 - 1 up.  Rational reconstruction
+# modulo p returns r/s with |r|, s <= isqrt(p // 2); below sqrt(p / 2) two
+# such fractions never agree modulo p.  The last lift bound,
+# isqrt((2**4423 - 1) // 2), is about 2**2211.
 MERSENNE_EXPONENTS = (31, 61, 127, 521, 1279, 2203, 4423)
-
-# The first modulus, a word-size prime, and its lift bound.  Rational
-# reconstruction modulo p returns r/s with |r|, s <= isqrt(p // 2); below
-# sqrt(p / 2) two such fractions never agree modulo p.
-PRIME = 2 ** MERSENNE_EXPONENTS[0] - 1
-LIFT_BOUND = isqrt(PRIME // 2)
 
 
 def _lift(a: int, p: int, bound: int) -> Fraction | None:

@@ -1,16 +1,18 @@
 """Symmetric tensor fields, trace calculus, and paired-skew ambient tensors.
 
-Base-space tensors (``SymTensorField``) carry polynomial components indexed
-by nondecreasing multi-indices over 1..n; the flat metric is the identity.
-Constant ambient tensors use indices 0..n+1, where the ambient metric pairs
-0 with n+1 (the null directions) and is the identity on 1..n — so raising
-and lowering is the index involution 0 <-> n+1.  ``metric_trace``,
+All three tensor types derive from one keyed-tensor base, which stores
+one canonical key per orbit of the slot symmetries and gives each its key
+validation, ``get``, ``ordered_entries``, repr and
+``{"n", <count>, "components"}`` JSON.  Base-space tensors
+(``SymTensorField``) carry polynomial components indexed by nondecreasing
+multi-indices over 1..n; the flat metric is the identity.  Constant
+ambient tensors use indices 0..n+1, where the ambient metric pairs 0 with
+n+1 (the null directions) and is the identity on 1..n — so raising and
+lowering is the index involution 0 <-> n+1.  ``metric_trace``,
 ``tracefree_part`` (the closed form in powers of the metric and of the
-trace) and ``sym_outer`` serve both types, each of which supplies only its
-metric and its value type; the two share their key validation and their
-``{"n", "valency", "components"}`` JSON.  ``PairSkewTensor`` stores
-constant ambient tensors of shape (n, k) that are skew in each of k index
-pairs, one canonical representative per sign orbit;
+trace) and ``sym_outer`` serve both symmetric types, each of which
+supplies only its metric.  ``PairSkewTensor`` stores constant ambient
+tensors of shape (n, k) that are skew in each of k index pairs;
 ``PairSkewTensor.project`` builds one from the nonzero entries of an
 unsymmetrized tensor.  ``decompose_gg`` splits a two-pair tensor into its
 six invariant summands, one of them the symmetric trace-free 2-tensor W
@@ -34,7 +36,9 @@ from .exactpoly import (
     ambient_space,
     base_space,
     collect,
+    format_multi_index,
     format_rational,
+    multi_index_from_json,
     numerators,
     product_sum,
     rat,
@@ -88,11 +92,6 @@ def pair_orbit(key: MultiIndex, pair_count: int) -> Iterator[tuple[MultiIndex, i
                 arranged[2 * i], arranged[2 * i + 1] = arranged[2 * i + 1], arranged[2 * i]
                 sign = -sign
         yield tuple(arranged), sign
-
-
-def _key_from_json(text: str) -> MultiIndex:
-    """The multi-index of a JSON component key; "" is the empty index."""
-    return tuple(int(i) for i in text.split(",")) if text else ()
 
 
 # ---------------------------------------------------------------------------
@@ -173,61 +172,79 @@ def _trace_components(
 
 
 # ---------------------------------------------------------------------------
-# symmetric tensors and their trace calculus
+# keyed tensors: one canonical key per orbit of the slot symmetries
 
 
-class _SymTensor(LinearCombination):
-    """A symmetric tensor of shape (n, valency), keyed by nondecreasing
-    multi-indices.  Each subclass fixes its metric by its index range
-    ``indices(n)`` and ``lower(n, a)``, the metric as an index involution,
-    and its value type by ``space_of(n)``, which checks n, and by ``_value``,
-    ``_value_to_json`` and ``_value_from_json``, which coerce a value in
-    that space and convert it to and from JSON; the key validation, the JSON
-    form and the trace calculus below read nothing else."""
+class _KeyedTensor(LinearCombination):
+    """A tensor of shape (n, count) that stores one canonical key per orbit
+    of its slot symmetries.  Each subclass supplies ``count_name``, the name
+    of the count in the JSON form and the repr, and ``key_length(count)``;
+    ``canonical(key, count)``, the representative of an ordered key with
+    its sign, or None when the key's component is identically zero, and
+    ``orbit(key, count)``, the distinct ordered keys of a representative
+    with their signs; its index range ``indices(n)``; ``space_of(n)``,
+    which checks n; and ``_value``, ``_value_to_json`` and
+    ``_value_from_json``, which coerce a value in that space and convert it
+    to and from JSON.  The key validation, ``get``, ``ordered_entries``, the
+    repr and the JSON form read nothing else."""
 
     __slots__ = ()
 
     def __init__(
-        self, n: int, valency: int, components: Mapping[MultiIndex, object] | None = None
+        self, n: int, count: int, components: Mapping[MultiIndex, object] | None = None
     ) -> None:
-        if valency < 0:
-            raise ValueError("valency must be >= 0")
+        if count < 0:
+            raise ValueError(f"{self.count_name} must be >= 0")
         space, indices = self.space_of(n), self.indices(n)
-        first, last = indices[0], indices[-1]
+        first, last, length = indices[0], indices[-1], self.key_length(count)
 
         def valid():
             for key, val in (components or {}).items():
                 key = tuple(key)
-                if len(key) != valency or any(not first <= i <= last for i in key):
-                    raise ValueError(f"bad multi-index {key} for valency {valency}, n={n}")
-                if tuple(sorted(key)) != key:
-                    raise ValueError(f"multi-index {key} is not nondecreasing")
+                if len(key) != length or any(not first <= i <= last for i in key):
+                    raise ValueError(
+                        f"bad multi-index {key} for {self.count_name} {count}, n={n}"
+                    )
+                if self.canonical(key, count) != (key, 1):
+                    raise ValueError(f"multi-index {key} is not its own representative")
                 yield key, self._value(space, val)
 
-        self._fill((n, valency), valid())
+        self._fill((n, count), valid())
 
     n = property(lambda self: self.shape[0])
-    valency = property(lambda self: self.shape[1])
     components = property(lambda self: self.terms)
     space = property(lambda self: self.space_of(self.n))
 
     def get(self, key: MultiIndex):
-        val = self.components.get(tuple(sorted(key)))
-        return self._value(self.space, 0) if val is None else val
+        """The component at an ordered key: the stored value with the sign
+        of ``canonical``, or zero."""
+        canon = self.canonical(tuple(key), self.shape[1])
+        if canon is not None:
+            val = self.terms.get(canon[0])
+            if val is not None:
+                return val if canon[1] > 0 else -val
+        return self._value(self.space, 0)
+
+    def ordered_entries(self) -> Iterator[tuple[MultiIndex, object]]:
+        """Every ordered key with a nonzero component, with its value."""
+        count = self.shape[1]
+        for key, val in self.terms.items():
+            for arranged, sign in self.orbit(key, count):
+                yield arranged, val if sign > 0 else -val
 
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} n={self.n} valency={self.valency}"
-            f" nnz={len(self.components)}>"
+            f"<{type(self).__name__} n={self.n} {self.count_name}={self.shape[1]}"
+            f" nnz={len(self.terms)}>"
         )
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "valency": self.valency,
+            self.count_name: self.shape[1],
             "components": {
-                ",".join(map(str, k)): self._value_to_json(v)
-                for k, v in sorted(self.components.items())
+                format_multi_index(k): self._value_to_json(v)
+                for k, v in sorted(self.terms.items())
             },
         }
 
@@ -236,10 +253,31 @@ class _SymTensor(LinearCombination):
         n = data["n"]
         space = cls.space_of(n)
         comps = {
-            _key_from_json(key): cls._value_from_json(space, val)
+            multi_index_from_json(key): cls._value_from_json(space, val)
             for key, val in data["components"].items()
         }
-        return cls(n, data["valency"], comps)
+        return cls(n, data[cls.count_name], comps)
+
+
+# ---------------------------------------------------------------------------
+# symmetric tensors and their trace calculus
+
+
+class _SymTensor(_KeyedTensor):
+    """A symmetric tensor of shape (n, valency), keyed by nondecreasing
+    multi-indices.  Each subclass fixes its metric by its index range and
+    ``lower(n, a)``, the metric as an index involution; the trace calculus
+    below reads nothing else."""
+
+    __slots__ = ()
+    count_name = "valency"
+    key_length = staticmethod(lambda valency: valency)
+    canonical = staticmethod(lambda key, valency: (tuple(sorted(key)), 1))
+    valency = property(lambda self: self.shape[1])
+
+    @staticmethod
+    def orbit(key: MultiIndex, valency: int) -> Iterator[tuple[MultiIndex, int]]:
+        return ((arranged, 1) for arranged in dict.fromkeys(itertools.permutations(key)))
 
     @classmethod
     def metric(cls, n: int) -> dict[MultiIndex, Fraction]:
@@ -256,7 +294,7 @@ def metric_trace(t: _SymTensor) -> _SymTensor:
     """Exact contraction of two slots with the metric (all slot pairs give
     the same trace of a symmetric tensor)."""
     comps = _trace_components(t.components, t.valency, partial(t.lower, t.n))
-    return type(t)(t.n, t.valency - 2, comps)
+    return type(t)._make((t.n, t.valency - 2), comps)
 
 
 def tracefree_part(t: _SymTensor) -> _SymTensor:
@@ -280,7 +318,7 @@ def tracefree_part(t: _SymTensor) -> _SymTensor:
         # scaling the trace first costs one product per trace entry
         scaled = {key: val * coeff for key, val in trace.items()}
         terms.append(_sym_outer_components(g_power, 2 * k, scaled, s - 2 * k).items())
-    return type(t)(t.n, s, collect(itertools.chain.from_iterable(terms)))
+    return type(t)._collect(t.shape, itertools.chain.from_iterable(terms))
 
 
 def sym_outer(a: _SymTensor, b: _SymTensor) -> _SymTensor:
@@ -289,7 +327,7 @@ def sym_outer(a: _SymTensor, b: _SymTensor) -> _SymTensor:
     if type(a) is not type(b) or a.n != b.n:
         raise ValueError("sym_outer needs two tensors of one type and dimension")
     comps = _sym_outer_components(a.components, a.valency, b.components, b.valency)
-    return type(a)(a.n, a.valency + b.valency, comps)
+    return type(a)._make((a.n, a.valency + b.valency), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +393,6 @@ class SymAmbientTensor(_SymTensor):
     _value_to_json = staticmethod(format_rational)
     _value_from_json = staticmethod(lambda space, val: rational_from_json(val))
 
-    def ordered_entries(self) -> Iterator[tuple[MultiIndex, Fraction]]:
-        """Every ordered key with a nonzero component, with its value."""
-        for key, val in self.components.items():
-            for arranged in dict.fromkeys(itertools.permutations(key)):
-                yield arranged, val
-
 
 def ambient_metric_sym(n: int) -> SymAmbientTensor:
     """The inverse ambient metric as a symmetric 2-tensor."""
@@ -408,7 +440,7 @@ def _projected(
     )
 
 
-class PairSkewTensor(LinearCombination):
+class PairSkewTensor(_KeyedTensor):
     """Constant ambient tensor of shape (n, k), skew within each of its k
     index pairs.
 
@@ -418,52 +450,16 @@ class PairSkewTensor(LinearCombination):
     """
 
     __slots__ = ()
-
-    def __init__(
-        self,
-        n: int,
-        pair_count: int,
-        components: Mapping[MultiIndex, Rational] | None = None,
-    ) -> None:
-        if pair_count < 0:
-            raise ValueError("pair_count must be >= 0")
-        if not isinstance(n, int):
-            raise TypeError(f"dimension n must be an int, got {n!r}")
-
-        def valid():
-            for key, val in (components or {}).items():
-                key = tuple(key)
-                if not (
-                    len(key) == 2 * pair_count
-                    and all(0 <= i <= n + 1 for i in key)
-                    and _pair_canonical(key, pair_count) == (key, 1)
-                ):
-                    raise ValueError(f"key {key} is not a canonical ambient key of this shape")
-                yield key, rat(val)
-
-        self._fill((n, pair_count), valid())
-
-    n = property(lambda self: self.shape[0])
+    count_name = "pair_count"
+    key_length = staticmethod(lambda pair_count: 2 * pair_count)
+    canonical = staticmethod(_pair_canonical)
+    orbit = staticmethod(pair_orbit)
+    indices = staticmethod(ambient_indices)
+    space_of = staticmethod(ambient_space)
+    _value = staticmethod(lambda space, val: rat(val))
+    _value_to_json = staticmethod(format_rational)
+    _value_from_json = staticmethod(lambda space, val: rational_from_json(val))
     pair_count = property(lambda self: self.shape[1])
-    components = property(lambda self: self.terms)
-
-    def canonicalize(self, key: MultiIndex) -> tuple[MultiIndex, int] | None:
-        """Canonical representative and sign, or None if a pair repeats."""
-        return _pair_canonical(key, self.pair_count)
-
-    def get(self, key: MultiIndex) -> Fraction:
-        canon = self.canonicalize(tuple(key))
-        if canon is None:
-            return Fraction(0)
-        ckey, sign = canon
-        val = self.components.get(ckey)
-        return Fraction(0) if val is None else sign * val
-
-    def ordered_entries(self) -> Iterator[tuple[MultiIndex, Fraction]]:
-        """Every ordered key with a nonzero component, with its value."""
-        for key, val in self.components.items():
-            for arranged, sign in pair_orbit(key, self.pair_count):
-                yield arranged, sign * val
 
     @classmethod
     def project(
@@ -474,34 +470,13 @@ class PairSkewTensor(LinearCombination):
         with a repeated pair drop out.
 
         Each entry adds its value, as an int numerator over the common
-        denominator and with the sign of ``canonicalize``, to its
+        denominator and with the sign of ``canonical``, to its
         representative, and the sums are scaled once by 1/2^pair_count.  No
         pair flip fixes a key whose pairs have distinct indices, so this is
         the average over the flip orbit.
         """
         den, nums = numerators(entries)
         return _projected(n, pair_count, nums, den)
-
-    def __repr__(self) -> str:
-        return f"<PairSkewTensor n={self.n} pairs={self.pair_count} nnz={len(self.components)}>"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "pair_count": self.pair_count,
-            "components": {
-                ",".join(map(str, k)): format_rational(v)
-                for k, v in sorted(self.components.items())
-            },
-        }
-
-    @classmethod
-    def from_json_obj(cls, data: dict) -> "PairSkewTensor":
-        comps = {
-            _key_from_json(key): rational_from_json(val)
-            for key, val in data["components"].items()
-        }
-        return cls(data["n"], data["pair_count"], comps)
 
 
 def contract_positions(

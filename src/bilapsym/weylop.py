@@ -37,6 +37,8 @@ from .exactpoly import (
     Rational,
     VarSpace,
     base_space,
+    format_multi_index,
+    multi_index_from_json,
     numerators,
     product_sum,
     rat,
@@ -147,7 +149,7 @@ class DiffOp(LinearCombination):
             "space": self.space.kind,
             "n": self.space.n,
             "terms": {
-                ",".join(map(str, alpha)): coeff.to_json_obj()
+                format_multi_index(alpha): coeff.to_json_obj()
                 for alpha, coeff in sorted((a.indices(), c) for a, c in self.terms.items())
             },
         }
@@ -155,10 +157,10 @@ class DiffOp(LinearCombination):
     @classmethod
     def from_json_obj(cls, data: dict) -> "DiffOp":
         space = VarSpace(data["space"], data["n"])
-        terms = {}
-        for key, val in data["terms"].items():
-            alpha = tuple(int(i) for i in key.split(",")) if key else ()
-            terms[alpha] = Polynomial.from_json_obj(space, val)
+        terms = {
+            multi_index_from_json(key): Polynomial.from_json_obj(space, val)
+            for key, val in data["terms"].items()
+        }
         return cls(space, terms)
 
 

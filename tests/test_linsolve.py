@@ -27,7 +27,6 @@ from bilapsym.exactpoly import (
     parity_class,
 )
 from bilapsym.linsolve import (
-    PRIME,
     leibniz_columns,
     nullspace,
     rank,
@@ -35,6 +34,10 @@ from bilapsym.linsolve import (
     solve_graded,
 )
 from bilapsym.symalg import enumerate_symmetries
+
+# the first modulus of ``linsolve.MERSENNE_EXPONENTS`` and its lift bound
+PRIME = 2**31 - 1
+LIFT_BOUND = isqrt(PRIME // 2)
 
 
 def test_rank_of_identity_columns():
@@ -226,7 +229,7 @@ def test_fewer_rows_than_columns_is_lifted_without_elimination(monkeypatch):
 def test_lift_beyond_the_bound_falls_back_once(monkeypatch):
     # the entry -100003 has no fraction r/s with |r|, s <= LIFT_BOUND, and
     # is within the bound isqrt(M61 // 2) = 2**30 - 1
-    assert linsolve.LIFT_BOUND < 100003 <= isqrt(M61 // 2)
+    assert LIFT_BOUND < 100003 <= isqrt(M61 // 2)
     cols = [{0: 1}, {0: 100003}]
     assert _lifted_nullspace(cols, 2) is None
     moduli = _recording_moduli(monkeypatch)
@@ -236,7 +239,7 @@ def test_lift_beyond_the_bound_falls_back_once(monkeypatch):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_modular_pass_lifts_up_to_the_bound_and_no_further(sign):
-    bound = linsolve.LIFT_BOUND
+    bound = LIFT_BOUND
     assert _lifted_nullspace([{0: 1}, {0: sign * bound}], 2) == [
         {0: Fraction(-sign * bound), 1: Fraction(1)}
     ]
@@ -247,7 +250,7 @@ def test_wrong_lift_is_rejected_by_the_exact_check(monkeypatch):
     # PRIME + 1 is 1 modulo PRIME, so the entry lifts to -1; the exact
     # product with the row 1 * x0 + (PRIME + 1) * x1 refuses it.  Modulo
     # M61 the entry is -2**31, beyond the bound 2**30 - 1, so M127 decides.
-    assert linsolve._lift(PRIME - 1, PRIME, linsolve.LIFT_BOUND) == -1
+    assert linsolve._lift(PRIME - 1, PRIME, LIFT_BOUND) == -1
     assert isqrt(M61 // 2) < PRIME + 1 <= isqrt(M127 // 2)
     cols = [{0: 1}, {0: PRIME + 1}]
     moduli = _recording_moduli(monkeypatch)
@@ -288,12 +291,12 @@ def test_every_listed_modulus_is_prime():
     assert [e for e in range(3, 64) if _is_mersenne_prime(e)] == [3, 5, 7, 13, 17, 19, 31, 61]
 
 
-@given(st.integers(-linsolve.LIFT_BOUND, linsolve.LIFT_BOUND), st.integers(1, linsolve.LIFT_BOUND))
+@given(st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
 @settings(max_examples=200, deadline=None)
 def test_lift_inverts_reduction_within_the_bound(num, den):
     value = Fraction(num, den)
     residue = value.numerator * pow(value.denominator, -1, PRIME) % PRIME
-    assert linsolve._lift(residue, PRIME, linsolve.LIFT_BOUND) == value
+    assert linsolve._lift(residue, PRIME, LIFT_BOUND) == value
 
 
 def test_benchmark_systems_never_fall_back(monkeypatch):

@@ -4,6 +4,7 @@ decomposition of the tensor square of the conformal algebra."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -795,3 +796,48 @@ def test_json_round_trips(n, data):
     assert SymAmbientTensor.from_json_obj(w.to_json_obj()) == w
     x = data.draw(pair_skew_tensors(n, data.draw(st.integers(0, 2))))
     assert PairSkewTensor.from_json_obj(x.to_json_obj()) == x
+
+
+# ---------------------------------------------------------------------------
+# the keyed-tensor base shared by the three tensor types
+
+
+def _keyed_example(cls):
+    """(tensor, a non-canonical key of its shape) for each tensor type."""
+    if cls is SymTensorField:
+        x1 = Polynomial.variable(base_space(N), 1)
+        t = SymTensorField(N, 3, {(1, 1, 2): x1 * x1 - 3, (1, 2, 3): Fraction(-2, 5)})
+        return t, (2, 1, 1)
+    if cls is SymAmbientTensor:
+        t = SymAmbientTensor(N, 2, {(0, 4): 1, (2, 2): Fraction(-1, 3), (1, 3): 7})
+        return t, (4, 0)
+    t = PairSkewTensor(N, 2, {(0, 4, 1, 2): Fraction(3, 2), (1, 3, 1, 3): -1})
+    return t, (1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("cls", [SymTensorField, SymAmbientTensor, PairSkewTensor])
+def test_keyed_tensor_base(cls):
+    t, bad_key = _keyed_example(cls)
+    skew, count = cls is PairSkewTensor, t.shape[1]
+    name = "pair_count" if skew else "valency"
+    data = t.to_json_obj()
+    assert data[name] == count and cls.from_json_obj(json.loads(json.dumps(data))) == t
+    assert repr(t) == f"<{cls.__name__} n={N} {name}={count} nnz={len(t.components)}>"
+    # every ordered entry reads back through get, with its orbit's sign:
+    # +1 for a symmetric tensor, -1 per descending pair for a pair tensor
+    entries = list(t.ordered_entries())
+    assert len(entries) == len(dict(entries))
+    for key, val in entries:
+        pairs = [sorted(key[i : i + 2]) for i in range(0, len(key), 2)]
+        canon = tuple(i for pair in pairs for i in pair) if skew else tuple(sorted(key))
+        flips = sum(list(key[i : i + 2]) != p for i, p in zip(range(0, len(key), 2), pairs))
+        assert val == (-1) ** (flips if skew else 0) * t.components[canon] == t.get(key)
+    nonzero = [k for k in itertools.product(t.indices(N), repeat=len(bad_key)) if t.get(k)]
+    assert sorted(nonzero) == sorted(dict(entries))
+    if skew:
+        assert t.get((2, 2, 1, 3)) == 0 and t.get((0, 4, 3, 3)) == 0
+    with pytest.raises(ValueError):
+        cls(N, count, {bad_key: 1})
+    for n in (2, 1001):
+        with pytest.raises(ValueError):
+            cls(n, count)
