@@ -40,7 +40,6 @@ from .exactpoly import (
     ambient_space,
     base_space,
     exponent_tuples,
-    numerators,
     rat,
 )
 from .tensorcalc import (
@@ -96,29 +95,28 @@ def section_substitution(p: Polynomial) -> Polynomial:
     """Restrict an ambient polynomial to the section x0=1, xinf=-(x.x)/2.
 
     Each term restricts directly: x0^a goes to 1 and xinf^k to the cached
-    expansion of (-(x.x)/2)^k, summed as int numerators over the common
-    denominator of p times 2^(top xinf power), one Fraction per output
-    term.  No term is multiplied out as a Polynomial.
+    expansion of (-(x.x)/2)^k, summed as int numerators over the
+    denominator of p times 2^(top xinf power), one polynomial in lowest
+    terms.  No term is multiplied out as a Polynomial.
     """
     space = p.space
     if space.kind != "ambient":
         raise ValueError("expected an ambient polynomial")
     n, inf = space.n, space.inf
     pad = (0,) * (n + 2)
-    top = max((m.exponent(inf) for m in p.terms), default=0)
-    den, nums = numerators(p.terms.items())
+    top = max((m.exponent(inf) for m in p.nums), default=0)
     sums: dict[tuple, int] = {}
-    for m, num in nums:
+    for m, num in p.nums.items():
         exps = (m.exps + pad)[: n + 2]
         k = exps[inf]
         scale = num << (top - k)
         for e, t in _section_power(n, k):
             key = tuple(map(_add, exps[1:inf], e))
             sums[key] = sums.get(key, 0) + scale * t
-    den <<= top
-    return Polynomial._make(
+    return Polynomial._normal(
         base_space(n),
-        {Monomial._of_padded((0, *key)): Fraction(t, den) for key, t in sums.items() if t},
+        {Monomial._of_padded((0, *key)): t for key, t in sums.items() if t},
+        p.den << top,
     )
 
 
@@ -220,8 +218,8 @@ def _first_order(n: int, entries: Iterable[tuple[MultiIndex, Fraction]]) -> Diff
         for (i, j), val in entries:
             xi = Monomial.of_indices([ambient_lower(n, i)])
             xj = Monomial.of_indices([ambient_lower(n, j)])
-            yield Monomial.of_indices([j]), Polynomial._make(space, {xi: val})
-            yield Monomial.of_indices([i]), Polynomial._make(space, {xj: -val})
+            yield Monomial.of_indices([j]), Polynomial._term(space, xi, val)
+            yield Monomial.of_indices([i]), Polynomial._term(space, xj, -val)
 
     return DiffOp._collect(space, terms())
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .exactpoly import (
     Polynomial,
@@ -117,7 +117,10 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
     The residual R has constant coefficients and order r (its valency
     minus the input's), so R(e_K x^gamma) is constant for |gamma| = r and
     C[K, gamma] = R(e_K x^gamma) / gamma!.  The trace tr(e_K) is the
-    gamma = 0 part.  Rows ("r" or "t", multi-index) get int ids in the columns.
+    gamma = 0 part.  Rows ("r" or "t", multi-index) get int ids in the
+    columns.  The constants of every key are computed once, and every row
+    is scaled by one int, the lcm of their denominators, so that the
+    columns are ints; scaling a row by a nonzero constant keeps the kernel.
     """
     space = base_space(n)
     r = residual_fn(SymTensorField(n, valency)).valency - valency
@@ -126,7 +129,7 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
     def constants(key: MultiIndex) -> list:
         def unit(exps) -> SymTensorField:
             mono = monomial_from_exponents(exps)
-            return SymTensorField(n, valency, {key: Polynomial(space, {mono: Fraction(1)})})
+            return SymTensorField(n, valency, {key: Polynomial(space, {mono: 1})})
 
         parts = []
         for gamma in gammas:
@@ -138,7 +141,17 @@ def _residual_column_builder(n: int, valency: int, residual_fn):
             parts.append(((0,) * n, {("t", k): p.constant_value() for k, p in comps.items()}))
         return parts
 
-    return constants
+    table = {key: constants(key) for key in nondecreasing_tuples(base_indices(n), valency)}
+    denominators = [v.denominator for parts in table.values() for _, c in parts for v in c.values()]
+    row_scale = lcm(*denominators)
+    scaled = {
+        key: [
+            (gamma, {row: v.numerator * (row_scale // v.denominator) for row, v in c.items()})
+            for gamma, c in parts
+        ]
+        for key, parts in table.items()
+    }
+    return scaled.__getitem__
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,26 @@ Variables live in a ``VarSpace``: the base space has variables x1..xn, the
 ambient space adds a distinguished scaling variable x0 and a null direction
 xinf (n+2 variables total).  Every exponent is a nonnegative integer except
 on x0, which may carry any rational (including negative) exponent so that
-homogeneity weights like 2 - n/2 are representable at odd n.  Coefficients
-are exact ``fractions.Fraction`` values; terms are kept in a canonical
-graded-lexicographic order.  All values are immutable and all operations are
-pure functions.
+homogeneity weights like 2 - n/2 are representable at odd n.  A polynomial
+stores one positive int denominator and an int numerator per monomial, in
+lowest terms (gcd(den, all numerators) = 1), so equal polynomials store
+equal ints; coefficients are read out as exact ``fractions.Fraction``
+values, in a canonical graded-lexicographic order.  All values are
+immutable and all operations are pure functions.
 
 ``LinearCombination`` is the shared core of every finite linear combination
 in the package: polynomials here, differential operators in ``weylop`` and
 the tensor types in ``tensorcalc`` keep only their own key validation and
-products on top of it.  ``numerators`` is the one conversion of rational
-values to int numerators over their common denominator; the integer passes
-of ``weylop``, ``tensorcalc``, ``linsolve`` and ``ambient`` go through it.
+products on top of it.  Its sums, differences, scalings and equality run
+on the int numerators of polynomials with one gcd normalisation per
+result.  ``numerators`` is the one conversion of rational values to int
+numerators over their common denominator, for the values that are not
+stored that way (constant tensors, the rows of ``linsolve``).
 ``weyl_sum`` is the one product kernel, of operators in the Weyl algebra
-and of polynomials, their derivative-free case.  It writes its operands
-as those numerators, with each exponent vector packed into one int key of
-an ``ExponentLayout``; no other module knows that format.  ``product_sum``
+and of polynomials, their derivative-free case.  It reads the int
+numerators of its operands, with each exponent vector packed into one int
+key of an ``ExponentLayout``, whose Leibniz tables of divisors are kept
+for the process; no other module knows that format.  ``product_sum``
 (``Polynomial`` multiplication is its one-triple case) and
 ``weylop.compose_sum`` wrap it.
 """
@@ -29,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add as _add, sub as _sub
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
@@ -65,7 +70,13 @@ def rational_from_json(value: object) -> Fraction:
 def format_rational(value: Scalar) -> str:
     """Render an exact rational as "p/q" (or "p" when integral)."""
     f = rat(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _format_ratio(f.numerator, f.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """Render num / den, for den > 0, as ``format_rational`` does."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def multi_index_from_json(text: str) -> tuple[int, ...]:
@@ -103,17 +114,32 @@ def collect(pairs: Iterable[tuple[Hashable, object]]) -> dict:
 
 class _OpenSum:
     """A sum of combinations under construction.  It starts from a copy of
-    the terms of ``like``, the first combination under its key; later ones
-    are merged into it in place, so none of them is kept alive."""
+    the numerators of ``like``, the first combination under its key; later
+    ones are merged into it in place over one running denominator, so none
+    of them is kept alive."""
 
-    __slots__ = ("like", "terms")
+    __slots__ = ("like", "terms", "den")
 
     def __init__(self, like: "LinearCombination") -> None:
         self.like = like
-        self.terms = dict(like.terms)
+        self.terms = dict(like.nums)
+        self.den = like.den
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def add(self, value: "LinearCombination") -> None:
+        """Merge in a combination of the same type and shape."""
+        pairs = value.nums.items()
+        if value.den != self.den:  # int numerators: bring both over the lcm
+            den = lcm(self.den, value.den)
+            if den != self.den:
+                k = den // self.den
+                self.terms = {key: v * k for key, v in self.terms.items()}
+                self.den = den
+            k = den // value.den
+            pairs = ((key, v * k) for key, v in pairs)
+        _add_pairs(self.terms, pairs)
 
 
 def _add_pairs(terms: dict, pairs: Iterable[tuple[Hashable, object]]) -> None:
@@ -125,7 +151,7 @@ def _add_pairs(terms: dict, pairs: Iterable[tuple[Hashable, object]]) -> None:
         elif isinstance(value, LinearCombination):
             if type(total) is not _OpenSum:
                 total = _OpenSum(total)
-            _add_pairs(total.terms, value.terms.items())
+            total.add(value)
         else:
             total = total + value
         if total:
@@ -138,54 +164,97 @@ def _closed(terms: dict) -> dict:
     """Finish a private term dict in place by closing its open sums."""
     for key, value in terms.items():
         if type(value) is _OpenSum:
-            terms[key] = value.like._make(value.like.shape, _closed(value.terms))
+            like = value.like
+            terms[key] = like._normal(like.shape, _closed(value.terms), value.den)
     return terms
 
 
 class LinearCombination:
-    """An immutable finite linear combination: a map key -> nonzero value.
+    """An immutable finite linear combination: the map key -> nonzero value
+    ``nums[key] / den``.
 
     ``shape`` is what two combinations must share to be added (a variable
-    space, a tensor type).  Values are Fractions, or combinations themselves
-    (the polynomial coefficients of an operator); a value is zero iff it is
-    falsy.  Public constructors of subclasses validate their keys and build
-    through ``_fill``; results of arithmetic on valid instances are built by
-    ``_make`` and ``_collect`` without re-validation.
+    space, a tensor type).  A class with ``over_den`` set (``Polynomial``)
+    keeps int numerators over a positive int ``den`` in lowest terms,
+    gcd(den, *nums) = 1, so that equal values have equal (den, nums) and
+    sums, scalings and equality run on ints.  Every other class keeps den
+    = 1 and the values themselves in ``nums``: Fractions, or combinations
+    (the polynomial coefficients of an operator).  ``terms`` reads the
+    values out; a value is zero iff it is falsy.  Public constructors of
+    subclasses validate their keys and build through ``_fill``; results of
+    arithmetic on valid instances are built by ``_make``, ``_normal`` and
+    ``_collect`` without re-validation.
     """
 
-    __slots__ = ("shape", "terms")
+    __slots__ = ("shape", "nums", "den")
+    over_den = False
 
     def _fill(self, shape: Hashable, pairs: Iterable[tuple[Hashable, object]]) -> None:
+        nums, den = self._parts(collect(pairs))
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", collect(pairs))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _make(cls, shape: Hashable, terms: dict):
-        """An instance from terms that are already merged and nonzero."""
+    def _parts(cls, terms: dict) -> tuple[dict, int]:
+        """(nums, den) of merged nonzero values: ``numerators`` of
+        rational values for a class with ``over_den``."""
+        if not cls.over_den:
+            return terms, 1
+        den, nums = numerators(terms.items())
+        return dict(nums), den
+
+    @classmethod
+    def _make(cls, shape: Hashable, nums: dict, den: int = 1):
+        """An instance from numerators that are already merged, nonzero and
+        in lowest terms over den."""
         out = object.__new__(cls)
         object.__setattr__(out, "shape", shape)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "nums", nums)
+        object.__setattr__(out, "den", den)
         return out
+
+    @classmethod
+    def _normal(cls, shape: Hashable, nums: dict, den: int):
+        """An instance from merged nonzero numerators over den, brought to
+        lowest terms by one gcd (den is 1 unless they are ints)."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        return cls._make(shape, nums, den)
+
+    @classmethod
+    def _values(cls, shape: Hashable, terms: dict):
+        """An instance from valid keys with merged nonzero values."""
+        return cls._make(shape, *cls._parts(terms))
 
     @classmethod
     def _collect(cls, shape: Hashable, pairs: Iterable[tuple[Hashable, object]]):
         """An instance from valid (key, value) pairs, repeated keys summed."""
-        return cls._make(shape, collect(pairs))
+        return cls._values(shape, collect(pairs))
 
     @classmethod
     def _sum(cls, shape: Hashable, combinations: Iterable["LinearCombination"]):
         """The sum of valid instances, merged term by term in one pass."""
-        return cls._collect(shape, (kv for c in combinations for kv in c.terms.items()))
+        total = collect((0, c) for c in combinations).get(0)
+        return cls._make(shape, {}) if total is None else total
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def terms(self) -> dict:
+        """The map key -> value."""
+        return self.nums
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def _check_like(self, other: object) -> None:
         if type(other) is not type(self):
@@ -199,8 +268,16 @@ class LinearCombination:
         if type(other) is not type(self):
             return NotImplemented
         self._check_like(other)
-        out = dict(self.terms)
-        for key, value in other.terms.items():
+        den, k = self.den, 1
+        if other.den == den:
+            out = dict(self.nums)
+        else:  # int numerators: bring both over the lcm
+            den = lcm(den, other.den)
+            out = {key: v * (den // self.den) for key, v in self.nums.items()}
+            k = den // other.den
+        for key, value in other.nums.items():
+            if k != 1:
+                value = value * k
             cur = out.get(key)
             if cur is None:
                 out[key] = -value if negate else value
@@ -210,7 +287,7 @@ class LinearCombination:
                     out[key] = total
                 else:
                     del out[key]
-        return self._make(self.shape, out)
+        return self._normal(self.shape, out, den)
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -219,20 +296,26 @@ class LinearCombination:
         return self._merge(other, True)
 
     def __neg__(self):
-        return self._make(self.shape, {k: -v for k, v in self.terms.items()})
+        return self._make(self.shape, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __mul__(self, scalar):
-        """Scale every value; a nonzero scalar keeps every value nonzero."""
+        """Scale every value; a nonzero scalar keeps every value nonzero.
+        Int numerators take the scalar's numerator, and den its
+        denominator."""
         if not scalar:
             return self._make(self.shape, {})
-        return self._make(self.shape, {k: v * scalar for k, v in self.terms.items()})
+        if self.over_den:
+            top = scalar.numerator
+            nums = self.nums if top == 1 else {k: v * top for k, v in self.nums.items()}
+            return self._normal(self.shape, nums, self.den * scalar.denominator)
+        return self._make(self.shape, {k: v * scalar for k, v in self.nums.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
+        return self.shape == other.shape and self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -391,19 +474,21 @@ class Monomial:
             return None
         return Monomial._of(_trimmed(exps), self.degree - other.degree)
 
-    def divisors(self) -> list[tuple["Monomial", "Monomial", int]]:
+    def divisors(self) -> tuple[tuple["Monomial", "Monomial", int], ...]:
         """Each divisor gamma with the cofactor self / gamma and the Leibniz
-        weight prod_v binomial(exps[v], gamma[v]), for integer exponents."""
-        out = []
-        for gamma in itertools.product(*(range(e + 1) for e in self.exps)):
-            d = sum(gamma)
-            rest = tuple(map(_sub, self.exps, gamma))
-            weight = prod(map(comb, self.exps, gamma))
-            out.append((
-                Monomial._of(_trimmed(gamma), d),
-                Monomial._of(_trimmed(rest), self.degree - d),
-                weight,
-            ))
+        weight prod_v binomial(exps[v], gamma[v]), for integer exponents.
+        The table is built once per process for each exponent vector."""
+        out = _DIVISORS.get(self.exps)
+        if out is None:
+            out = _DIVISORS[self.exps] = tuple(
+                (
+                    Monomial._of(_trimmed(gamma), sum(gamma)),
+                    Monomial._of(_trimmed(tuple(map(_sub, self.exps, gamma))),
+                                 self.degree - sum(gamma)),
+                    prod(map(comb, self.exps, gamma)),
+                )
+                for gamma in itertools.product(*(range(e + 1) for e in self.exps))
+            )
         return out
 
     def _lowered(self, v: int) -> "Monomial":
@@ -436,11 +521,20 @@ class Monomial:
 
 _ONE = Monomial()
 
+# exponent vector -> ``Monomial.divisors`` of its monomial
+_DIVISORS: dict[tuple, tuple] = {}
+# (width, bits, den, exponent vector) -> ``ExponentLayout.leibniz``
+_LEIBNIZ: dict[tuple, tuple] = {}
+
 
 class Polynomial(LinearCombination):
-    """Sparse polynomial: map Monomial -> Fraction over a fixed VarSpace."""
+    """Sparse polynomial over a fixed VarSpace: int numerators of its
+    monomials over one positive int denominator, in lowest terms.  The
+    constructors take int or Fraction coefficients, and ``terms``,
+    ``constant_value``, ``coefficient``, text and JSON read Fractions out."""
 
     __slots__ = ()
+    over_den = True
 
     def __init__(self, space: VarSpace, terms: Mapping[Monomial, Scalar] | None = None) -> None:
         def valid():
@@ -456,34 +550,50 @@ class Polynomial(LinearCombination):
 
     space = property(lambda self: self.shape)
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The map monomial -> nonzero coefficient, one Fraction each."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.nums.items()}
+
+    def coefficient(self, m: Monomial) -> Fraction:
+        """The coefficient of the monomial m, zero when absent."""
+        return Fraction(self.nums.get(m, 0), self.den)
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, space: VarSpace) -> "Polynomial":
-        return cls(space)
+        return cls._make(space, {})
 
     @classmethod
     def constant(cls, space: VarSpace, c: Scalar) -> "Polynomial":
-        return cls(space, {_ONE: rat(c)})
+        return cls._term(space, _ONE, c)
+
+    @classmethod
+    def _term(cls, space: VarSpace, m: Monomial, c: Scalar) -> "Polynomial":
+        """c x^m, for a monomial m of the space."""
+        c = rat(c)
+        return cls._make(space, {m: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, space: VarSpace) -> "Polynomial":
-        return cls.constant(space, 1)
+        return cls._make(space, {_ONE: 1})
 
     @classmethod
     def variable(cls, space: VarSpace, v: int, exponent: Exponent = 1) -> "Polynomial":
         if not space.contains(v):  # before a monomial of v + 1 slots is built
             raise ValueError(f"variable {v} not in {space}")
-        return cls(space, {Monomial([(v, exponent)]): Fraction(1)})
+        return cls._make(space, {Monomial([(v, exponent)]): 1})
 
     # -- predicates --------------------------------------------------------
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
+        return not self.nums or (len(self.nums) == 1 and _ONE in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.coefficient(_ONE)
 
     # -- arithmetic: scalars are lifted to constant polynomials -------------
     def _lift(self, other: "Polynomial | Scalar") -> object:
@@ -529,22 +639,29 @@ class Polynomial(LinearCombination):
 
     # -- calculus ----------------------------------------------------------
     def partial(self, v: int) -> "Polynomial":
-        """Exact partial derivative with respect to variable v."""
+        """Exact partial derivative with respect to variable v.  A
+        fractional x0 exponent e moves the lcm q of their denominators into
+        den, and each numerator is multiplied by the int e q."""
         if not self.space.contains(v):
             raise ValueError(f"variable {v} not in {self.space}")
+        q = 1
+        if v == 0:
+            q = lcm(*[m.exps[0].denominator for m in self.nums if type(m.exps[0]) is Fraction])
         # distinct monomials have distinct derivatives, so no terms merge
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for m, c in self.nums.items():
             e = m.exponent(v)
             if e != 0:
-                out[m._lowered(v)] = c * e
-        return self._make(self.space, out)
+                out[m._lowered(v)] = c * (e if q == 1 else e.numerator * (q // e.denominator))
+        return self._normal(self.space, out, self.den * q)
 
     def substitute(self, bindings: Mapping[int, "Polynomial | Scalar"]) -> "Polynomial":
         """Exact simultaneous substitution of polynomials for variables.
 
         A variable carrying a non-integer exponent can only be bound to a
         nonzero constant, and only to 1 unless the exponent is integral.
+        Each term is substituted with its int numerator, and the sum is
+        divided by den once.
         """
         coerced: dict[int, Polynomial] = {}
         for v, b in bindings.items():
@@ -582,8 +699,8 @@ class Polynomial(LinearCombination):
             power_cache[key] = value
             return value
 
-        def substituted(m: Monomial, c: Fraction) -> Polynomial:
-            acc = Polynomial.constant(self.space, c)
+        def substituted(m: Monomial, c: int) -> Polynomial:
+            acc = Polynomial._make(self.space, {_ONE: c})
             for v, e in m.items():
                 if v in coerced:
                     acc = acc * factor(v, e)
@@ -591,7 +708,8 @@ class Polynomial(LinearCombination):
                     acc = acc * Polynomial.variable(self.space, v, e)
             return acc
 
-        return self._sum(self.space, (substituted(m, c) for m, c in self.terms.items()))
+        total = self._sum(self.space, (substituted(m, c) for m, c in self.nums.items()))
+        return total if self.den == 1 else total * Fraction(1, self.den)
 
     def homogeneous_degree(self) -> Fraction | None:
         """The common total degree of all terms, or None if inhomogeneous.
@@ -599,7 +717,7 @@ class Polynomial(LinearCombination):
         The zero polynomial is homogeneous of every degree; 0 is returned.
         The Euler identity sum_v x_v d/dx_v p = w p holds for the result.
         """
-        degrees = {rat(m.degree) for m in self.terms}
+        degrees = {rat(m.degree) for m in self.nums}
         if not degrees:
             return Fraction(0)
         if len(degrees) == 1:
@@ -608,7 +726,9 @@ class Polynomial(LinearCombination):
 
     def homogeneous_component(self, degree: Scalar) -> "Polynomial":
         d = rat(degree)
-        return self._make(self.space, {m: c for m, c in self.terms.items() if m.degree == d})
+        return self._normal(
+            self.space, {m: c for m, c in self.nums.items() if m.degree == d}, self.den
+        )
 
     # -- canonical order / rendering ----------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -616,10 +736,10 @@ class Polynomial(LinearCombination):
         return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms)
-        return m, self.terms[m]
+        m = max(self.nums)
+        return m, self.coefficient(m)
 
     def text(self) -> str:
         if not self.terms:
@@ -646,13 +766,15 @@ class Polynomial(LinearCombination):
 
     # -- JSON ----------------------------------------------------------------
     def to_json_obj(self) -> list[dict]:
+        """The terms in descending graded-lex order, each coefficient
+        rendered from its numerator over den."""
         out = []
-        for m, c in self.sorted_terms():
+        for m in sorted(self.nums, reverse=True):
             exps = {
                 self.space.var_name(v): (e if isinstance(e, int) else format_rational(e))
                 for v, e in m.items()
             }
-            out.append({"coeff": format_rational(c), "exps": exps})
+            out.append({"coeff": _format_ratio(self.nums[m], self.den), "exps": exps})
         return out
 
     @classmethod
@@ -712,11 +834,25 @@ class ExponentLayout:
             key = (key << bits) + e
         return key << bits * (self.width - len(exps))
 
-    def exponent(self, key: int, v: int) -> Exponent:
-        """The exponent of x_v in a key."""
+    def reader(self, v: int) -> tuple[int, int, int]:
+        """(shift, mask, step): slot v of a key is (key >> shift) & mask, e_v
+        or ``den`` * e_0 for v = 0, and one unit of x_v is step in it."""
         if v:
-            return (key >> self.bits * (self.width - 1 - v)) & self._mask
-        return self._x0(key >> self._shift)
+            return self.bits * (self.width - 1 - v), self._mask, 1
+        return self._shift, -1, self.den
+
+    def leibniz(self, alpha: Monomial) -> tuple[tuple[int, tuple, int], ...]:
+        """The ``Monomial.divisors`` gamma of a derivative key alpha as
+        (key of gamma, nonzero (v, gamma_v), C(alpha, gamma)), built once
+        per process for each alpha and layout."""
+        sig = (self.width, self.bits, self.den, alpha.exps)
+        out = _LEIBNIZ.get(sig)
+        if out is None:
+            out = _LEIBNIZ[sig] = tuple(
+                (self.pack(gamma), tuple(gamma.items()), weight)
+                for gamma, _, weight in alpha.divisors()
+            )
+        return out
 
     def _x0(self, slot: int) -> Exponent:
         if self.den == 1:
@@ -758,34 +894,39 @@ def weyl_sum(
 
     The groups are held for the call: one ``ExponentLayout`` fits every
     operand, and each operand (an operand passed again is found by
-    identity) is written once as int numerators over a common
-    denominator, with packed monomials and derivative keys.  The right
-    factors of a group are summed as ints, and each group is expanded once
-    into buckets over one running denominator: a group whose denominator
-    does not divide the running one rescales the buckets filled so far.
-    Each distinct (gamma, m) is lowered once per call, through a table of
-    falling factorials.  So every output term is one sum
-    of int products (Fractions only through a fractional x0 exponent)
-    under int keys, turned into one Monomial and one Fraction at the end.
+    identity) is read once as the int numerators of its coefficients over
+    the lcm of their denominators, with packed monomials and derivative
+    keys.  The right factors of a group are summed as ints, and each group
+    is expanded once into buckets over one running denominator: a group
+    whose denominator does not divide the running one rescales the buckets
+    filled so far.  Each distinct (gamma, m) is lowered once per call,
+    through a table of falling factorials; the divisors gamma of each
+    alpha come from ``ExponentLayout.leibniz``.  A fractional x0 exponent
+    e0 = s / q, with q the layout's ``den``, gives [e0]_g = prod_{i < g}
+    (s - i q) / q^g; each falling factorial is taken over q^top, top the
+    largest x0 count of a derivative of a left operand, and q^top joins
+    the denominator.  So every output term is one sum of int products
+    under int keys, and each bucket becomes one polynomial in lowest terms
+    over the running denominator.
     """
     groups = [(a, list(factors)) for a, factors in groups]
     # id -> terms: holding them keeps their id from being reused in this call
     operands = {id(t): t for a, factors in groups for t in (a, *(b for b, _ in factors))}
     layout = ExponentLayout.fitting(
         space,
-        (m for t in operands.values() for alpha, c in t.items() for m in (alpha, *c.terms)),
+        (m for t in operands.values() for alpha, c in t.items() for m in (alpha, *c.nums)),
     )
+    pack, q = layout.pack, layout.den
+    top = max((alpha.exps[0] for a, _ in groups for alpha in a), default=0) if q != 1 else 0
 
     def written(t: Mapping) -> tuple[int, list]:
         """(den, [(alpha, key of alpha, [(key of m, numerator)])]): the
-        coefficients of t as int numerators over one common denominator."""
-        den, nums = numerators(
-            (layout.pack(m), c) for cf in t.values() for m, c in cf.terms.items()
-        )
-        out, i = [], 0
+        coefficients of t as int numerators over the lcm of their dens."""
+        den = lcm(*[cf.den for cf in t.values()])
+        out = []
         for alpha, cf in t.items():
-            out.append((alpha, layout.pack(alpha), nums[i : i + len(cf.terms)]))
-            i += len(cf.terms)
+            k = den // cf.den
+            out.append((alpha, pack(alpha), [(pack(m), c * k) for m, c in cf.nums.items()]))
         return den, out
 
     packed = {key: written(t) for key, t in operands.items()}
@@ -793,13 +934,15 @@ def weyl_sum(
     def right_sum(factors) -> tuple[int, list]:
         """sum_j c_j b_j as (den, [(key of beta, [(key of m, numerator)])]):
         with b_j = B_j / den_j for int numerators B_j, it is the sum of
-        (c_j / den_j) B_j, each weight an int over one den."""
-        parts = [(packed[id(b)], c) for b, c in factors]
-        den, weights = numerators(
-            (terms, c if den_b == 1 else rat(c) / den_b)
-            for (den_b, terms), c in parts
+        (c_j / den_j) B_j, each weight an int over the lcm of the
+        denominators of c_j / den_j."""
+        parts = [
+            (terms, c, c.denominator * den_b)
+            for (den_b, terms), c in ((packed[id(b)], c) for b, c in factors)
             if c and terms
-        )
+        ]
+        den = lcm(*[d for _, _, d in parts])
+        weights = [(terms, c.numerator * (den // d)) for terms, c, d in parts]
         if len(weights) == 1:
             terms, k = weights[0]
             return den, [
@@ -818,31 +961,33 @@ def weyl_sum(
             if (nonzero := [(m, t) for m, t in coeff.items() if t])
         ]
 
-    # key of alpha -> [(key of gamma, nonzero (v, gamma_v), C(alpha, gamma))];
-    # d^0, the one key of a polynomial, has the one divisor gamma = 0
-    leibniz: dict[int, list] = {0: [(0, [], 1)]}
-    # key of gamma -> {key of m: [m]_gamma}, filled on demand
+    # key of gamma -> {key of m: q^top [m]_gamma}, filled on demand
     lowered: dict[int, dict] = {}
 
-    def lowered_sum(right: list, gamma: int, moves: list) -> list:
-        """The right sum with the falling factorial [m]_gamma = prod_v m_v
-        (m_v - 1) ... (m_v - gamma_v + 1) folded into each numerator and x^m
-        lowered to x^(m - gamma), for gamma also given by its nonzero
-        (v, gamma_v).  [m]_gamma vanishes only on a nonnegative integer m_v
-        < gamma_v, and those terms are dropped; a negative or fractional x0
-        exponent never does, and gives a Fraction when fractional."""
+    def lowered_sum(right: list, gamma: int, moves: tuple) -> list:
+        """The right sum with q^top times the falling factorial [m]_gamma =
+        prod_v m_v (m_v - 1) ... (m_v - gamma_v + 1) folded into each
+        numerator and x^m lowered to x^(m - gamma), for gamma also given by
+        its nonzero (v, gamma_v).  [m]_gamma vanishes only on a nonnegative
+        integer m_v < gamma_v, and those terms are dropped; a negative or
+        fractional x0 exponent never does."""
         table = lowered.setdefault(gamma, {})
+        g0 = moves[0][1] if moves and moves[0][0] == 0 else 0
+        fill = q ** (top - g0) if top else 1
+        # (shift, mask, step, gamma_v): slot v is (m >> shift) & mask, and
+        # the falling factorial steps by den in slot 0
+        reads = [layout.reader(v) + (g,) for v, g in moves]
         out = []
         for beta, cb in right:
             low = []
             for m, num in cb:
                 ff = table.get(m)
                 if ff is None:
-                    ff = 1
-                    for v, g in moves:
-                        e = layout.exponent(m, v)
+                    ff = fill
+                    for shift, mask, step, g in reads:
+                        e = (m >> shift) & mask
                         for i in range(g):
-                            ff *= e - i
+                            ff *= e - i * step
                     table[m] = ff
                 if ff:
                     low.append((m - gamma, num * ff))
@@ -857,7 +1002,7 @@ def weyl_sum(
         den_r, right = right_sum(factors)
         if not (terms_a and right):
             continue
-        den_g = den_a * den_r
+        den_g = den_a * den_r * q**top
         if den % den_g:
             grown = lcm(den, den_g)
             k = grown // den
@@ -866,18 +1011,13 @@ def weyl_sum(
                     bucket[e] *= k
             den = grown
         scale = den // den_g
-        # the right sum lowered by each gamma, once per gamma in this group
-        shifted = {0: right}
+        # the right sum lowered by each gamma, once per gamma in this group;
+        # gamma = 0 leaves it as it is unless q^top scales it
+        shifted = {0: right} if top == 0 else {}
         for alpha, key, ca in terms_a:
             if scale != 1:
                 ca = [(p, num * scale) for p, num in ca]
-            divisors = leibniz.get(key)
-            if divisors is None:
-                divisors = leibniz[key] = [
-                    (layout.pack(gamma), list(gamma.items()), weight)
-                    for gamma, _, weight in alpha.divisors()
-                ]
-            for gamma, moves, weight in divisors:
+            for gamma, moves, weight in layout.leibniz(alpha):
                 if not (moves or with_products):
                     continue
                 low_b = shifted.get(gamma)
@@ -901,9 +1041,9 @@ def weyl_sum(
                 m = monomials.get(e)
                 if m is None:
                     m = monomials[e] = layout.unpack(e)
-                coeff[m] = Fraction(t, den)
+                coeff[m] = t
         if coeff:
-            terms[layout.unpack(d)] = Polynomial._make(space, coeff)
+            terms[layout.unpack(d)] = Polynomial._normal(space, coeff, den)
     return terms
 
 

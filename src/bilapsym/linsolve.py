@@ -517,7 +517,7 @@ def solve_graded(
                     label, m = members[pos]
                     terms.setdefault(label, {})[monomial_from_exponents(m)] = coeff
                 # distinct base monomials, nonzero Fractions from the lift
-                out.append((grade, {k: Polynomial._make(space, t) for k, t in terms.items()}))
+                out.append((grade, {k: Polynomial._values(space, t) for k, t in terms.items()}))
         return out
 
     return solve_by_grade(first, first_open, last, solve)

@@ -692,7 +692,7 @@ def counterexample_operator_check(n: int, seed: int = 0) -> CounterexampleReport
         if certificate.order == 0:
             mult = certificate.coefficient(())
             mono, lead_coeff = q_poly.leading_term()
-            scalar_factor = mult.terms.get(mono, Fraction(0)) / lead_coeff
+            scalar_factor = mult.coefficient(mono) / lead_coeff
             quartic_matches = mult == q_poly * scalar_factor
 
     return CounterexampleReport(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 from .exactpoly import (
@@ -320,30 +320,34 @@ def symbol_division(d: DiffOp, r: DiffOp) -> tuple[DiffOp, DiffOp]:
     Returns (quotient, remainder) with d = quotient o r + remainder, where
     no remainder term is divisible by the leading term of r.  r has
     constant coefficients, so the division never mixes two x-monomials:
-    the symbol of d is written as int numerators over one common
-    denominator and split into one constant symbol per x-monomial, each
+    the coefficients of d are read as int numerators over the lcm of their
+    denominators and split into one constant symbol per x-monomial, each
     slice is divided by ``divide_by_constant``, and each output coefficient
-    becomes one Fraction.
+    is one polynomial over that lcm.  A monic r with int coefficients keeps
+    the slices int; any other r brings Fractions in, which ``numerators``
+    moves into the denominator.
     """
     d._check_like(r)
     divisor = constant_symbol(r)
-    den, nums = numerators(
-        ((alpha, m), c) for alpha, coeff in d.terms.items() for m, c in coeff.terms.items()
-    )
+    den = lcm(*[coeff.den for coeff in d.nums.values()])
     slices: dict[Monomial, dict] = {}
-    for (alpha, m), num in nums:
-        slices.setdefault(m, {})[alpha] = num
+    for alpha, coeff in d.nums.items():
+        k = den // coeff.den
+        for m, num in coeff.nums.items():
+            slices.setdefault(m, {})[alpha] = num * k
     quotient: dict[Monomial, dict] = {}
     remainder: dict[Monomial, dict] = {}
     for m, terms in slices.items():
         for out, part in zip((quotient, remainder), divide_by_constant(terms, divisor)):
             for alpha, num in part.items():
-                out.setdefault(alpha, {})[m] = Fraction(num, den)
+                out.setdefault(alpha, {})[m] = num
 
     def op(out: dict) -> DiffOp:
-        return DiffOp._make(
-            d.space, {alpha: Polynomial._make(d.space, coeff) for alpha, coeff in out.items()}
-        )
+        coeffs = {}
+        for alpha, coeff in out.items():
+            scale, nums = numerators(coeff.items())
+            coeffs[alpha] = Polynomial._normal(d.space, dict(nums), den * scale)
+        return DiffOp._make(d.space, coeffs)
 
     return op(quotient), op(remainder)
 

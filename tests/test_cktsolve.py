@@ -129,12 +129,20 @@ COLUMN_CASES = [
     ids=[f"{r.__name__}-s{s}-n{n}" for r, s, n, _ in COLUMN_CASES],
 )
 def test_closed_form_columns_match_residual(residual, valency, n, top):
+    # the builder scales every row by one positive int, which keeps the
+    # kernel, so that every column entry is an int
     closed = with_reference_keys(_residual_column_builder(n, valency, residual))
     reference = column_by_residual(n, valency, residual)
+    scales = set()
     for d in range(top + 1):
         for key in nondecreasing_tuples(base_indices(n), valency):
             for exps in exponent_tuples(n, d):
-                assert closed((key, exps)) == reference((key, exps)), (key, exps)
+                got, expected = closed((key, exps)), reference((key, exps))
+                assert got.keys() == expected.keys(), (key, exps)
+                assert all(type(v) is int for v in got.values())
+                scales.update(Fraction(got[k]) / expected[k] for k in got)
+    (scale,) = scales
+    assert scale.denominator == 1 and scale > 0
 
 
 def dense_sym_gradient(v: SymTensorField) -> SymTensorField:

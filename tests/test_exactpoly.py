@@ -379,7 +379,9 @@ class TestExponentLayout:
         layout = ExponentLayout.fitting(space, monomials)
         for m in monomials:
             assert layout.unpack(layout.pack(m)) == m
-            assert all(layout.exponent(layout.pack(m), v) == m.exponent(v) for v in space.variables)
+            for v in space.variables:
+                shift, mask, step = layout.reader(v)
+                assert (layout.pack(m) >> shift) & mask == m.exponent(v) * step
         for m1 in monomials:
             for m2 in monomials:
                 assert layout.unpack(layout.pack(m1) + layout.pack(m2)) == m1 * m2
@@ -408,6 +410,201 @@ class TestExponentLayout:
         }
         for m in got.terms:
             assert m.exps == Monomial(m.items()).exps  # x0 normalized
+
+
+# -- the int-numerator form against plain {monomial: Fraction} dicts ---------
+
+ONE = Monomial()
+
+
+def ref_collect(pairs) -> dict:
+    """Sum the Fractions of repeated monomials and drop the zeros."""
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return ref_collect((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+
+
+def ref_partial(a: dict, v: int) -> dict:
+    return ref_collect(
+        (Monomial([*m.items(), (v, -1)]), c * m.exponent(v))
+        for m, c in a.items()
+        if m.exponent(v)
+    )
+
+
+def ref_substitute(a: dict, bindings: dict) -> dict:
+    """Each term multiplied out factor by factor; x0 is bound to 1 only."""
+    total: list = []
+    for m, c in a.items():
+        acc = {ONE: c}
+        for v, e in m.items():
+            if v not in bindings:
+                factor = {Monomial([(v, e)]): 1}
+            elif v == 0:
+                factor = {ONE: 1}
+            else:
+                factor = {ONE: 1}
+                for _ in range(e):
+                    factor = ref_mul(factor, bindings[v])
+            acc = ref_mul(acc, factor)
+        total.extend(acc.items())
+    return ref_collect(total)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """One positive int denominator and nonzero int numerators, coprime."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@st.composite
+def reference_pairs(draw):
+    """(space, a, b): two {monomial: Fraction} dicts on one base or ambient
+    space over a shared pool of monomials, whose x0 exponents may be
+    negative or fractional; half of the time b starts from -a, so that
+    sums cancel in part or in full."""
+    space = draw(st.sampled_from([SPACE, AMB, ambient_space(4)]))
+    x0_exps = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    pool = [
+        Monomial([(v, draw(x0_exps if v == 0 else st.integers(0, 3))) for v in space.variables])
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+    def drawn() -> dict:
+        picks = draw(st.lists(st.tuples(st.sampled_from(pool), rationals), max_size=4))
+        return ref_collect(picks)
+
+    a = drawn()
+    b = drawn()
+    if draw(st.booleans()):
+        b = ref_collect([*((m, -c) for m, c in a.items()), *b.items()])
+    return space, a, b
+
+
+scalars = st.one_of(st.just(0), st.integers(-6, 6), rationals)
+
+
+class TestIntNumerators:
+    @given(reference_pairs(), scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, case, k):
+        space, a, b = case
+        p, q = Polynomial(space, a), Polynomial(space, b)
+        neg_b = {m: -c for m, c in b.items()}
+        expected = {
+            "sum": ref_collect([*a.items(), *b.items()]),
+            "difference": ref_collect([*a.items(), *neg_b.items()]),
+            "product": ref_mul(a, b),
+            "scaled": ref_collect((m, c * k) for m, c in a.items()),
+        }
+        got = {"sum": p + q, "difference": p - q, "product": p * q, "scaled": p * k}
+        for name, value in got.items():
+            assert value.terms == expected[name], name
+            assert_canonical(value)
+        assert (k * p).terms == expected["scaled"]
+        assert (p == q) == (a == b)
+        assert (p - q).is_zero == (a == b)
+        assert (p + q == 0) == (not expected["sum"])
+
+    @given(reference_pairs(), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_matches_fraction_reference(self, case, i):
+        space, a, _ = case
+        v = space.variables[min(i, len(space.variables) - 1)]
+        got = Polynomial(space, a).partial(v)
+        assert got.terms == ref_partial(a, v)
+        assert_canonical(got)
+
+    @given(reference_pairs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_substitute_matches_fraction_reference(self, case, data):
+        space, a, b = case
+        # bind the last variable (xinf on an ambient space) to a polynomial
+        # free of it, and x0 to 1: fractional powers of 1 are 1
+        last = space.variables[-1]
+        free = ref_collect((m, c) for m, c in b.items() if not m.exponent(last))
+        free = ref_collect(
+            (Monomial([(v, e) for v, e in m.items() if v]), c) for m, c in free.items()
+        )
+        bindings = {last: free}
+        if space.kind == "ambient":
+            bindings[0] = {ONE: 1}
+        if data.draw(st.booleans()):
+            bindings[space.variables[1]] = {ONE: data.draw(rationals)}
+        got = Polynomial(space, a).substitute(
+            {v: Polynomial(space, t) for v, t in bindings.items()}
+        )
+        assert got.terms == ref_substitute(a, bindings)
+        assert_canonical(got)
+
+    @given(reference_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_store_equal_ints(self, case):
+        space, a, b = case
+        p, q = Polynomial(space, a), Polynomial(space, b)
+        assert_canonical(p)
+        paths = [
+            (p * 3) * Fraction(1, 3),
+            (p * Fraction(-5, 7)) * Fraction(-7, 5),
+            (p + q) - q,
+            -(-p),
+            Polynomial._sum(space, [p, q, -q]),
+            Polynomial.from_json_obj(space, p.to_json_obj()),
+            Polynomial(space, {m: c * 6 for m, c in a.items()}) * Fraction(1, 6),
+        ]
+        for other in paths:
+            assert other == p
+            assert (other.den, other.nums) == (p.den, p.nums)
+
+    def test_cancelling_to_zero(self):
+        x1 = Polynomial.variable(AMB, 1)
+        half = Polynomial.variable(AMB, 0, Fraction(-1, 2))
+        p = x1 * Fraction(1, 6) + half * Fraction(5, 4)
+        for zero in (p - p, p + (-p), p * 0, 0 * p, p * Fraction(3, 2) - p * 3 * Fraction(1, 2)):
+            assert zero.is_zero and zero == 0
+            assert (zero.den, zero.nums) == (1, {})
+        # the 1/6 and the 5/4 leave together: the rest is over 1
+        assert (p + x1 * Fraction(5, 6) - half * Fraction(5, 4)).den == 1
+        # d/dx0 of x0^(-1/2) halves once, over the lcm of 4 and 2
+        assert half.partial(0) == Polynomial.variable(AMB, 0, Fraction(-3, 2)) * Fraction(-1, 2)
+        assert (p.partial(0).den, p.partial(0).nums) == (8, {Monomial([(0, Fraction(-3, 2))]): -5})
+
+    def test_coefficient_readout(self):
+        p = poly_from([([(1, 2)], Fraction(2, 3)), ([], 4)])
+        assert (p.den, p.nums) == (3, {Monomial([(1, 2)]): 2, ONE: 12})
+        assert p.coefficient(Monomial([(1, 2)])) == Fraction(2, 3)
+        assert p.coefficient(Monomial([(2, 1)])) == 0
+        assert p.leading_term() == (Monomial([(1, 2)]), Fraction(2, 3))
+        assert Polynomial.constant(SPACE, Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
+        assert type(Polynomial.constant(SPACE, 5).constant_value()) is Fraction
+
+
+class TestLeibnizTables:
+    def test_divisors_are_built_once_per_exponent_vector(self):
+        m = Monomial([(1, 2), (3, 1)])
+        table = m.divisors()
+        assert isinstance(table, tuple)
+        assert Monomial([(3, 1), (1, 2)]).divisors() is table
+        assert sorted(w for _, _, w in table) == [1, 1, 1, 1, 2, 2]
+        for gamma, rest, _ in table:
+            assert gamma * rest == m
+
+    def test_layout_tables_are_shared_by_calls(self):
+        alpha = Monomial([(0, 2), (1, 1)])
+        layouts = [ExponentLayout.fitting(AMB, [alpha, Monomial([(0, Fraction(1, 3))])])
+                   for _ in range(2)]
+        first, second = (layout.leibniz(alpha) for layout in layouts)
+        assert first is second
+        assert [(layouts[0].unpack(g), moves) for g, moves, _ in first] == [
+            (gamma, tuple(gamma.items())) for gamma, _, _ in alpha.divisors()
+        ]
 
 
 class TestSerialization:
